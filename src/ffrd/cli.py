@@ -81,21 +81,20 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _merge_config(args: argparse.Namespace, defaults: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file, if one was given."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The JSON config file's values keyed by argument name."""
     try:
         with open(args.config) as fh:
             file_vals = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    defaults = {}
     for key, value in file_vals.items():
         attr = "lam" if key == "lambda" else key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == getattr(defaults, attr, None):
-            setattr(args, attr, value)
+        defaults[attr] = value
+    return defaults
 
 
 def _write(path: str | None, text: str) -> None:
@@ -175,6 +174,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--output", default=None)
+    parser._commands = sub.choices
     return parser
 
 
@@ -280,8 +280,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults = parser.parse_args([args.command])
-        _merge_config(args, defaults)
+        if getattr(args, "config", None):
+            # file values become defaults, so every flag given overrides them
+            parser._commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

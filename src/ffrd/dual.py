@@ -25,10 +25,9 @@ from .prob import (
     CausalKernel,
     ForwardChannel,
     NORM_TOL,
-    causal_factors_from_joint,
     reverse_causal_factors,
 )
-from .solver import RatePoint
+from .solver import RatePoint, _channel, _step
 
 
 class NonTightCertificateError(ValueError):
@@ -57,8 +56,8 @@ class DualCertificate:
         g = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
         if g.shape != (self.src_alphabet_size**self.n,):
             raise ValueError("gamma must have one entry per source block")
-        if np.any(g <= 0):
-            raise ValueError("gamma must be strictly positive")
+        if not np.all(np.isfinite(g)) or np.any(g <= 0):
+            raise ValueError("gamma must be finite and strictly positive")
         object.__setattr__(self, "gamma", g)
         facs = tuple(np.asarray(f, dtype=float) for f in self.p_prime_factors)
         A, B = self.src_alphabet_size, self.rec_alphabet_size
@@ -108,10 +107,11 @@ class FeasibilityReport:
 def gamma_from_kernel(kernel: CausalKernel, distortion: DistortionTensor,
                       lam: float) -> np.ndarray:
     """gamma(x^n) = (sum_{x̂^n} q(x̂^n||x^{n-s}) 2^{-lam d})^{-1}."""
-    denom = (kernel.probs * np.exp2(-lam * distortion.values)).sum(axis=1)
-    if np.any(denom <= 0):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
+    if np.any(rows <= 0):
         raise ValueError("kernel must be strictly positive")
-    return 1.0 / denom
+    return 1.0 / rows
 
 
 def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float) -> float:
@@ -163,23 +163,17 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     q_star = point.kernel
     if q_star.delay != 1 or q_star.ff_map is not None:
         raise ValueError("certificates require a delay-1 solve without a feed-forward map")
-    lam = point.lam
     n, A = source.n, source.src_alphabet_size
     B = q_star.rec_alphabet_size
-    # Run one more update pair from the returned kernel: gamma is defined from
-    # the kernel that generates the channel, and the deflation needs the ratio
-    # of the kernel after that channel to the one before it.
-    tilt = np.exp2(-lam * distortion.values)
-    num = q_star.probs * tilt
-    denom = num.sum(axis=1, keepdims=True)
-    r = num / denom
-    joint = source.probs[:, None] * r
-    q_next, _ = causal_factors_from_joint(joint, n, A, B, 1, None)
-    gamma_raw = 1.0 / denom[:, 0]
-    max_c = float(np.max(q_next / q_star.probs))
-    gamma = gamma_raw / max(max_c, 1.0)
-    _, factors = reverse_causal_factors(joint, n, A, B)
-    return DualCertificate(lam=lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
+    # Run one more step from the returned kernel: gamma is defined from the
+    # kernel that generates the channel, and the deflation needs the ratio of
+    # the kernel after that channel to the one before it, over the contexts
+    # the joint reaches (elsewhere it can be 0/0 on underflowed entries).
+    st = _step(q_star.probs, np.exp2(-point.lam * distortion.values), source.probs,
+               n, A, B, 1, None, distortion.values)
+    gamma = np.exp2(-max(st.log_max_c, 0.0)) / st.rows
+    _, factors = reverse_causal_factors(st.joint, n, A, B)
+    return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
                            gamma=gamma, p_prime_factors=tuple(factors))
 
 
@@ -196,16 +190,14 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     """
     n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
     p = source.probs
-    pp = cert.p_prime_table
     support = p > 0.0
+    # rows off the source support carry no joint mass: keep them finite
+    weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
     def step(q):
-        num = pp * q
-        rows = num.sum(axis=1)
-        r = np.full_like(num, 1.0 / B**n)
-        r[support] = num[support] / rows[support, None]
-        q_next, _ = causal_factors_from_joint(p[:, None] * r, n, A, B, 1, None)
-        return q_next, r, rows
+        st = _step(q, weight, p, n, A, B, 1, None)
+        st.r[~support] = float(B) ** (-n)
+        return st
 
     q = np.full((A**n, B**n), float(B) ** (-n))
     # Plain iteration first: the map contracts toward the fixed point but its
@@ -215,13 +207,12 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     # slow modes and converges in a handful of extra steps.
     warmup = min(200, max_iters)
     for _ in range(warmup):
-        q, r, rows = step(q)
+        q = step(q).q_next
     memory = 5
     x = q.ravel()
     res_hist, x_hist = [], []
     for _ in range(max(0, max_iters - warmup)):
-        q_next, r, rows = step(x.reshape(A**n, B**n))
-        g = q_next.ravel()
+        g = step(x.reshape(A**n, B**n)).q_next.ravel()
         f = g - x
         if float(np.max(np.abs(f))) < tol:
             x = g
@@ -243,12 +234,12 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
             x = g  # fall back to the plain step if acceleration leaves the domain
         else:
             x = x_new
-    q_final, r, rows = step(x.reshape(A**n, B**n))
-    worst = float(np.max(np.abs(rows[support] - p[support]) / p[support]))
+    last = step(x.reshape(A**n, B**n))
+    worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if worst > tight_tol:
         raise NonTightCertificateError(
             f"certificate is not tight: channel rows deviate by {worst:.3e}")
-    return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=r)
+    return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=last.r)
 
 
 def slope_at(lam: float, n: int) -> float:

@@ -221,58 +221,60 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
 
 
-def _class_indicator(fmap: np.ndarray, Z: int) -> np.ndarray:
-    E = np.zeros((Z, fmap.size))
-    E[fmap, np.arange(fmap.size)] = 1.0
-    return E
-
-
-def _aggregate_source_axes(J: np.ndarray, fmap: np.ndarray, Z: int, n: int) -> np.ndarray:
-    """Sum the first n axes of J over the preimage classes of fmap."""
-    E = _class_indicator(fmap, Z)
-    out = J
-    for ax in range(n):
-        out = np.moveaxis(np.tensordot(E, out, axes=(1, ax)), 0, ax)
-    return out
-
-
-def _expand_factor(qi: np.ndarray, ctx_len: int, i: int, n: int,
-                   A: int, B: int, fmap: np.ndarray | None) -> np.ndarray:
-    """Broadcast a factor table to the full (A,)*n + (B,)*n tensor layout."""
-    t = qi
-    if fmap is not None:
-        for ax in range(ctx_len):
-            t = np.take(t, fmap, axis=ax)
-    return t.reshape((A,) * ctx_len + (1,) * (n - ctx_len) + (B,) * i + (1,) * (n - i))
-
-
 def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s: int,
                               fmap: np.ndarray | None = None):
     """Raw-array core of causal_kernel_from_joint (no dataclass validation).
 
-    Returns (full_table, factors). Conditioning contexts carrying zero joint
-    mass get a uniform factor, which keeps kernels strictly positive.
+    Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
+    over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
+    x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
+    over x̂_i and, while i > s, over z_{i-s}.  Conditioning contexts carrying
+    zero joint mass get a uniform factor, which keeps kernels strictly
+    positive.
+
+    Returns (full_table, factors, mass), where ``mass`` is N_n spread over
+    source prefixes: the (|X|^{n-s}, |X̂|^n) table of the joint mass of the
+    context (f(x)^{n-s}, x̂^n).
     """
-    J = joint_table.reshape((A,) * n + (B,) * n)
-    if fmap is not None:
+    c_n = n - s
+    N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
+    if fmap is None:
+        Z = A
+        mass = N
+    else:
         fmap = np.asarray(fmap)
         Z = int(np.max(fmap)) + 1
-        Jc = _aggregate_source_axes(J, fmap, Z, n)
-    else:
-        Z = A
-        Jc = J
-    factors = []
-    full = np.ones((A,) * n + (B,) * n)
-    for i in range(1, n + 1):
+        # class index of f(x)^{n-s} for every source prefix x^{n-s}
+        rows = fmap[_sequence_digits_cached(A, c_n)] @ Z ** np.arange(c_n - 1, -1, -1)
+        classes = np.zeros((Z**c_n, B**n))
+        np.add.at(classes, rows, N)
+        N, mass = classes, classes[rows]
+    # x̂_i is the innermost axis and has only B entries; numpy is slow when it
+    # broadcasts along such an axis, so those operations go slice by slice.
+    factors = [None] * n
+    for i in range(n, 0, -1):
         c = max(i - s, 0)
-        sum_axes = tuple(range(c, n)) + tuple(range(n + i, 2 * n))
-        N = Jc.sum(axis=sum_axes) if sum_axes else Jc
-        D = N.sum(axis=-1, keepdims=True)
-        safe = np.where(D > 0.0, D, 1.0)
-        qi = np.where(D > 0.0, N / safe, 1.0 / B)
-        factors.append(qi)
-        full = full * _expand_factor(qi, c, i, n, A, B, fmap)
-    return full.reshape(A**n, B**n), factors
+        N = N.reshape(Z**c, B ** (i - 1), B)
+        D = sum(N[..., b] for b in range(B))
+        qi = np.full(N.shape, 1.0 / B)
+        for b in range(B):
+            np.divide(N[..., b], D, out=qi[..., b], where=D > 0.0)
+        factors[i - 1] = qi.reshape((Z,) * c + (B,) * i)
+        # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
+        N = D.reshape(Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1)).sum(axis=1)
+    full = factors[0].reshape(1, B)
+    for i in range(2, n + 1):
+        c = max(i - s, 0)
+        qi = factors[i - 1].reshape(Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
+        prev = full.reshape(Z ** max(c - 1, 0), 1, B ** (i - 1))
+        full = np.empty(qi.shape)
+        for b in range(B):
+            np.multiply(prev, qi[..., b], out=full[..., b])
+    full = full.reshape(Z**c_n, B**n)
+    if fmap is not None:
+        full = full[rows]
+    full = np.repeat(full, A**s, axis=0)
+    return full, factors, mass
 
 
 def causal_kernel_from_joint(joint: JointBlockPmf, s: int,
@@ -286,7 +288,7 @@ def causal_kernel_from_joint(joint: JointBlockPmf, s: int,
     n, A, B = joint.n, joint.src_alphabet_size, joint.rec_alphabet_size
     if not 1 <= s <= n:
         raise ValueError("delay must satisfy 1 <= s <= n")
-    probs, factors = causal_factors_from_joint(joint.probs, n, A, B, s, ff_map)
+    probs, factors, _ = causal_factors_from_joint(joint.probs, n, A, B, s, ff_map)
     return CausalKernel(n, s, A, B, probs, tuple(factors),
                         None if ff_map is None else np.asarray(ff_map))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
+from .models import DistortionSpec, SourceSpec, _boundary_table, block_pmf, distortion_tensor
 from .prob import CausalKernel
 from .solver import SolverConfig, solve
 
@@ -106,25 +106,23 @@ def decode_walk(tree: CodeTree, x_causal_stream) -> np.ndarray:
 def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> float:
     """Per-letter average distortion of a (source, reconstruction) pair.
 
-    Windows reaching before the first symbol are truncated (or pinned to
-    ``initial_context`` when it is a symbol)."""
+    Windows reaching before the first symbol are resolved as in
+    :func:`distortion_tensor`: averaged uniformly over the missing symbols
+    when ``initial_context`` is None, pinned to it when it is a symbol, and
+    averaged under it when it is a PMF over the source alphabet."""
     x = np.asarray(x, dtype=np.int64)
     xhat = np.asarray(xhat, dtype=np.int64)
     if x.size != xhat.size:
         raise ValueError("sequences must have equal length")
+    m, L = spec.m, x.size
     total = 0.0
-    for i in range(x.size):
-        t = spec.table
-        missing = max(spec.m - i, 0)
-        for _ in range(missing):
-            if initial_context is None:
-                t = t.mean(axis=0)
-            else:
-                t = t[int(initial_context)]
-        for j in range(i - (spec.m - missing), i + 1):
-            t = t[x[j]]
-        total += t[xhat[i]]
-    return total / x.size
+    for i in range(min(m, L)):
+        t = _boundary_table(spec.table, m - i, spec.src_alphabet_size, initial_context)
+        total += t[tuple(x[:i + 1]) + (xhat[i],)]
+    if L > m:
+        windows = tuple(x[j:L - m + j] for j in range(m + 1))
+        total += spec.table[windows + (xhat[m:],)].sum()
+    return float(total / L)
 
 
 def encode(codebook: Codebook, x, distortion: DistortionSpec) -> int:

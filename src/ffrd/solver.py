@@ -14,6 +14,7 @@ and upper bounds on the rate by exactly F/n).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .prob import (
     CausalKernel,
     ForwardChannel,
     JointBlockPmf,
-    _aggregate_source_axes,
     causal_factors_from_joint,
     causal_kernel_from_joint,
 )
@@ -98,15 +98,74 @@ class RatePoint:
             raise ValueError("rate and distortion must be nonnegative")
 
 
+class _Step(NamedTuple):
+    """One alternating-minimization step taken from a kernel table q."""
+
+    r: np.ndarray  # channel: the rows of q * weight, normalized
+    rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
+    joint: np.ndarray  # p * r
+    q_next: np.ndarray  # causal kernel of the joint
+    factors: list
+    # the rest only when the step is given the distortion values
+    c: np.ndarray | None = None  # q_next / q
+    log_max_c: float | None = None  # max log2 c over contexts carrying joint mass
+    mean_logc: float | None = None  # E[log2 c] under the joint
+    D: float | None = None
+
+    def diagnostics(self, p: np.ndarray, lam: float, n: int, k: int) -> IterationDiagnostics:
+        """Stopping statistic, Lagrangian and rate bounds of a tilt step."""
+        base = -lam * self.D - float(p @ np.log2(self.rows))
+        upper = (base - self.mean_logc) / n
+        lower = (base - self.log_max_c) / n
+        return IterationDiagnostics(k=k, c=self.c, gamma=1.0 / self.rows,
+                                    F=self.log_max_c - self.mean_logc,
+                                    K_value=n * upper + lam * self.D, D=self.D,
+                                    lower_bound=lower, upper_bound=upper)
+
+
+def _channel(q: np.ndarray, weight: np.ndarray):
+    """Rows of q * weight normalized, and their sums."""
+    num = q * weight
+    rows = num.sum(axis=1)
+    return num / rows[:, None], rows
+
+
+def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, n: int, A: int, B: int,
+          s: int, fmap: np.ndarray | None, dvals: np.ndarray | None = None) -> _Step:
+    """Channel update r = q * weight / rows, then the causal kernel of p * r.
+
+    The weight is the tilt 2^{-lam d} in the solver and p' in certificate
+    reconstruction.  Given the distortion values the step also returns c =
+    q_next / q, the max of log2 c over contexts with positive joint mass, the
+    mean of log2 c under the joint, and D.  Kernel entries on abandoned
+    branches can underflow to exact zero; they carry no joint mass and are
+    left out of both the max and the mean (restricted-support convention).
+    """
+    r, rows = _channel(q, weight)
+    joint = p[:, None] * r
+    q_next, factors, mass = causal_factors_from_joint(joint, n, A, B, s, fmap)
+    if dvals is None:
+        return _Step(r, rows, joint, q_next, factors)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = q_next / q
+        logc = np.log2(c)
+        finite = np.isfinite(logc)
+        ctx = (A ** (n - s), A**s, B**n)
+        in_context = (mass > 0.0).reshape(ctx[0], 1, ctx[2]) & finite.reshape(ctx)
+        log_max_c = float(logc.reshape(ctx).max(where=in_context, initial=-np.inf))
+        mean_logc = float((joint * logc).sum(where=(joint > 0.0) & finite))
+    D = float((joint * dvals).sum())
+    return _Step(r, rows, joint, q_next, factors, c, log_max_c, mean_logc, D)
+
+
 def update_r(kernel: CausalKernel, distortion: DistortionTensor, lam: float) -> ForwardChannel:
     """Closed-form channel minimizing the Lagrangian for a fixed kernel."""
-    tilt = np.exp2(-lam * distortion.values)
-    num = kernel.probs * tilt
-    denom = num.sum(axis=1, keepdims=True)
-    if np.any(denom <= 0):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
+    if np.any(rows <= 0):
         raise FloatingPointError("degenerate update denominator; kernel not positive?")
     return ForwardChannel(n=kernel.n, src_alphabet_size=kernel.src_alphabet_size,
-                          rec_alphabet_size=kernel.rec_alphabet_size, probs=num / denom)
+                          rec_alphabet_size=kernel.rec_alphabet_size, probs=r)
 
 
 def update_q(source: BlockSource, channel: ForwardChannel, s: int,
@@ -116,68 +175,22 @@ def update_q(source: BlockSource, channel: ForwardChannel, s: int,
     return causal_kernel_from_joint(joint, s, None if ff_map is None else ff_map.table)
 
 
-def _context_mask(joint_table: np.ndarray, n: int, A: int, B: int, s: int,
-                  fmap: np.ndarray | None) -> np.ndarray:
-    """Boolean (A^n, B^n) table marking conditioning contexts (x^{n-s}, x̂^n)
-    that carry positive probability under the joint."""
-    W = joint_table.reshape((A,) * n + (B,) * n)
-    free = tuple(range(n - s, n))
-    mass = W.sum(axis=free, keepdims=True) if free else W
-    if fmap is not None and n - s > 0:
-        Z = int(np.max(fmap)) + 1
-        agg = _aggregate_source_axes(mass, fmap, Z, n - s)
-        for ax in range(n - s):
-            agg = np.take(agg, fmap, axis=ax)
-        mass = agg
-    return np.broadcast_to(mass > 0.0, W.shape).reshape(A**n, B**n)
-
-
-def _diagnostics_arrays(prev_q: np.ndarray, next_q: np.ndarray, p: np.ndarray,
-                        r: np.ndarray, dvals: np.ndarray, lam: float, k: int,
-                        n: int, A: int, B: int, s: int, fmap, tilt=None):
-    """Core diagnostics computation on raw tables."""
-    if tilt is None:
-        tilt = np.exp2(-lam * dvals)
-    denom = (prev_q * tilt).sum(axis=1)
-    gamma = 1.0 / denom
-    # Kernel entries on branches the channel has abandoned can underflow to
-    # exact zero; such entries carry no joint mass and are excluded from both
-    # the max and the expectation (restricted-support convention).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = next_q / prev_q
-        logc = np.log2(c)
-    w = p[:, None] * r
-    finite = np.isfinite(logc)
-    mask = _context_mask(w, n, A, B, s, fmap) & finite
-    log_max_c = float(np.max(logc[mask]))
-    wmask = (w > 0.0) & finite
-    mean_logc = float((w[wmask] * logc[wmask]).sum())
-    F = log_max_c - mean_logc
-    D = float((w * dvals).sum())
-    base = -lam * D + float(p @ np.log2(gamma))
-    upper = (base - mean_logc) / n
-    lower = (base - log_max_c) / n
-    K = n * upper + lam * D
-    return IterationDiagnostics(k=k, c=c, gamma=gamma, F=F, K_value=K, D=D,
-                                lower_bound=lower, upper_bound=upper)
-
-
 def diagnostics(prev_kernel: CausalKernel, next_kernel: CausalKernel,
                 source: BlockSource, channel: ForwardChannel,
                 distortion: DistortionTensor, lam: float, k: int) -> IterationDiagnostics:
     """Stopping statistic, Lagrangian, and rate bounds for one iteration.
 
     ``channel`` is the update produced from ``prev_kernel``; ``next_kernel``
-    the causal kernel of the resulting joint.  The bounds sandwich the true
+    the causal kernel of the resulting joint.  Both are recomputed here by
+    the solver step from ``prev_kernel``.  The bounds sandwich the true
     per-symbol rate at the realized distortion, and upper - lower = F/n.
     """
     if np.any(prev_kernel.probs <= 0):
         raise ValueError("previous kernel must be strictly positive")
-    fmap = None if prev_kernel.ff_map is None else np.asarray(prev_kernel.ff_map)
-    return _diagnostics_arrays(prev_kernel.probs, next_kernel.probs, source.probs,
-                               channel.probs, distortion.values, lam, k,
-                               source.n, source.src_alphabet_size,
-                               channel.rec_alphabet_size, prev_kernel.delay, fmap)
+    st = _step(prev_kernel.probs, np.exp2(-lam * distortion.values), source.probs,
+               source.n, source.src_alphabet_size, channel.rec_alphabet_size,
+               prev_kernel.delay, prev_kernel.ff_map, distortion.values)
+    return st.diagnostics(source.probs, lam, source.n, k)
 
 
 def solve(source: BlockSource, distortion: DistortionTensor,
@@ -199,25 +212,18 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     q = np.full((A**n, B**n), float(B) ** (-n))
     trace: list[IterationDiagnostics] = []
     converged = False
-    diag = None
-    r = None
     for k in range(1, config.max_iters + 1):
-        num = q * tilt
-        denom = num.sum(axis=1, keepdims=True)
-        r = num / denom
-        joint = p[:, None] * r
-        q_next, factors = causal_factors_from_joint(joint, n, A, B, s, fmap)
-        diag = _diagnostics_arrays(q, q_next, p, r, dvals, config.lam, k,
-                                   n, A, B, s, fmap, tilt=tilt)
+        st = _step(q, tilt, p, n, A, B, s, fmap, dvals)
+        diag = st.diagnostics(p, config.lam, n, k)
         if config.keep_trace:
-            trace.append(replace(diag, channel_probs=r, kernel_probs=q_next))
-        q = q_next
+            trace.append(replace(diag, channel_probs=st.r, kernel_probs=st.q_next))
+        q = st.q_next
         if diag.F < config.epsilon:
             converged = True
             break
 
-    channel = ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=r)
-    kernel = CausalKernel(n, s, A, B, q, tuple(factors),
+    channel = ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=st.r)
+    kernel = CausalKernel(n, s, A, B, q, tuple(st.factors),
                           None if fmap is None else np.asarray(fmap))
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite

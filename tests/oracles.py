@@ -20,30 +20,48 @@ def _enumerate_pairs(n, A, B):
         itertools.product(range(B), repeat=n)))
 
 
-def causal_kernel_loops(p, r, n, A, B):
-    """q(x̂^n || x^{n-1}) of the joint p*r, built symbol by symbol.
+def _causal_sums(p, r, n, A, B, s, fmap):
+    """Joint mass of every factor's conditioning context and of its
+    (context, x̂_i) cells, accumulated pair by pair."""
+    num, den = {}, {}
+    for x, xh in _enumerate_pairs(n, A, B):
+        w = p[x] * r[(x, xh)]
+        z = x if fmap is None else tuple(fmap[a] for a in x)
+        for i in range(1, n + 1):
+            ctx = (i, z[:max(i - s, 0)], xh[:i - 1])
+            den[ctx] = den.get(ctx, 0.0) + w
+            num[ctx + (xh[i - 1],)] = num.get(ctx + (xh[i - 1],), 0.0) + w
+    return num, den
+
+
+def causal_kernel_loops(p, r, n, A, B, s=1, fmap=None):
+    """q(x̂^n || z^{n-s}) of the joint p*r, built symbol by symbol.
 
     Returns a dict mapping (x tuple, x̂ tuple) -> kernel probability.
-    Delay 1: factor i conditions on (x̂_1..x̂_{i-1}, x_1..x_{i-1}).
+    Factor i conditions on (x̂_1..x̂_{i-1}, z_1..z_{i-s}), where z_j is
+    fmap[x_j] (x_j itself when fmap is None); a context of zero mass gets the
+    uniform factor 1/B.
     """
-    def joint(x, xh):
-        return p[x] * r[(x, xh)]
-
+    num, den = _causal_sums(p, r, n, A, B, s, fmap)
     out = {}
     for x, xh in _enumerate_pairs(n, A, B):
+        z = x if fmap is None else tuple(fmap[a] for a in x)
         val = 1.0
         for i in range(1, n + 1):
-            num = 0.0
-            den = 0.0
-            for x2, xh2 in _enumerate_pairs(n, A, B):
-                if x2[:i - 1] != x[:i - 1] or xh2[:i - 1] != xh[:i - 1]:
-                    continue
-                w = joint(x2, xh2)
-                den += w
-                if xh2[i - 1] == xh[i - 1]:
-                    num += w
-            val *= num / den if den > 0 else 1.0 / B
+            ctx = (i, z[:max(i - s, 0)], xh[:i - 1])
+            val *= num[ctx + (xh[i - 1],)] / den[ctx] if den[ctx] > 0 else 1.0 / B
         out[(x, xh)] = val
+    return out
+
+
+def context_mass_loops(p, r, n, A, B, s=1, fmap=None):
+    """Joint mass of the last factor's context (z^{n-s}, x̂^n) of every pair,
+    as a dict mapping (x tuple, x̂ tuple) -> mass."""
+    num, _ = _causal_sums(p, r, n, A, B, s, fmap)
+    out = {}
+    for x, xh in _enumerate_pairs(n, A, B):
+        z = x if fmap is None else tuple(fmap[a] for a in x)
+        out[(x, xh)] = num[(n, z[:n - s], xh[:n - 1], xh[n - 1])]
     return out
 
 

@@ -148,6 +148,16 @@ class TestConfigFile:
         assert code == 0
         assert "R=0.278071905" in out
 
+    def test_flag_at_its_default_overrides_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"delay": 2}))
+        base = ["solve", "--source", "markov:0.3,0.2", "--n", "3", "--lambda", "4",
+                "--config", str(cfg)]
+        assert run(base + ["--delay", "1"]) == 0
+        assert "R=0.0420731931 " in capsys.readouterr().out
+        assert run(base) == 0
+        assert "R=0.13419721 " in capsys.readouterr().out
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"sauce": "iid:0.5"}))

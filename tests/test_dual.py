@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,25 @@ class TestFeasibility:
         report = check_feasibility(cert, src, dist)
         assert report.feasible
         assert report.max_violation == pytest.approx(0.0, abs=1e-12)
+
+    def test_certificate_on_underflowed_kernel(self):
+        # at n=6, lam=7.53 kernel entries underflow to zero; the deflation
+        # must skip their 0/0 ratios instead of turning gamma into NaN
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 6)
+        dist = hamming_tensor(6)
+        pt = solve(src, dist, SolverConfig(lam=7.53))
+        cert = certificate_from_solution(pt, src, dist)
+        assert np.all(np.isfinite(cert.gamma))
+        assert check_feasibility(cert, src, dist).feasible
+        obj = dual_objective(cert.lam, cert.gamma, src, pt.D)
+        assert pt.R - pt.F_final / 6 - 1e-12 <= obj <= pt.R + 1e-12
+
+    def test_nonfinite_gamma_rejected(self, markov_converged):
+        src, dist, pt = markov_converged
+        payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
+        payload["gamma"] = [float("nan")] * len(payload["gamma"])
+        with pytest.raises(ValueError):
+            DualCertificate.from_json(json.dumps(payload))
 
     def test_json_round_trip(self, markov_converged):
         src, dist, pt = markov_converged

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffrd.models import FeedForwardMap
 from ffrd.prob import (
     BlockSource,
     CausalKernel,
@@ -10,6 +11,7 @@ from ffrd.prob import (
     JointBlockPmf,
     SupportError,
     binary_entropy,
+    causal_factors_from_joint,
     causal_kernel_from_joint,
     directed_information,
     flat_index,
@@ -17,6 +19,8 @@ from ffrd.prob import (
     reverse_causal_factors,
     sequence_digits,
 )
+
+from oracles import causal_kernel_loops, context_mass_loops
 
 
 def random_joint(rng, n=2, A=2, B=2):
@@ -276,3 +280,48 @@ def test_kernel_factorization_consistent(seed):
     rebuilt *= f1.reshape(1, 1, 2, 1)
     rebuilt *= f2.reshape(2, 1, 2, 2)
     np.testing.assert_allclose(rebuilt.reshape(4, 4), kern.probs, atol=1e-12)
+
+
+# (A, B, n) with A^n * B^n <= 256: the sizes the loop oracle checks quickly.
+SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)
+          if (A * B) ** n <= 256]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_factorization_matches_loop_oracle(shape, data):
+    """Kernel table and context mass match plain loops over symbol tuples,
+    for every delay and feed-forward map, on joints with exact zeros."""
+    A, B, n = shape
+    s = data.draw(st.integers(min_value=1, max_value=n), label="s")
+    map_name = data.draw(st.sampled_from([None, "identity", "parity", "constant"]),
+                         label="map")
+    cell_zeros = data.draw(st.sampled_from([0.0, 0.3, 0.95]), label="cell_zeros")
+    row_zeros = data.draw(st.sampled_from([0.0, 0.5]), label="row_zeros")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    keep = (rng.random((A**n, 1)) >= row_zeros) & (rng.random((A**n, B**n)) >= cell_zeros)
+    joint = rng.dirichlet(np.ones(A**n * B**n)) * keep.ravel()
+    if joint.sum() == 0.0:
+        joint[rng.integers(joint.size)] = 1.0
+    joint = (joint / joint.sum()).reshape(A**n, B**n)
+    fmap = None if map_name is None else getattr(FeedForwardMap, map_name)(A).table
+
+    full, factors, mass = causal_factors_from_joint(joint, n, A, B, s, fmap)
+
+    xs, xhs = sequence_digits(A, n), sequence_digits(B, n)
+    p = {tuple(x): 1.0 for x in xs}
+    r = {(tuple(x), tuple(xh)): joint[i, j]
+         for i, x in enumerate(xs) for j, xh in enumerate(xhs)}
+    q_loops = causal_kernel_loops(p, r, n, A, B, s, fmap)
+    mass_loops = context_mass_loops(p, r, n, A, B, s, fmap)
+    expected_q = np.array([[q_loops[(tuple(x), tuple(xh))] for xh in xhs] for x in xs])
+    expected_mass = np.array([[mass_loops[(tuple(x), tuple(xh))] for xh in xhs] for x in xs])
+    # mass is indexed by the source prefix x^{n-s}; spread it over x^n
+    mass_full = np.repeat(mass, A**s, axis=0)
+
+    np.testing.assert_allclose(full, expected_q, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(mass_full > 0.0, expected_mass > 0.0)
+    np.testing.assert_allclose(mass_full, expected_mass, rtol=0, atol=1e-12)
+    Z = A if fmap is None else int(np.max(fmap)) + 1
+    assert [f.shape for f in factors] == [(Z,) * max(i - s, 0) + (B,) * i
+                                         for i in range(1, n + 1)]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ffrd.models import DistortionSpec, SourceSpec
-from ffrd.prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint
+from ffrd.models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
+from ffrd.prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint, sequence_digits
 from ffrd.sim import (
     Codebook,
     decode_walk,
@@ -130,6 +130,16 @@ class TestSequenceDistortion:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sequence_distortion(HAMMING, [0, 1], [0])
+
+    @pytest.mark.parametrize("initial_context", [None, 0, [0.4, 0.6]])
+    def test_matches_distortion_tensor(self, initial_context):
+        spec = DistortionSpec.stock()
+        tensor = distortion_tensor(spec, 3, initial_context).values
+        xs, xhs = sequence_digits(2, 3), sequence_digits(2, 3)
+        for i, x in enumerate(xs):
+            for j, xh in enumerate(xhs):
+                assert sequence_distortion(spec, x, xh, initial_context) == \
+                    pytest.approx(tensor[i, j], abs=1e-12)
 
 
 class TestMonteCarlo:

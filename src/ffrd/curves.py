@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
+from .prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint
 from .solver import RatePoint, SolverConfig, solve
 
 
@@ -51,10 +52,39 @@ def _dedup_sorted(points: list[RatePoint]) -> list[RatePoint]:
     return out
 
 
+#: Share of the uniform kernel mixed into a warm start.  It keeps the start
+#: strictly positive; without it abandoned branches stay at exact zero and
+#: neighbouring zero-rate points land on the same distortion.  A larger
+#: share only costs iterations (1e-2 cost 19% more than 1e-6 on the
+#: benchmark's sweeps).
+WARM_START_MIX = 1e-6
+
+
+def _warm_start(kernel: CausalKernel) -> CausalKernel:
+    """``kernel`` mixed with the uniform kernel by WARM_START_MIX.
+
+    Causal conditioning is a set of linear constraints on the table, so the
+    mixture is again a causal kernel; its factors are those of the mixture
+    spread over a uniform source.
+    """
+    n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
+    table = (1.0 - WARM_START_MIX) * kernel.probs + WARM_START_MIX * float(B) ** (-n)
+    joint = JointBlockPmf(n, A, B, table / float(A) ** n)
+    return causal_kernel_from_joint(joint, kernel.delay, kernel.ff_map)
+
+
 def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
           lambda_grid=None, config: SolverConfig | None = None,
           initial_context=None) -> RdCurve:
-    """One independent solve per Lagrange weight, merged into a curve.
+    """Solve every Lagrange weight of the grid and merge the points into a curve.
+
+    The weights are solved from the largest down, each from the uniform
+    kernel, until a point's certified lower bound reaches zero.  Its sandwich
+    then contains rate 0, and so does every smaller weight's; from there on
+    each point starts from the previous one's kernel mixed with the uniform
+    kernel (``WARM_START_MIX``), which needs far fewer iterations on the
+    flat part of the curve.  Points above that one are exactly the cold
+    solves.  A weight listed twice is solved once.
 
     ``config`` supplies everything but the weight (tolerance, delay,
     feed-forward map, trace retention); ``initial_context`` is passed to the
@@ -65,15 +95,17 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     base = config if config is not None else SolverConfig(lam=0.0)
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
-    points, configs = [], []
-    for lam in lambda_grid:
-        cfg = replace(base, lam=float(lam))
-        points.append(solve(source, dist, cfg))
-        configs.append(cfg)
-    order = {id(pt): cfg for pt, cfg in zip(points, configs)}
-    deduped = _dedup_sorted(points)
+    lams = [float(lam) for lam in lambda_grid]
+    solved: dict[float, RatePoint] = {}
+    start = None
+    for lam in sorted(set(lams), reverse=True):
+        pt = solve(source, dist, replace(base, lam=lam), initial_kernel=start)
+        solved[lam] = pt
+        if start is not None or pt.lower_bound <= 0.0:
+            start = _warm_start(pt.kernel)
+    deduped = _dedup_sorted([solved[lam] for lam in lams])
     return RdCurve(n=n, points=tuple(deduped),
-                   configs=tuple(order[id(pt)] for pt in deduped))
+                   configs=tuple(replace(base, lam=pt.lam) for pt in deduped))
 
 
 def _monotone_rd(curve: RdCurve):

@@ -109,7 +109,7 @@ def gamma_from_kernel(kernel: CausalKernel, distortion: DistortionTensor,
     """gamma(x^n) = (sum_{x̂^n} q(x̂^n||x^{n-s}) 2^{-lam d})^{-1}."""
     with np.errstate(divide="ignore", invalid="ignore"):
         _, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
-    if np.any(rows <= 0):
+    if not np.all(rows > 0):
         raise ValueError("kernel must be strictly positive")
     return 1.0 / rows
 
@@ -117,8 +117,11 @@ def gamma_from_kernel(kernel: CausalKernel, distortion: DistortionTensor,
 def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float) -> float:
     """(1/n)(-lam*D + sum_x p(x^n) log2 gamma(x^n)) in bits per symbol."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g <= 0):
-        raise ValueError("gamma must be strictly positive")
+    if g.shape != source.probs.shape:
+        raise ValueError(f"gamma has shape {g.shape}; the source needs one entry per "
+                         f"block, shape {source.probs.shape}")
+    if not np.all(np.isfinite(g)) or np.any(g <= 0):
+        raise ValueError("gamma must be finite and strictly positive")
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
 
 

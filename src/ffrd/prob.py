@@ -53,6 +53,8 @@ def flat_index(sequence, alphabet_size: int) -> int:
 
 
 def _check_pmf(p: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.any(p < 0):
         raise ValueError(f"{what} has negative entries")
     s = p.sum(axis=-1)
@@ -106,6 +108,8 @@ class JointBlockPmf:
         j = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
         if j.shape != (self.src_alphabet_size**self.n, self.rec_alphabet_size**self.n):
             raise ValueError("joint table must be |X|^n by |X̂|^n")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("joint has non-finite entries")
         if np.any(j < 0):
             raise ValueError("joint has negative entries")
         if abs(j.sum() - 1.0) > NORM_TOL:

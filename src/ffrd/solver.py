@@ -162,7 +162,7 @@ def update_r(kernel: CausalKernel, distortion: DistortionTensor, lam: float) -> 
     """Closed-form channel minimizing the Lagrangian for a fixed kernel."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
-    if np.any(rows <= 0):
+    if not np.all(rows > 0):
         raise FloatingPointError("degenerate update denominator; kernel not positive?")
     return ForwardChannel(n=kernel.n, src_alphabet_size=kernel.src_alphabet_size,
                           rec_alphabet_size=kernel.rec_alphabet_size, probs=r)
@@ -193,13 +193,32 @@ def diagnostics(prev_kernel: CausalKernel, next_kernel: CausalKernel,
     return st.diagnostics(source.probs, lam, source.n, k)
 
 
+def _check_initial_kernel(kernel: CausalKernel, n: int, A: int, B: int, s: int,
+                          fmap: np.ndarray | None) -> None:
+    if (kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size) != (n, A, B):
+        raise ValueError(f"initial kernel is for n={kernel.n}, |X|={kernel.src_alphabet_size}, "
+                         f"|X̂|={kernel.rec_alphabet_size}; the solve has n={n}, |X|={A}, |X̂|={B}")
+    if kernel.delay != s:
+        raise ValueError(f"initial kernel has delay {kernel.delay}; the solve has delay {s}")
+    same_map = (kernel.ff_map is None if fmap is None
+                else kernel.ff_map is not None and np.array_equal(kernel.ff_map, fmap))
+    if not same_map:
+        raise ValueError("initial kernel has a different feed-forward map than the solve")
+    if not np.all(kernel.probs > 0.0):
+        raise ValueError("initial kernel must be strictly positive")
+
+
 def solve(source: BlockSource, distortion: DistortionTensor,
-          config: SolverConfig) -> RatePoint:
-    """Run the alternating minimization from the uniform kernel.
+          config: SolverConfig, initial_kernel: CausalKernel | None = None) -> RatePoint:
+    """Run the alternating minimization from the uniform kernel, or from
+    ``initial_kernel``.
 
     Iterates channel and kernel updates until the stopping statistic F drops
     below ``config.epsilon`` (then the reported rate is within epsilon of the
     true optimum at the realized distortion) or the iteration cap is hit.
+    An initial kernel must match the solve's block length, delay, alphabets
+    and feed-forward map and be strictly positive, so that the bounds hold
+    from the first iterate; only its table is used.
     """
     n, A = source.n, source.src_alphabet_size
     B = distortion.rec_alphabet_size
@@ -209,7 +228,11 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     dvals = distortion.values
     tilt = np.exp2(-config.lam * dvals)
 
-    q = np.full((A**n, B**n), float(B) ** (-n))
+    if initial_kernel is None:
+        q = np.full((A**n, B**n), float(B) ** (-n))
+    else:
+        _check_initial_kernel(initial_kernel, n, A, B, s, fmap)
+        q = initial_kernel.probs
     trace: list[IterationDiagnostics] = []
     converged = False
     for k in range(1, config.max_iters + 1):

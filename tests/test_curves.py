@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffrd.analytic import iid_binary_rd
+from ffrd.analytic import iid_binary_rd, markov_rn
 from ffrd.curves import (
     RdCurve,
     default_lambda_grid,
@@ -11,8 +11,14 @@ from ffrd.curves import (
     subadditivity_check,
     sweep,
 )
-from ffrd.models import DistortionSpec, SourceSpec
-from ffrd.solver import SolverConfig
+from ffrd.models import (
+    DistortionSpec,
+    FeedForwardMap,
+    SourceSpec,
+    block_pmf,
+    distortion_tensor,
+)
+from ffrd.solver import SolverConfig, solve
 
 HAMMING = DistortionSpec.hamming()
 
@@ -109,3 +115,61 @@ class TestSubadditivity:
         values = {n: rate_at_distortion(c, 0.1) for n, c in curves.items()}
         report = subadditivity_check(values, tol=1e-4)
         assert report.holds
+
+
+MARKOV = SourceSpec.binary_markov(0.3, 0.2)
+
+
+@pytest.fixture(scope="module")
+def markov_curve_n3():
+    return sweep(MARKOV, HAMMING, 3)
+
+
+class TestWarmStart:
+    def test_points_above_zero_rate_are_cold_solves(self, markov_curve_n3):
+        # the largest weight whose certified lower bound reaches zero
+        lam0 = max(pt.lam for pt in markov_curve_n3.points if pt.lower_bound <= 0.0)
+        assert any(cfg.lam < lam0 for cfg in markov_curve_n3.configs)  # some were warm
+        source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
+        for pt, cfg in zip(markov_curve_n3.points, markov_curve_n3.configs):
+            if cfg.lam < lam0:
+                continue
+            cold = solve(source, dist, cfg)
+            assert (pt.R, pt.D, pt.F_final, pt.iterations, pt.lower_bound) == \
+                (cold.R, cold.D, cold.F_final, cold.iterations, cold.lower_bound)
+            np.testing.assert_array_equal(pt.channel.probs, cold.channel.probs)
+
+    @pytest.mark.parametrize("distortion, n, config, initial_context", [
+        (HAMMING, 3, SolverConfig(lam=0.0), None),
+        (DistortionSpec.stock(), 4, SolverConfig(lam=0.0, delay=2), [0.4, 0.6]),
+        (HAMMING, 4, SolverConfig(lam=0.0, feedforward_map=FeedForwardMap.constant(2)), None),
+    ], ids=["hamming-n3", "stock-n4-delay2", "hamming-n4-constant-map"])
+    def test_every_point_converges_with_exact_gap(self, distortion, n, config, initial_context):
+        curve = sweep(MARKOV, distortion, n, config=config, initial_context=initial_context)
+        assert len(curve.points) == 24
+        for pt in curve.points:
+            assert pt.converged
+            assert abs((pt.upper_bound - pt.lower_bound) - pt.F_final / n) <= 1e-12
+
+    @pytest.mark.parametrize("n, delay", [(n, s) for n in range(1, 5) for s in range(1, n + 1)])
+    @pytest.mark.parametrize("ff_map", [FeedForwardMap.identity(2), FeedForwardMap.parity(2)],
+                             ids=["identity", "parity"])
+    def test_markov_closed_form_in_sandwich(self, n, delay, ff_map):
+        # H(X^n)/n - H_b(D) bounds the rate from below at every delay.  With
+        # delay 1 it is attained for D <= 0.2 and lies in the sandwich; a
+        # longer delay gives the decoder less and the rate lies above it.
+        curve = sweep(MARKOV, HAMMING, n, default_lambda_grid(8),
+                      SolverConfig(lam=0.0, delay=delay, feedforward_map=ff_map))
+        for pt in curve.points:
+            ref = markov_rn(0.3, 0.2, n, pt.D)
+            assert ref <= pt.upper_bound + 1e-8
+            if delay == 1 and pt.D <= 0.2:
+                assert pt.lower_bound - 1e-8 <= ref
+
+    def test_shuffled_grid_with_duplicates(self, markov_curve_n3):
+        grid = default_lambda_grid()
+        shuffled = np.random.default_rng(3).permutation(np.concatenate([grid, grid[::5]]))
+        curve = sweep(MARKOV, HAMMING, 3, shuffled)
+        assert curve.configs == markov_curve_n3.configs
+        for a, b in zip(curve.points, markov_curve_n3.points):
+            assert (a.lam, a.R, a.D, a.iterations) == (b.lam, b.R, b.D, b.iterations)

@@ -42,10 +42,29 @@ class TestGamma:
         np.testing.assert_allclose(g, 4.0 / 3.0, atol=1e-12)
 
 
+    def test_nan_rows_rejected(self):
+        # an infinite weight makes 0 * inf = NaN in the tilt on zero-distortion
+        # cells; NaN row sums are not > 0 and must not become a NaN gamma
+        kern = CausalKernel.uniform(1, 2, 2)
+        with pytest.raises(ValueError):
+            gamma_from_kernel(kern, hamming_tensor(1), np.inf)
+
+
 class TestDualObjective:
     def test_zero_everything(self):
         src = block_pmf(SourceSpec.iid(0.3), 2)
         assert dual_objective(0.0, np.ones(4), src, 0.37) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gamma_rejected(self, bad):
+        src = block_pmf(SourceSpec.iid(0.3), 2)
+        with pytest.raises(ValueError, match="finite"):
+            dual_objective(1.0, np.full(4, bad), src, 0.1)
+
+    def test_wrong_length_gamma_rejected(self):
+        src = block_pmf(SourceSpec.iid(0.3), 2)
+        with pytest.raises(ValueError, match="one entry per block"):
+            dual_objective(1.0, np.ones(3), src, 0.1)
 
     def test_weak_duality(self, markov_converged):
         src, dist, pt = markov_converged

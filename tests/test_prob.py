@@ -108,6 +108,28 @@ class TestConstructors:
         with pytest.raises(ValueError):
             ForwardChannel(n=1, src_alphabet_size=2, rec_alphabet_size=2, probs=bad)
 
+    def test_source_nonfinite_rejected(self):
+        # abs(nan - 1) > tol is False, so a plain normalization test lets NaN through
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockSource(n=1, src_alphabet_size=2, probs=np.array([np.nan, np.nan]))
+
+    def test_channel_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ForwardChannel(n=1, src_alphabet_size=2, rec_alphabet_size=2,
+                           probs=np.full((2, 2), np.nan))
+
+    def test_joint_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            JointBlockPmf(n=1, src_alphabet_size=2, rec_alphabet_size=2,
+                          probs=np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            JointBlockPmf(n=1, src_alphabet_size=2, rec_alphabet_size=2,
+                          probs=np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    def test_kernel_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            CausalKernel(1, 1, 2, 2, np.full((2, 2), np.nan), (np.full(2, np.nan),))
+
     def test_joint_from_source_and_channel(self):
         src = BlockSource(n=1, src_alphabet_size=2, probs=np.array([0.3, 0.7]))
         ch = ForwardChannel(n=1, src_alphabet_size=2, rec_alphabet_size=2,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ffrd.curves import _warm_start
 from ffrd.models import (
     DistortionSpec,
     FeedForwardMap,
@@ -46,6 +47,11 @@ class TestUpdateR:
         ch = update_r(kern, hamming_tensor(1), 1.0)
         assert ch.probs[0, 0] == pytest.approx(2.0 / 3.0)
         assert ch.probs[1, 1] == pytest.approx(2.0 / 3.0)
+
+    def test_nan_rows_rejected(self):
+        kern = CausalKernel.uniform(1, 2, 2)
+        with pytest.raises(FloatingPointError):
+            update_r(kern, hamming_tensor(1), np.inf)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(0)
@@ -171,6 +177,61 @@ class TestSolve:
         b = solve_classical(src, dist, SolverConfig(lam=4.0))
         assert a.R == pytest.approx(b.R, abs=1e-9)
         assert a.D == pytest.approx(b.D, abs=1e-9)
+
+
+class TestInitialKernel:
+    SRC = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+
+    def test_uniform_start_is_the_default(self):
+        cfg = SolverConfig(lam=4.0)
+        a = solve(self.SRC, hamming_tensor(2), cfg)
+        b = solve(self.SRC, hamming_tensor(2), cfg, initial_kernel=CausalKernel.uniform(2, 2, 2))
+        assert (a.R, a.D, a.F_final, a.iterations) == (b.R, b.D, b.F_final, b.iterations)
+        np.testing.assert_array_equal(a.kernel.probs, b.kernel.probs)
+
+    @pytest.mark.parametrize("kernel, config", [
+        (CausalKernel.uniform(3, 2, 2), SolverConfig(lam=4.0)),  # block length
+        (CausalKernel.uniform(2, 2, 2, delay=2), SolverConfig(lam=4.0)),  # delay
+        (CausalKernel.uniform(2, 2, 3), SolverConfig(lam=4.0)),  # table shape
+        (CausalKernel.uniform(2, 2, 2, ff_map=np.zeros(2, dtype=int)),
+         SolverConfig(lam=4.0)),  # map given, none solved for
+        (CausalKernel.uniform(2, 2, 2),
+         SolverConfig(lam=4.0, feedforward_map=FeedForwardMap.constant(2))),  # map missing
+        (CausalKernel.uniform(2, 2, 2, ff_map=np.zeros(2, dtype=int)),
+         SolverConfig(lam=4.0, feedforward_map=FeedForwardMap.identity(2))),  # other map
+    ], ids=["n", "delay", "shape", "extra-map", "missing-map", "other-map"])
+    def test_mismatched_kernel_rejected(self, kernel, config):
+        with pytest.raises(ValueError, match="initial kernel"):
+            solve(self.SRC, hamming_tensor(2), config, initial_kernel=kernel)
+
+    def test_zero_entry_rejected(self):
+        # every channel point on reconstruction word 00: the other branches
+        # of factor 1 get no mass
+        joint = np.zeros((4, 4))
+        joint[:, 0] = self.SRC.probs
+        kern = causal_kernel_from_joint(
+            JointBlockPmf(n=2, src_alphabet_size=2, rec_alphabet_size=2, probs=joint), 1)
+        assert np.any(kern.probs == 0.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=kern)
+
+    @pytest.mark.parametrize("lam, delay, ff_map", [
+        (4.0, 1, None), (6.0, 2, None), (3.0, 1, FeedForwardMap.parity(3)),
+    ])
+    def test_restart_from_converged_point(self, lam, delay, ff_map):
+        # restarting from a converged kernel, mixed as a sweep mixes it,
+        # lands on the same point within a few iterations
+        source = SourceSpec.markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+        n = 3
+        src = block_pmf(source, n)
+        dist = distortion_tensor(DistortionSpec.hamming(3), n)
+        cfg = SolverConfig(lam=lam, delay=delay, feedforward_map=ff_map)
+        cold = solve(src, dist, cfg)
+        warm = solve(src, dist, cfg, initial_kernel=_warm_start(cold.kernel))
+        assert cold.converged and warm.converged
+        assert warm.iterations <= 3
+        assert abs(warm.R - cold.R) <= cfg.epsilon / n
+        assert abs((warm.upper_bound - warm.lower_bound) - warm.F_final / n) <= 1e-12
 
 
 class TestSolveClassical:

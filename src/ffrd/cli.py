@@ -189,7 +189,7 @@ def _cmd_solve(args) -> int:
     source = block_pmf(parse_source(args.source), args.n)
     dist = distortion_tensor(parse_distortion(args.dist), args.n)
     cfg = SolverConfig(lam=args.lam, epsilon=args.eps, max_iters=args.max_iters,
-                       delay=args.delay, keep_trace=bool(args.trace))
+                       delay=args.delay)
     pt = solve(source, dist, cfg)
     out = (f"lambda={_fmt(pt.lam)} D={_fmt(pt.D)} R={_fmt(pt.R)} "
            f"iterations={pt.iterations} converged={int(pt.converged)} "

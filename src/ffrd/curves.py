@@ -86,8 +86,8 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     flat part of the curve.  Points above that one are exactly the cold
     solves.  A weight listed twice is solved once.
 
-    ``config`` supplies everything but the weight (tolerance, delay,
-    feed-forward map, trace retention); ``initial_context`` is passed to the
+    ``config`` supplies everything but the weight (tolerance, iteration cap,
+    delay, feed-forward map); ``initial_context`` is passed to the
     distortion-tensor builder for windowed measures.
     """
     if lambda_grid is None:

@@ -13,7 +13,7 @@ and upper bounds on the rate by exactly F/n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,6 @@ class SolverConfig:
     max_iters: int = 100_000
     delay: int = 1
     feedforward_map: FeedForwardMap | None = None
-    keep_trace: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -55,31 +54,42 @@ class SolverConfig:
             raise ValueError("delay must be >= 1")
 
 
-@dataclass(frozen=True)
-class IterationDiagnostics:
-    """Per-iteration state of the solver.
+class IterationDiagnostics(NamedTuple):
+    """Scalar record of one solver iteration.
 
-    ``c`` is the elementwise ratio of consecutive kernels over conditioning
-    contexts, ``gamma`` the reciprocal tilted-kernel sums, ``F`` the stopping
-    statistic, ``K_value`` the Lagrangian I + lam*E[d] in bits, and
-    (lower_bound, upper_bound) the per-symbol rate sandwich with gap F/n.
+    ``F`` is the stopping statistic, ``K_value`` the Lagrangian I + lam*E[d]
+    in bits, and (lower_bound, upper_bound) the per-symbol rate sandwich
+    with gap F/n.
     """
 
     k: int
-    c: np.ndarray = field(repr=False)
-    gamma: np.ndarray = field(repr=False)
     F: float
     K_value: float
     D: float
     lower_bound: float
     upper_bound: float
-    channel_probs: np.ndarray | None = field(default=None, repr=False)
-    kernel_probs: np.ndarray | None = field(default=None, repr=False)
+
+
+#: Row type of ``RatePoint.trace``: 48 bytes per iteration.
+_TRACE_DTYPE = np.dtype([(name, np.int64 if name == "k" else np.float64)
+                         for name in IterationDiagnostics._fields])
+
+
+def _trace_array(records) -> np.recarray:
+    """Read-only record array of IterationDiagnostics rows."""
+    trace = np.array(records, dtype=_TRACE_DTYPE).view(np.recarray)
+    trace.flags.writeable = False
+    return trace
 
 
 @dataclass(frozen=True)
 class RatePoint:
-    """A converged (or capped) point on the R_n(D) curve."""
+    """A converged (or capped) point on the R_n(D) curve.
+
+    ``trace`` holds one IterationDiagnostics row per iteration as a read-only
+    numpy record array with fields k, F, K_value, D, lower_bound and
+    upper_bound; its rows have attribute access (``pt.trace[-1].F``).
+    """
 
     lam: float
     D: float
@@ -91,7 +101,7 @@ class RatePoint:
     F_final: float = 0.0
     lower_bound: float = 0.0
     upper_bound: float = 0.0
-    trace: tuple = field(default=(), repr=False)
+    trace: np.recarray = field(default_factory=lambda: _trace_array([]), repr=False)
 
     def __post_init__(self):
         if self.R < -1e-12 or self.D < -1e-12:
@@ -107,7 +117,6 @@ class _Step(NamedTuple):
     q_next: np.ndarray  # causal kernel of the joint
     factors: list
     # the rest only when the step is given the distortion values
-    c: np.ndarray | None = None  # q_next / q
     log_max_c: float | None = None  # max log2 c over contexts carrying joint mass
     mean_logc: float | None = None  # E[log2 c] under the joint
     D: float | None = None
@@ -117,10 +126,8 @@ class _Step(NamedTuple):
         base = -lam * self.D - float(p @ np.log2(self.rows))
         upper = (base - self.mean_logc) / n
         lower = (base - self.log_max_c) / n
-        return IterationDiagnostics(k=k, c=self.c, gamma=1.0 / self.rows,
-                                    F=self.log_max_c - self.mean_logc,
-                                    K_value=n * upper + lam * self.D, D=self.D,
-                                    lower_bound=lower, upper_bound=upper)
+        return IterationDiagnostics(k, self.log_max_c - self.mean_logc,
+                                    n * upper + lam * self.D, self.D, lower, upper)
 
 
 def _channel(q: np.ndarray, weight: np.ndarray):
@@ -135,9 +142,9 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, n: int, A: int, B: i
     """Channel update r = q * weight / rows, then the causal kernel of p * r.
 
     The weight is the tilt 2^{-lam d} in the solver and p' in certificate
-    reconstruction.  Given the distortion values the step also returns c =
-    q_next / q, the max of log2 c over contexts with positive joint mass, the
-    mean of log2 c under the joint, and D.  Kernel entries on abandoned
+    reconstruction.  Given the distortion values the step also returns, for
+    c = q_next / q, the max of log2 c over contexts with positive joint mass,
+    the mean of log2 c under the joint, and D.  Kernel entries on abandoned
     branches can underflow to exact zero; they carry no joint mass and are
     left out of both the max and the mean (restricted-support convention).
     """
@@ -147,15 +154,14 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, n: int, A: int, B: i
     if dvals is None:
         return _Step(r, rows, joint, q_next, factors)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = q_next / q
-        logc = np.log2(c)
+        logc = np.log2(q_next / q)
         finite = np.isfinite(logc)
         ctx = (A ** (n - s), A**s, B**n)
         in_context = (mass > 0.0).reshape(ctx[0], 1, ctx[2]) & finite.reshape(ctx)
         log_max_c = float(logc.reshape(ctx).max(where=in_context, initial=-np.inf))
         mean_logc = float((joint * logc).sum(where=(joint > 0.0) & finite))
     D = float((joint * dvals).sum())
-    return _Step(r, rows, joint, q_next, factors, c, log_max_c, mean_logc, D)
+    return _Step(r, rows, joint, q_next, factors, log_max_c, mean_logc, D)
 
 
 def update_r(kernel: CausalKernel, distortion: DistortionTensor, lam: float) -> ForwardChannel:
@@ -175,22 +181,31 @@ def update_q(source: BlockSource, channel: ForwardChannel, s: int,
     return causal_kernel_from_joint(joint, s, None if ff_map is None else ff_map.table)
 
 
-def diagnostics(prev_kernel: CausalKernel, next_kernel: CausalKernel,
-                source: BlockSource, channel: ForwardChannel,
+def diagnostics(prev_kernel: CausalKernel, source: BlockSource,
                 distortion: DistortionTensor, lam: float, k: int) -> IterationDiagnostics:
-    """Stopping statistic, Lagrangian, and rate bounds for one iteration.
+    """Stopping statistic, Lagrangian, and rate bounds of the iteration that
+    starts from ``prev_kernel``.
 
-    ``channel`` is the update produced from ``prev_kernel``; ``next_kernel``
-    the causal kernel of the resulting joint.  Both are recomputed here by
-    the solver step from ``prev_kernel``.  The bounds sandwich the true
-    per-symbol rate at the realized distortion, and upper - lower = F/n.
+    The bounds sandwich the true per-symbol rate at the realized distortion,
+    and upper - lower = F/n.
     """
     if np.any(prev_kernel.probs <= 0):
         raise ValueError("previous kernel must be strictly positive")
     st = _step(prev_kernel.probs, np.exp2(-lam * distortion.values), source.probs,
-               source.n, source.src_alphabet_size, channel.rec_alphabet_size,
+               source.n, source.src_alphabet_size, distortion.rec_alphabet_size,
                prev_kernel.delay, prev_kernel.ff_map, distortion.values)
     return st.diagnostics(source.probs, lam, source.n, k)
+
+
+def _check_inputs(source: BlockSource, distortion: DistortionTensor,
+                  ff_map: FeedForwardMap | None) -> None:
+    n, A = source.n, source.src_alphabet_size
+    if (distortion.n, distortion.src_alphabet_size) != (n, A):
+        raise ValueError(f"distortion tensor is for n={distortion.n}, "
+                         f"|X|={distortion.src_alphabet_size}; the source has n={n}, |X|={A}")
+    if ff_map is not None and ff_map.domain_size != A:
+        raise ValueError(f"feed-forward map is defined on {ff_map.domain_size} symbols; "
+                         f"the source alphabet has {A}")
 
 
 def _check_initial_kernel(kernel: CausalKernel, n: int, A: int, B: int, s: int,
@@ -216,10 +231,14 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     Iterates channel and kernel updates until the stopping statistic F drops
     below ``config.epsilon`` (then the reported rate is within epsilon of the
     true optimum at the realized distortion) or the iteration cap is hit.
-    An initial kernel must match the solve's block length, delay, alphabets
-    and feed-forward map and be strictly positive, so that the bounds hold
-    from the first iterate; only its table is used.
+    Every iteration appends its scalar IterationDiagnostics record to
+    ``RatePoint.trace``.  The distortion tensor and the feed-forward map must
+    be defined on the source's block length and alphabet.  An initial
+    kernel must match the solve's block length, delay, alphabets and
+    feed-forward map and be strictly positive, so that the bounds hold from
+    the first iterate; only its table is used.
     """
+    _check_inputs(source, distortion, config.feedforward_map)
     n, A = source.n, source.src_alphabet_size
     B = distortion.rec_alphabet_size
     s = min(config.delay, n)
@@ -238,8 +257,7 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     for k in range(1, config.max_iters + 1):
         st = _step(q, tilt, p, n, A, B, s, fmap, dvals)
         diag = st.diagnostics(p, config.lam, n, k)
-        if config.keep_trace:
-            trace.append(replace(diag, channel_probs=st.r, kernel_probs=st.q_next))
+        trace.append(diag)
         q = st.q_next
         if diag.F < config.epsilon:
             converged = True
@@ -254,7 +272,7 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     return RatePoint(lam=config.lam, D=diag.D, R=max(diag.upper_bound, 0.0), iterations=diag.k,
                      converged=converged, channel=channel, kernel=kernel,
                      F_final=diag.F, lower_bound=diag.lower_bound,
-                     upper_bound=diag.upper_bound, trace=tuple(trace))
+                     upper_bound=diag.upper_bound, trace=_trace_array(trace))
 
 
 def solve_classical(source: BlockSource, distortion: DistortionTensor,
@@ -281,8 +299,7 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
         r = num / denom
         m_next = p @ r
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = m_next / m
-            logc = np.log2(c)
+            logc = np.log2(m_next / m)
         w = p[:, None] * r
         finite = np.isfinite(logc)
         mask = (w.sum(axis=0) > 0.0) & finite
@@ -291,15 +308,10 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
         mean_logc = float((w[wmask] * np.broadcast_to(logc, w.shape)[wmask]).sum())
         F = log_max_c - mean_logc
         D = float((w * dvals).sum())
-        gamma = 1.0 / denom[:, 0]
-        base = -config.lam * D + float(p @ np.log2(gamma))
+        base = -config.lam * D - float(p @ np.log2(denom[:, 0]))
         upper = (base - mean_logc) / n
         lower = (base - log_max_c) / n
-        if config.keep_trace:
-            trace.append(IterationDiagnostics(
-                k=k, c=c, gamma=gamma, F=F, K_value=n * upper + config.lam * D,
-                D=D, lower_bound=lower, upper_bound=upper,
-                channel_probs=r, kernel_probs=np.broadcast_to(m_next, (A**n, B**n)).copy()))
+        trace.append(IterationDiagnostics(k, F, n * upper + config.lam * D, D, lower, upper))
         m = m_next
         if F < config.epsilon:
             converged = True
@@ -311,4 +323,4 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
     return RatePoint(lam=config.lam, D=D, R=max(upper, 0.0), iterations=k,
                      converged=converged, channel=channel, kernel=kernel,
                      F_final=F, lower_bound=lower, upper_bound=upper,
-                     trace=tuple(trace))
+                     trace=_trace_array(trace))

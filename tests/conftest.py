@@ -19,11 +19,10 @@ STATIONARY = np.array([0.4, 0.6])
 
 @pytest.fixture(scope="session")
 def markov_checkpoint():
-    """Converged reference solve (Markov source, n=3) with a full trace."""
+    """Converged reference solve (Markov source, n=3) and its trace."""
     source = block_pmf(MARKOV, 3)
     dist = distortion_tensor(HAMMING, 3)
-    point = solve(source, dist,
-                  SolverConfig(lam=9.216, epsilon=1e-6, keep_trace=True))
+    point = solve(source, dist, SolverConfig(lam=9.216, epsilon=1e-6))
     return source, dist, point
 
 

@@ -41,6 +41,7 @@ from ffrd.prob import BlockSource, binary_entropy
 from ffrd.sim import monte_carlo
 from ffrd.solver import SolverConfig, solve, solve_classical
 
+from full_delay import assert_same_iterates
 from oracles import random_instance
 
 MARKOV = SourceSpec.binary_markov(0.3, 0.2)
@@ -128,15 +129,10 @@ def test_07_sweep_slopes_bracket_lambda(markov_curves):
 def test_08_full_delay_reduces_to_classical():
     source = block_pmf(SourceSpec.iid(0.3), 3)
     dist = distortion_tensor(HAMMING, 3)
-    cfg = SolverConfig(lam=3.0, epsilon=1e-8, delay=3, keep_trace=True)
+    cfg = SolverConfig(lam=3.0, epsilon=1e-8, delay=3)
     pt_block = solve(source, dist, cfg)
     pt_marg = solve_classical(source, dist, cfg)
-    assert pt_block.iterations == pt_marg.iterations
-    for da, db in zip(pt_block.trace, pt_marg.trace):
-        np.testing.assert_allclose(da.channel_probs, db.channel_probs,
-                                   atol=1e-12)
-        np.testing.assert_allclose(da.kernel_probs, db.kernel_probs,
-                                   atol=1e-12)
+    assert_same_iterates(source, dist, cfg, pt_block, pt_marg)
     # with no source memory the per-symbol-history curve coincides with the
     # full-delay one
     grid = np.geomspace(0.5, 24, 12)

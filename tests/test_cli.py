@@ -63,8 +63,13 @@ class TestSolveCommand:
                     "--emit-certificate", str(cert),
                     "--output", str(tmp_path / "pt.txt")])
         assert code == 0
-        header = trace.read_text().splitlines()[0]
+        header, *rows = trace.read_text().splitlines()
         assert header == "k,F,K_value,D,lower_bound,upper_bound"
+        summary = dict(field.split("=") for field in (tmp_path / "pt.txt").read_text().split())
+        assert len(rows) == int(summary["iterations"])
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(1, len(rows) + 1)]
+        last = rows[-1].split(",")
+        assert (last[4], last[5]) == (summary["lower_bound"], summary["upper_bound"])
         payload = json.loads(cert.read_text())
         assert set(payload) >= {"lam", "gamma", "p_prime_factors", "D", "R"}
 

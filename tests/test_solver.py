@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ffrd.curves import _warm_start
+from ffrd.dual import gamma_from_kernel
 from ffrd.models import (
     DistortionSpec,
     FeedForwardMap,
@@ -16,6 +19,7 @@ from ffrd.prob import (
     causal_kernel_from_joint,
 )
 from ffrd.solver import (
+    IterationDiagnostics,
     SolverConfig,
     diagnostics,
     solve,
@@ -23,6 +27,8 @@ from ffrd.solver import (
     update_q,
     update_r,
 )
+
+from full_delay import assert_same_iterates
 
 HAMMING = DistortionSpec.hamming()
 
@@ -97,8 +103,8 @@ class TestDiagnostics:
         pt = solve(src, dist, SolverConfig(lam=4.0, epsilon=1e-12))
         ch = update_r(pt.kernel, dist, 4.0)
         kern2 = update_q(src, ch, 1)
-        diag = diagnostics(pt.kernel, kern2, src, ch, dist, 4.0, 1)
-        np.testing.assert_allclose(diag.c, 1.0, atol=1e-9)
+        diag = diagnostics(pt.kernel, src, dist, 4.0, 1)
+        np.testing.assert_allclose(kern2.probs / pt.kernel.probs, 1.0, atol=1e-9)
         assert diag.F == pytest.approx(0.0, abs=1e-9)
         assert diag.upper_bound - diag.lower_bound == pytest.approx(0.0, abs=1e-9)
 
@@ -106,17 +112,15 @@ class TestDiagnostics:
         src = block_pmf(SourceSpec.iid(0.5), 1)
         dist = hamming_tensor(1)
         kern = CausalKernel.uniform(1, 2, 2)
-        ch = update_r(kern, dist, 0.0)
-        kern2 = update_q(src, ch, 1)
-        diag = diagnostics(kern, kern2, src, ch, dist, 0.0, 1)
+        diag = diagnostics(kern, src, dist, 0.0, 1)
         assert diag.F == pytest.approx(0.0, abs=1e-12)
         assert diag.D == pytest.approx(0.5)
         assert diag.upper_bound == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(diag.gamma, 1.0, atol=1e-12)
+        np.testing.assert_allclose(gamma_from_kernel(kern, dist, 0.0), 1.0, atol=1e-12)
 
     def test_gap_is_exactly_f_over_n(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 3)
-        pt = solve(src, hamming_tensor(3), SolverConfig(lam=4.0, keep_trace=True))
+        pt = solve(src, hamming_tensor(3), SolverConfig(lam=4.0))
         for diag in pt.trace:
             gap = diag.upper_bound - diag.lower_bound
             assert gap == pytest.approx(diag.F / 3, abs=1e-12)
@@ -144,7 +148,7 @@ class TestSolve:
 
     def test_lagrangian_monotone(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 3)
-        pt = solve(src, hamming_tensor(3), SolverConfig(lam=9.216, keep_trace=True))
+        pt = solve(src, hamming_tensor(3), SolverConfig(lam=9.216))
         Ks = [d.K_value for d in pt.trace]
         assert all(Ks[i + 1] <= Ks[i] + 1e-12 for i in range(len(Ks) - 1))
 
@@ -261,12 +265,10 @@ class TestSolveClassical:
     def test_identical_iterates_at_full_delay(self):
         src = block_pmf(SourceSpec.iid(0.3), 3)
         dist = hamming_tensor(3)
-        a = solve(src, dist, SolverConfig(lam=3.0, delay=3, keep_trace=True))
-        b = solve_classical(src, dist, SolverConfig(lam=3.0, keep_trace=True))
-        assert len(a.trace) == len(b.trace)
-        for da, db in zip(a.trace, b.trace):
-            np.testing.assert_allclose(da.channel_probs, db.channel_probs, atol=1e-12)
-            np.testing.assert_allclose(da.kernel_probs, db.kernel_probs, atol=1e-12)
+        cfg = SolverConfig(lam=3.0, delay=3)
+        a = solve(src, dist, cfg)
+        b = solve_classical(src, dist, cfg)
+        assert_same_iterates(src, dist, cfg, a, b)
 
 
 class TestConfigValidation:
@@ -279,3 +281,49 @@ class TestConfigValidation:
             SolverConfig(lam=1.0, delay=0)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, max_iters=0)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("source, n_dist, A_dist, ff_map, message", [
+        (SourceSpec.iid(0.3), 3, 2, None,
+         r"distortion tensor is for n=3, \|X\|=2; the source has n=2, \|X\|=2"),
+        (SourceSpec.iid(0.3), 2, 3, None,
+         r"distortion tensor is for n=2, \|X\|=3; the source has n=2, \|X\|=2"),
+        (SourceSpec.markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 2, 3,
+         FeedForwardMap.identity(2), "map is defined on 2 symbols; the source alphabet has 3"),
+        (SourceSpec.iid(0.3), 2, 2, FeedForwardMap.parity(3),
+         "map is defined on 3 symbols; the source alphabet has 2"),
+    ], ids=["distortion-n", "distortion-alphabet", "map-too-small", "map-too-large"])
+    def test_mismatch_named(self, source, n_dist, A_dist, ff_map, message):
+        dist = distortion_tensor(DistortionSpec.hamming(A_dist), n_dist)
+        with pytest.raises(ValueError, match=message):
+            solve(block_pmf(source, 2), dist, SolverConfig(lam=1.0, feedforward_map=ff_map))
+
+
+class TestTrace:
+    def test_one_read_only_row_per_iteration(self):
+        assert IterationDiagnostics._fields == (
+            "k", "F", "K_value", "D", "lower_bound", "upper_bound")
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 3)
+        pt = solve(src, hamming_tensor(3), SolverConfig(lam=4.0))
+        np.testing.assert_array_equal(pt.trace.k, np.arange(1, pt.iterations + 1))
+        last = pt.trace[-1]
+        assert (last.F, last.D, last.lower_bound, last.upper_bound) == (
+            pt.F_final, pt.D, pt.lower_bound, pt.upper_bound)
+        with pytest.raises(ValueError, match="read-only"):
+            pt.trace.F[0] = 0.0
+
+    def test_long_solve_keeps_only_scalars(self):
+        # n=6 at lam=0.125 runs about 3,000 iterations; a trace of tables
+        # took 295 MB here
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 6)
+        dist = hamming_tensor(6)
+        tracemalloc.start()
+        try:
+            pt = solve(src, dist, SolverConfig(lam=0.125))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pt.iterations > 1000
+        assert pt.trace.nbytes == 48 * pt.iterations
+        assert peak < 5e6

@@ -186,6 +186,26 @@ def _boundary_table(table: np.ndarray, missing: int, A: int,
     return t
 
 
+def _position_costs(spec: DistortionSpec, x, initial_context=None) -> np.ndarray:
+    """Cost of every reconstruction symbol at every position of source streams.
+
+    ``x`` holds streams of length L along its last axis; the result has
+    shape ``x.shape + (|X̂|,)``.  Entry [..., t, b] is the distortion of
+    x̂_t = b given the window of x ending at t.  Windows reaching before the
+    first symbol are resolved by :func:`_boundary_table`, once per position
+    for all streams.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    m, L = spec.m, x.shape[-1]
+    costs = np.empty(x.shape + (spec.rec_alphabet_size,))
+    for t in range(min(m, L)):
+        table = _boundary_table(spec.table, m - t, spec.src_alphabet_size, initial_context)
+        costs[..., t, :] = table[tuple(x[..., j] for j in range(t + 1))]
+    if L > m:
+        costs[..., m:, :] = spec.table[tuple(x[..., j:L - m + j] for j in range(m + 1))]
+    return costs
+
+
 def distortion_tensor(spec: DistortionSpec, n: int, initial_context=None) -> DistortionTensor:
     """Assemble the dense block tensor d(x^n, x̂^n) = (1/n) sum_i d_i.
 
@@ -193,16 +213,12 @@ def distortion_tensor(spec: DistortionSpec, n: int, initial_context=None) -> Dis
     fixes the missing history, a PMF averages over it, and None truncates
     (uniform average over the missing symbols).
     """
-    A, B, m = spec.src_alphabet_size, spec.rec_alphabet_size, spec.m
-    dx = sequence_digits(A, n)
+    A, B = spec.src_alphabet_size, spec.rec_alphabet_size
+    costs = _position_costs(spec, sequence_digits(A, n), initial_context)
     dh = sequence_digits(B, n)
     vals = np.zeros((A**n, B**n))
-    for i in range(1, n + 1):
-        missing = max(m - (i - 1), 0)
-        t = _boundary_table(spec.table, missing, A, initial_context)
-        win = [dx[:, j] for j in range(i - 1 - (m - missing), i)]  # x window, then x̂_i
-        per_x = t[tuple(win)] if win else np.broadcast_to(t, (A**n, B))
-        vals += per_x[:, dh[:, i - 1]]
+    for i in range(n):
+        vals += costs[:, i, dh[:, i]]
     vals /= n
     return DistortionTensor(n=n, src_alphabet_size=A, rec_alphabet_size=B, values=vals)
 

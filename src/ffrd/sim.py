@@ -7,18 +7,27 @@ built from independent blocks of length n; within a block, level i holds one
 decision per source branch x^{i-1}, each sampled from the optimal causal
 kernel.  The encoder picks the tree of minimum walked distortion; the decoder
 replays the walk from the fed-forward source symbols.
+
+A codebook stacks its trees once into a (trees, L, A^{n-1}) decision array,
+so the encoder walks every tree with one gather over the stream's branch
+indices and scores every walk with one lookup in the windowed-distortion
+costs of ``models._position_costs`` (the routine ``distortion_tensor``
+uses).  Trees and source streams are drawn one level or one stream at a
+time, from the same random numbers, in the same order, as a per-branch
+``Generator.choice`` loop would draw them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import DistortionSpec, SourceSpec, _boundary_table, block_pmf, distortion_tensor
-from .prob import CausalKernel
+from .models import DistortionSpec, SourceSpec, _position_costs, block_pmf, distortion_tensor
+from .prob import CausalKernel, sequence_digits
 from .solver import SolverConfig, solve
 
 
@@ -42,18 +51,51 @@ class CodeTree:
         return sum(level.size for block in self.blocks for level in block)
 
 
+def _decision_array(trees) -> np.ndarray:
+    """Decisions of equally shaped trees as a (trees, L, A^{n-1}) int array.
+
+    Entry [k, t, h] is what tree k emits at depth t on block-local branch h;
+    level i of a block fills the first A^{i-1} columns and the rest are 0.
+    """
+    first = trees[0]
+    out = np.zeros((len(trees), first.L, first.src_alphabet_size ** (first.n - 1)),
+                   dtype=np.int64)
+    for k, tree in enumerate(trees):
+        for t, level in enumerate(lvl for block in tree.blocks for lvl in block):
+            out[k, t, :level.size] = level
+    return out
+
+
 @dataclass(frozen=True)
 class Codebook:
+    """Code trees of one shape, with their decisions stacked once into
+    ``decision_array`` (see :func:`_decision_array`)."""
+
     trees: tuple
     target_rate: float
+    decision_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
             raise ValueError("codebook must contain at least one tree")
+        shapes = {(t.n, t.L, t.src_alphabet_size, t.rec_alphabet_size) for t in self.trees}
+        if len(shapes) > 1:
+            raise ValueError(f"code trees differ in (n, L, |X|, |X̂|): {sorted(shapes)}")
+        object.__setattr__(self, "decision_array", _decision_array(self.trees))
+
+
+def _choice_cdf(pmfs: np.ndarray) -> np.ndarray:
+    """Row CDFs built as ``Generator.choice`` builds them, so a uniform draw u
+    picks the symbol ``(cdf <= u).sum()`` that ``choice`` would return."""
+    cdf = np.cumsum(pmfs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def sample_code_tree(kernel: CausalKernel, L: int, rng) -> CodeTree:
-    """Sample a depth-L tree from a delay-1 causal kernel, block by block."""
+    """Sample a depth-L tree from a delay-1 causal kernel, block by block.
+
+    Each level takes one uniform draw per branch, in branch order."""
     n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
     if L % n != 0:
         raise ValueError("L must be a multiple of the kernel block length")
@@ -61,30 +103,38 @@ def sample_code_tree(kernel: CausalKernel, L: int, rng) -> CodeTree:
         raise ValueError("code trees require a delay-1 kernel")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    fmap = kernel.ff_map
+    # Per level i: the conditioning symbols z^{i-1} of every branch and the
+    # position of its ancestor at each earlier level j, which gives the
+    # reconstruction path x̂^{i-1} along the branch.
+    contexts = []
+    for i in range(1, n + 1):
+        digits = sequence_digits(A, i - 1)
+        z = digits if kernel.ff_map is None else kernel.ff_map[digits]
+        h = np.arange(A ** (i - 1))
+        contexts.append((tuple(z.T), [h // A ** (i - j) for j in range(1, i)]))
     blocks = []
     for _ in range(L // n):
         levels: list[np.ndarray] = []
-        for i in range(1, n + 1):
-            table = kernel.factors[i - 1]  # axes z^{i-1}, x̂^1..x̂^i
-            decisions = np.empty(A ** (i - 1), dtype=np.int64)
-            for h in range(A ** (i - 1)):
-                idx = []
-                rem = h
-                digits = []
-                for j in range(i - 2, -1, -1):
-                    digits.append(rem // A**j)
-                    rem %= A**j
-                for x in digits:
-                    idx.append(int(x) if fmap is None else int(fmap[x]))
-                for j in range(1, i):  # reconstruction path along this branch
-                    idx.append(int(levels[j - 1][h // A ** (i - j)]))
-                pmf = table[tuple(idx)]
-                decisions[h] = rng.choice(B, p=pmf / pmf.sum())
-            levels.append(decisions)
+        for i, (z, ancestors) in enumerate(contexts, start=1):
+            path = tuple(levels[j][a] for j, a in enumerate(ancestors))
+            pmfs = kernel.factors[i - 1][z + path].reshape(A ** (i - 1), B)
+            # normalized before the CDF, as a per-branch choice(B, p=pmf / pmf.sum())
+            cdf = _choice_cdf(pmfs / pmfs.sum(axis=1, keepdims=True))
+            u = rng.random(A ** (i - 1))
+            levels.append((cdf <= u[:, None]).sum(axis=1))
         blocks.append(tuple(levels))
     return CodeTree(n=n, L=L, src_alphabet_size=A, rec_alphabet_size=B,
                     blocks=tuple(blocks))
+
+
+def _branch_indices(x: np.ndarray, n: int, A: int) -> np.ndarray:
+    """Block-local branch index x^{i-1} (first symbol most significant) of
+    every position of a stream whose length is a multiple of n."""
+    blocks = x.reshape(-1, n)
+    branch = np.zeros(blocks.shape, dtype=np.int64)
+    for i in range(1, n):
+        branch[:, i] = branch[:, i - 1] * A + blocks[:, i - 1]
+    return branch.ravel()
 
 
 def decode_walk(tree: CodeTree, x_causal_stream) -> np.ndarray:
@@ -92,15 +142,8 @@ def decode_walk(tree: CodeTree, x_causal_stream) -> np.ndarray:
     x = np.asarray(x_causal_stream, dtype=np.int64)
     if x.size < tree.L:
         raise ValueError("source stream shorter than the tree depth")
-    A, n = tree.src_alphabet_size, tree.n
-    out = np.empty(tree.L, dtype=np.int64)
-    for t in range(tree.L):
-        b, i = divmod(t, n)
-        branch = 0
-        for j in range(b * n, b * n + i):
-            branch = branch * A + int(x[j])
-        out[t] = tree.blocks[b][i][branch]
-    return out
+    branch = _branch_indices(x[:tree.L], tree.n, tree.src_alphabet_size)
+    return _decision_array((tree,))[0, np.arange(tree.L), branch]
 
 
 def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> float:
@@ -114,35 +157,42 @@ def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> 
     xhat = np.asarray(xhat, dtype=np.int64)
     if x.size != xhat.size:
         raise ValueError("sequences must have equal length")
-    m, L = spec.m, x.size
-    total = 0.0
-    for i in range(min(m, L)):
-        t = _boundary_table(spec.table, m - i, spec.src_alphabet_size, initial_context)
-        total += t[tuple(x[:i + 1]) + (xhat[i],)]
-    if L > m:
-        windows = tuple(x[j:L - m + j] for j in range(m + 1))
-        total += spec.table[windows + (xhat[m:],)].sum()
-    return float(total / L)
+    costs = _position_costs(spec, x, initial_context)
+    return float(costs[np.arange(x.size), xhat].sum() / x.size)
 
 
 def encode(codebook: Codebook, x, distortion: DistortionSpec) -> int:
-    """Index of the tree with minimum walked distortion (ties: lowest index)."""
-    best_idx, best_d = 0, np.inf
-    for idx, tree in enumerate(codebook.trees):
-        d = sequence_distortion(distortion, x, decode_walk(tree, x))
-        if d < best_d - 1e-15:
-            best_idx, best_d = idx, d
-    return best_idx
+    """Index of the tree with minimum walked distortion.
+
+    Every tree's walk is one gather from the decision array, and every walk
+    is scored from one table of position costs.  The lowest index whose
+    total distortion is within 1e-15 of the least total wins.
+    """
+    tree = codebook.trees[0]
+    x = np.asarray(x, dtype=np.int64)
+    if x.size != tree.L:
+        raise ValueError(f"source stream has length {x.size}; the trees have depth {tree.L}")
+    levels = np.arange(tree.L)
+    outs = codebook.decision_array[:, levels,
+                                   _branch_indices(x, tree.n, tree.src_alphabet_size)]
+    totals = _position_costs(distortion, x)[levels, outs].sum(axis=1)
+    return int(np.flatnonzero(totals <= totals.min() + 1e-15)[0])
 
 
 def _sample_source(spec: SourceSpec, length: int, rng) -> np.ndarray:
+    """A stream drawn with the uniforms, and by the CDFs, that rng.choice
+    would use: for i.i.d. sources one call for the whole stream, for Markov
+    sources one call for the initial state and one per transition."""
     if spec.kind == "iid":
-        return rng.choice(spec.alphabet_size, size=length, p=spec.marginal)
+        return np.searchsorted(_choice_cdf(spec.marginal), rng.random(length), side="right")
+    u = rng.random(length + 1).tolist()
+    initial = _choice_cdf(spec.initial).tolist()
+    rows = _choice_cdf(spec.transition).tolist()
     out = np.empty(length, dtype=np.int64)
-    state = rng.choice(spec.alphabet_size, p=spec.initial)
+    state = bisect_right(initial, u[0])
     for t in range(length):
         out[t] = state
-        state = rng.choice(spec.alphabet_size, p=spec.transition[state])
+        state = bisect_right(rows[state], u[t + 1])
     return out
 
 
@@ -194,7 +244,9 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     Lagrange weight unless ``lam`` is given), draws floor(2^{L(R + delta)})
     code trees from it, encodes ``trials`` fresh source streams of length L,
     and reports the empirical mean distortion with its standard error.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  ``memory_cap`` bounds the entries of
+    the codebook's (trees, L, |X|^{n-1}) decision array; a larger codebook
+    raises ``MemoryError`` before any tree is drawn.
     """
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n)
@@ -202,19 +254,22 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
         lam = _lambda_for_distortion(source, dist, target_D, delay=1)
     point = solve(source, dist, SolverConfig(lam=lam, delay=1, epsilon=1e-8))
     size = max(int(math.floor(2.0 ** (L * (point.R + delta)))), 1)
-    per_tree = (L // n) * sum(source.src_alphabet_size**i for i in range(n))
-    if size * per_tree > memory_cap:
-        raise MemoryError(f"codebook of {size} trees exceeds the decision cap")
+    width = source.src_alphabet_size ** (n - 1)
+    if size * L * width > memory_cap:
+        raise MemoryError(f"decision array of {size} trees x {L} levels x {width} branches "
+                          f"exceeds the cap of {memory_cap} entries")
     root = np.random.SeedSequence(seed)
     tree_rng = np.random.default_rng(root.spawn(1)[0])
     trees = tuple(sample_code_tree(point.kernel, L, tree_rng) for _ in range(size))
     book = Codebook(trees=trees, target_rate=point.R)
+    levels = np.arange(L)
     dists = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         x = _sample_source(source_spec, L, rng)
         idx = encode(book, x, distortion_spec)
-        dists[t] = sequence_distortion(distortion_spec, x, decode_walk(book.trees[idx], x))
+        out = book.decision_array[idx, levels, _branch_indices(x, n, source.src_alphabet_size)]
+        dists[t] = sequence_distortion(distortion_spec, x, out)
     mean = float(dists.mean())
     stderr = float(dists.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimulationReport(n=n, L=L, delta=delta, codebook_size=size,

@@ -75,11 +75,26 @@ _TRACE_DTYPE = np.dtype([(name, np.int64 if name == "k" else np.float64)
                          for name in IterationDiagnostics._fields])
 
 
-def _trace_array(records) -> np.recarray:
-    """Read-only record array of IterationDiagnostics rows."""
-    trace = np.array(records, dtype=_TRACE_DTYPE).view(np.recarray)
+def _trace_array(rows: np.ndarray) -> np.recarray:
+    """Read-only record-array view of ``_TRACE_DTYPE`` rows."""
+    trace = rows.view(np.recarray)
     trace.flags.writeable = False
     return trace
+
+
+def _trace_buffer(max_iters: int) -> np.ndarray:
+    """An empty trace buffer for a solve; ``_record`` grows it as needed."""
+    return np.empty(min(max_iters, 64), dtype=_TRACE_DTYPE)
+
+
+def _record(rows: np.ndarray, diag: IterationDiagnostics) -> np.ndarray:
+    """Write ``diag`` into row k - 1 of a trace buffer, doubling it when full."""
+    if diag.k > rows.size:
+        grown = np.empty(2 * rows.size, dtype=_TRACE_DTYPE)
+        grown[:rows.size] = rows
+        rows = grown
+    rows[diag.k - 1] = diag
+    return rows
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,9 @@ class RatePoint:
 
     ``trace`` holds one IterationDiagnostics row per iteration as a read-only
     numpy record array with fields k, F, K_value, D, lower_bound and
-    upper_bound; its rows have attribute access (``pt.trace[-1].F``).
+    upper_bound; its rows have attribute access (``pt.trace[-1].F``).  It is
+    a view of the first rows of the buffer the solve wrote them into, which
+    doubles when full.
     """
 
     lam: float
@@ -101,7 +118,8 @@ class RatePoint:
     F_final: float = 0.0
     lower_bound: float = 0.0
     upper_bound: float = 0.0
-    trace: np.recarray = field(default_factory=lambda: _trace_array([]), repr=False)
+    trace: np.recarray = field(default_factory=lambda: _trace_array(_trace_buffer(0)),
+                               repr=False)
 
     def __post_init__(self):
         if self.R < -1e-12 or self.D < -1e-12:
@@ -189,6 +207,7 @@ def diagnostics(prev_kernel: CausalKernel, source: BlockSource,
     The bounds sandwich the true per-symbol rate at the realized distortion,
     and upper - lower = F/n.
     """
+    _check_inputs(source, distortion, None)
     if np.any(prev_kernel.probs <= 0):
         raise ValueError("previous kernel must be strictly positive")
     st = _step(prev_kernel.probs, np.exp2(-lam * distortion.values), source.probs,
@@ -252,12 +271,12 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     else:
         _check_initial_kernel(initial_kernel, n, A, B, s, fmap)
         q = initial_kernel.probs
-    trace: list[IterationDiagnostics] = []
+    rows = _trace_buffer(config.max_iters)
     converged = False
     for k in range(1, config.max_iters + 1):
         st = _step(q, tilt, p, n, A, B, s, fmap, dvals)
         diag = st.diagnostics(p, config.lam, n, k)
-        trace.append(diag)
+        rows = _record(rows, diag)
         q = st.q_next
         if diag.F < config.epsilon:
             converged = True
@@ -272,7 +291,7 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     return RatePoint(lam=config.lam, D=diag.D, R=max(diag.upper_bound, 0.0), iterations=diag.k,
                      converged=converged, channel=channel, kernel=kernel,
                      F_final=diag.F, lower_bound=diag.lower_bound,
-                     upper_bound=diag.upper_bound, trace=_trace_array(trace))
+                     upper_bound=diag.upper_bound, trace=_trace_array(rows[:diag.k]))
 
 
 def solve_classical(source: BlockSource, distortion: DistortionTensor,
@@ -283,6 +302,7 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
     the causal solver reduces to at delay s = n — and is implemented
     independently of :func:`solve` to serve as a regression reference.
     """
+    _check_inputs(source, distortion, None)
     n, A = source.n, source.src_alphabet_size
     B = distortion.rec_alphabet_size
     p = source.probs
@@ -290,7 +310,7 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
     tilt = np.exp2(-config.lam * dvals)
 
     m = np.full(B**n, float(B) ** (-n))
-    trace: list[IterationDiagnostics] = []
+    rows = _trace_buffer(config.max_iters)
     converged = False
     r = None
     for k in range(1, config.max_iters + 1):
@@ -311,7 +331,8 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
         base = -config.lam * D - float(p @ np.log2(denom[:, 0]))
         upper = (base - mean_logc) / n
         lower = (base - log_max_c) / n
-        trace.append(IterationDiagnostics(k, F, n * upper + config.lam * D, D, lower, upper))
+        rows = _record(rows, IterationDiagnostics(k, F, n * upper + config.lam * D, D,
+                                                  lower, upper))
         m = m_next
         if F < config.epsilon:
             converged = True
@@ -323,4 +344,4 @@ def solve_classical(source: BlockSource, distortion: DistortionTensor,
     return RatePoint(lam=config.lam, D=D, R=max(upper, 0.0), iterations=k,
                      converged=converged, channel=channel, kernel=kernel,
                      F_final=F, lower_bound=lower, upper_bound=upper,
-                     trace=_trace_array(trace))
+                     trace=_trace_array(rows[:k]))

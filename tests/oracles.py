@@ -1,9 +1,11 @@
-"""Independent reference minimizer used to validate the solver.
+"""Independent references used to validate the solver and the simulator.
 
 Everything here is deliberately written without importing the package under
 test: plain loops over explicit symbol tuples, scipy's SLSQP on the channel
 simplex, and a direct evaluation of the objective.  Values produced by
-``oracle_objective`` are frozen into test fixtures.
+``oracle_objective`` are frozen into test fixtures.  The code-tree
+references at the end draw, walk and score trees one branch, one position
+and one tree at a time, with ``Generator.choice`` for every draw.
 """
 
 from __future__ import annotations
@@ -125,3 +127,109 @@ def random_instance(seed, n=2, A=2, B=2):
     d = {(x, xh): dvals[i, j] for i, x in enumerate(xs) for j, xh in enumerate(xhs)}
     lam = float(rng.uniform(0.5, 6.0))
     return p, d, lam
+
+
+# --- code-tree simulator -------------------------------------------------------
+
+def sample_code_tree_loops(factors, n, L, A, B, fmap, rng):
+    """Decisions of a depth-L tree from delay-1 kernel factors, one
+    ``rng.choice`` per branch.  ``factors[i-1]`` has axes z^{i-1}, x̂^1..x̂^i;
+    returns blocks[b][i-1][h], the symbol on branch h of level i of block b."""
+    blocks = []
+    for _ in range(L // n):
+        levels = []
+        for i in range(1, n + 1):
+            decisions = np.empty(A ** (i - 1), dtype=np.int64)
+            for h in range(A ** (i - 1)):
+                digits = [(h // A**j) % A for j in range(i - 2, -1, -1)]
+                idx = [int(x) if fmap is None else int(fmap[x]) for x in digits]
+                idx += [int(levels[j - 1][h // A ** (i - j)]) for j in range(1, i)]
+                pmf = factors[i - 1][tuple(idx)]
+                decisions[h] = rng.choice(B, p=pmf / pmf.sum())
+            levels.append(decisions)
+        blocks.append(levels)
+    return blocks
+
+
+def decode_walk_loops(blocks, n, A, x):
+    """Walk tree blocks along x: output t is read on the branch of the
+    block-local history before t."""
+    out = []
+    for t in range(len(blocks) * n):
+        b, i = divmod(t, n)
+        branch = 0
+        for j in range(b * n, b * n + i):
+            branch = branch * A + int(x[j])
+        out.append(int(blocks[b][i][branch]))
+    return out
+
+
+def sequence_distortion_loops(table, m, A, x, xhat, initial_context=None):
+    """Per-letter distortion of (x, x̂) under a window table with axes
+    (x_{t-m}, ..., x_t, x̂_t).  Each symbol missing before the stream is
+    averaged under its own copy of the context weights: uniform for None,
+    a point mass for a symbol, the PMF itself for a PMF."""
+    if initial_context is None:
+        w = [1.0 / A] * A
+    elif np.ndim(initial_context) == 0:
+        w = [1.0 if a == int(initial_context) else 0.0 for a in range(A)]
+    else:
+        w = [float(v) for v in initial_context]
+    total = 0.0
+    for t in range(len(x)):
+        missing = max(m - t, 0)
+        for pre in itertools.product(range(A), repeat=missing):
+            weight = float(np.prod([w[c] for c in pre]))
+            window = pre + tuple(int(v) for v in x[t - m + missing:t + 1])
+            total += weight * table[window + (int(xhat[t]),)]
+    return total / len(x)
+
+
+def encode_loops(trees, n, A, x, table, m):
+    """Index of the tree (a list of blocks) with least walked distortion;
+    a later tree wins only when it is lower by more than 1e-15."""
+    best_idx, best_d = 0, np.inf
+    for idx, blocks in enumerate(trees):
+        d = sequence_distortion_loops(table, m, A, x, decode_walk_loops(blocks, n, A, x))
+        if d < best_d - 1e-15:
+            best_idx, best_d = idx, d
+    return best_idx
+
+
+def iid_stream_choice(marginal, length, rng):
+    return rng.choice(len(marginal), size=length, p=marginal)
+
+
+def markov_stream_choice(transition, initial, length, rng):
+    """A Markov stream drawn with one ``rng.choice`` for the initial state
+    and one per transition (the last one unused)."""
+    out = np.empty(length, dtype=np.int64)
+    state = rng.choice(len(initial), p=initial)
+    for t in range(length):
+        out[t] = state
+        state = rng.choice(len(initial), p=transition[state])
+    return out
+
+
+def distortion_tensor_reference(table, m, A, B, n, initial_context=None):
+    """Dense block distortion d(x^n, x̂^n), accumulated position by position:
+    each position's window table is resolved over the missing pre-block
+    symbols (mean, pin or PMF contraction) and its values are added in
+    position order, then the sum is divided by n."""
+    dx = np.array(list(itertools.product(range(A), repeat=n)), dtype=np.int64)
+    dh = np.array(list(itertools.product(range(B), repeat=n)), dtype=np.int64)
+    vals = np.zeros((A**n, B**n))
+    for i in range(1, n + 1):
+        missing = max(m - (i - 1), 0)
+        t = table
+        for _ in range(missing):
+            if initial_context is None:
+                t = t.mean(axis=0)
+            elif np.ndim(initial_context) == 0:
+                t = t[int(initial_context)]
+            else:
+                t = np.tensordot(np.asarray(initial_context, dtype=float), t, axes=(0, 0))
+        win = [dx[:, j] for j in range(i - 1 - (m - missing), i)]
+        vals += t[tuple(win)][:, dh[:, i - 1]]
+    vals /= n
+    return vals

@@ -1,0 +1,23 @@
+"""The demos run as scripts, with the package on PYTHONPATH."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from ffrd import DistortionSpec, SourceSpec, monte_carlo
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_code_tree_simulation_demo_prints_the_report():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "04_code_tree_simulation.py")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    printed = json.loads(proc.stdout.split("\n\n", 1)[0])
+    report = monte_carlo(source_spec=SourceSpec.iid(0.5), distortion_spec=DistortionSpec.hamming(),
+                         n=2, L=8, delta=0.15, trials=2000, seed=7, target_D=0.25)
+    assert printed == json.loads(report.to_json())

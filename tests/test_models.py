@@ -14,6 +14,8 @@ from ffrd.models import (
 )
 from ffrd.prob import flat_index
 
+from oracles import distortion_tensor_reference
+
 
 class TestSourceSpec:
     def test_iid_scalar_bias(self):
@@ -141,6 +143,21 @@ class TestDistortionTensor:
         a = distortion_tensor(DistortionSpec.single_letter(mat), 3).values
         b = distortion_tensor(DistortionSpec.windowed(0, mat), 3).values
         np.testing.assert_allclose(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        DistortionSpec.hamming(), DistortionSpec.hamming(3), DistortionSpec.stock(),
+        DistortionSpec.windowed(2, np.random.default_rng(4).random((2, 2, 2, 3))),
+    ], ids=["hamming", "hamming3", "stock", "random-m2"])
+    @pytest.mark.parametrize("context", [None, 0, "pmf"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_position_by_position_reference(self, spec, context, n):
+        """Bit for bit the sum of per-position window costs in position order."""
+        A, B = spec.src_alphabet_size, spec.rec_alphabet_size
+        ctx = np.linspace(1.0, 2.0, A) / np.linspace(1.0, 2.0, A).sum() if context == "pmf" \
+            else context
+        np.testing.assert_array_equal(
+            distortion_tensor(spec, n, ctx).values,
+            distortion_tensor_reference(spec.table, spec.m, A, B, n, ctx))
 
     def test_negative_distortion_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,37 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffrd.models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
+from ffrd import sim
+from ffrd.models import (
+    DistortionSpec,
+    FeedForwardMap,
+    SourceSpec,
+    block_pmf,
+    distortion_tensor,
+)
 from ffrd.prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint, sequence_digits
 from ffrd.sim import (
     Codebook,
+    _sample_source,
     decode_walk,
     encode,
     monte_carlo,
     sample_code_tree,
     sequence_distortion,
+)
+from ffrd.solver import SolverConfig, solve
+
+from oracles import (
+    decode_walk_loops,
+    encode_loops,
+    iid_stream_choice,
+    markov_stream_choice,
+    sample_code_tree_loops,
+    sequence_distortion_loops,
 )
 
 HAMMING = DistortionSpec.hamming()
@@ -116,6 +138,30 @@ class TestEncode:
         with pytest.raises(ValueError):
             Codebook(trees=(), target_rate=0.1)
 
+    @pytest.mark.parametrize("n, A, B, L", [(3, 2, 2, 6), (2, 2, 2, 4), (2, 3, 2, 6),
+                                            (2, 2, 3, 6)], ids=["n", "L", "X", "Xhat"])
+    def test_mixed_trees_rejected(self, n, A, B, L):
+        base = sample_code_tree(CausalKernel.uniform(2, 2, 2), 6, 0)
+        other = sample_code_tree(CausalKernel.uniform(n, A, B), L, 0)
+        with pytest.raises(ValueError, match="code trees differ"):
+            Codebook(trees=(base, other), target_rate=0.1)
+
+    def test_decision_array_layout(self):
+        trees = tuple(sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, s) for s in (1, 2))
+        dec = Codebook(trees=trees, target_rate=0.1).decision_array
+        assert dec.shape == (2, 6, 4) and dec.dtype == np.int64
+        for k, tree in enumerate(trees):
+            for t, level in enumerate(lvl for block in tree.blocks for lvl in block):
+                np.testing.assert_array_equal(dec[k, t, :level.size], level)
+                assert not dec[k, t, level.size:].any()
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_stream_length_must_match_depth(self, length):
+        book = Codebook(trees=(sample_code_tree(CausalKernel.uniform(2, 2, 2), 6, 0),),
+                        target_rate=0.1)
+        with pytest.raises(ValueError, match="depth 6"):
+            encode(book, np.zeros(length, dtype=int), HAMMING)
+
 
 class TestSequenceDistortion:
     def test_hamming(self):
@@ -161,6 +207,38 @@ class TestMonteCarlo:
             monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, 0.15, 10, 1, 0.25,
                         memory_cap=4)
 
+    def test_memory_cap_counts_padded_decision_array(self, monkeypatch):
+        # at n=3 over a binary alphabet a depth-6 tree makes 2 * (1 + 2 + 4) = 14
+        # decisions but fills 6 * 4 = 24 entries of the decision array
+        lam = 3.0
+        R = solve(block_pmf(SourceSpec.iid(0.5), 3), distortion_tensor(HAMMING, 3),
+                  SolverConfig(lam=lam, delay=1, epsilon=1e-8)).R
+        size = max(math.floor(2.0 ** (6 * (R + 0.15))), 1)
+        args = (SourceSpec.iid(0.5), HAMMING, 3, 6, 0.15, 10, 1, 0.25)
+
+        def no_sampling(*_):
+            raise AssertionError("a tree was sampled before the cap check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "sample_code_tree", no_sampling)
+            with pytest.raises(MemoryError):
+                monte_carlo(*args, lam=lam, memory_cap=14 * size)
+        assert monte_carlo(*args, lam=lam, memory_cap=24 * size).codebook_size == size
+
+    @pytest.mark.parametrize("args, expected", [
+        ((SourceSpec.iid(0.5), HAMMING, 2, 18, 0.15, 200, 1, 0.25),
+         '{"n": 2, "L": 18, "delta": 0.15, "codebook_size": 68, "trials": 200, '
+         '"mean_distortion": 0.2263888888888889, "stderr": 0.003316949779682089, '
+         '"target_D": 0.25, "rate": 0.18872155353331904}'),
+        ((SourceSpec.binary_markov(0.3, 0.2), DistortionSpec.stock(), 2, 12, 0.1, 200, 1, 0.08),
+         '{"n": 2, "L": 12, "delta": 0.1, "codebook_size": 13, "trials": 200, '
+         '"mean_distortion": 0.08416666666666667, "stderr": 0.004249182927993987, '
+         '"target_D": 0.08, "rate": 0.21657842976395117}'),
+    ], ids=["iid-hamming-L18", "markov-stock-L12"])
+    def test_reports_pinned(self, args, expected):
+        """Reports of the per-branch, per-tree loop simulator, byte for byte."""
+        assert monte_carlo(*args).to_json() == expected
+
     def test_longer_blocks_tighten_distortion(self):
         gaps = []
         for L in (4, 8, 12):
@@ -172,3 +250,67 @@ class TestMonteCarlo:
         rep = monte_carlo(SourceSpec.binary_markov(0.3, 0.2), HAMMING, 2, 8,
                           0.2, 50, 3, 0.2)
         assert 0.0 <= rep.mean_distortion <= 1.0
+
+
+def _distortion_spec(name, A, rng):
+    if name == "hamming":
+        return DistortionSpec.hamming(A)
+    if name == "stock":
+        return DistortionSpec.stock()
+    return DistortionSpec.windowed(1, rng.integers(0, 9, size=(A, A, A)) / 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_simulator_matches_loops(data):
+    """Trees, walks, scores, encoder choices and source streams equal the
+    per-branch, per-position, per-tree loops drawn with Generator.choice."""
+    A = data.draw(st.sampled_from([2, 3]), label="A")
+    n = data.draw(st.integers(1, 3), label="n")
+    L = n * data.draw(st.integers(1, 3), label="blocks")
+    map_name = data.draw(st.sampled_from([None, "identity", "parity"]), label="map")
+    dist_name = data.draw(st.sampled_from(["hamming", "stock", "eighths"] if A == 2
+                                          else ["hamming", "eighths"]), label="distortion")
+    context = data.draw(st.sampled_from([None, 0, "pmf"]), label="context")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    fmap = None if map_name is None else getattr(FeedForwardMap, map_name)(A).table
+    joint = rng.dirichlet(np.ones(A ** (2 * n))).reshape(A**n, A**n)
+    kern = causal_kernel_from_joint(
+        JointBlockPmf(n=n, src_alphabet_size=A, rec_alphabet_size=A, probs=joint), 1, fmap)
+    spec = _distortion_spec(dist_name, A, rng)
+    ctx = rng.dirichlet(np.ones(A)) if context == "pmf" else context
+
+    size, tree_seed = int(rng.integers(1, 7)), int(rng.integers(2**32))
+    tree_rng, ref_rng = np.random.default_rng(tree_seed), np.random.default_rng(tree_seed)
+    trees = [sample_code_tree(kern, L, tree_rng) for _ in range(size)]
+    ref_trees = [sample_code_tree_loops(kern.factors, n, L, A, A, fmap, ref_rng)
+                 for _ in range(size)]
+    for tree, ref in zip(trees, ref_trees):
+        assert len(tree.blocks) == len(ref)
+        for block, ref_block in zip(tree.blocks, ref):
+            for level, ref_level in zip(block, ref_block):
+                np.testing.assert_array_equal(level, ref_level)
+
+    book = Codebook(trees=tuple(trees), target_rate=0.0)
+    real = DistortionSpec.windowed(1, rng.random((A, A, A)))
+    for _ in range(4):
+        x = rng.integers(0, A, L)
+        for tree, ref in zip(trees, ref_trees):
+            out = decode_walk(tree, x)
+            assert out.tolist() == decode_walk_loops(ref, n, A, x)
+            assert sequence_distortion(spec, x, out, ctx) == pytest.approx(
+                sequence_distortion_loops(spec.table, spec.m, A, x, out, ctx), abs=1e-12)
+        assert encode(book, x, spec) == encode_loops(ref_trees, n, A, x, spec.table, spec.m)
+        walked = [sequence_distortion_loops(real.table, 1, A, x, decode_walk_loops(ref, n, A, x))
+                  for ref in ref_trees]
+        assert walked[encode(book, x, real)] == pytest.approx(min(walked), abs=1e-12)
+
+    transition, initial = rng.dirichlet(np.ones(A), size=A), rng.dirichlet(np.ones(A))
+    stream_seed = int(rng.integers(2**32))
+    np.testing.assert_array_equal(
+        _sample_source(SourceSpec.markov(transition, initial), 40,
+                       np.random.default_rng(stream_seed)),
+        markov_stream_choice(transition, initial, 40, np.random.default_rng(stream_seed)))
+    np.testing.assert_array_equal(
+        _sample_source(SourceSpec.iid(initial), 40, np.random.default_rng(stream_seed)),
+        iid_stream_choice(initial, 40, np.random.default_rng(stream_seed)))

@@ -25,6 +25,7 @@ from .prob import (
     CausalKernel,
     ForwardChannel,
     NORM_TOL,
+    _Contexts,
     reverse_causal_factors,
 )
 from .solver import RatePoint, _channel, _step
@@ -172,12 +173,53 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     # kernel that generates the channel, and the deflation needs the ratio of
     # the kernel after that channel to the one before it, over the contexts
     # the joint reaches (elsewhere it can be 0/0 on underflowed entries).
-    st = _step(q_star.probs, np.exp2(-point.lam * distortion.values), source.probs,
-               n, A, B, 1, None, distortion.values)
+    ctx = _Contexts.of(n, A, B, 1, None)
+    st = _step(ctx.table(q_star.probs), np.exp2(-point.lam * distortion.values),
+               source.probs, ctx, distortion.values)
     gamma = np.exp2(-max(st.log_max_c, 0.0)) / st.rows
     _, factors = reverse_causal_factors(st.joint, n, A, B)
     return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
                            gamma=gamma, p_prime_factors=tuple(factors))
+
+
+def _anderson(g, x: np.ndarray, iters: int, tol: float, memory: int = 5) -> np.ndarray:
+    """Fixed point of g by Anderson acceleration from x (Walker & Ni 2011).
+
+    Each step evaluates g at the iterate and proposes the extrapolation from
+    the last ``memory`` differences of residuals g(x) - x and of iterates;
+    a proposal that leaves the positive orthant is replaced by the plain
+    step g(x).  Stops after ``iters`` steps, or at g(x) once the residual is
+    below ``tol`` entrywise.  The differences are kept as the columns of two
+    arrays, oldest first, each computed once when its step is taken.
+    """
+    dF = np.empty((x.size, memory))
+    dX = np.empty((x.size, memory))
+    m = 0
+    f_prev = x_prev = None
+    for _ in range(iters):
+        gx = g(x)
+        f = gx - x
+        if float(np.max(np.abs(f))) < tol:
+            return gx
+        if f_prev is not None:
+            if m == memory:
+                dF[:, :-1] = dF[:, 1:]
+                dX[:, :-1] = dX[:, 1:]
+            else:
+                m += 1
+            np.subtract(f, f_prev, out=dF[:, m - 1])
+            np.subtract(x, x_prev, out=dX[:, m - 1])
+        f_prev, x_prev = f, x
+        if m == 0:
+            x = gx
+            continue
+        coef, *_ = np.linalg.lstsq(dF[:, :m], f, rcond=None)
+        x_new = x + f - (dX[:, :m] + dF[:, :m]) @ coef
+        if np.any(x_new <= 0.0) or not np.all(np.isfinite(x_new)):
+            x = gx  # fall back to the plain step if acceleration leaves the domain
+        else:
+            x = x_new
+    return x
 
 
 def reconstruct_channel(cert: DualCertificate, source: BlockSource,
@@ -192,17 +234,18 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     ``NonTightCertificateError`` is raised.
     """
     n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
+    ctx = _Contexts.of(n, A, B, 1, None)
     p = source.probs
     support = p > 0.0
     # rows off the source support carry no joint mass: keep them finite
     weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
     def step(q):
-        st = _step(q, weight, p, n, A, B, 1, None)
+        st = _step(q, weight, p, ctx)
         st.r[~support] = float(B) ** (-n)
         return st
 
-    q = np.full((A**n, B**n), float(B) ** (-n))
+    q = np.full((A ** (n - 1), B**n), float(B) ** (-n))
     # Plain iteration first: the map contracts toward the fixed point but its
     # linearization has unit eigenvalues along a manifold of equal-objective
     # kernels, so the tail is far too slow on its own.  A short warm start
@@ -211,32 +254,8 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     warmup = min(200, max_iters)
     for _ in range(warmup):
         q = step(q).q_next
-    memory = 5
-    x = q.ravel()
-    res_hist, x_hist = [], []
-    for _ in range(max(0, max_iters - warmup)):
-        g = step(x.reshape(A**n, B**n)).q_next.ravel()
-        f = g - x
-        if float(np.max(np.abs(f))) < tol:
-            x = g
-            break
-        res_hist.append(f)
-        x_hist.append(x)
-        if len(res_hist) > memory + 1:
-            res_hist.pop(0)
-            x_hist.pop(0)
-        m = len(res_hist) - 1
-        if m == 0:
-            x = g
-            continue
-        dF = np.stack([res_hist[i + 1] - res_hist[i] for i in range(m)], axis=1)
-        dX = np.stack([x_hist[i + 1] - x_hist[i] for i in range(m)], axis=1)
-        coef, *_ = np.linalg.lstsq(dF, f, rcond=None)
-        x_new = x + f - (dX + dF) @ coef
-        if np.any(x_new <= 0.0) or not np.all(np.isfinite(x_new)):
-            x = g  # fall back to the plain step if acceleration leaves the domain
-        else:
-            x = x_new
+    x = _anderson(lambda x: ctx.full(step(x.reshape(A**n, B**n)).q_next).ravel(),
+                  ctx.full(q).ravel(), max(0, max_iters - warmup), tol)
     last = step(x.reshape(A**n, B**n))
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if worst > tight_tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,6 +226,113 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
 
 
+class _Contexts(NamedTuple):
+    """Where the contexts (z^{n-s}, x̂^n) of a causal kernel sit in the
+    (x^n, x̂^n) table.
+
+    A kernel is constant over the s newest source symbols and, with a
+    feed-forward map, over the preimage classes of the map, so it is stored
+    as its (Z^{n-s}, |X̂|^n) context table: one row per class of z^{n-s}.
+    ``rows`` gives the class of every source prefix x^{n-s}, and ``bins``
+    the flat class-table cell of every (x^{n-s}, x̂^n) cell (both None
+    without a map, when the classes are the prefixes).
+    """
+
+    n: int
+    A: int
+    B: int
+    s: int
+    Z: int
+    rows: np.ndarray | None
+    bins: np.ndarray | None
+
+    @staticmethod
+    def of(n: int, A: int, B: int, s: int, fmap: np.ndarray | None) -> "_Contexts":
+        if fmap is None:
+            return _Contexts(n, A, B, s, A, None, None)
+        fmap = np.asarray(fmap)
+        Z = int(np.max(fmap)) + 1
+        c_n = n - s
+        rows = fmap[_sequence_digits_cached(A, c_n)] @ Z ** np.arange(c_n - 1, -1, -1)
+        bins = (rows[:, None] * B**n + np.arange(B**n)).ravel()
+        return _Contexts(n, A, B, s, Z, rows, bins)
+
+    def full(self, table: np.ndarray) -> np.ndarray:
+        """The (|X|^n, |X̂|^n) table of a context table."""
+        if self.rows is not None:
+            table = table[self.rows]
+        return np.repeat(table, self.A**self.s, axis=0)
+
+    def table(self, full: np.ndarray) -> np.ndarray:
+        """The context table of a full table that is constant over each
+        context; a class no source prefix maps to gets the first row."""
+        table = full[::self.A**self.s]
+        if self.rows is None:
+            return table
+        first = np.zeros(self.Z ** (self.n - self.s), dtype=np.int64)
+        classes, where = np.unique(self.rows, return_index=True)
+        first[classes] = where
+        return table[first]
+
+
+#: Tables of at least this many entries are combined with a per-context
+#: value one x̂_i slice at a time.  numpy broadcasts along the short x̂_i axis
+#: with one tiny inner loop per context, which on large tables costs more
+#: than the extra calls.
+_SLICED_FROM = 4096
+
+
+def _along_last(ufunc, table: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """ufunc(table, side[..., None]), where the last axis of ``table`` is x̂_i."""
+    if table.size < _SLICED_FROM:
+        return ufunc(table, side[..., None])
+    out = np.empty(np.broadcast_shapes(table.shape, side.shape + (1,)))
+    for b in range(table.shape[-1]):
+        ufunc(table[..., b], side, out=out[..., b])
+    return out
+
+
+def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
+    """Causal factorization of a joint on the context table.
+
+    Returns (table, factors, mass): the kernel and N_n, the joint mass of
+    each context, both as (Z^{n-s}, |X̂|^n) context tables, and the factors
+    of :func:`causal_factors_from_joint`.
+    """
+    n, A, B, s, Z, rows, bins = ctx
+    c_n = n - s
+    N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
+    if bins is not None:
+        # each class sums its prefixes in prefix order
+        N = np.bincount(bins, N.ravel(), Z**c_n * B**n).reshape(Z**c_n, B**n)
+    mass = N
+    factors = [None] * n
+    for i in range(n, 0, -1):
+        c = max(i - s, 0)
+        N = N.reshape(Z**c, B ** (i - 1), B)
+        # x̂_i is the innermost axis and has only B entries: adding its
+        # slices beats a reduction along it
+        D = N[..., 0]
+        for b in range(1, B):
+            D = D + N[..., b]
+        if np.count_nonzero(D) == D.size:
+            qi = _along_last(np.divide, N, D)
+        else:
+            empty = D == 0.0
+            qi = _along_last(np.divide, N, D + empty)
+            qi[empty] = 1.0 / B
+        factors[i - 1] = qi.reshape((Z,) * c + (B,) * i)
+        # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
+        N = D.reshape(Z ** (c - 1), Z, B ** (i - 1)).sum(axis=1) if c else D
+    table = factors[0]
+    for i in range(2, n + 1):
+        c = max(i - s, 0)
+        shape = (Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
+        table = _along_last(np.multiply, factors[i - 1].reshape(shape),
+                            table.reshape(shape[0], 1, shape[2]))
+    return table.reshape(Z**c_n, B**n), factors, mass
+
+
 def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s: int,
                               fmap: np.ndarray | None = None):
     """Raw-array core of causal_kernel_from_joint (no dataclass validation).
@@ -232,53 +340,21 @@ def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s
     Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
     over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
     x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
-    over x̂_i and, while i > s, over z_{i-s}.  Conditioning contexts carrying
-    zero joint mass get a uniform factor, which keeps kernels strictly
-    positive.
+    over x̂_i and, while i > s, over z_{i-s}.  Each level takes one add per
+    x̂_i value for the context sums and one divide; conditioning contexts
+    carrying zero joint mass then get a uniform factor, which keeps kernels
+    strictly positive.  The kernel is the product of the factors, one
+    broadcast multiply per level, on the context table (see ``_Contexts``).
 
     Returns (full_table, factors, mass), where ``mass`` is N_n spread over
     source prefixes: the (|X|^{n-s}, |X̂|^n) table of the joint mass of the
     context (f(x)^{n-s}, x̂^n).
     """
-    c_n = n - s
-    N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
-    if fmap is None:
-        Z = A
-        mass = N
-    else:
-        fmap = np.asarray(fmap)
-        Z = int(np.max(fmap)) + 1
-        # class index of f(x)^{n-s} for every source prefix x^{n-s}
-        rows = fmap[_sequence_digits_cached(A, c_n)] @ Z ** np.arange(c_n - 1, -1, -1)
-        classes = np.zeros((Z**c_n, B**n))
-        np.add.at(classes, rows, N)
-        N, mass = classes, classes[rows]
-    # x̂_i is the innermost axis and has only B entries; numpy is slow when it
-    # broadcasts along such an axis, so those operations go slice by slice.
-    factors = [None] * n
-    for i in range(n, 0, -1):
-        c = max(i - s, 0)
-        N = N.reshape(Z**c, B ** (i - 1), B)
-        D = sum(N[..., b] for b in range(B))
-        qi = np.full(N.shape, 1.0 / B)
-        for b in range(B):
-            np.divide(N[..., b], D, out=qi[..., b], where=D > 0.0)
-        factors[i - 1] = qi.reshape((Z,) * c + (B,) * i)
-        # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
-        N = D.reshape(Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1)).sum(axis=1)
-    full = factors[0].reshape(1, B)
-    for i in range(2, n + 1):
-        c = max(i - s, 0)
-        qi = factors[i - 1].reshape(Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-        prev = full.reshape(Z ** max(c - 1, 0), 1, B ** (i - 1))
-        full = np.empty(qi.shape)
-        for b in range(B):
-            np.multiply(prev, qi[..., b], out=full[..., b])
-    full = full.reshape(Z**c_n, B**n)
-    if fmap is not None:
-        full = full[rows]
-    full = np.repeat(full, A**s, axis=0)
-    return full, factors, mass
+    ctx = _Contexts.of(n, A, B, s, fmap)
+    table, factors, mass = _context_factors(joint_table, ctx)
+    if ctx.rows is not None:
+        mass = mass[ctx.rows]
+    return ctx.full(table), factors, mass
 
 
 def causal_kernel_from_joint(joint: JointBlockPmf, s: int,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .models import DistortionSpec, SourceSpec, _position_costs, block_pmf, distortion_tensor
 from .prob import CausalKernel, sequence_digits
-from .solver import SolverConfig, solve
+from .solver import RatePoint, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,18 @@ def _branch_indices(x: np.ndarray, n: int, A: int) -> np.ndarray:
     return branch.ravel()
 
 
+def _check_symbols(seq: np.ndarray, alphabet_size: int, what: str) -> None:
+    """Raise ValueError unless every symbol of ``seq`` is in range(alphabet_size)."""
+    outside = (seq < 0) | (seq >= alphabet_size)
+    if outside.any():
+        raise ValueError(f"{what} symbol {seq[outside][0]} outside the alphabet "
+                         f"of size {alphabet_size}")
+
+
 def decode_walk(tree: CodeTree, x_causal_stream) -> np.ndarray:
     """Walk the tree along a source stream; output i depends only on x^{i-1}."""
     x = np.asarray(x_causal_stream, dtype=np.int64)
+    _check_symbols(x, tree.src_alphabet_size, "source")
     if x.size < tree.L:
         raise ValueError("source stream shorter than the tree depth")
     branch = _branch_indices(x[:tree.L], tree.n, tree.src_alphabet_size)
@@ -157,6 +166,14 @@ def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> 
     xhat = np.asarray(xhat, dtype=np.int64)
     if x.size != xhat.size:
         raise ValueError("sequences must have equal length")
+    _check_symbols(x, spec.src_alphabet_size, "source")
+    _check_symbols(xhat, spec.rec_alphabet_size, "reconstruction")
+    return _sequence_distortion(spec, x, xhat, initial_context)
+
+
+def _sequence_distortion(spec: DistortionSpec, x: np.ndarray, xhat: np.ndarray,
+                         initial_context=None) -> float:
+    """:func:`sequence_distortion` of int64 sequences known to be in range."""
     costs = _position_costs(spec, x, initial_context)
     return float(costs[np.arange(x.size), xhat].sum() / x.size)
 
@@ -172,6 +189,13 @@ def encode(codebook: Codebook, x, distortion: DistortionSpec) -> int:
     x = np.asarray(x, dtype=np.int64)
     if x.size != tree.L:
         raise ValueError(f"source stream has length {x.size}; the trees have depth {tree.L}")
+    _check_symbols(x, tree.src_alphabet_size, "source")
+    return _encode(codebook, x, distortion)
+
+
+def _encode(codebook: Codebook, x: np.ndarray, distortion: DistortionSpec) -> int:
+    """:func:`encode` of an int64 stream of the trees' depth, known to be in range."""
+    tree = codebook.trees[0]
     levels = np.arange(tree.L)
     outs = codebook.decision_array[:, levels,
                                    _branch_indices(x, tree.n, tree.src_alphabet_size)]
@@ -218,20 +242,21 @@ class SimulationReport:
 
 
 def _lambda_for_distortion(source, dist, target_D: float, delay: int,
-                           tol: float = 1e-4) -> float:
+                           tol: float = 1e-4) -> RatePoint:
     """Bisect the Lagrange weight so the solved distortion hits the target
-    (solved distortion is nonincreasing in the weight)."""
+    (solved distortion is nonincreasing in the weight); returns the point
+    solved at the weight found."""
     lo, hi = 0.0, 64.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        D = solve(source, dist, SolverConfig(lam=mid, delay=delay, epsilon=1e-8)).D
-        if abs(D - target_D) < tol:
-            return mid
-        if D > target_D:
+        point = solve(source, dist, SolverConfig(lam=mid, delay=delay, epsilon=1e-8))
+        if abs(point.D - target_D) < tol:
+            return point
+        if point.D > target_D:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return solve(source, dist, SolverConfig(lam=0.5 * (lo + hi), delay=delay, epsilon=1e-8))
 
 
 def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
@@ -251,8 +276,9 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n)
     if lam is None:
-        lam = _lambda_for_distortion(source, dist, target_D, delay=1)
-    point = solve(source, dist, SolverConfig(lam=lam, delay=1, epsilon=1e-8))
+        point = _lambda_for_distortion(source, dist, target_D, delay=1)
+    else:
+        point = solve(source, dist, SolverConfig(lam=lam, delay=1, epsilon=1e-8))
     size = max(int(math.floor(2.0 ** (L * (point.R + delta)))), 1)
     width = source.src_alphabet_size ** (n - 1)
     if size * L * width > memory_cap:
@@ -267,9 +293,9 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         x = _sample_source(source_spec, L, rng)
-        idx = encode(book, x, distortion_spec)
+        idx = _encode(book, x, distortion_spec)
         out = book.decision_array[idx, levels, _branch_indices(x, n, source.src_alphabet_size)]
-        dists[t] = sequence_distortion(distortion_spec, x, out)
+        dists[t] = _sequence_distortion(distortion_spec, x, out)
     mean = float(dists.mean())
     stderr = float(dists.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimulationReport(n=n, L=L, delta=delta, codebook_size=size,

@@ -24,7 +24,8 @@ from .prob import (
     CausalKernel,
     ForwardChannel,
     JointBlockPmf,
-    causal_factors_from_joint,
+    _context_factors,
+    _Contexts,
     causal_kernel_from_joint,
 )
 
@@ -127,12 +128,12 @@ class RatePoint:
 
 
 class _Step(NamedTuple):
-    """One alternating-minimization step taken from a kernel table q."""
+    """One alternating-minimization step taken from a kernel context table q."""
 
     r: np.ndarray  # channel: the rows of q * weight, normalized
     rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
     joint: np.ndarray  # p * r
-    q_next: np.ndarray  # causal kernel of the joint
+    q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
     # the rest only when the step is given the distortion values
     log_max_c: float | None = None  # max log2 c over contexts carrying joint mass
@@ -151,33 +152,43 @@ class _Step(NamedTuple):
 def _channel(q: np.ndarray, weight: np.ndarray):
     """Rows of q * weight normalized, and their sums."""
     num = q * weight
-    rows = num.sum(axis=1)
-    return num / rows[:, None], rows
+    rows = num.sum(axis=-1)
+    num /= rows[..., None]
+    return num, rows
 
 
-def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, n: int, A: int, B: int,
-          s: int, fmap: np.ndarray | None, dvals: np.ndarray | None = None) -> _Step:
+def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
+          dvals: np.ndarray | None = None) -> _Step:
     """Channel update r = q * weight / rows, then the causal kernel of p * r.
 
-    The weight is the tilt 2^{-lam d} in the solver and p' in certificate
-    reconstruction.  Given the distortion values the step also returns, for
-    c = q_next / q, the max of log2 c over contexts with positive joint mass,
-    the mean of log2 c under the joint, and D.  Kernel entries on abandoned
-    branches can underflow to exact zero; they carry no joint mass and are
-    left out of both the max and the mean (restricted-support convention).
+    q is the kernel's (Z^{n-s}, |X̂|^n) context table (see
+    ``prob._Contexts``); the channel broadcasts it over the s newest source
+    symbols, which is the product with the full table entry by entry.
+    Without a feed-forward map the full (|X|^n, |X̂|^n) table may be passed
+    instead when no distortion values are given.  The weight is the tilt
+    2^{-lam d} in the solver and p' in certificate reconstruction.
+
+    Given the distortion values the step also returns, for c = q_next / q
+    on the context table, the max of log2 c over contexts with positive
+    joint mass N_n, the mean sum N_n log2 c of log2 c under the joint, and
+    D.  Kernel entries on abandoned branches can underflow to exact zero;
+    their contexts carry no joint mass and are left out of both the max and
+    the mean (restricted-support convention).
     """
-    r, rows = _channel(q, weight)
-    joint = p[:, None] * r
-    q_next, factors, mass = causal_factors_from_joint(joint, n, A, B, s, fmap)
+    n, A, B, s = ctx.n, ctx.A, ctx.B, ctx.s
+    src = q if ctx.rows is None else q.take(ctx.rows, axis=0)
+    shape = (A ** (n - s), A**s, B**n)
+    r, rows = _channel(src.reshape(shape[0], -1, shape[2]), weight.reshape(shape))
+    joint = p.reshape(shape[:2] + (1,)) * r
+    q_next, factors, mass = _context_factors(joint, ctx)
+    r, rows, joint = r.reshape(A**n, B**n), rows.reshape(A**n), joint.reshape(A**n, B**n)
     if dvals is None:
         return _Step(r, rows, joint, q_next, factors)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logc = np.log2(q_next / q)
-        finite = np.isfinite(logc)
-        ctx = (A ** (n - s), A**s, B**n)
-        in_context = (mass > 0.0).reshape(ctx[0], 1, ctx[2]) & finite.reshape(ctx)
-        log_max_c = float(logc.reshape(ctx).max(where=in_context, initial=-np.inf))
-        mean_logc = float((joint * logc).sum(where=(joint > 0.0) & finite))
+    live = mass > 0.0
+    logc = np.divide(q_next, q, out=np.ones_like(q), where=live)
+    np.log2(logc, out=logc)
+    log_max_c = float(logc.max(where=live, initial=-np.inf))
+    mean_logc = float(mass.ravel() @ logc.ravel())
     D = float((joint * dvals).sum())
     return _Step(r, rows, joint, q_next, factors, log_max_c, mean_logc, D)
 
@@ -210,9 +221,10 @@ def diagnostics(prev_kernel: CausalKernel, source: BlockSource,
     _check_inputs(source, distortion, None)
     if np.any(prev_kernel.probs <= 0):
         raise ValueError("previous kernel must be strictly positive")
-    st = _step(prev_kernel.probs, np.exp2(-lam * distortion.values), source.probs,
-               source.n, source.src_alphabet_size, distortion.rec_alphabet_size,
-               prev_kernel.delay, prev_kernel.ff_map, distortion.values)
+    ctx = _Contexts.of(source.n, source.src_alphabet_size, distortion.rec_alphabet_size,
+                       prev_kernel.delay, prev_kernel.ff_map)
+    st = _step(ctx.table(prev_kernel.probs), np.exp2(-lam * distortion.values), source.probs,
+               ctx, distortion.values)
     return st.diagnostics(source.probs, lam, source.n, k)
 
 
@@ -262,19 +274,21 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     B = distortion.rec_alphabet_size
     s = min(config.delay, n)
     fmap = None if config.feedforward_map is None else config.feedforward_map.table
+    ctx = _Contexts.of(n, A, B, s, fmap)
     p = source.probs
     dvals = distortion.values
     tilt = np.exp2(-config.lam * dvals)
 
+    # the kernel is kept as its context table; the full table is built once
     if initial_kernel is None:
-        q = np.full((A**n, B**n), float(B) ** (-n))
+        q = np.full((ctx.Z ** (n - s), B**n), float(B) ** (-n))
     else:
         _check_initial_kernel(initial_kernel, n, A, B, s, fmap)
-        q = initial_kernel.probs
+        q = ctx.table(initial_kernel.probs)
     rows = _trace_buffer(config.max_iters)
     converged = False
     for k in range(1, config.max_iters + 1):
-        st = _step(q, tilt, p, n, A, B, s, fmap, dvals)
+        st = _step(q, tilt, p, ctx, dvals)
         diag = st.diagnostics(p, config.lam, n, k)
         rows = _record(rows, diag)
         q = st.q_next
@@ -283,7 +297,7 @@ def solve(source: BlockSource, distortion: DistortionTensor,
             break
 
     channel = ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=st.r)
-    kernel = CausalKernel(n, s, A, B, q, tuple(st.factors),
+    kernel = CausalKernel(n, s, A, B, ctx.full(q), tuple(st.factors),
                           None if fmap is None else np.asarray(fmap))
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite

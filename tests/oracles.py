@@ -233,3 +233,104 @@ def distortion_tensor_reference(table, m, A, B, n, initial_context=None):
         vals += t[tuple(win)][:, dh[:, i - 1]]
     vals /= n
     return vals
+
+
+# --- solver step on the full table --------------------------------------------
+
+def causal_factors_full_table(joint_table, n, A, B, s, fmap=None):
+    """The nested-marginal causal factorization with per-symbol slices:
+    (full (|X|^n, |X̂|^n) kernel table, factors, context mass over source
+    prefixes), as ``causal_factors_from_joint`` returns them."""
+    c_n = n - s
+    N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
+    if fmap is None:
+        Z = A
+        mass = N
+    else:
+        fmap = np.asarray(fmap)
+        Z = int(np.max(fmap)) + 1
+        digits = np.array(list(itertools.product(range(A), repeat=c_n)),
+                          dtype=np.int64).reshape(A**c_n, c_n)
+        rows = fmap[digits] @ Z ** np.arange(c_n - 1, -1, -1)
+        classes = np.zeros((Z**c_n, B**n))
+        np.add.at(classes, rows, N)
+        N, mass = classes, classes[rows]
+    factors = [None] * n
+    for i in range(n, 0, -1):
+        c = max(i - s, 0)
+        N = N.reshape(Z**c, B ** (i - 1), B)
+        D = sum(N[..., b] for b in range(B))
+        qi = np.full(N.shape, 1.0 / B)
+        for b in range(B):
+            np.divide(N[..., b], D, out=qi[..., b], where=D > 0.0)
+        factors[i - 1] = qi.reshape((Z,) * c + (B,) * i)
+        N = D.reshape(Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1)).sum(axis=1)
+    full = factors[0].reshape(1, B)
+    for i in range(2, n + 1):
+        c = max(i - s, 0)
+        qi = factors[i - 1].reshape(Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
+        prev = full.reshape(Z ** max(c - 1, 0), 1, B ** (i - 1))
+        full = np.empty(qi.shape)
+        for b in range(B):
+            np.multiply(prev, qi[..., b], out=full[..., b])
+    full = full.reshape(Z**c_n, B**n)
+    if fmap is not None:
+        full = full[rows]
+    full = np.repeat(full, A**s, axis=0)
+    return full, factors, mass
+
+
+def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
+    """One alternating-minimization step from the full kernel table q, with
+    the stopping statistic taken over the full table: log2(q_next / q)
+    everywhere, its max over pairs whose context carries joint mass and its
+    mean under the joint, both restricted to finite values.
+
+    Returns (q_next, factors, (F, K_value, D, lower_bound, upper_bound)).
+    """
+    num = q * tilt
+    rows = num.sum(axis=1)
+    joint = p[:, None] * (num / rows[:, None])
+    q_next, factors, mass = causal_factors_full_table(joint, n, A, B, s, fmap)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logc = np.log2(q_next / q)
+        finite = np.isfinite(logc)
+        ctx = (A ** (n - s), A**s, B**n)
+        in_context = (mass > 0.0).reshape(ctx[0], 1, ctx[2]) & finite.reshape(ctx)
+        log_max_c = float(logc.reshape(ctx).max(where=in_context, initial=-np.inf))
+        mean_logc = float((joint * logc).sum(where=(joint > 0.0) & finite))
+    D = float((joint * dvals).sum())
+    base = -lam * D - float(p @ np.log2(rows))
+    upper = (base - mean_logc) / n
+    lower = (base - log_max_c) / n
+    return q_next, factors, (log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
+
+
+def anderson_stacked(g, x, iters, tol, memory=5):
+    """Anderson-accelerated fixed point of g from x, re-stacking its
+    difference history from lists of residuals and iterates at every step;
+    the plain step g(x) replaces a proposal that leaves the positive orthant."""
+    res_hist, x_hist = [], []
+    for _ in range(iters):
+        gx = g(x)
+        f = gx - x
+        if float(np.max(np.abs(f))) < tol:
+            return gx
+        res_hist.append(f)
+        x_hist.append(x)
+        if len(res_hist) > memory + 1:
+            res_hist.pop(0)
+            x_hist.pop(0)
+        m = len(res_hist) - 1
+        if m == 0:
+            x = gx
+            continue
+        dF = np.stack([res_hist[i + 1] - res_hist[i] for i in range(m)], axis=1)
+        dX = np.stack([x_hist[i + 1] - x_hist[i] for i in range(m)], axis=1)
+        coef, *_ = np.linalg.lstsq(dF, f, rcond=None)
+        x_new = x + f - (dX + dF) @ coef
+        if np.any(x_new <= 0.0) or not np.all(np.isfinite(x_new)):
+            x = gx
+        else:
+            x = x_new
+    return x

@@ -314,3 +314,43 @@ def test_array_simulator_matches_loops(data):
     np.testing.assert_array_equal(
         _sample_source(SourceSpec.iid(initial), 40, np.random.default_rng(stream_seed)),
         iid_stream_choice(initial, 40, np.random.default_rng(stream_seed)))
+
+
+@pytest.mark.parametrize("x, xhat", [([0, -1], [0, 1]), ([0, 2], [0, 1]),
+                                     ([0, 1], [0, -1]), ([0, 1], [2, 1])])
+def test_sequence_distortion_rejects_symbols_outside_alphabets(x, xhat):
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        sequence_distortion(HAMMING, x, xhat)
+
+
+@pytest.mark.parametrize("x", [[0, 1, -1, 0], [0, 1, 2, 0], [0, 1, 0, 1, 3]])
+def test_walk_and_encoder_reject_symbols_outside_alphabet(x):
+    tree = sample_code_tree(CausalKernel.uniform(2, 2, 2), 4, 0)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        decode_walk(tree, x)
+    if len(x) == tree.L:
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            encode(Codebook(trees=(tree,), target_rate=0.1), x, HAMMING)
+
+
+def test_monte_carlo_checks_no_symbol_per_trial(monkeypatch):
+    # the drawn streams and the walked reconstructions are in range by construction
+    def fail(*_):
+        raise AssertionError("a symbol check ran inside monte_carlo")
+
+    monkeypatch.setattr(sim, "_check_symbols", fail)
+    monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, 0.15, 20, 1, 0.25, lam=3.0)
+
+
+def test_monte_carlo_solves_each_lambda_once(monkeypatch):
+    solved = []
+
+    def recording(source, dist, config, *args, **kwargs):
+        solved.append(config.lam)
+        return solve(source, dist, config, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "solve", recording)
+    rep = monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 18, 0.15, 20, 1, 0.25)
+    assert len(solved) == len(set(solved))
+    assert rep.rate == solve(block_pmf(SourceSpec.iid(0.5), 2), distortion_tensor(HAMMING, 2),
+                             SolverConfig(lam=solved[-1], delay=1, epsilon=1e-8)).R

@@ -215,10 +215,11 @@ def _anderson(g, x: np.ndarray, iters: int, tol: float, memory: int = 5) -> np.n
             continue
         coef, *_ = np.linalg.lstsq(dF[:, :m], f, rcond=None)
         x_new = x + f - (dX[:, :m] + dF[:, :m]) @ coef
-        if np.any(x_new <= 0.0) or not np.all(np.isfinite(x_new)):
-            x = gx  # fall back to the plain step if acceleration leaves the domain
-        else:
+        # min is NaN, and so not positive, when any entry is NaN
+        if x_new.min() > 0.0 and np.isfinite(x_new.max()):
             x = x_new
+        else:
+            x = gx  # fall back to the plain step if acceleration leaves the domain
     return x
 
 
@@ -241,9 +242,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
     def step(q):
-        st = _step(q, weight, p, ctx)
-        st.r[~support] = float(B) ** (-n)
-        return st
+        return _step(q, weight, p, ctx)
 
     q = np.full((A ** (n - 1), B**n), float(B) ** (-n))
     # Plain iteration first: the map contracts toward the fixed point but its
@@ -257,6 +256,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     x = _anderson(lambda x: ctx.full(step(x.reshape(A**n, B**n)).q_next).ravel(),
                   ctx.full(q).ravel(), max(0, max_iters - warmup), tol)
     last = step(x.reshape(A**n, B**n))
+    last.r[~support] = float(B) ** (-n)
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if worst > tight_tol:
         raise NonTightCertificateError(

@@ -306,24 +306,25 @@ def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
         # each class sums its prefixes in prefix order
         N = np.bincount(bins, N.ravel(), Z**c_n * B**n).reshape(Z**c_n, B**n)
     mass = N
+    # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
+    # gives the next level's numerator in its factor's axes
+    N = N.reshape((Z,) * c_n + (B,) * n)
     factors = [None] * n
     for i in range(n, 0, -1):
         c = max(i - s, 0)
-        N = N.reshape(Z**c, B ** (i - 1), B)
         # x̂_i is the innermost axis and has only B entries: adding its
         # slices beats a reduction along it
         D = N[..., 0]
         for b in range(1, B):
             D = D + N[..., b]
         if np.count_nonzero(D) == D.size:
-            qi = _along_last(np.divide, N, D)
+            factors[i - 1] = _along_last(np.divide, N, D)
         else:
             empty = D == 0.0
-            qi = _along_last(np.divide, N, D + empty)
-            qi[empty] = 1.0 / B
-        factors[i - 1] = qi.reshape((Z,) * c + (B,) * i)
+            factors[i - 1] = _along_last(np.divide, N, D + empty)
+            factors[i - 1][empty] = 1.0 / B
         # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
-        N = D.reshape(Z ** (c - 1), Z, B ** (i - 1)).sum(axis=1) if c else D
+        N = D.sum(axis=c - 1) if c else D
     table = factors[0]
     for i in range(2, n + 1):
         c = max(i - s, 0)
@@ -340,11 +341,13 @@ def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s
     Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
     over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
     x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
-    over x̂_i and, while i > s, over z_{i-s}.  Each level takes one add per
-    x̂_i value for the context sums and one divide; conditioning contexts
-    carrying zero joint mass then get a uniform factor, which keeps kernels
-    strictly positive.  The kernel is the product of the factors, one
-    broadcast multiply per level, on the context table (see ``_Contexts``).
+    over x̂_i and, while i > s, over z_{i-s}.  Each level adds the x̂_i
+    slices of N_i for the context sums and divides once; conditioning
+    contexts carrying zero joint mass then get a uniform factor, which keeps
+    kernels strictly positive.  The kernel is the product of the factors, one
+    multiply per level, formed on the context table (see ``_Contexts``) and
+    spread over the source blocks.  Large levels divide and multiply one x̂_i
+    slice at a time (``_along_last``), with the same result.
 
     Returns (full_table, factors, mass), where ``mass`` is N_n spread over
     source prefixes: the (|X|^{n-s}, |X̂|^n) table of the joint mass of the

@@ -170,7 +170,7 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
 
     Given the distortion values the step also returns, for c = q_next / q
     on the context table, the max of log2 c over contexts with positive
-    joint mass N_n, the mean sum N_n log2 c of log2 c under the joint, and
+    joint mass N_n, the mean of log2 c under the joint, sum N_n log2 c, and
     D.  Kernel entries on abandoned branches can underflow to exact zero;
     their contexts carry no joint mass and are left out of both the max and
     the mean (restricted-support convention).

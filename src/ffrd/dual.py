@@ -241,9 +241,6 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     # rows off the source support carry no joint mass: keep them finite
     weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
-    def step(q):
-        return _step(q, weight, p, ctx)
-
     q = np.full((A ** (n - 1), B**n), float(B) ** (-n))
     # Plain iteration first: the map contracts toward the fixed point but its
     # linearization has unit eigenvalues along a manifold of equal-objective
@@ -252,10 +249,13 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     # slow modes and converges in a handful of extra steps.
     warmup = min(200, max_iters)
     for _ in range(warmup):
-        q = step(q).q_next
-    x = _anderson(lambda x: ctx.full(step(x.reshape(A**n, B**n)).q_next).ravel(),
-                  ctx.full(q).ravel(), max(0, max_iters - warmup), tol)
-    last = step(x.reshape(A**n, B**n))
+        q = _step(q, weight, p, ctx).q_next
+
+    def kernel_map(x):
+        return ctx.full(_step(x.reshape(A**n, B**n), weight, p, ctx).q_next).ravel()
+
+    x = _anderson(kernel_map, ctx.full(q).ravel(), max(0, max_iters - warmup), tol)
+    last = _step(x.reshape(A**n, B**n), weight, p, ctx)
     last.r[~support] = float(B) ** (-n)
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if worst > tight_tol:

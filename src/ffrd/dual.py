@@ -28,7 +28,7 @@ from .prob import (
     _Contexts,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _channel, _step
+from .solver import RatePoint, _channel, _kernel_table, _step
 
 
 class NonTightCertificateError(ValueError):
@@ -174,8 +174,8 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     # the kernel after that channel to the one before it, over the contexts
     # the joint reaches (elsewhere it can be 0/0 on underflowed entries).
     ctx = _Contexts.of(n, A, B, 1, None)
-    st = _step(ctx.table(q_star.probs), np.exp2(-point.lam * distortion.values),
-               source.probs, ctx, distortion.values)
+    st = _step(_kernel_table(q_star, ctx, "solution kernel"),
+               np.exp2(-point.lam * distortion.values), source.probs, ctx, distortion.values)
     gamma = np.exp2(-max(st.log_max_c, 0.0)) / st.rows
     _, factors = reverse_causal_factors(st.joint, n, A, B)
     return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
@@ -251,11 +251,13 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     for _ in range(warmup):
         q = _step(q, weight, p, ctx).q_next
 
+    # Anderson acceleration runs on the full table, whose rows repeat the
+    # context table; the step reads the context table as a strided view
     def kernel_map(x):
-        return ctx.full(_step(x.reshape(A**n, B**n), weight, p, ctx).q_next).ravel()
+        return ctx.full(_step(ctx.table(x.reshape(A**n, B**n)), weight, p, ctx).q_next).ravel()
 
     x = _anderson(kernel_map, ctx.full(q).ravel(), max(0, max_iters - warmup), tol)
-    last = _step(x.reshape(A**n, B**n), weight, p, ctx)
+    last = _step(ctx.table(x.reshape(A**n, B**n)), weight, p, ctx)
     last.r[~support] = float(B) ** (-n)
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if worst > tight_tol:

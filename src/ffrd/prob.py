@@ -275,23 +275,6 @@ class _Contexts(NamedTuple):
         return table[first]
 
 
-#: Tables of at least this many entries are combined with a per-context
-#: value one x̂_i slice at a time.  numpy broadcasts along the short x̂_i axis
-#: with one tiny inner loop per context, which on large tables costs more
-#: than the extra calls.
-_SLICED_FROM = 4096
-
-
-def _along_last(ufunc, table: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """ufunc(table, side[..., None]), where the last axis of ``table`` is x̂_i."""
-    if table.size < _SLICED_FROM:
-        return ufunc(table, side[..., None])
-    out = np.empty(np.broadcast_shapes(table.shape, side.shape + (1,)))
-    for b in range(table.shape[-1]):
-        ufunc(table[..., b], side, out=out[..., b])
-    return out
-
-
 def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
     """Causal factorization of a joint on the context table.
 
@@ -318,10 +301,10 @@ def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
         for b in range(1, B):
             D = D + N[..., b]
         if np.count_nonzero(D) == D.size:
-            factors[i - 1] = _along_last(np.divide, N, D)
+            factors[i - 1] = N / D[..., None]
         else:
             empty = D == 0.0
-            factors[i - 1] = _along_last(np.divide, N, D + empty)
+            factors[i - 1] = N / (D + empty)[..., None]
             factors[i - 1][empty] = 1.0 / B
         # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
         N = D.sum(axis=c - 1) if c else D
@@ -329,8 +312,7 @@ def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
     for i in range(2, n + 1):
         c = max(i - s, 0)
         shape = (Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-        table = _along_last(np.multiply, factors[i - 1].reshape(shape),
-                            table.reshape(shape[0], 1, shape[2]))
+        table = factors[i - 1].reshape(shape) * table.reshape(shape[0], 1, shape[2], 1)
     return table.reshape(Z**c_n, B**n), factors, mass
 
 
@@ -346,8 +328,7 @@ def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s
     contexts carrying zero joint mass then get a uniform factor, which keeps
     kernels strictly positive.  The kernel is the product of the factors, one
     multiply per level, formed on the context table (see ``_Contexts``) and
-    spread over the source blocks.  Large levels divide and multiply one x̂_i
-    slice at a time (``_along_last``), with the same result.
+    spread over the source blocks.
 
     Returns (full_table, factors, mass), where ``mass`` is N_n spread over
     source prefixes: the (|X|^{n-s}, |X̂|^n) table of the joint mass of the

@@ -24,6 +24,7 @@ from .prob import (
     CausalKernel,
     ForwardChannel,
     JointBlockPmf,
+    NORM_TOL,
     _context_factors,
     _Contexts,
     causal_kernel_from_joint,
@@ -163,10 +164,9 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
 
     q is the kernel's (Z^{n-s}, |X̂|^n) context table (see
     ``prob._Contexts``); the channel broadcasts it over the s newest source
-    symbols, which is the product with the full table entry by entry.
-    Without a feed-forward map the full (|X|^n, |X̂|^n) table may be passed
-    instead when no distortion values are given.  The weight is the tilt
-    2^{-lam d} in the solver and p' in certificate reconstruction.
+    symbols, which is the product with the full table entry by entry.  The
+    weight is the tilt 2^{-lam d} in the solver and p' in certificate
+    reconstruction.
 
     Given the distortion values the step also returns, for c = q_next / q
     on the context table, the max of log2 c over contexts with positive
@@ -178,7 +178,7 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
     n, A, B, s = ctx.n, ctx.A, ctx.B, ctx.s
     src = q if ctx.rows is None else q.take(ctx.rows, axis=0)
     shape = (A ** (n - s), A**s, B**n)
-    r, rows = _channel(src.reshape(shape[0], -1, shape[2]), weight.reshape(shape))
+    r, rows = _channel(src[:, None, :], weight.reshape(shape))
     joint = p.reshape(shape[:2] + (1,)) * r
     q_next, factors, mass = _context_factors(joint, ctx)
     r, rows, joint = r.reshape(A**n, B**n), rows.reshape(A**n), joint.reshape(A**n, B**n)
@@ -216,15 +216,16 @@ def diagnostics(prev_kernel: CausalKernel, source: BlockSource,
     starts from ``prev_kernel``.
 
     The bounds sandwich the true per-symbol rate at the realized distortion,
-    and upper - lower = F/n.
+    and upper - lower = F/n.  The kernel must be strictly positive and
+    causal (see ``_kernel_table``).
     """
     _check_inputs(source, distortion, None)
-    if np.any(prev_kernel.probs <= 0):
-        raise ValueError("previous kernel must be strictly positive")
     ctx = _Contexts.of(source.n, source.src_alphabet_size, distortion.rec_alphabet_size,
                        prev_kernel.delay, prev_kernel.ff_map)
-    st = _step(ctx.table(prev_kernel.probs), np.exp2(-lam * distortion.values), source.probs,
-               ctx, distortion.values)
+    q = _kernel_table(prev_kernel, ctx, "previous kernel")
+    if np.any(prev_kernel.probs <= 0):
+        raise ValueError("previous kernel must be strictly positive")
+    st = _step(q, np.exp2(-lam * distortion.values), source.probs, ctx, distortion.values)
     return st.diagnostics(source.probs, lam, source.n, k)
 
 
@@ -239,11 +240,27 @@ def _check_inputs(source: BlockSource, distortion: DistortionTensor,
                          f"the source alphabet has {A}")
 
 
-def _check_initial_kernel(kernel: CausalKernel, n: int, A: int, B: int, s: int,
-                          fmap: np.ndarray | None) -> None:
+def _kernel_table(kernel: CausalKernel, ctx: _Contexts, what: str) -> np.ndarray:
+    """The context table of a kernel given from outside.
+
+    The kernel must have the block length and alphabets of ``ctx`` and be
+    constant, to within NORM_TOL, over each context: over the s newest
+    source symbols and over the preimage classes of the feed-forward map.
+    Otherwise its context table would be a different kernel, so
+    ``ValueError`` is raised instead.
+    """
+    n, A, B = ctx.n, ctx.A, ctx.B
     if (kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size) != (n, A, B):
-        raise ValueError(f"initial kernel is for n={kernel.n}, |X|={kernel.src_alphabet_size}, "
-                         f"|X̂|={kernel.rec_alphabet_size}; the solve has n={n}, |X|={A}, |X̂|={B}")
+        raise ValueError(f"{what} is for n={kernel.n}, |X|={kernel.src_alphabet_size}, "
+                         f"|X̂|={kernel.rec_alphabet_size}; expected n={n}, |X|={A}, |X̂|={B}")
+    table = ctx.table(kernel.probs)
+    if not np.allclose(ctx.full(table), kernel.probs, rtol=0.0, atol=NORM_TOL):
+        raise ValueError(f"{what} depends on source symbols its contexts do not see "
+                         f"(the {ctx.s} newest, or within a feed-forward map class)")
+    return table
+
+
+def _check_initial_kernel(kernel: CausalKernel, s: int, fmap: np.ndarray | None) -> None:
     if kernel.delay != s:
         raise ValueError(f"initial kernel has delay {kernel.delay}; the solve has delay {s}")
     same_map = (kernel.ff_map is None if fmap is None
@@ -266,8 +283,9 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     ``RatePoint.trace``.  The distortion tensor and the feed-forward map must
     be defined on the source's block length and alphabet.  An initial
     kernel must match the solve's block length, delay, alphabets and
-    feed-forward map and be strictly positive, so that the bounds hold from
-    the first iterate; only its table is used.
+    feed-forward map, be strictly positive, so that the bounds hold from the
+    first iterate, and be causal: constant over the source symbols its
+    contexts do not see.  Only its table is used.
     """
     _check_inputs(source, distortion, config.feedforward_map)
     n, A = source.n, source.src_alphabet_size
@@ -283,8 +301,8 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     if initial_kernel is None:
         q = np.full((ctx.Z ** (n - s), B**n), float(B) ** (-n))
     else:
-        _check_initial_kernel(initial_kernel, n, A, B, s, fmap)
-        q = ctx.table(initial_kernel.probs)
+        q = _kernel_table(initial_kernel, ctx, "initial kernel")
+        _check_initial_kernel(initial_kernel, s, fmap)
     rows = _trace_buffer(config.max_iters)
     converged = False
     for k in range(1, config.max_iters + 1):

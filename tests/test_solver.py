@@ -33,6 +33,16 @@ from full_delay import assert_same_iterates
 HAMMING = DistortionSpec.hamming()
 
 
+def non_causal_kernel(n, A, B, delay=1, ff_map=None):
+    """A strictly positive kernel table whose rows all differ, so it depends
+    on every source symbol, the ones its contexts must not see included."""
+    rng = np.random.default_rng(5)
+    probs = rng.random((A**n, B**n)) + 0.5
+    probs /= probs.sum(axis=1, keepdims=True)
+    return CausalKernel(n, delay, A, B, probs, (),
+                        None if ff_map is None else np.asarray(ff_map))
+
+
 def hamming_tensor(n):
     return distortion_tensor(HAMMING, n)
 
@@ -117,6 +127,20 @@ class TestDiagnostics:
         assert diag.D == pytest.approx(0.5)
         assert diag.upper_bound == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(gamma_from_kernel(kern, dist, 0.0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("delay, ff_map", [(1, None), (2, None), (1, [0, 0])],
+                             ids=["newest-symbol", "two-newest", "map-class"])
+    def test_non_causal_kernel_rejected(self, delay, ff_map):
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+        kern = non_causal_kernel(2, 2, 2, delay, ff_map)
+        with pytest.raises(ValueError, match="previous kernel depends on source symbols"):
+            diagnostics(kern, src, hamming_tensor(2), 4.0, 1)
+
+    def test_kernel_for_other_block_length_named(self):
+        with pytest.raises(ValueError, match=r"previous kernel is for n=3, \|X\|=2, \|X̂\|=2; "
+                                             r"expected n=2, \|X\|=2, \|X̂\|=2"):
+            diagnostics(CausalKernel.uniform(3, 2, 2), block_pmf(SourceSpec.iid(0.3), 2),
+                        hamming_tensor(2), 1.0, 1)
 
     def test_gap_is_exactly_f_over_n(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 3)
@@ -218,6 +242,28 @@ class TestInitialKernel:
         assert np.any(kern.probs == 0.0)
         with pytest.raises(ValueError, match="strictly positive"):
             solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=kern)
+
+    @pytest.mark.parametrize("delay, config", [
+        (1, SolverConfig(lam=4.0)),
+        (2, SolverConfig(lam=4.0, delay=2)),
+        (1, SolverConfig(lam=4.0, feedforward_map=FeedForwardMap.constant(2))),
+    ], ids=["newest-symbol", "two-newest", "map-class"])
+    def test_non_causal_kernel_rejected(self, delay, config):
+        # the parent solve used such a table as given; its context table is
+        # another kernel, so it is refused rather than replaced
+        fmap = None if config.feedforward_map is None else config.feedforward_map.table
+        kern = non_causal_kernel(2, 2, 2, delay, fmap)
+        with pytest.raises(ValueError, match="initial kernel depends on source symbols"):
+            solve(self.SRC, hamming_tensor(2), config, initial_kernel=kern)
+
+    def test_causal_kernel_within_tolerance_accepted(self):
+        kern = CausalKernel.uniform(2, 2, 2)
+        probs = kern.probs.copy()
+        probs[1] += [1e-13, -1e-13, 0.0, 0.0]  # a newest-symbol row, off by rounding
+        nudged = CausalKernel(2, 1, 2, 2, probs, kern.factors)
+        a = solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=kern)
+        b = solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=nudged)
+        assert (a.R, a.D, a.iterations) == (b.R, b.D, b.iterations)
 
     @pytest.mark.parametrize("lam, delay, ff_map", [
         (4.0, 1, None), (6.0, 2, None), (3.0, 1, FeedForwardMap.parity(3)),

@@ -59,8 +59,8 @@ def test_factorization_matches_full_table_reference(shape, data):
 @pytest.mark.parametrize("map_name", MAPS)
 @pytest.mark.parametrize("s", [1, 2, 7])
 def test_factorization_of_large_tables_matches_reference(s, map_name):
-    """n = 7 levels are large enough to be divided and multiplied one x̂_i
-    slice at a time."""
+    """Block length 7, beyond the random shapes above: levels of up to
+    8,192 entries."""
     rng = np.random.default_rng(s)
     joint = _joint_with_zeros(rng, 2, 2, 7, 0.3)
     fmap = _map_table(map_name, 2)
@@ -114,8 +114,8 @@ def _certificate_map(n, lam):
     ctx = _Contexts.of(n, 2, 2, 1, None)
 
     def g(x):
-        return ctx.full(_step(x.reshape(2**n, 2**n), cert.p_prime_table, source.probs,
-                              ctx).q_next).ravel()
+        return ctx.full(_step(ctx.table(x.reshape(2**n, 2**n)), cert.p_prime_table,
+                              source.probs, ctx).q_next).ravel()
     return g, np.full(4**n, 2.0**-n)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
 from .prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint
-from .solver import RatePoint, SolverConfig, solve
+from .solver import RatePoint, SolverConfig, _solve_lockstep, solve
 
 
 def default_lambda_grid(count: int = 24, low: float = 2.0**-3, high: float = 2.0**5) -> np.ndarray:
@@ -73,6 +73,14 @@ def _warm_start(kernel: CausalKernel) -> CausalKernel:
     return causal_kernel_from_joint(joint, kernel.delay, kernel.ff_map)
 
 
+#: Cells (|X|^n * |X̂|^n per point) of the stack of cold points ``sweep``
+#: steps together.  Per point, a step of a stack this large costs a fraction
+#: of a lone step at n <= 6, where numpy's per-call overhead dominates;
+#: tables of this size or more are solved one at a time (``BENCH_8.json``,
+#: ``budget``).
+_STACK_CELLS = 2**14
+
+
 def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
           lambda_grid=None, config: SolverConfig | None = None,
           initial_context=None) -> RdCurve:
@@ -86,6 +94,13 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     flat part of the curve.  Points above that one are exactly the cold
     solves.  A weight listed twice is solved once.
 
+    The cold solves are independent, so they run in lockstep
+    (``solver._solve_lockstep``): as many weights at a time, largest first,
+    as fit ``_STACK_CELLS`` table cells, and at least one.  Once a point of
+    the stack certifies rate 0, the smaller weights leave it and the warm
+    chain takes over.  Every point is bit for bit the one a solve of its
+    own gives.
+
     ``config`` supplies everything but the weight (tolerance, iteration cap,
     delay, feed-forward map); ``initial_context`` is passed to the
     distortion-tensor builder for windowed measures.
@@ -96,13 +111,24 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
     lams = [float(lam) for lam in lambda_grid]
+    order = sorted(set(lams), reverse=True)
+    width = max(1, _STACK_CELLS // dist.values.size)
     solved: dict[float, RatePoint] = {}
     start = None
-    for lam in sorted(set(lams), reverse=True):
+    while start is None and len(solved) < len(order):
+        chunk = order[len(solved):len(solved) + width]
+        points = _solve_lockstep(source, dist, [replace(base, lam=lam) for lam in chunk],
+                                 [None] * len(chunk), cut_at_zero_rate=True)
+        for lam, pt in zip(chunk, points):
+            if pt is None:
+                break
+            solved[lam] = pt
+            if pt.lower_bound <= 0.0:
+                start = _warm_start(pt.kernel)
+    for lam in order[len(solved):]:
         pt = solve(source, dist, replace(base, lam=lam), initial_kernel=start)
         solved[lam] = pt
-        if start is not None or pt.lower_bound <= 0.0:
-            start = _warm_start(pt.kernel)
+        start = _warm_start(pt.kernel)
     deduped = _dedup_sorted([solved[lam] for lam in lams])
     return RdCurve(n=n, points=tuple(deduped),
                    configs=tuple(replace(base, lam=pt.lam) for pt in deduped))

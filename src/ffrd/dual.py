@@ -251,13 +251,12 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     for _ in range(warmup):
         q = _step(q, weight, p, ctx).q_next
 
-    # Anderson acceleration runs on the full table, whose rows repeat the
-    # context table; the step reads the context table as a strided view
+    # Anderson acceleration runs on the kernel's context table
     def kernel_map(x):
-        return ctx.full(_step(ctx.table(x.reshape(A**n, B**n)), weight, p, ctx).q_next).ravel()
+        return _step(x.reshape(q.shape), weight, p, ctx).q_next.ravel()
 
-    x = _anderson(kernel_map, ctx.full(q).ravel(), max(0, max_iters - warmup), tol)
-    last = _step(ctx.table(x.reshape(A**n, B**n)), weight, p, ctx)
+    x = _anderson(kernel_map, q.ravel(), max(0, max_iters - warmup), tol)
+    last = _step(x.reshape(q.shape), weight, p, ctx)
     last.r[~support] = float(B) ** (-n)
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if worst > tight_tol:

@@ -275,23 +275,31 @@ class _Contexts(NamedTuple):
         return table[first]
 
 
-def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
-    """Causal factorization of a joint on the context table.
+def _context_factors(joints: np.ndarray, ctx: _Contexts):
+    """Causal factorization of a stack of joints on the context table.
 
-    Returns (table, factors, mass): the kernel and N_n, the joint mass of
-    each context, both as (Z^{n-s}, |X̂|^n) context tables, and the factors
-    of :func:`causal_factors_from_joint`.
+    ``joints`` holds L joint tables, one per member of the stack, with the
+    member axis first.  Returns (table, factors, mass): the kernels and N_n,
+    the joint mass of each context, as (L, Z^{n-s}, |X̂|^n) context tables,
+    and the factors of :func:`causal_factors_from_joint` with the member
+    axis first.  Every operation acts on each member as on a lone table, so
+    a member's results are those of its own factorization bit for bit.
     """
     n, A, B, s, Z, rows, bins = ctx
+    L = joints.shape[0]
     c_n = n - s
-    N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
+    N = joints.reshape(L, A**c_n, A**s, B**n).sum(axis=2)
     if bins is not None:
-        # each class sums its prefixes in prefix order
-        N = np.bincount(bins, N.ravel(), Z**c_n * B**n).reshape(Z**c_n, B**n)
+        # each class sums its prefixes in prefix order; members use
+        # disjoint ranges of the bins
+        size = Z**c_n * B**n
+        if L > 1:
+            bins = (np.arange(0, L * size, size)[:, None] + bins).ravel()
+        N = np.bincount(bins, N.ravel(), L * size).reshape(L, Z**c_n, B**n)
     mass = N
     # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
     # gives the next level's numerator in its factor's axes
-    N = N.reshape((Z,) * c_n + (B,) * n)
+    N = N.reshape((L,) + (Z,) * c_n + (B,) * n)
     factors = [None] * n
     for i in range(n, 0, -1):
         c = max(i - s, 0)
@@ -307,13 +315,13 @@ def _context_factors(joint_table: np.ndarray, ctx: _Contexts):
             factors[i - 1] = N / (D + empty)[..., None]
             factors[i - 1][empty] = 1.0 / B
         # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
-        N = D.sum(axis=c - 1) if c else D
+        N = D.sum(axis=c) if c else D
     table = factors[0]
     for i in range(2, n + 1):
         c = max(i - s, 0)
-        shape = (Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-        table = factors[i - 1].reshape(shape) * table.reshape(shape[0], 1, shape[2], 1)
-    return table.reshape(Z**c_n, B**n), factors, mass
+        shape = (L, Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
+        table = factors[i - 1].reshape(shape) * table.reshape(shape[:2] + (1, shape[3], 1))
+    return table.reshape(L, Z**c_n, B**n), factors, mass
 
 
 def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s: int,
@@ -335,10 +343,9 @@ def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s
     context (f(x)^{n-s}, x̂^n).
     """
     ctx = _Contexts.of(n, A, B, s, fmap)
-    table, factors, mass = _context_factors(joint_table, ctx)
-    if ctx.rows is not None:
-        mass = mass[ctx.rows]
-    return ctx.full(table), factors, mass
+    table, factors, mass = _context_factors(joint_table[None], ctx)
+    mass = mass[0] if ctx.rows is None else mass[0, ctx.rows]
+    return ctx.full(table[0]), [f[0] for f in factors], mass
 
 
 def causal_kernel_from_joint(joint: JointBlockPmf, s: int,

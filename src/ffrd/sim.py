@@ -245,12 +245,14 @@ def _lambda_for_distortion(source, dist, target_D: float, delay: int,
                            tol: float = 1e-4) -> RatePoint:
     """Bisect the Lagrange weight so the solved distortion hits the target
     (solved distortion is nonincreasing in the weight); returns the point
-    solved at the weight found."""
+    solved at the weight found.  Once the midpoint rounds onto an end of the
+    bracket, every later probe would be at that same weight, so the point
+    just solved is returned."""
     lo, hi = 0.0, 64.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         point = solve(source, dist, SolverConfig(lam=mid, delay=delay, epsilon=1e-8))
-        if abs(point.D - target_D) < tol:
+        if abs(point.D - target_D) < tol or mid in (lo, hi):
             return point
         if point.D > target_D:
             lo = mid

@@ -13,6 +13,7 @@ and upper bounds on the rate by exactly F/n).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -129,25 +130,39 @@ class RatePoint:
 
 
 class _Step(NamedTuple):
-    """One alternating-minimization step taken from a kernel context table q."""
+    """One alternating-minimization step taken from a stack of kernel context
+    tables q, member axis first, or from one table when taken by ``_step``."""
 
     r: np.ndarray  # channel: the rows of q * weight, normalized
     rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
     joint: np.ndarray  # p * r
     q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
-    # the rest only when the step is given the distortion values
-    log_max_c: float | None = None  # max log2 c over contexts carrying joint mass
-    mean_logc: float | None = None  # E[log2 c] under the joint
-    D: float | None = None
+    # the rest only when the step is given the distortion values; a stack
+    # holds one Python float per member
+    log_max_c: float | list | None = None  # max log2 c over contexts carrying joint mass
+    mean_logc: float | list | None = None  # E[log2 c] under the joint
+    D: float | list | None = None
+
+    def member(self, j: int) -> "_Step":
+        """The lone step of member j of a stack."""
+        stats = (None,) * 3 if self.D is None else \
+            (self.log_max_c[j], self.mean_logc[j], self.D[j])
+        return _Step(self.r[j], self.rows[j], self.joint[j], self.q_next[j],
+                     [f[j] for f in self.factors], *stats)
 
     def diagnostics(self, p: np.ndarray, lam: float, n: int, k: int) -> IterationDiagnostics:
-        """Stopping statistic, Lagrangian and rate bounds of a tilt step."""
-        base = -lam * self.D - float(p @ np.log2(self.rows))
-        upper = (base - self.mean_logc) / n
-        lower = (base - self.log_max_c) / n
-        return IterationDiagnostics(k, self.log_max_c - self.mean_logc,
-                                    n * upper + lam * self.D, self.D, lower, upper)
+        """Stopping statistic, Lagrangian and rate bounds of a lone tilt step."""
+        return _diagnostics(p, lam, n, k, self.rows, self.log_max_c, self.mean_logc, self.D)
+
+
+def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, rows: np.ndarray,
+                 log_max_c: float, mean_logc: float, D: float) -> IterationDiagnostics:
+    """Stopping statistic, Lagrangian and rate bounds from one tilt step's values."""
+    base = -lam * D - float(p @ np.log2(rows))
+    upper = (base - mean_logc) / n
+    lower = (base - log_max_c) / n
+    return IterationDiagnostics(k, log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
 
 
 def _channel(q: np.ndarray, weight: np.ndarray):
@@ -158,39 +173,52 @@ def _channel(q: np.ndarray, weight: np.ndarray):
     return num, rows
 
 
-def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-          dvals: np.ndarray | None = None) -> _Step:
-    """Channel update r = q * weight / rows, then the causal kernel of p * r.
+def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
+                dvals: np.ndarray | None = None) -> _Step:
+    """Channel update r = q * weight / rows, then the causal kernel of p * r,
+    for a stack of L kernels at once.
 
-    q is the kernel's (Z^{n-s}, |X̂|^n) context table (see
-    ``prob._Contexts``); the channel broadcasts it over the s newest source
-    symbols, which is the product with the full table entry by entry.  The
-    weight is the tilt 2^{-lam d} in the solver and p' in certificate
-    reconstruction.
+    q holds the kernels' (Z^{n-s}, |X̂|^n) context tables (see
+    ``prob._Contexts``) as an (L, Z^{n-s}, |X̂|^n) array.  The channel
+    broadcasts each over the s newest source symbols, which is the product
+    with the full table entry by entry.  The weight is one (|X|^n, |X̂|^n)
+    table for every member or an (L, |X|^n, |X̂|^n) stack: the tilt
+    2^{-lam d} in the solver, p' in certificate reconstruction.  Each member
+    goes through the operations of a lone step, and its sums and dot
+    products run over its own entries, so its results are those of a lone
+    step bit for bit.
 
-    Given the distortion values the step also returns, for c = q_next / q
-    on the context table, the max of log2 c over contexts with positive
-    joint mass N_n, the mean of log2 c under the joint, sum N_n log2 c, and
-    D.  Kernel entries on abandoned branches can underflow to exact zero;
-    their contexts carry no joint mass and are left out of both the max and
-    the mean (restricted-support convention).
+    Given the distortion values the step also returns, per member and for
+    c = q_next / q on the context table, the max of log2 c over contexts
+    with positive joint mass N_n, the mean of log2 c under the joint,
+    sum N_n log2 c, and D.  Kernel entries on abandoned branches can
+    underflow to exact zero; their contexts carry no joint mass and are left
+    out of both the max and the mean (restricted-support convention).
     """
     n, A, B, s = ctx.n, ctx.A, ctx.B, ctx.s
-    src = q if ctx.rows is None else q.take(ctx.rows, axis=0)
+    L = q.shape[0]
+    src = q if ctx.rows is None else q.take(ctx.rows, axis=1)
     shape = (A ** (n - s), A**s, B**n)
-    r, rows = _channel(src[:, None, :], weight.reshape(shape))
+    r, rows = _channel(src[:, :, None, :], weight.reshape((-1,) + shape))
     joint = p.reshape(shape[:2] + (1,)) * r
     q_next, factors, mass = _context_factors(joint, ctx)
-    r, rows, joint = r.reshape(A**n, B**n), rows.reshape(A**n), joint.reshape(A**n, B**n)
+    r, rows, joint = (r.reshape(L, A**n, B**n), rows.reshape(L, A**n),
+                      joint.reshape(L, A**n, B**n))
     if dvals is None:
         return _Step(r, rows, joint, q_next, factors)
     live = mass > 0.0
-    logc = np.divide(q_next, q, out=np.ones_like(q), where=live)
+    logc = np.divide(q_next, q, out=np.ones(q.shape), where=live)
     np.log2(logc, out=logc)
-    log_max_c = float(logc.max(where=live, initial=-np.inf))
-    mean_logc = float(mass.ravel() @ logc.ravel())
-    D = float((joint * dvals).sum())
+    log_max_c = logc.max(axis=(1, 2), where=live, initial=-np.inf).tolist()
+    mean_logc = [float(m @ c) for m, c in zip(mass.reshape(L, -1), logc.reshape(L, -1))]
+    D = (joint * dvals).sum(axis=(1, 2)).tolist()
     return _Step(r, rows, joint, q_next, factors, log_max_c, mean_logc, D)
+
+
+def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
+          dvals: np.ndarray | None = None) -> _Step:
+    """:func:`_step_stack` from one (Z^{n-s}, |X̂|^n) context table q."""
+    return _step_stack(q[None], weight, p, ctx, dvals).member(0)
 
 
 def update_r(kernel: CausalKernel, distortion: DistortionTensor, lam: float) -> ForwardChannel:
@@ -285,8 +313,31 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     kernel must match the solve's block length, delay, alphabets and
     feed-forward map, be strictly positive, so that the bounds hold from the
     first iterate, and be causal: constant over the source symbols its
-    contexts do not see.  Only its table is used.
+    contexts do not see.  Only its table is used.  The iteration is that of
+    every solve the package runs, a lockstep of one (``_solve_lockstep``).
     """
+    return _solve_lockstep(source, distortion, [config], [initial_kernel])[0]
+
+
+def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: list,
+                    kernels: list, cut_at_zero_rate: bool = False) -> list:
+    """Solve one point per config, as :func:`solve` would, stepping all of
+    them together as one stack of context tables.
+
+    The configs share the delay and the feed-forward map and may differ in
+    the weight, tolerance and iteration cap; ``kernels`` holds one initial
+    kernel or None per config.  All members take their k-th step together;
+    a member leaves the stack when F drops below its tolerance or it reaches
+    its cap, and its RatePoint is built then.  Every member's iterates, and
+    so its point, are bit for bit those of its own solve.
+
+    With ``cut_at_zero_rate`` the configs are taken in order (``sweep``
+    passes them by descending weight): a member that finishes with a lower
+    bound <= 0 takes every later member out of the stack, and their entries
+    in the returned list are None.  The entries that stay are the points
+    before the first one whose lower bound is <= 0, and that point.
+    """
+    config = configs[0]
     _check_inputs(source, distortion, config.feedforward_map)
     n, A = source.n, source.src_alphabet_size
     B = distortion.rec_alphabet_size
@@ -295,35 +346,69 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     ctx = _Contexts.of(n, A, B, s, fmap)
     p = source.probs
     dvals = distortion.values
-    tilt = np.exp2(-config.lam * dvals)
 
-    # the kernel is kept as its context table; the full table is built once
-    if initial_kernel is None:
-        q = np.full((ctx.Z ** (n - s), B**n), float(B) ** (-n))
-    else:
-        q = _kernel_table(initial_kernel, ctx, "initial kernel")
-        _check_initial_kernel(initial_kernel, s, fmap)
-    rows = _trace_buffer(config.max_iters)
-    converged = False
-    for k in range(1, config.max_iters + 1):
-        st = _step(q, tilt, p, ctx, dvals)
-        diag = st.diagnostics(p, config.lam, n, k)
-        rows = _record(rows, diag)
-        q = st.q_next
-        if diag.F < config.epsilon:
-            converged = True
-            break
+    # kernels are kept as context tables; the full table is built once each
+    q = np.empty((len(configs), ctx.Z ** (n - s), B**n))
+    for j, kernel in enumerate(kernels):
+        if kernel is None:
+            q[j] = float(B) ** (-n)
+        else:
+            q[j] = _kernel_table(kernel, ctx, "initial kernel")
+            _check_initial_kernel(kernel, s, fmap)
+    tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
+    members = list(range(len(configs)))  # config index of each stack member
+    traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
+    points: list = [None] * len(configs)
+    for k in itertools.count(1):
+        st = _step_stack(q, tilt, p, ctx, dvals)
+        left = []  # stack positions of the members that finish at this step
+        for pos, j in enumerate(members):
+            cfg = configs[j]
+            diag = _diagnostics(p, cfg.lam, n, k, st.rows[pos], st.log_max_c[pos],
+                                st.mean_logc[pos], st.D[pos])
+            traces[j] = _record(traces[j], diag)
+            if diag.F < cfg.epsilon or k == cfg.max_iters:
+                left.append(pos)
+                points[j] = _point(st.member(pos), diag, cfg, ctx, fmap, traces[j],
+                                   own=len(members) > 1)
+        if not left:
+            q = st.q_next
+            continue
+        out = set(left)
+        if cut_at_zero_rate:
+            zero = [members[pos] for pos in left if points[members[pos]].lower_bound <= 0.0]
+            if zero:
+                first = min(zero)
+                points[first + 1:] = [None] * (len(points) - first - 1)
+                out.update(pos for pos, j in enumerate(members) if j > first)
+        keep = [pos for pos in range(len(members)) if pos not in out]
+        if not keep:
+            return points
+        members = [members[pos] for pos in keep]
+        q, tilt = st.q_next[keep], tilt[keep]
 
-    channel = ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=st.r)
-    kernel = CausalKernel(n, s, A, B, ctx.full(q), tuple(st.factors),
+
+def _point(st: _Step, diag: IterationDiagnostics, config: SolverConfig, ctx: _Contexts,
+           fmap: np.ndarray | None, trace: np.ndarray, own: bool) -> RatePoint:
+    """The RatePoint of a solve whose last step is ``st`` with record ``diag``.
+
+    ``own`` copies the channel and the factors out of the step's stack, so
+    the point does not keep the other members' tables alive.
+    """
+    r, factors = st.r, st.factors
+    if own:
+        r, factors = r.copy(), [f.copy() for f in factors]
+    channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
+                             probs=r)
+    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, ctx.full(st.q_next), tuple(factors),
                           None if fmap is None else np.asarray(fmap))
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite
     # when abandoned branches have underflowed.
-    return RatePoint(lam=config.lam, D=diag.D, R=max(diag.upper_bound, 0.0), iterations=diag.k,
-                     converged=converged, channel=channel, kernel=kernel,
-                     F_final=diag.F, lower_bound=diag.lower_bound,
-                     upper_bound=diag.upper_bound, trace=_trace_array(rows[:diag.k]))
+    return RatePoint(lam=config.lam, D=diag.D, R=max(diag.upper_bound, 0.0),
+                     iterations=diag.k, converged=diag.F < config.epsilon, channel=channel,
+                     kernel=kernel, F_final=diag.F, lower_bound=diag.lower_bound,
+                     upper_bound=diag.upper_bound, trace=_trace_array(trace[:diag.k]))
 
 
 def solve_classical(source: BlockSource, distortion: DistortionTensor,

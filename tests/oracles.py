@@ -11,6 +11,7 @@ and one tree at a time, with ``Generator.choice`` for every draw.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -334,3 +335,20 @@ def anderson_stacked(g, x, iters, tol, memory=5):
         else:
             x = x_new
     return x
+
+
+# --- serial sweep -------------------------------------------------------------
+
+def sweep_serial(solve, warm_start, source, distortion, lambda_grid, base):
+    """The points of a sweep solved one at a time, from the largest weight
+    down: cold until a point's lower bound reaches 0, then each from the
+    previous point's kernel passed through ``warm_start``.  ``solve`` and
+    ``warm_start`` are the package's, passed in; returns {lam: point}."""
+    solved = {}
+    start = None
+    for lam in sorted({float(lam) for lam in lambda_grid}, reverse=True):
+        point = solve(source, distortion, replace(base, lam=lam), initial_kernel=start)
+        solved[lam] = point
+        if start is not None or point.lower_bound <= 0.0:
+            start = warm_start(point.kernel)
+    return solved

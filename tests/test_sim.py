@@ -354,3 +354,21 @@ def test_monte_carlo_solves_each_lambda_once(monkeypatch):
     assert len(solved) == len(set(solved))
     assert rep.rate == solve(block_pmf(SourceSpec.iid(0.5), 2), distortion_tensor(HAMMING, 2),
                              SolverConfig(lam=solved[-1], delay=1, epsilon=1e-8)).R
+
+
+def test_bisection_stops_once_the_bracket_collapses(monkeypatch):
+    """Target 0.08 lies below the least distortion of the n = 2 `stock`
+    curve (0.1), so the bisection climbs to lam = 64; it solves there once
+    and returns that point instead of probing the same weight again."""
+    solved = []
+
+    def recording(source, dist, config, *args, **kwargs):
+        solved.append(config.lam)
+        return solve(source, dist, config, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "solve", recording)
+    source = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+    dist = distortion_tensor(DistortionSpec.stock(), 2)
+    point = sim._lambda_for_distortion(source, dist, 0.08, delay=1)
+    assert len(solved) == len(set(solved)) == 54
+    assert point.lam == solved[-1] == 64.0

@@ -118,7 +118,7 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     while start is None and len(solved) < len(order):
         chunk = order[len(solved):len(solved) + width]
         points = _solve_lockstep(source, dist, [replace(base, lam=lam) for lam in chunk],
-                                 [None] * len(chunk), cut_at_zero_rate=True)
+                                 [None] * len(chunk))
         for lam, pt in zip(chunk, points):
             if pt is None:
                 break

@@ -131,15 +131,20 @@ class RatePoint:
 
 class _Step(NamedTuple):
     """One alternating-minimization step taken from a stack of kernel context
-    tables q, member axis first, or from one table when taken by ``_step``."""
+    tables q, member axis first.
+
+    A step of a stack holds its statistics as lists of one Python float per
+    member.  ``member(j)``, and so ``_step``, gives the lone step of one
+    member: its arrays without the member axis and its statistics as floats.
+    ``diagnostics`` reads a lone step.
+    """
 
     r: np.ndarray  # channel: the rows of q * weight, normalized
     rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
     joint: np.ndarray  # p * r
     q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
-    # the rest only when the step is given the distortion values; a stack
-    # holds one Python float per member
+    # the rest only when the step is given the distortion values
     log_max_c: float | list | None = None  # max log2 c over contexts carrying joint mass
     mean_logc: float | list | None = None  # E[log2 c] under the joint
     D: float | list | None = None
@@ -209,9 +214,14 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     live = mass > 0.0
     logc = np.divide(q_next, q, out=np.ones(q.shape), where=live)
     np.log2(logc, out=logc)
-    log_max_c = logc.max(axis=(1, 2), where=live, initial=-np.inf).tolist()
-    mean_logc = [float(m @ c) for m, c in zip(mass.reshape(L, -1), logc.reshape(L, -1))]
-    D = (joint * dvals).sum(axis=(1, 2)).tolist()
+    if L == 1:  # whole-array reductions, without per-member lists to build
+        log_max_c = [float(logc.max(where=live, initial=-np.inf))]
+        mean_logc = [float(mass.ravel() @ logc.ravel())]
+        D = [float((joint[0] * dvals).sum())]
+    else:
+        log_max_c = logc.max(axis=(1, 2), where=live, initial=-np.inf).tolist()
+        mean_logc = [float(m @ c) for m, c in zip(mass.reshape(L, -1), logc.reshape(L, -1))]
+        D = (joint * dvals).sum(axis=(1, 2)).tolist()
     return _Step(r, rows, joint, q_next, factors, log_max_c, mean_logc, D)
 
 
@@ -320,7 +330,7 @@ def solve(source: BlockSource, distortion: DistortionTensor,
 
 
 def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: list,
-                    kernels: list, cut_at_zero_rate: bool = False) -> list:
+                    kernels: list) -> list:
     """Solve one point per config, as :func:`solve` would, stepping all of
     them together as one stack of context tables.
 
@@ -331,11 +341,11 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     its cap, and its RatePoint is built then.  Every member's iterates, and
     so its point, are bit for bit those of its own solve.
 
-    With ``cut_at_zero_rate`` the configs are taken in order (``sweep``
-    passes them by descending weight): a member that finishes with a lower
-    bound <= 0 takes every later member out of the stack, and their entries
-    in the returned list are None.  The entries that stay are the points
-    before the first one whose lower bound is <= 0, and that point.
+    The configs are taken in order, as ``sweep`` passes them by descending
+    weight: a member that finishes with a lower bound <= 0 takes every later
+    member out of the stack, finished or not, and their entries in the
+    returned list are None.  The entries that stay are the points before the
+    first one whose lower bound is <= 0, and that point.
     """
     config = configs[0]
     _check_inputs(source, distortion, config.feedforward_map)
@@ -359,29 +369,27 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     members = list(range(len(configs)))  # config index of each stack member
     traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
     points: list = [None] * len(configs)
+    end = len(configs)  # members from this config index on are cut
     for k in itertools.count(1):
         st = _step_stack(q, tilt, p, ctx, dvals)
-        left = []  # stack positions of the members that finish at this step
+        finished = False
         for pos, j in enumerate(members):
             cfg = configs[j]
             diag = _diagnostics(p, cfg.lam, n, k, st.rows[pos], st.log_max_c[pos],
                                 st.mean_logc[pos], st.D[pos])
             traces[j] = _record(traces[j], diag)
             if diag.F < cfg.epsilon or k == cfg.max_iters:
-                left.append(pos)
+                finished = True
                 points[j] = _point(st.member(pos), diag, cfg, ctx, fmap, traces[j],
                                    own=len(members) > 1)
-        if not left:
+                if diag.lower_bound <= 0.0:
+                    end = j + 1  # the members after it are cut
+                    break
+        if not finished:
             q = st.q_next
             continue
-        out = set(left)
-        if cut_at_zero_rate:
-            zero = [members[pos] for pos in left if points[members[pos]].lower_bound <= 0.0]
-            if zero:
-                first = min(zero)
-                points[first + 1:] = [None] * (len(points) - first - 1)
-                out.update(pos for pos, j in enumerate(members) if j > first)
-        keep = [pos for pos in range(len(members)) if pos not in out]
+        points[end:] = [None] * (len(configs) - end)
+        keep = [pos for pos, j in enumerate(members) if j < end and points[j] is None]
         if not keep:
             return points
         members = [members[pos] for pos in keep]

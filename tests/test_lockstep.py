@@ -146,26 +146,25 @@ def test_zero_rate_cut_drops_finished_members_below():
     source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
     configs = [SolverConfig(lam=0.5, max_iters=60), SolverConfig(lam=0.4, max_iters=10),
                SolverConfig(lam=0.3, max_iters=10)]
-    points = _solve_lockstep(source, dist, configs, [None] * 3, cut_at_zero_rate=True)
+    points = _solve_lockstep(source, dist, configs, [None] * 3)
     assert points[1:] == [None, None]
     lone = solve(source, dist, configs[0])
     assert lone.lower_bound <= 0.0 and lone.iterations == 60
     _assert_same_point(points[0], lone)
-    # without the cut every member is its own solve
-    points = _solve_lockstep(source, dist, configs, [None] * 3)
-    for pt, cfg in zip(points, configs):
-        _assert_same_point(pt, solve(source, dist, cfg))
 
 
 def test_lockstep_members_with_initial_kernels_equal_their_solves():
+    """Members in descending weight, none of them at rate 0 before the
+    last, with their own initial kernels, tolerances and caps."""
     source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
     warm = _warm_start(solve(source, dist, SolverConfig(lam=2.0)).kernel)
-    configs = [SolverConfig(lam=1.0), SolverConfig(lam=4.0, epsilon=1e-8),
-               SolverConfig(lam=9.0, max_iters=3)]
+    configs = [SolverConfig(lam=9.0, max_iters=30), SolverConfig(lam=4.0, epsilon=1e-8),
+               SolverConfig(lam=1.0)]
     kernels = [warm, None, warm]
     points = _solve_lockstep(source, dist, configs, kernels)
     for pt, cfg, kernel in zip(points, configs, kernels):
         _assert_same_point(pt, solve(source, dist, cfg, initial_kernel=kernel))
+    assert all(pt.lower_bound > 0.0 for pt in points[:-1])
 
 
 def _traced_peak(fn):

@@ -211,8 +211,11 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
                       joint.reshape(L, A**n, B**n))
     if dvals is None:
         return _Step(r, rows, joint, q_next, factors)
-    live = mass > 0.0
-    logc = np.divide(q_next, q, out=np.ones(q.shape), where=live)
+    if np.count_nonzero(mass) == mass.size:  # every context is live: no mask
+        live, logc = True, q_next / q
+    else:
+        live = mass > 0.0
+        logc = np.divide(q_next, q, out=np.ones(q.shape), where=live)
     np.log2(logc, out=logc)
     if L == 1:  # whole-array reductions, without per-member lists to build
         log_max_c = [float(logc.max(where=live, initial=-np.inf))]

@@ -126,6 +126,21 @@ def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float)
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
 
 
+def _check_shapes(cert: DualCertificate, source: BlockSource,
+                  distortion: DistortionTensor | None = None) -> None:
+    """``ValueError`` naming the mismatch unless the source, and the distortion
+    tensor if given, have the certificate's n, |X| and |X̂|."""
+    n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
+    if (source.n, source.src_alphabet_size) != (n, A):
+        raise ValueError(f"certificate is for n={n}, |X|={A}, |X̂|={B}; "
+                         f"the source has n={source.n}, |X|={source.src_alphabet_size}")
+    if distortion is not None and \
+            (distortion.n, distortion.src_alphabet_size, distortion.rec_alphabet_size) != (n, A, B):
+        raise ValueError(f"certificate is for n={n}, |X|={A}, |X̂|={B}; the distortion "
+                         f"tensor is for n={distortion.n}, |X|={distortion.src_alphabet_size}, "
+                         f"|X̂|={distortion.rec_alphabet_size}")
+
+
 def check_feasibility(cert: DualCertificate, source: BlockSource,
                       distortion: DistortionTensor, tol: float = 1e-9) -> FeasibilityReport:
     """Verify the certificate's constraint in the log domain.
@@ -133,8 +148,10 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
     Checks every factor's per-context normalization and, for each block pair,
     log2 p + log2 gamma - lam*d - log2 p' <= 0.  The largest positive excess
     (in bits) is reported as ``max_violation``; entries where p' = 0 but the
-    left side has mass count as infinite violations.
+    left side has mass count as infinite violations.  The source and the
+    distortion tensor must have the certificate's n and alphabets.
     """
+    _check_shapes(cert, source, distortion)
     norm_err = 0.0
     for i, f in enumerate(cert.p_prime_factors, start=1):
         sums = f.sum(axis=i - 1)
@@ -230,10 +247,21 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
 
     The pair (r*, q*) at the optimum satisfies r* = p' q* / p row-wise, and
     q* is the causal kernel of p * r*; the channel is found as the fixed point
-    of that pair of relations, iterated from the uniform kernel.  If the
-    certificate is not tight the row sums of p' q / p drift from one and a
-    ``NonTightCertificateError`` is raised.
+    of that pair of relations, iterated from the uniform kernel.  Kernel
+    entries off the optimal support head to 0, where the plain map's tail is
+    slow, so the accelerated iteration runs in the log domain, on
+    y = 1 - log2 q of the kernel's context table (y >= 1 while q <= 1).
+
+    The certificate must be tight for this source, which two checks test
+    (``NonTightCertificateError`` otherwise).  The rows of p' q / p must sum
+    to one to within ``tight_tol``.  And wherever the channel has mass a
+    tight certificate has p' = p gamma 2^{-lam d} <= p gamma, so the excess
+    E_{p r}[(log2(p' / (p gamma)))^+] in bits, at most the stopping
+    statistic F of the solve behind the certificate, must not exceed
+    ``tight_tol``; a certificate for another source can pass the row test
+    and still fail this one.
     """
+    _check_shapes(cert, source)
     n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, 1, None)
     p = source.probs
@@ -251,17 +279,33 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     for _ in range(warmup):
         q = _step(q, weight, p, ctx).q_next
 
-    # Anderson acceleration runs on the kernel's context table
-    def kernel_map(x):
-        return _step(x.reshape(q.shape), weight, p, ctx).q_next.ravel()
+    # Anderson acceleration on y = 1 - log2 q.  On q its proposals for the
+    # entries that head to 0 turn negative and are refused; on y every
+    # proposal is a positive kernel, and the guard's y > 0 only asks q < 2.
+    tiny = np.finfo(float).tiny
 
-    x = _anderson(kernel_map, q.ravel(), max(0, max_iters - warmup), tol)
-    last = _step(x.reshape(q.shape), weight, p, ctx)
+    def to_y(table):
+        return 1.0 - np.log2(np.maximum(table, tiny)).ravel()
+
+    def to_q(y):
+        return np.exp2(1.0 - y).reshape(q.shape)
+
+    y = _anderson(lambda y: to_y(_step(to_q(y), weight, p, ctx).q_next), to_y(q),
+                  max(0, max_iters - warmup), tol)
+    last = _step(to_q(y), weight, p, ctx)
     last.r[~support] = float(B) ** (-n)
+    # "not <=" so that a NaN channel is refused too
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
-    if worst > tight_tol:
+    if not worst <= tight_tol:
         raise NonTightCertificateError(
             f"certificate is not tight: channel rows deviate by {worst:.3e}")
+    with np.errstate(divide="ignore"):  # log2 0 = -inf where p' = 0 is no excess
+        ratio = np.log2(weight[support] / (p * cert.gamma)[support, None])
+    excess = float(np.sum(last.joint[support] * np.maximum(ratio, 0.0)))
+    if not excess <= tight_tol:
+        raise NonTightCertificateError(
+            f"certificate is not tight: p' exceeds p * gamma by {excess:.3e} bits "
+            "on the channel's support")
     return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=last.r)
 
 

@@ -46,10 +46,8 @@ from .prob import (
     BlockSource,
     CausalKernel,
     ForwardChannel,
-    JointBlockPmf,
     SupportError,
     binary_entropy,
-    causal_kernel_from_joint,
     directed_information,
     kl_divergence,
 )
@@ -67,11 +65,7 @@ from .solver import (
     IterationDiagnostics,
     RatePoint,
     SolverConfig,
-    diagnostics,
     solve,
-    solve_classical,
-    update_q,
-    update_r,
 )
 
 __version__ = "0.1.0"
@@ -80,16 +74,15 @@ __all__ = [
     "BlockSource", "CausalKernel", "Codebook", "CodeTree", "DistortionSpec",
     "DistortionTensor", "DualCertificate", "FeasibilityReport",
     "FeedForwardMap", "ForwardChannel", "IterationDiagnostics",
-    "JointBlockPmf", "NonTightCertificateError", "RatePoint", "RdCurve",
-    "SimulationReport", "SolverConfig", "SourceSpec", "SupportError",
-    "apply_feedforward_map", "binary_entropy", "block_pmf",
-    "causal_kernel_from_joint", "certificate_from_solution",
-    "check_feasibility", "decode_walk", "default_lambda_grid", "diagnostics",
+    "NonTightCertificateError", "RatePoint", "RdCurve", "SimulationReport",
+    "SolverConfig", "SourceSpec", "SupportError", "apply_feedforward_map",
+    "binary_entropy", "block_pmf", "certificate_from_solution",
+    "check_feasibility", "decode_walk", "default_lambda_grid",
     "directed_information", "distortion_at_rate", "distortion_tensor",
     "dual_objective", "encode", "gamma_from_kernel", "iid_binary_rd",
     "inverse_binary_entropy", "kl_divergence", "markov_rn", "monte_carlo",
     "rate_at_distortion", "rate_estimator", "reconstruct_channel",
     "sample_code_tree", "sequence_distortion", "slope_at", "solve",
-    "solve_classical", "stationary_distribution", "stock_market_rd",
-    "subadditivity_check", "sweep", "update_q", "update_r",
+    "stationary_distribution", "stock_market_rd", "subadditivity_check",
+    "sweep",
 ]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
-from .prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint
+from .prob import CausalKernel, _context_factors, _Contexts
 from .solver import RatePoint, SolverConfig, _solve_lockstep, solve
 
 
@@ -69,8 +69,10 @@ def _warm_start(kernel: CausalKernel) -> CausalKernel:
     """
     n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
     table = (1.0 - WARM_START_MIX) * kernel.probs + WARM_START_MIX * float(B) ** (-n)
-    joint = JointBlockPmf(n, A, B, table / float(A) ** n)
-    return causal_kernel_from_joint(joint, kernel.delay, kernel.ff_map)
+    ctx = _Contexts.of(n, A, B, kernel.delay, kernel.ff_map)
+    mixed, factors, _ = _context_factors((table / float(A) ** n)[None], ctx)
+    return CausalKernel(n, kernel.delay, A, B, ctx.full(mixed[0]),
+                        tuple(f[0] for f in factors), kernel.ff_map)
 
 
 #: Cells (|X|^n * |X̂|^n per point) of the stack of cold points ``sweep``

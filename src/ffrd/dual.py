@@ -28,7 +28,7 @@ from .prob import (
     _Contexts,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _channel, _kernel_table, _step
+from .solver import RatePoint, _channel, _check_lam, _kernel_table, _step
 
 
 class NonTightCertificateError(ValueError):
@@ -52,8 +52,7 @@ class DualCertificate:
     p_prime_factors: tuple = field(repr=False)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        _check_lam(self.lam)
         g = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
         if g.shape != (self.src_alphabet_size**self.n,):
             raise ValueError("gamma must have one entry per source block")
@@ -107,7 +106,11 @@ class FeasibilityReport:
 
 def gamma_from_kernel(kernel: CausalKernel, distortion: DistortionTensor,
                       lam: float) -> np.ndarray:
-    """gamma(x^n) = (sum_{x̂^n} q(x̂^n||x^{n-s}) 2^{-lam d})^{-1}."""
+    """gamma(x^n) = (sum_{x̂^n} q(x̂^n||x^{n-s}) 2^{-lam d})^{-1}.
+
+    The distortion tensor must have the kernel's block length and alphabets.
+    """
+    _check_shapes("kernel", kernel, distortion=distortion)
     with np.errstate(divide="ignore", invalid="ignore"):
         _, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
     if not np.all(rows > 0):
@@ -117,6 +120,7 @@ def gamma_from_kernel(kernel: CausalKernel, distortion: DistortionTensor,
 
 def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float) -> float:
     """(1/n)(-lam*D + sum_x p(x^n) log2 gamma(x^n)) in bits per symbol."""
+    _check_lam(lam)
     g = np.asarray(gamma, dtype=float)
     if g.shape != source.probs.shape:
         raise ValueError(f"gamma has shape {g.shape}; the source needs one entry per "
@@ -126,17 +130,18 @@ def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float)
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
 
 
-def _check_shapes(cert: DualCertificate, source: BlockSource,
+def _check_shapes(what: str, table, source: BlockSource | None = None,
                   distortion: DistortionTensor | None = None) -> None:
-    """``ValueError`` naming the mismatch unless the source, and the distortion
-    tensor if given, have the certificate's n, |X| and |X̂|."""
-    n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
-    if (source.n, source.src_alphabet_size) != (n, A):
-        raise ValueError(f"certificate is for n={n}, |X|={A}, |X̂|={B}; "
+    """``ValueError`` naming the mismatch unless the source and the distortion
+    tensor, those given, have the block length and alphabets of ``table``
+    (a certificate or a kernel), which the message calls ``what``."""
+    n, A, B = table.n, table.src_alphabet_size, table.rec_alphabet_size
+    if source is not None and (source.n, source.src_alphabet_size) != (n, A):
+        raise ValueError(f"{what} is for n={n}, |X|={A}, |X̂|={B}; "
                          f"the source has n={source.n}, |X|={source.src_alphabet_size}")
     if distortion is not None and \
             (distortion.n, distortion.src_alphabet_size, distortion.rec_alphabet_size) != (n, A, B):
-        raise ValueError(f"certificate is for n={n}, |X|={A}, |X̂|={B}; the distortion "
+        raise ValueError(f"{what} is for n={n}, |X|={A}, |X̂|={B}; the distortion "
                          f"tensor is for n={distortion.n}, |X|={distortion.src_alphabet_size}, "
                          f"|X̂|={distortion.rec_alphabet_size}")
 
@@ -151,7 +156,7 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
     left side has mass count as infinite violations.  The source and the
     distortion tensor must have the certificate's n and alphabets.
     """
-    _check_shapes(cert, source, distortion)
+    _check_shapes("certificate", cert, source, distortion)
     norm_err = 0.0
     for i, f in enumerate(cert.p_prime_factors, start=1):
         sums = f.sum(axis=i - 1)
@@ -179,9 +184,12 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     gamma comes from the final kernel's tilted sums, deflated by the largest
     kernel-update ratio so the constraint holds exactly even short of the
     fixed point; p' is the reverse causal factorization of the final joint.
-    The resulting dual objective sits within F/n below the primal rate.
+    The resulting dual objective sits within F/n below the primal rate.  The
+    source and the distortion tensor must have the block length and
+    alphabets of the point's kernel.
     """
     q_star = point.kernel
+    _check_shapes("solution kernel", q_star, source, distortion)
     if q_star.delay != 1 or q_star.ff_map is not None:
         raise ValueError("certificates require a delay-1 solve without a feed-forward map")
     n, A = source.n, source.src_alphabet_size
@@ -261,7 +269,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     ``tight_tol``; a certificate for another source can pass the row test
     and still fail this one.
     """
-    _check_shapes(cert, source)
+    _check_shapes("certificate", cert, source)
     n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, 1, None)
     p = source.probs
@@ -311,6 +319,5 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
 
 def slope_at(lam: float, n: int) -> float:
     """Slope of the rate-distortion curve at the point swept by lam: -lam/n."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     return -lam / n

@@ -97,37 +97,6 @@ class ForwardChannel:
 
 
 @dataclass(frozen=True)
-class JointBlockPmf:
-    """Joint PMF p(x^n, x̂^n) stored as an |X|^n by |X̂|^n table."""
-
-    n: int
-    src_alphabet_size: int
-    rec_alphabet_size: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        j = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
-        if j.shape != (self.src_alphabet_size**self.n, self.rec_alphabet_size**self.n):
-            raise ValueError("joint table must be |X|^n by |X̂|^n")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("joint has non-finite entries")
-        if np.any(j < 0):
-            raise ValueError("joint has negative entries")
-        if abs(j.sum() - 1.0) > NORM_TOL:
-            raise ValueError("joint does not sum to 1")
-        object.__setattr__(self, "probs", j)
-
-    @staticmethod
-    def from_source_and_channel(source: "BlockSource", channel: "ForwardChannel") -> "JointBlockPmf":
-        return JointBlockPmf(
-            n=source.n,
-            src_alphabet_size=source.src_alphabet_size,
-            rec_alphabet_size=channel.rec_alphabet_size,
-            probs=source.probs[:, None] * channel.probs,
-        )
-
-
-@dataclass(frozen=True)
 class CausalKernel:
     """Causally conditioned PMF q(x̂^n || c^{n-s}).
 
@@ -159,12 +128,6 @@ class CausalKernel:
         object.__setattr__(self, "probs", q)
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    @property
-    def cond_alphabet_size(self) -> int:
-        if self.ff_map is None:
-            return self.src_alphabet_size
-        return int(np.max(self.ff_map)) + 1
-
     @staticmethod
     def uniform(n: int, src_alphabet_size: int, rec_alphabet_size: int, delay: int = 1,
                 ff_map: np.ndarray | None = None) -> "CausalKernel":
@@ -178,24 +141,6 @@ class CausalKernel:
         probs = np.full((A**n, B**n), float(B) ** (-n))
         return CausalKernel(n, delay, A, B, probs, tuple(factors),
                             None if ff_map is None else np.asarray(ff_map))
-
-    def depends_only_on_allowed(self, atol: float = 1e-12) -> bool:
-        """Check the table is constant in source symbols newer than x^{n-s}."""
-        A, B, n, s = self.src_alphabet_size, self.rec_alphabet_size, self.n, self.delay
-        t = self.probs.reshape((A,) * n + (B,) * n)
-        for ax in range(n - s, n):
-            sl0 = np.take(t, 0, axis=ax)
-            for v in range(1, A):
-                if not np.allclose(np.take(t, v, axis=ax), sl0, atol=atol):
-                    return False
-        if self.ff_map is not None:
-            fmap = np.asarray(self.ff_map)
-            for ax in range(n - s):
-                for a in range(A):
-                    b = int(np.argmax(fmap == fmap[a]))
-                    if not np.allclose(np.take(t, a, axis=ax), np.take(t, b, axis=ax), atol=atol):
-                        return False
-        return True
 
 
 def binary_entropy(p: float) -> float:
@@ -281,9 +226,18 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     ``joints`` holds L joint tables, one per member of the stack, with the
     member axis first.  Returns (table, factors, mass): the kernels and N_n,
     the joint mass of each context, as (L, Z^{n-s}, |X̂|^n) context tables,
-    and the factors of :func:`causal_factors_from_joint` with the member
-    axis first.  Every operation acts on each member as on a lone table, so
-    a member's results are those of its own factorization bit for bit.
+    and the kernels' factors (see ``CausalKernel``) with the member axis
+    first.  Every operation acts on each member as on a lone table, so a
+    member's results are those of its own factorization bit for bit.
+
+    Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
+    over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
+    x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
+    over x̂_i and, while i > s, over z_{i-s}.  Each level adds the x̂_i
+    slices of N_i for the context sums and divides once; conditioning
+    contexts carrying zero joint mass then get a uniform factor, which keeps
+    kernels strictly positive.  The kernel is the product of the factors,
+    one multiply per level.
     """
     n, A, B, s, Z, rows, bins = ctx
     L = joints.shape[0]
@@ -324,51 +278,21 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     return table.reshape(L, Z**c_n, B**n), factors, mass
 
 
-def causal_factors_from_joint(joint_table: np.ndarray, n: int, A: int, B: int, s: int,
-                              fmap: np.ndarray | None = None):
-    """Raw-array core of causal_kernel_from_joint (no dataclass validation).
-
-    Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
-    over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
-    x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
-    over x̂_i and, while i > s, over z_{i-s}.  Each level adds the x̂_i
-    slices of N_i for the context sums and divides once; conditioning
-    contexts carrying zero joint mass then get a uniform factor, which keeps
-    kernels strictly positive.  The kernel is the product of the factors, one
-    multiply per level, formed on the context table (see ``_Contexts``) and
-    spread over the source blocks.
-
-    Returns (full_table, factors, mass), where ``mass`` is N_n spread over
-    source prefixes: the (|X|^{n-s}, |X̂|^n) table of the joint mass of the
-    context (f(x)^{n-s}, x̂^n).
-    """
-    ctx = _Contexts.of(n, A, B, s, fmap)
-    table, factors, mass = _context_factors(joint_table[None], ctx)
-    mass = mass[0] if ctx.rows is None else mass[0, ctx.rows]
-    return ctx.full(table[0]), [f[0] for f in factors], mass
-
-
-def causal_kernel_from_joint(joint: JointBlockPmf, s: int,
-                             ff_map: np.ndarray | None = None) -> CausalKernel:
-    """Causally conditioned kernel q(x̂^n || x^{n-s}) induced by a joint PMF.
-
-    Each factor q_i(x̂_i | x̂^{i-1}, x^{i-s}) is the conditional marginal of
-    the joint; for s = n this reduces to plain marginalization to p(x̂^n).
-    With ``ff_map`` the conditioning symbols are z_j = f(x_j).
-    """
-    n, A, B = joint.n, joint.src_alphabet_size, joint.rec_alphabet_size
-    if not 1 <= s <= n:
-        raise ValueError("delay must satisfy 1 <= s <= n")
-    probs, factors, _ = causal_factors_from_joint(joint.probs, n, A, B, s, ff_map)
-    return CausalKernel(n, s, A, B, probs, tuple(factors),
-                        None if ff_map is None else np.asarray(ff_map))
-
-
 def directed_information(source: BlockSource, channel: ForwardChannel,
                          kernel: CausalKernel) -> float:
-    """I(X̂^n -> X^n) = E[ log2( r(x̂^n|x^n) / q(x̂^n||x^{n-s}) ) ] in bits."""
-    if kernel.probs.shape != channel.probs.shape:
-        raise ValueError("kernel/channel dimension mismatch")
+    """I(X̂^n -> X^n) = E[ log2( r(x̂^n|x^n) / q(x̂^n||x^{n-s}) ) ] in bits.
+
+    The channel must have the source's block length and alphabet, and the
+    kernel the channel's block length and alphabets (``ValueError`` naming
+    the mismatch otherwise).
+    """
+    if (channel.n, channel.src_alphabet_size) != (source.n, source.src_alphabet_size):
+        raise ValueError(f"channel is for n={channel.n}, |X|={channel.src_alphabet_size}; "
+                         f"the source has n={source.n}, |X|={source.src_alphabet_size}")
+    dims = [(t.n, t.src_alphabet_size, t.rec_alphabet_size) for t in (kernel, channel)]
+    if dims[0] != dims[1]:
+        raise ValueError("kernel is for n={}, |X|={}, |X̂|={}; the channel is for "
+                         "n={}, |X|={}, |X̂|={}".format(*dims[0], *dims[1]))
     w = source.probs[:, None] * channel.probs
     mask = w > 0
     q = kernel.probs

@@ -1,14 +1,18 @@
 """Alternating-minimization solver for the block rate-distortion trade-off
 with causal (feed-forward) reconstruction.
 
-For a Lagrange weight lam >= 0 the solver alternates between the closed-form
+For a Lagrange weight lam >= 0 every iteration is one step: the closed-form
 channel update
 
-    r(x̂^n|x^n) = q(x̂^n||x^{n-s}) 2^{-lam d} / sum_{x̂^n} q 2^{-lam d}
+    r(x̂^n|x^n) = q(x̂^n||x^{n-s}) 2^{-lam d} / sum_{x̂^n} q 2^{-lam d},
 
-and the causal-kernel update q = causal factorization of p*r, tracking the
-stopping statistic F (which bounds the gap between the per-iteration lower
-and upper bounds on the rate by exactly F/n).
+the causal-kernel update q = causal factorization of p*r, and the stopping
+statistic F (which bounds the gap between the per-iteration lower and upper
+bounds on the rate by exactly F/n).  The step is written once, in
+``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
+stack of solves.  ``solve`` runs it for one point and ``curves.sweep`` for a
+stack of points; the certificate and the channel reconstruction in ``dual``
+take the same step with their own weights.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ from .prob import (
     BlockSource,
     CausalKernel,
     ForwardChannel,
-    JointBlockPmf,
     NORM_TOL,
     _context_factors,
     _Contexts,
-    causal_kernel_from_joint,
 )
+
+
+def _check_lam(lam: float) -> None:
+    # every comparison with NaN is false, so NaN is refused too
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +55,16 @@ class SolverConfig:
     feedforward_map: FeedForwardMap | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        _check_lam(self.lam)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
+        # a whole float, as a JSON config file may give, is stored as an int;
+        # a fractional cap would never equal the iteration count
+        for name in ("max_iters", "delay"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.delay < 1:
@@ -136,7 +150,6 @@ class _Step(NamedTuple):
     A step of a stack holds its statistics as lists of one Python float per
     member.  ``member(j)``, and so ``_step``, gives the lone step of one
     member: its arrays without the member axis and its statistics as floats.
-    ``diagnostics`` reads a lone step.
     """
 
     r: np.ndarray  # channel: the rows of q * weight, normalized
@@ -155,10 +168,6 @@ class _Step(NamedTuple):
             (self.log_max_c[j], self.mean_logc[j], self.D[j])
         return _Step(self.r[j], self.rows[j], self.joint[j], self.q_next[j],
                      [f[j] for f in self.factors], *stats)
-
-    def diagnostics(self, p: np.ndarray, lam: float, n: int, k: int) -> IterationDiagnostics:
-        """Stopping statistic, Lagrangian and rate bounds of a lone tilt step."""
-        return _diagnostics(p, lam, n, k, self.rows, self.log_max_c, self.mean_logc, self.D)
 
 
 def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, rows: np.ndarray,
@@ -232,42 +241,6 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
           dvals: np.ndarray | None = None) -> _Step:
     """:func:`_step_stack` from one (Z^{n-s}, |X̂|^n) context table q."""
     return _step_stack(q[None], weight, p, ctx, dvals).member(0)
-
-
-def update_r(kernel: CausalKernel, distortion: DistortionTensor, lam: float) -> ForwardChannel:
-    """Closed-form channel minimizing the Lagrangian for a fixed kernel."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
-    if not np.all(rows > 0):
-        raise FloatingPointError("degenerate update denominator; kernel not positive?")
-    return ForwardChannel(n=kernel.n, src_alphabet_size=kernel.src_alphabet_size,
-                          rec_alphabet_size=kernel.rec_alphabet_size, probs=r)
-
-
-def update_q(source: BlockSource, channel: ForwardChannel, s: int,
-             ff_map: FeedForwardMap | None = None) -> CausalKernel:
-    """Causal kernel induced by the joint p*r — the minimizer over kernels."""
-    joint = JointBlockPmf.from_source_and_channel(source, channel)
-    return causal_kernel_from_joint(joint, s, None if ff_map is None else ff_map.table)
-
-
-def diagnostics(prev_kernel: CausalKernel, source: BlockSource,
-                distortion: DistortionTensor, lam: float, k: int) -> IterationDiagnostics:
-    """Stopping statistic, Lagrangian, and rate bounds of the iteration that
-    starts from ``prev_kernel``.
-
-    The bounds sandwich the true per-symbol rate at the realized distortion,
-    and upper - lower = F/n.  The kernel must be strictly positive and
-    causal (see ``_kernel_table``).
-    """
-    _check_inputs(source, distortion, None)
-    ctx = _Contexts.of(source.n, source.src_alphabet_size, distortion.rec_alphabet_size,
-                       prev_kernel.delay, prev_kernel.ff_map)
-    q = _kernel_table(prev_kernel, ctx, "previous kernel")
-    if np.any(prev_kernel.probs <= 0):
-        raise ValueError("previous kernel must be strictly positive")
-    st = _step(q, np.exp2(-lam * distortion.values), source.probs, ctx, distortion.values)
-    return st.diagnostics(source.probs, lam, source.n, k)
 
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
@@ -420,56 +393,3 @@ def _point(st: _Step, diag: IterationDiagnostics, config: SolverConfig, ctx: _Co
                      iterations=diag.k, converged=diag.F < config.epsilon, channel=channel,
                      kernel=kernel, F_final=diag.F, lower_bound=diag.lower_bound,
                      upper_bound=diag.upper_bound, trace=_trace_array(trace[:diag.k]))
-
-
-def solve_classical(source: BlockSource, distortion: DistortionTensor,
-                    config: SolverConfig) -> RatePoint:
-    """Textbook alternating minimization over the block (no feed-forward).
-
-    Maintains the reconstruction marginal m(x̂^n) directly — the special case
-    the causal solver reduces to at delay s = n — and is implemented
-    independently of :func:`solve` to serve as a regression reference.
-    """
-    _check_inputs(source, distortion, None)
-    n, A = source.n, source.src_alphabet_size
-    B = distortion.rec_alphabet_size
-    p = source.probs
-    dvals = distortion.values
-    tilt = np.exp2(-config.lam * dvals)
-
-    m = np.full(B**n, float(B) ** (-n))
-    rows = _trace_buffer(config.max_iters)
-    converged = False
-    r = None
-    for k in range(1, config.max_iters + 1):
-        num = m[None, :] * tilt
-        denom = num.sum(axis=1, keepdims=True)
-        r = num / denom
-        m_next = p @ r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logc = np.log2(m_next / m)
-        w = p[:, None] * r
-        finite = np.isfinite(logc)
-        mask = (w.sum(axis=0) > 0.0) & finite
-        log_max_c = float(np.max(logc[mask]))
-        wmask = (w > 0.0) & finite[None, :]
-        mean_logc = float((w[wmask] * np.broadcast_to(logc, w.shape)[wmask]).sum())
-        F = log_max_c - mean_logc
-        D = float((w * dvals).sum())
-        base = -config.lam * D - float(p @ np.log2(denom[:, 0]))
-        upper = (base - mean_logc) / n
-        lower = (base - log_max_c) / n
-        rows = _record(rows, IterationDiagnostics(k, F, n * upper + config.lam * D, D,
-                                                  lower, upper))
-        m = m_next
-        if F < config.epsilon:
-            converged = True
-            break
-
-    channel = ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=r)
-    kernel = causal_kernel_from_joint(
-        JointBlockPmf.from_source_and_channel(source, channel), n)
-    return RatePoint(lam=config.lam, D=D, R=max(upper, 0.0), iterations=k,
-                     converged=converged, channel=channel, kernel=kernel,
-                     F_final=F, lower_bound=lower, upper_bound=upper,
-                     trace=_trace_array(rows[:k]))

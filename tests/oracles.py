@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -241,7 +242,7 @@ def distortion_tensor_reference(table, m, A, B, n, initial_context=None):
 def causal_factors_full_table(joint_table, n, A, B, s, fmap=None):
     """The nested-marginal causal factorization with per-symbol slices:
     (full (|X|^n, |X̂|^n) kernel table, factors, context mass over source
-    prefixes), as ``causal_factors_from_joint`` returns them."""
+    prefixes)."""
     c_n = n - s
     N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
     if fmap is None:
@@ -305,6 +306,52 @@ def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
     upper = (base - mean_logc) / n
     lower = (base - log_max_c) / n
     return q_next, factors, (log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
+
+
+TRACE_FIELDS = ("k", "F", "K_value", "D", "lower_bound", "upper_bound")
+
+
+def solve_classical(p, dvals, lam, n, epsilon=1e-6, max_iters=100_000):
+    """Textbook alternating minimization over the block (no feed-forward).
+
+    Maintains the reconstruction marginal m(x̂^n) directly, the special case
+    the causal solver reduces to at delay s = n, from the uniform marginal,
+    for source table p and (|X|^n, |X̂|^n) distortion table dvals.  Returns
+    the final channel table r, the marginal m after it (the delay-n kernel,
+    the same for every source block), the trace, one row of ``TRACE_FIELDS``
+    per iteration, and the iterations, convergence (F < epsilon), D and
+    R = max(upper bound, 0) of the last iteration.
+    """
+    B_n = dvals.shape[1]
+    tilt = np.exp2(-lam * dvals)
+    m = np.full(B_n, 1.0 / B_n)
+    rows = []
+    for k in range(1, max_iters + 1):
+        num = m[None, :] * tilt
+        denom = num.sum(axis=1, keepdims=True)
+        r = num / denom
+        m_next = p @ r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logc = np.log2(m_next / m)
+        w = p[:, None] * r
+        finite = np.isfinite(logc)
+        mask = (w.sum(axis=0) > 0.0) & finite
+        log_max_c = float(np.max(logc[mask]))
+        wmask = (w > 0.0) & finite[None, :]
+        mean_logc = float((w[wmask] * np.broadcast_to(logc, w.shape)[wmask]).sum())
+        F = log_max_c - mean_logc
+        D = float((w * dvals).sum())
+        base = -lam * D - float(p @ np.log2(denom[:, 0]))
+        upper = (base - mean_logc) / n
+        lower = (base - log_max_c) / n
+        rows.append((k, F, n * upper + lam * D, D, lower, upper))
+        m = m_next
+        if F < epsilon:
+            break
+    trace = np.array(rows, dtype=[(name, np.int64 if name == "k" else np.float64)
+                                  for name in TRACE_FIELDS])
+    return SimpleNamespace(channel=r, marginal=m, trace=trace, iterations=k,
+                           converged=F < epsilon, D=D, R=max(upper, 0.0))
 
 
 def anderson_stacked(g, x, iters, tol, memory=5):

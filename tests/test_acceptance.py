@@ -39,9 +39,9 @@ from ffrd.models import (
 )
 from ffrd.prob import BlockSource, binary_entropy
 from ffrd.sim import monte_carlo
-from ffrd.solver import SolverConfig, solve, solve_classical
+from ffrd.solver import SolverConfig, solve
 
-from full_delay import assert_same_iterates
+from helpers import assert_same_iterates
 from oracles import random_instance
 
 MARKOV = SourceSpec.binary_markov(0.3, 0.2)
@@ -130,9 +130,7 @@ def test_08_full_delay_reduces_to_classical():
     source = block_pmf(SourceSpec.iid(0.3), 3)
     dist = distortion_tensor(HAMMING, 3)
     cfg = SolverConfig(lam=3.0, epsilon=1e-8, delay=3)
-    pt_block = solve(source, dist, cfg)
-    pt_marg = solve_classical(source, dist, cfg)
-    assert_same_iterates(source, dist, cfg, pt_block, pt_marg)
+    assert_same_iterates(source, dist, cfg, solve(source, dist, cfg))
     # with no source memory the per-symbol-history curve coincides with the
     # full-delay one
     grid = np.geomspace(0.5, 24, 12)

@@ -49,6 +49,12 @@ class TestSolveCommand:
     def test_missing_required_flag(self, capsys):
         assert run(["solve", "--source", "iid:0.5"]) == 1
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_named(self, lam, capsys):
+        # it used to take a step and fail on NaN channel rows
+        assert run(["solve", "--source", "iid:0.3", "--n", "2", "--lambda", lam]) == 1
+        assert "lam must be finite and >= 0" in capsys.readouterr().err
+
     def test_strict_nonconvergence(self, tmp_path):
         code = run(["solve", "--source", "markov:0.3,0.2", "--n", "3",
                     "--lambda", "9.216", "--max-iters", "2", "--strict",
@@ -162,6 +168,17 @@ class TestConfigFile:
         assert "R=0.0420731931 " in capsys.readouterr().out
         assert run(base) == 0
         assert "R=0.13419721 " in capsys.readouterr().out
+
+    def test_max_iters_from_file_must_be_whole(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        base = ["solve", "--source", "markov:0.3,0.2", "--n", "2", "--lambda", "4",
+                "--config", str(cfg)]
+        cfg.write_text(json.dumps({"max-iters": 64.5}))
+        assert run(base) == 1
+        assert "max_iters must be a whole number" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"max-iters": 3.0, "eps": 1e-14}))
+        assert run(base) == 0
+        assert "iterations=3 converged=0" in capsys.readouterr().out
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,15 +1,30 @@
-"""The demos run as scripts, with the package on PYTHONPATH."""
+"""The package as a user meets it: ``ffrd.__all__`` lists what it exports,
+and the demos run as scripts, with the package on PYTHONPATH."""
 
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import ffrd
 from ffrd import DistortionSpec, SourceSpec, monte_carlo
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_all_lists_the_exports():
+    names = ffrd.__all__
+    assert len(names) == len(set(names)), "a name is listed twice"
+    assert [name for name in names if not hasattr(ffrd, name)] == []
+    public = {name for name, value in vars(ffrd).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == public
+    namespace = {}
+    exec("from ffrd import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def run_demo(name):

@@ -19,6 +19,8 @@ from ffrd.models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import CausalKernel, reverse_causal_factors
 from ffrd.solver import SolverConfig, solve
 
+from helpers import kernel_from_joint
+
 
 def hamming_tensor(n):
     return distortion_tensor(DistortionSpec.hamming(), n)
@@ -80,6 +82,13 @@ class TestDualObjective:
         src = block_pmf(SourceSpec.iid(0.3), 2)
         with pytest.raises(ValueError, match="finite"):
             dual_objective(1.0, np.full(4, bad), src, 0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        # NaN gave a NaN bound
+        src = block_pmf(SourceSpec.iid(0.3), 2)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            dual_objective(lam, np.ones(4), src, 0.1)
 
     def test_wrong_length_gamma_rejected(self):
         src = block_pmf(SourceSpec.iid(0.3), 2)
@@ -153,6 +162,15 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             DualCertificate.from_json(json.dumps(payload))
 
+    def test_nan_lam_rejected(self, markov_converged):
+        # a NaN weight made every constraint comparison false, and the
+        # certificate was reported feasible
+        src, dist, pt = markov_converged
+        payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
+        payload["lam"] = float("nan")
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            DualCertificate.from_json(json.dumps(payload))
+
     def test_json_round_trip(self, markov_converged):
         src, dist, pt = markov_converged
         cert = certificate_from_solution(pt, src, dist)
@@ -186,9 +204,8 @@ class TestReconstruction:
         pt = solve(src, dist, SolverConfig(lam=0.0, epsilon=1e-12))
         cert = certificate_from_solution(pt, src, dist)
         ch = reconstruct_channel(cert, src)
-        from ffrd.prob import JointBlockPmf, causal_kernel_from_joint, directed_information
-        kern = causal_kernel_from_joint(
-            JointBlockPmf.from_source_and_channel(src, ch), 1)
+        from ffrd.prob import directed_information
+        kern = kernel_from_joint(src.probs[:, None] * ch.probs, 2, 2, 2, 1)
         assert directed_information(src, ch, kern) == pytest.approx(0.0, abs=1e-9)
 
     def test_non_tight_certificate_detected(self, markov_converged):
@@ -255,6 +272,19 @@ class TestShapeMismatch:
         with pytest.raises(ValueError, match=r"distortion tensor is for n=2, \|X\|=2"):
             check_feasibility(cert, src, hamming_tensor(2))
 
+    def test_certificate_names_the_tensor(self, markov_converged):
+        # numpy's reshape error was all that named it
+        src, _, pt = markov_converged
+        with pytest.raises(ValueError, match=r"solution kernel is for n=2, \|X\|=2, \|X̂\|=2; "
+                                             r"the distortion tensor is for n=3"):
+            certificate_from_solution(pt, src, hamming_tensor(3))
+
+    def test_gamma_names_the_tensor(self):
+        # numpy's broadcast error was all that named it
+        with pytest.raises(ValueError, match=r"kernel is for n=3, \|X\|=2, \|X̂\|=2; "
+                                             r"the distortion tensor is for n=2"):
+            gamma_from_kernel(CausalKernel.uniform(3, 2, 2), hamming_tensor(2), 1.0)
+
 
 class TestSlope:
     def test_reference_points(self):
@@ -265,3 +295,8 @@ class TestSlope:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             slope_at(-1.0, 3)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            slope_at(lam, 3)

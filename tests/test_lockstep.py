@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from ffrd import curves
 from ffrd.curves import _dedup_sorted, _warm_start, default_lambda_grid, sweep
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
-from ffrd.prob import JointBlockPmf, _Contexts, causal_kernel_from_joint
+from ffrd.prob import _Contexts
 from ffrd.solver import SolverConfig, _solve_lockstep, _step, _step_stack, solve
 
+from helpers import kernel_from_joint
 from oracles import sweep_serial
 
 SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)]
@@ -35,9 +36,8 @@ def _random_kernel_table(rng, ctx, ff_map, cell_zeros):
     joint = rng.dirichlet(np.ones(A**n * B**n)) * (rng.random(A**n * B**n) >= cell_zeros)
     if joint.sum() == 0.0:
         joint[rng.integers(joint.size)] = 1.0
-    kernel = causal_kernel_from_joint(
-        JointBlockPmf(n, A, B, (joint / joint.sum()).reshape(A**n, B**n)), ctx.s,
-        None if ff_map is None else ff_map.table)
+    kernel = kernel_from_joint((joint / joint.sum()).reshape(A**n, B**n), n, A, B, ctx.s,
+                               None if ff_map is None else ff_map.table)
     return ctx.table(kernel.probs)
 
 

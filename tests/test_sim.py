@@ -13,7 +13,7 @@ from ffrd.models import (
     block_pmf,
     distortion_tensor,
 )
-from ffrd.prob import CausalKernel, JointBlockPmf, causal_kernel_from_joint, sequence_digits
+from ffrd.prob import CausalKernel, sequence_digits
 from ffrd.sim import (
     Codebook,
     _sample_source,
@@ -25,6 +25,7 @@ from ffrd.sim import (
 )
 from ffrd.solver import SolverConfig, solve
 
+from helpers import kernel_from_joint
 from oracles import (
     decode_walk_loops,
     encode_loops,
@@ -44,9 +45,7 @@ def deterministic_kernel(n=3):
         xs = [(x >> (n - 1 - i)) & 1 for i in range(n)]
         hs = [0] + xs[:-1]
         probs[x, int("".join(map(str, hs)), 2)] = 1.0
-    joint = JointBlockPmf(n=n, src_alphabet_size=2, rec_alphabet_size=2,
-                          probs=np.full(2**n, 2.0**-n)[:, None] * probs)
-    return causal_kernel_from_joint(joint, 1)
+    return kernel_from_joint(np.full(2**n, 2.0**-n)[:, None] * probs, n, 2, 2, 1)
 
 
 class TestSampleCodeTree:
@@ -67,9 +66,7 @@ class TestSampleCodeTree:
         # kernel constant in x: the walk output cannot depend on the source
         rng = np.random.default_rng(3)
         m = rng.dirichlet(np.ones(4))
-        joint = JointBlockPmf(n=2, src_alphabet_size=2, rec_alphabet_size=2,
-                              probs=np.full(4, 0.25)[:, None] * m[None, :])
-        kern = causal_kernel_from_joint(joint, 1)
+        kern = kernel_from_joint(np.full(4, 0.25)[:, None] * m[None, :], 2, 2, 2, 1)
         tree = sample_code_tree(kern, 4, 5)
         outs = {tuple(decode_walk(tree, x)) for x in
                 (rng.integers(0, 2, 4) for _ in range(20))}
@@ -275,8 +272,7 @@ def test_array_simulator_matches_loops(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     fmap = None if map_name is None else getattr(FeedForwardMap, map_name)(A).table
     joint = rng.dirichlet(np.ones(A ** (2 * n))).reshape(A**n, A**n)
-    kern = causal_kernel_from_joint(
-        JointBlockPmf(n=n, src_alphabet_size=A, rec_alphabet_size=A, probs=joint), 1, fmap)
+    kern = kernel_from_joint(joint, n, A, A, 1, fmap)
     spec = _distortion_spec(dist_name, A, rng)
     ctx = rng.dirichlet(np.ones(A)) if context == "pmf" else context
 

@@ -12,23 +12,11 @@ from ffrd.models import (
     block_pmf,
     distortion_tensor,
 )
-from ffrd.prob import (
-    CausalKernel,
-    ForwardChannel,
-    JointBlockPmf,
-    causal_kernel_from_joint,
-)
-from ffrd.solver import (
-    IterationDiagnostics,
-    SolverConfig,
-    diagnostics,
-    solve,
-    solve_classical,
-    update_q,
-    update_r,
-)
+from ffrd.prob import CausalKernel, ForwardChannel, _Contexts
+from ffrd.solver import IterationDiagnostics, SolverConfig, _kernel_table, _step, solve
 
-from full_delay import assert_same_iterates
+from helpers import assert_same_iterates, kernel_from_joint
+from oracles import solve_classical
 
 HAMMING = DistortionSpec.hamming()
 
@@ -47,74 +35,101 @@ def hamming_tensor(n):
     return distortion_tensor(HAMMING, n)
 
 
+def first_step(kernel, lam, source=None, dist=None):
+    """The one-iteration solve from ``kernel``: its channel is the channel
+    update of the kernel and its trace row the diagnostics of that step.
+    The source is iid(0.3) and the distortion Hamming unless given."""
+    n = kernel.n
+    source = block_pmf(SourceSpec.iid(0.3), n) if source is None else source
+    dist = hamming_tensor(n) if dist is None else dist
+    config = SolverConfig(lam, max_iters=1, delay=kernel.delay)
+    return solve(source, dist, config, initial_kernel=kernel)
+
+
+def kernel_update(source, channel, s, ff_map=None):
+    """The causal kernel of source * channel: the step from the uniform
+    kernel with the channel as its weight, as reconstruction takes it."""
+    n, A, B = channel.n, channel.src_alphabet_size, channel.rec_alphabet_size
+    ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
+    uniform = np.full((ctx.Z ** (n - s), B**n), float(B) ** (-n))
+    return ctx.full(_step(uniform, channel.probs, source.probs, ctx).q_next)
+
+
 class TestUpdateR:
+    """The channel update, as the channel of a one-iteration solve."""
+
     def test_zero_weight_returns_kernel_rows(self):
         kern = CausalKernel.uniform(2, 2, 2)
-        ch = update_r(kern, hamming_tensor(2), 0.0)
+        ch = first_step(kern, 0.0).channel
         np.testing.assert_allclose(ch.probs, kern.probs, atol=1e-12)
 
     def test_large_weight_concentrates_on_source(self):
         kern = CausalKernel.uniform(1, 2, 2)
-        ch = update_r(kern, hamming_tensor(1), 1e6)
+        ch = first_step(kern, 1e6).channel
         np.testing.assert_allclose(ch.probs, np.eye(2), atol=1e-12)
 
     def test_unit_weight_closed_form(self):
         kern = CausalKernel.uniform(1, 2, 2)
-        ch = update_r(kern, hamming_tensor(1), 1.0)
+        ch = first_step(kern, 1.0).channel
         assert ch.probs[0, 0] == pytest.approx(2.0 / 3.0)
         assert ch.probs[1, 1] == pytest.approx(2.0 / 3.0)
 
     def test_nan_rows_rejected(self):
+        # an infinite weight makes the tilt 2^{-lam d} NaN where d = 0; it is
+        # refused before a step is taken
         kern = CausalKernel.uniform(1, 2, 2)
-        with pytest.raises(FloatingPointError):
-            update_r(kern, hamming_tensor(1), np.inf)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            first_step(kern, np.inf)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(0)
         joint = rng.dirichlet(np.ones(16)).reshape(4, 4)
-        kern = causal_kernel_from_joint(
-            JointBlockPmf(n=2, src_alphabet_size=2, rec_alphabet_size=2, probs=joint), 1)
-        ch = update_r(kern, hamming_tensor(2), 3.7)
+        kern = kernel_from_joint(joint, 2, 2, 2, 1)
+        ch = first_step(kern, 3.7).channel
         np.testing.assert_allclose(ch.probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestUpdateQ:
+    """The kernel update: the step's kernel with the channel as its weight."""
+
     def test_channel_independent_of_source(self):
         src = block_pmf(SourceSpec.iid(0.3), 2)
         m = np.array([0.1, 0.2, 0.3, 0.4])
         ch = ForwardChannel(n=2, src_alphabet_size=2, rec_alphabet_size=2,
                             probs=np.tile(m, (4, 1)))
-        kern = update_q(src, ch, 1)
-        np.testing.assert_allclose(kern.probs, np.tile(m, (4, 1)), atol=1e-12)
+        kern = kernel_update(src, ch, 1)
+        np.testing.assert_allclose(kern, np.tile(m, (4, 1)), atol=1e-12)
 
     def test_delay_n_is_marginal(self):
         rng = np.random.default_rng(1)
         src = block_pmf(SourceSpec.iid(0.3), 2)
         ch = ForwardChannel(n=2, src_alphabet_size=2, rec_alphabet_size=2,
                             probs=rng.dirichlet(np.ones(4), size=4))
-        kern = update_q(src, ch, 2)
+        kern = kernel_update(src, ch, 2)
         marginal = src.probs @ ch.probs
-        np.testing.assert_allclose(kern.probs, np.tile(marginal, (4, 1)), atol=1e-12)
+        np.testing.assert_allclose(kern, np.tile(marginal, (4, 1)), atol=1e-12)
 
     def test_constant_map_removes_source_dependence(self):
         rng = np.random.default_rng(2)
         src = block_pmf(SourceSpec.iid(0.3), 2)
         ch = ForwardChannel(n=2, src_alphabet_size=2, rec_alphabet_size=2,
                             probs=rng.dirichlet(np.ones(4), size=4))
-        kern = update_q(src, ch, 1, FeedForwardMap.constant(2))
-        for row in kern.probs:
-            np.testing.assert_allclose(row, kern.probs[0], atol=1e-12)
+        kern = kernel_update(src, ch, 1, FeedForwardMap.constant(2))
+        for row in kern:
+            np.testing.assert_allclose(row, kern[0], atol=1e-12)
 
 
 class TestDiagnostics:
+    """The scalar record of a step, as the trace row of a one-iteration
+    solve."""
+
     def test_converged_state(self):
         src = block_pmf(SourceSpec.iid(0.3), 2)
         dist = hamming_tensor(2)
         pt = solve(src, dist, SolverConfig(lam=4.0, epsilon=1e-12))
-        ch = update_r(pt.kernel, dist, 4.0)
-        kern2 = update_q(src, ch, 1)
-        diag = diagnostics(pt.kernel, src, dist, 4.0, 1)
-        np.testing.assert_allclose(kern2.probs / pt.kernel.probs, 1.0, atol=1e-9)
+        again = first_step(pt.kernel, 4.0, src, dist)
+        diag = again.trace[0]
+        np.testing.assert_allclose(again.kernel.probs / pt.kernel.probs, 1.0, atol=1e-9)
         assert diag.F == pytest.approx(0.0, abs=1e-9)
         assert diag.upper_bound - diag.lower_bound == pytest.approx(0.0, abs=1e-9)
 
@@ -122,7 +137,7 @@ class TestDiagnostics:
         src = block_pmf(SourceSpec.iid(0.5), 1)
         dist = hamming_tensor(1)
         kern = CausalKernel.uniform(1, 2, 2)
-        diag = diagnostics(kern, src, dist, 0.0, 1)
+        diag = first_step(kern, 0.0, src, dist).trace[0]
         assert diag.F == pytest.approx(0.0, abs=1e-12)
         assert diag.D == pytest.approx(0.5)
         assert diag.upper_bound == pytest.approx(0.0, abs=1e-12)
@@ -131,16 +146,17 @@ class TestDiagnostics:
     @pytest.mark.parametrize("delay, ff_map", [(1, None), (2, None), (1, [0, 0])],
                              ids=["newest-symbol", "two-newest", "map-class"])
     def test_non_causal_kernel_rejected(self, delay, ff_map):
-        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+        # the kernel a step starts from is read through its context table
+        ctx = _Contexts.of(2, 2, 2, delay, None if ff_map is None else np.asarray(ff_map))
         kern = non_causal_kernel(2, 2, 2, delay, ff_map)
         with pytest.raises(ValueError, match="previous kernel depends on source symbols"):
-            diagnostics(kern, src, hamming_tensor(2), 4.0, 1)
+            _kernel_table(kern, ctx, "previous kernel")
 
     def test_kernel_for_other_block_length_named(self):
-        with pytest.raises(ValueError, match=r"previous kernel is for n=3, \|X\|=2, \|X̂\|=2; "
+        with pytest.raises(ValueError, match=r"initial kernel is for n=3, \|X\|=2, \|X̂\|=2; "
                                              r"expected n=2, \|X\|=2, \|X̂\|=2"):
-            diagnostics(CausalKernel.uniform(3, 2, 2), block_pmf(SourceSpec.iid(0.3), 2),
-                        hamming_tensor(2), 1.0, 1)
+            solve(block_pmf(SourceSpec.iid(0.3), 2), hamming_tensor(2), SolverConfig(lam=1.0),
+                  initial_kernel=CausalKernel.uniform(3, 2, 2))
 
     def test_gap_is_exactly_f_over_n(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 3)
@@ -180,7 +196,7 @@ class TestSolve:
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
         dist = hamming_tensor(2)
         pt = solve(src, dist, SolverConfig(lam=4.0, epsilon=1e-12))
-        r_again = update_r(pt.kernel, dist, 4.0)
+        r_again = first_step(pt.kernel, 4.0, src, dist).channel
         np.testing.assert_allclose(r_again.probs, pt.channel.probs, atol=1e-9)
 
     def test_nonconvergence_flagged_not_raised(self):
@@ -192,7 +208,7 @@ class TestSolve:
     def test_solution_positive_kernel_invariants(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
         pt = solve(src, hamming_tensor(2), SolverConfig(lam=3.0))
-        assert pt.kernel.depends_only_on_allowed()
+        _kernel_table(pt.kernel, _Contexts.of(2, 2, 2, 1, None), "solution kernel")
         np.testing.assert_allclose(pt.kernel.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_constant_feedforward_equals_no_feedforward(self):
@@ -202,7 +218,7 @@ class TestSolve:
         dist = hamming_tensor(3)
         a = solve(src, dist, SolverConfig(lam=4.0, delay=1,
                                           feedforward_map=FeedForwardMap.constant(2)))
-        b = solve_classical(src, dist, SolverConfig(lam=4.0))
+        b = solve_classical(src.probs, dist.values, 4.0, 3)
         assert a.R == pytest.approx(b.R, abs=1e-9)
         assert a.D == pytest.approx(b.D, abs=1e-9)
 
@@ -237,8 +253,7 @@ class TestInitialKernel:
         # of factor 1 get no mass
         joint = np.zeros((4, 4))
         joint[:, 0] = self.SRC.probs
-        kern = causal_kernel_from_joint(
-            JointBlockPmf(n=2, src_alphabet_size=2, rec_alphabet_size=2, probs=joint), 1)
+        kern = kernel_from_joint(joint, 2, 2, 2, 1)
         assert np.any(kern.probs == 0.0)
         with pytest.raises(ValueError, match="strictly positive"):
             solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=kern)
@@ -285,19 +300,22 @@ class TestInitialKernel:
 
 
 class TestSolveClassical:
+    """The textbook solver of ``oracles`` against closed forms and against
+    ``solve`` where the two coincide."""
+
     def test_matches_analytic_binary_curve(self):
         from ffrd.analytic import iid_binary_rd
         src = block_pmf(SourceSpec.iid(0.5), 1)
         dist = hamming_tensor(1)
         for lam in (1.0, 2.0, 4.0, 8.0):
-            pt = solve_classical(src, dist, SolverConfig(lam=lam))
+            pt = solve_classical(src.probs, dist.values, lam, 1)
             assert pt.R == pytest.approx(iid_binary_rd(0.5, pt.D), abs=1e-5)
 
     def test_n1_equivalence_with_causal_solver(self):
         src = block_pmf(SourceSpec.iid(0.3), 1)
         dist = hamming_tensor(1)
         a = solve(src, dist, SolverConfig(lam=2.0))
-        b = solve_classical(src, dist, SolverConfig(lam=2.0))
+        b = solve_classical(src.probs, dist.values, 2.0, 1)
         assert a.R == pytest.approx(b.R, abs=1e-12)
         assert a.D == pytest.approx(b.D, abs=1e-12)
 
@@ -305,16 +323,14 @@ class TestSolveClassical:
         src = block_pmf(SourceSpec.iid(0.5), 2)
         dist = distortion_tensor(DistortionSpec.single_letter(np.zeros((2, 2))), 2)
         for lam in (0.0, 1.0, 10.0):
-            pt = solve_classical(src, dist, SolverConfig(lam=lam))
+            pt = solve_classical(src.probs, dist.values, lam, 2)
             assert pt.R == pytest.approx(0.0, abs=1e-9)
 
     def test_identical_iterates_at_full_delay(self):
         src = block_pmf(SourceSpec.iid(0.3), 3)
         dist = hamming_tensor(3)
         cfg = SolverConfig(lam=3.0, delay=3)
-        a = solve(src, dist, cfg)
-        b = solve_classical(src, dist, cfg)
-        assert_same_iterates(src, dist, cfg, a, b)
+        assert_same_iterates(src, dist, cfg, solve(src, dist, cfg))
 
 
 class TestConfigValidation:
@@ -327,6 +343,30 @@ class TestConfigValidation:
             SolverConfig(lam=1.0, delay=0)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, max_iters=0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        # NaN passed "lam < 0" and took a step; inf gave NaN channel rows
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            SolverConfig(lam=lam)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 64.5), ("max_iters", 2.5), ("max_iters", np.inf), ("delay", 1.5),
+    ])
+    def test_fractional_count_rejected(self, name, value):
+        # a fractional cap was never reached; 2.5 and a float delay gave a
+        # TypeError from numpy
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            SolverConfig(lam=1.0, **{name: value})
+
+    def test_whole_float_counts_stored_as_int(self):
+        # as a JSON config file gives them
+        cfg = SolverConfig(lam=4.0, max_iters=1e5, delay=2.0)
+        assert (cfg.max_iters, cfg.delay) == (100_000, 2)
+        assert type(cfg.max_iters) is int and type(cfg.delay) is int
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+        pt = solve(src, hamming_tensor(2), SolverConfig(lam=4.0, epsilon=1e-14, max_iters=3.0))
+        assert pt.iterations == 3 and not pt.converged
 
 
 class TestInputValidation:
@@ -344,18 +384,6 @@ class TestInputValidation:
         dist = distortion_tensor(DistortionSpec.hamming(A_dist), n_dist)
         with pytest.raises(ValueError, match=message):
             solve(block_pmf(source, 2), dist, SolverConfig(lam=1.0, feedforward_map=ff_map))
-
-    def test_solve_classical_names_mismatch(self):
-        with pytest.raises(ValueError, match=r"distortion tensor is for n=3, \|X\|=2; "
-                                             r"the source has n=2, \|X\|=2"):
-            solve_classical(block_pmf(SourceSpec.iid(0.3), 2), hamming_tensor(3),
-                            SolverConfig(lam=1.0))
-
-    def test_diagnostics_names_mismatch(self):
-        with pytest.raises(ValueError, match=r"distortion tensor is for n=3, \|X\|=2; "
-                                             r"the source has n=2, \|X\|=2"):
-            diagnostics(CausalKernel.uniform(2, 2, 2), block_pmf(SourceSpec.iid(0.3), 2),
-                        hamming_tensor(3), 1.0, 1)
 
 
 class TestTrace:

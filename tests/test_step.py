@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from ffrd.dual import _anderson, certificate_from_solution
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
-from ffrd.prob import JointBlockPmf, _Contexts, causal_factors_from_joint, causal_kernel_from_joint
-from ffrd.solver import SolverConfig, _step, solve
+from ffrd.prob import _context_factors, _Contexts
+from ffrd.solver import SolverConfig, _diagnostics, _step, solve
 
+from helpers import kernel_from_joint
 from oracles import anderson_stacked, causal_factors_full_table, solver_step_full_table
 
 SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)]
@@ -30,15 +31,18 @@ def _joint_with_zeros(rng, A, B, n, cell_zeros):
     return (joint / joint.sum()).reshape(A**n, B**n)
 
 
-def _assert_same_factorization(got, ref):
-    full, factors, mass = got
-    ref_full, ref_factors, ref_mass = ref
-    np.testing.assert_array_equal(full, ref_full)
-    np.testing.assert_array_equal(mass, ref_mass)
+def _assert_same_factorization(joint, n, A, B, s, fmap):
+    """The factorization of one joint on its context table, spread over the
+    source blocks (mass over the source prefixes), equals the reference."""
+    ctx = _Contexts.of(n, A, B, s, fmap)
+    table, factors, mass = _context_factors(joint[None], ctx)
+    ref_full, ref_factors, ref_mass = causal_factors_full_table(joint, n, A, B, s, fmap)
+    np.testing.assert_array_equal(ctx.full(table[0]), ref_full)
+    np.testing.assert_array_equal(mass[0] if ctx.rows is None else mass[0, ctx.rows], ref_mass)
     assert len(factors) == len(ref_factors)
     for f, ref_f in zip(factors, ref_factors):
-        assert f.shape == ref_f.shape
-        np.testing.assert_array_equal(f, ref_f)
+        assert f[0].shape == ref_f.shape
+        np.testing.assert_array_equal(f[0], ref_f)
 
 
 @settings(max_examples=80, deadline=None)
@@ -52,8 +56,7 @@ def test_factorization_matches_full_table_reference(shape, data):
     cell_zeros = data.draw(st.sampled_from([0.0, 0.5, 0.95]), label="cell_zeros")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     joint = _joint_with_zeros(rng, A, B, n, cell_zeros)
-    _assert_same_factorization(causal_factors_from_joint(joint, n, A, B, s, fmap),
-                               causal_factors_full_table(joint, n, A, B, s, fmap))
+    _assert_same_factorization(joint, n, A, B, s, fmap)
 
 
 @pytest.mark.parametrize("map_name", MAPS)
@@ -64,8 +67,7 @@ def test_factorization_of_large_tables_matches_reference(s, map_name):
     rng = np.random.default_rng(s)
     joint = _joint_with_zeros(rng, 2, 2, 7, 0.3)
     fmap = _map_table(map_name, 2)
-    _assert_same_factorization(causal_factors_from_joint(joint, 7, 2, 2, s, fmap),
-                               causal_factors_full_table(joint, 7, 2, 2, s, fmap))
+    _assert_same_factorization(joint, 7, 2, 2, s, fmap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -82,9 +84,7 @@ def test_step_matches_full_table_reference(shape, data):
     source_zeros = data.draw(st.sampled_from([0.0, 0.5]), label="source_zeros")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     # zero cells of a joint with mass in their context give kernel zeros
-    kernel = causal_kernel_from_joint(
-        JointBlockPmf(n=n, src_alphabet_size=A, rec_alphabet_size=B,
-                      probs=_joint_with_zeros(rng, A, B, n, cell_zeros)), s, fmap)
+    kernel = kernel_from_joint(_joint_with_zeros(rng, A, B, n, cell_zeros), n, A, B, s, fmap)
     p = rng.dirichlet(np.ones(A**n)) * (rng.random(A**n) >= source_zeros)
     if p.sum() == 0.0:
         p[rng.integers(p.size)] = 1.0
@@ -96,7 +96,7 @@ def test_step_matches_full_table_reference(shape, data):
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
     step = _step(ctx.table(kernel.probs), tilt, p, ctx, dvals)
-    diag = step.diagnostics(p, lam, n, 1)
+    diag = _diagnostics(p, lam, n, 1, step.rows, step.log_max_c, step.mean_logc, step.D)
 
     np.testing.assert_allclose(diag[1:], ref_diag, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(ctx.full(step.q_next), ref_q)

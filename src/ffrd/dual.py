@@ -28,7 +28,7 @@ from .prob import (
     _Contexts,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _channel, _check_lam, _kernel_table, _step
+from .solver import RatePoint, _channel, _check_lam, _kernel_table, _step, _Workspace
 
 
 class NonTightCertificateError(ValueError):
@@ -278,6 +278,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
     q = np.full((A ** (n - 1), B**n), float(B) ** (-n))
+    ws = _Workspace(ctx, 1)  # every step below writes into it
     # Plain iteration first: the map contracts toward the fixed point but its
     # linearization has unit eigenvalues along a manifold of equal-objective
     # kernels, so the tail is far too slow on its own.  A short warm start
@@ -285,7 +286,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     # slow modes and converges in a handful of extra steps.
     warmup = min(200, max_iters)
     for _ in range(warmup):
-        q = _step(q, weight, p, ctx).q_next
+        q = _step(q, weight, p, ctx, ws=ws).q_next
 
     # Anderson acceleration on y = 1 - log2 q.  On q its proposals for the
     # entries that head to 0 turn negative and are refused; on y every
@@ -298,9 +299,9 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     def to_q(y):
         return np.exp2(1.0 - y).reshape(q.shape)
 
-    y = _anderson(lambda y: to_y(_step(to_q(y), weight, p, ctx).q_next), to_y(q),
+    y = _anderson(lambda y: to_y(_step(to_q(y), weight, p, ctx, ws=ws).q_next), to_y(q),
                   max(0, max_iters - warmup), tol)
-    last = _step(to_q(y), weight, p, ctx)
+    last = _step(to_q(y), weight, p, ctx, ws=ws)
     last.r[~support] = float(B) ** (-n)
     # "not <=" so that a NaN channel is refused too
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
@@ -314,7 +315,8 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
         raise NonTightCertificateError(
             f"certificate is not tight: p' exceeds p * gamma by {excess:.3e} bits "
             "on the channel's support")
-    return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=last.r)
+    # the step's channel lives in the workspace; the returned one owns a copy
+    return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=last.r.copy())
 
 
 def slope_at(lam: float, n: int) -> float:

@@ -5,6 +5,12 @@ flattening of the symbol sequence, with the *first* symbol most significant:
 ``(x_1, ..., x_n) -> sum_i x_i * A**(n-i)``.  Rates and entropies are in bits
 (log base 2) throughout, with the continuity conventions ``0*log(0) = 0`` and
 ``0*log(0/0) = 0``.
+
+The solver's causal factorization (``_context_factors``) writes into the
+buffers of a ``_FactorSpace``, part of the solver's step workspace: its
+results are valid until the next factorization given the same space, and a
+caller that keeps them copies them.  It writes with ``out=`` and reduces with
+ufunc reductions, as the solver step does.
 """
 
 from __future__ import annotations
@@ -220,7 +226,45 @@ class _Contexts(NamedTuple):
         return table[first]
 
 
-def _context_factors(joints: np.ndarray, ctx: _Contexts):
+class _FactorSpace:
+    """Buffers for every table ``_context_factors`` writes for a stack of L
+    joints on ``ctx``, allocated once; each call given them overwrites them.
+
+    Per level i, ``sums[i-1]`` holds the context sums of N_i,
+    ``factors[i-1]`` factor i, ``nums[i-1]`` the next level's numerator
+    N_{i-1} (None when it is the context sums themselves, i <= s) and
+    ``products[i-1]`` the product of factors 1..i (None at i = 1, where it
+    is factor 1).  N_n goes to ``marginal``, and the kernel table to one of
+    the two ``tables``: the one that does not hold the kernel the joints
+    came from, so a step may read its input kernel while writing the next.
+    ``empty[i-1]`` and ``safe[i-1]`` serve a level whose contexts carry no
+    mass.
+    """
+
+    __slots__ = ("marginal", "sums", "nums", "factors", "products", "tables", "empty",
+                 "safe")
+
+    def __init__(self, ctx: _Contexts, L: int):
+        n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
+        c_n = n - s
+        self.marginal = np.empty((L, A**c_n, B**n))
+        self.sums, self.nums, self.factors, self.products = [], [], [], []
+        for i in range(1, n + 1):
+            c = max(i - s, 0)
+            self.sums.append(np.empty((L,) + (Z,) * c + (B,) * (i - 1)))
+            self.nums.append(np.empty((L,) + (Z,) * (c - 1) + (B,) * (i - 1)) if c else None)
+            self.factors.append(np.empty((L,) + (Z,) * c + (B,) * i))
+            shape = (L, Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
+            self.products.append(np.empty(shape) if 1 < i < n else None)
+        self.tables = (np.empty((L, Z**c_n, B**n)), np.empty((L, Z**c_n, B**n)))
+        # the levels share one flat buffer of each, the size of the largest
+        empty, safe = np.empty(self.sums[-1].size, dtype=bool), np.empty(self.sums[-1].size)
+        self.empty = [empty[:d.size].reshape(d.shape) for d in self.sums]
+        self.safe = [safe[:d.size].reshape(d.shape) for d in self.sums]
+
+
+def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | None = None,
+                     avoid: np.ndarray | None = None):
     """Causal factorization of a stack of joints on the context table.
 
     ``joints`` holds L joint tables, one per member of the stack, with the
@@ -229,6 +273,11 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     and the kernels' factors (see ``CausalKernel``) with the member axis
     first.  Every operation acts on each member as on a lone table, so a
     member's results are those of its own factorization bit for bit.
+
+    The results are written into ``space`` (a fresh ``_FactorSpace`` when
+    None), and the kernel table into the one of its two tables that
+    ``avoid`` is not, nor a view of.  They are valid until the next call
+    given the same space; a caller that keeps one copies it.
 
     Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
     over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
@@ -242,7 +291,9 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     n, A, B, s, Z, rows, bins = ctx
     L = joints.shape[0]
     c_n = n - s
-    N = joints.reshape(L, A**c_n, A**s, B**n).sum(axis=2)
+    if space is None:
+        space = _FactorSpace(ctx, L)
+    N = np.add.reduce(joints.reshape(L, A**c_n, A**s, B**n), axis=2, out=space.marginal)
     if bins is not None:
         # each class sums its prefixes in prefix order; members use
         # disjoint ranges of the bins
@@ -254,28 +305,45 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
     # gives the next level's numerator in its factor's axes
     N = N.reshape((L,) + (Z,) * c_n + (B,) * n)
-    factors = [None] * n
+    factors = space.factors
     for i in range(n, 0, -1):
         c = max(i - s, 0)
         # x̂_i is the innermost axis and has only B entries: adding its
-        # slices beats a reduction along it
-        D = N[..., 0]
-        for b in range(1, B):
-            D = D + N[..., b]
-        if np.count_nonzero(D) == D.size:
-            factors[i - 1] = N / D[..., None]
+        # slices beats a reduction along it.  The first add writes D
+        # itself; copying N[..., 0] into D first would cost one more pass
+        # per level (1.2-1.9 us a level on tables up to n=6, about 60% of
+        # the sum on larger ones), so only B == 1 copies.
+        D = space.sums[i - 1]
+        if B == 1:
+            np.copyto(D, N[..., 0])
         else:
-            empty = D == 0.0
-            factors[i - 1] = N / (D + empty)[..., None]
+            np.add(N[..., 0], N[..., 1], out=D)
+            for b in range(2, B):
+                np.add(D, N[..., b], out=D)
+        if np.count_nonzero(D) == D.size:
+            np.divide(N, D[..., None], out=factors[i - 1])
+        else:
+            empty = np.equal(D, 0.0, out=space.empty[i - 1])
+            np.divide(N, np.add(D, empty, out=space.safe[i - 1])[..., None],
+                      out=factors[i - 1])
             factors[i - 1][empty] = 1.0 / B
         # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
-        N = D.sum(axis=c) if c else D
-    table = factors[0]
+        N = np.add.reduce(D, axis=c, out=space.nums[i - 1]) if c else D
+    # a view's base is the array that owns its memory
+    table = space.tables[0]
+    if avoid is not None and (avoid is table or avoid.base is table):
+        table = space.tables[1]
+    if n == 1:
+        np.copyto(table, factors[0].reshape(table.shape))
+        return table, factors, mass
+    product = factors[0]
     for i in range(2, n + 1):
         c = max(i - s, 0)
         shape = (L, Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-        table = factors[i - 1].reshape(shape) * table.reshape(shape[:2] + (1, shape[3], 1))
-    return table.reshape(L, Z**c_n, B**n), factors, mass
+        out = table.reshape(shape) if i == n else space.products[i - 1]
+        product = np.multiply(factors[i - 1].reshape(shape),
+                              product.reshape(shape[:2] + (1, shape[3], 1)), out=out)
+    return table, factors, mass
 
 
 def directed_information(source: BlockSource, channel: ForwardChannel,

@@ -13,6 +13,15 @@ bounds on the rate by exactly F/n).  The step is written once, in
 stack of solves.  ``solve`` runs it for one point and ``curves.sweep`` for a
 stack of points; the certificate and the channel reconstruction in ``dual``
 take the same step with their own weights.
+
+The step writes every table into a workspace (``_Workspace``) that a stack
+of solves builds once and reuses at every iteration, so a step allocates no
+table.  A step's arrays are valid until the next step given the same
+workspace, and a finished point copies the tables it keeps.  A call without
+a workspace gets a fresh one.  The step writes with ``out=`` and in place,
+and reduces with ufunc reductions (``np.add.reduce(x, axis=..., out=...)``):
+they give the bits of ``x.sum`` and ``np.sum``, without the Python-level
+dispatch of those, which costs more than a small step's arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .prob import (
     NORM_TOL,
     _context_factors,
     _Contexts,
+    _FactorSpace,
 )
 
 
@@ -179,16 +189,37 @@ def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, rows: np.ndarray,
     return IterationDiagnostics(k, log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
 
 
-def _channel(q: np.ndarray, weight: np.ndarray):
-    """Rows of q * weight normalized, and their sums."""
-    num = q * weight
-    rows = num.sum(axis=-1)
+def _channel(q: np.ndarray, weight: np.ndarray, r: np.ndarray | None = None,
+             rows: np.ndarray | None = None):
+    """Rows of q * weight normalized, and their sums, written into ``r`` and
+    ``rows`` (fresh arrays when None)."""
+    num = np.multiply(q, weight, out=r)
+    rows = np.add.reduce(num, axis=-1, out=rows)
     num /= rows[..., None]
     return num, rows
 
 
+class _Workspace:
+    """Buffers for every table ``_step_stack`` writes for a stack of L kernel
+    context tables on ``ctx``, allocated once and overwritten by each step
+    given them; ``factors`` holds the factorization's (``prob._FactorSpace``).
+    """
+
+    __slots__ = ("src", "r", "rows", "joint", "logc", "live", "product", "factors")
+
+    def __init__(self, ctx: _Contexts, L: int):
+        n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
+        shape = (L, A ** (n - s), A**s, B**n)
+        self.src = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
+        self.r, self.rows, self.joint = np.empty(shape), np.empty(shape[:3]), np.empty(shape)
+        self.logc = np.empty((L, Z ** (n - s), B**n))
+        self.live = np.empty(self.logc.shape, dtype=bool)
+        self.product = np.empty((L, A**n, B**n))
+        self.factors = _FactorSpace(ctx, L)
+
+
 def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-                dvals: np.ndarray | None = None) -> _Step:
+                dvals: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
     """Channel update r = q * weight / rows, then the causal kernel of p * r,
     for a stack of L kernels at once.
 
@@ -202,6 +233,10 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     products run over its own entries, so its results are those of a lone
     step bit for bit.
 
+    The step's tables are written into ``ws`` (a fresh ``_Workspace`` when
+    None) and are valid until the next step given it; q may be the previous
+    step's ``q_next``.
+
     Given the distortion values the step also returns, per member and for
     c = q_next / q on the context table, the max of log2 c over contexts
     with positive joint mass N_n, the mean of log2 c under the joint,
@@ -211,36 +246,42 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     """
     n, A, B, s = ctx.n, ctx.A, ctx.B, ctx.s
     L = q.shape[0]
-    src = q if ctx.rows is None else q.take(ctx.rows, axis=1)
+    if ws is None:
+        ws = _Workspace(ctx, L)
+    src = q if ctx.rows is None else np.take(q, ctx.rows, axis=1, out=ws.src, mode="clip")
     shape = (A ** (n - s), A**s, B**n)
-    r, rows = _channel(src[:, :, None, :], weight.reshape((-1,) + shape))
-    joint = p.reshape(shape[:2] + (1,)) * r
-    q_next, factors, mass = _context_factors(joint, ctx)
+    r, rows = _channel(src[:, :, None, :], weight.reshape((-1,) + shape), ws.r, ws.rows)
+    joint = np.multiply(p.reshape(shape[:2] + (1,)), r, out=ws.joint)
+    q_next, factors, mass = _context_factors(joint, ctx, ws.factors, avoid=q)
     r, rows, joint = (r.reshape(L, A**n, B**n), rows.reshape(L, A**n),
                       joint.reshape(L, A**n, B**n))
     if dvals is None:
         return _Step(r, rows, joint, q_next, factors)
+    logc = ws.logc
     if np.count_nonzero(mass) == mass.size:  # every context is live: no mask
-        live, logc = True, q_next / q
+        live = True
+        np.divide(q_next, q, out=logc)
     else:
-        live = mass > 0.0
-        logc = np.divide(q_next, q, out=np.ones(q.shape), where=live)
+        live = np.greater(mass, 0.0, out=ws.live)
+        logc.fill(1.0)
+        np.divide(q_next, q, out=logc, where=live)
     np.log2(logc, out=logc)
+    product = np.multiply(joint, dvals, out=ws.product)
     if L == 1:  # whole-array reductions, without per-member lists to build
-        log_max_c = [float(logc.max(where=live, initial=-np.inf))]
+        log_max_c = [float(np.maximum.reduce(logc, axis=None, initial=-np.inf, where=live))]
         mean_logc = [float(mass.ravel() @ logc.ravel())]
-        D = [float((joint[0] * dvals).sum())]
+        D = [float(np.add.reduce(product[0], axis=None))]
     else:
-        log_max_c = logc.max(axis=(1, 2), where=live, initial=-np.inf).tolist()
+        log_max_c = np.maximum.reduce(logc, axis=(1, 2), initial=-np.inf, where=live).tolist()
         mean_logc = [float(m @ c) for m, c in zip(mass.reshape(L, -1), logc.reshape(L, -1))]
-        D = (joint * dvals).sum(axis=(1, 2)).tolist()
+        D = np.add.reduce(product, axis=(1, 2)).tolist()
     return _Step(r, rows, joint, q_next, factors, log_max_c, mean_logc, D)
 
 
 def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-          dvals: np.ndarray | None = None) -> _Step:
+          dvals: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
     """:func:`_step_stack` from one (Z^{n-s}, |X̂|^n) context table q."""
-    return _step_stack(q[None], weight, p, ctx, dvals).member(0)
+    return _step_stack(q[None], weight, p, ctx, dvals, ws).member(0)
 
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
@@ -342,12 +383,13 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             q[j] = _kernel_table(kernel, ctx, "initial kernel")
             _check_initial_kernel(kernel, s, fmap)
     tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
+    ws = _Workspace(ctx, len(configs))
     members = list(range(len(configs)))  # config index of each stack member
     traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
     points: list = [None] * len(configs)
     end = len(configs)  # members from this config index on are cut
     for k in itertools.count(1):
-        st = _step_stack(q, tilt, p, ctx, dvals)
+        st = _step_stack(q, tilt, p, ctx, dvals, ws)
         finished = False
         for pos, j in enumerate(members):
             cfg = configs[j]
@@ -356,8 +398,7 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             traces[j] = _record(traces[j], diag)
             if diag.F < cfg.epsilon or k == cfg.max_iters:
                 finished = True
-                points[j] = _point(st.member(pos), diag, cfg, ctx, fmap, traces[j],
-                                   own=len(members) > 1)
+                points[j] = _point(st.member(pos), diag, cfg, ctx, fmap, traces[j])
                 if diag.lower_bound <= 0.0:
                     end = j + 1  # the members after it are cut
                     break
@@ -370,21 +411,20 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             return points
         members = [members[pos] for pos in keep]
         q, tilt = st.q_next[keep], tilt[keep]
+        ws = _Workspace(ctx, len(members))
 
 
 def _point(st: _Step, diag: IterationDiagnostics, config: SolverConfig, ctx: _Contexts,
-           fmap: np.ndarray | None, trace: np.ndarray, own: bool) -> RatePoint:
+           fmap: np.ndarray | None, trace: np.ndarray) -> RatePoint:
     """The RatePoint of a solve whose last step is ``st`` with record ``diag``.
 
-    ``own`` copies the channel and the factors out of the step's stack, so
-    the point does not keep the other members' tables alive.
+    The step's tables live in the solve's workspace, so the point copies the
+    channel and the factors it keeps (``ctx.full`` builds a new kernel table).
     """
-    r, factors = st.r, st.factors
-    if own:
-        r, factors = r.copy(), [f.copy() for f in factors]
     channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
-                             probs=r)
-    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, ctx.full(st.q_next), tuple(factors),
+                             probs=st.r.copy())
+    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, ctx.full(st.q_next),
+                          tuple(f.copy() for f in st.factors),
                           None if fmap is None else np.asarray(fmap))
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite

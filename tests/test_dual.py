@@ -208,6 +208,19 @@ class TestReconstruction:
         kern = kernel_from_joint(src.probs[:, None] * ch.probs, 2, 2, 2, 1)
         assert directed_information(src, ch, kern) == pytest.approx(0.0, abs=1e-9)
 
+    def test_successive_reconstructions_own_their_channels(self, tight_certificate):
+        """Each returned channel owns its table: a later reconstruction, which
+        steps on a workspace of its own, neither shares nor changes it."""
+        src, pt, cert = tight_certificate("markov", 3, 4.0)
+        first = reconstruct_channel(cert, src)
+        kept = first.probs.copy()
+        other_src, _, other_cert = tight_certificate("markov", 3, 9.0)
+        second = reconstruct_channel(other_cert, other_src)
+        assert first.probs.base is None and second.probs.base is None
+        assert not np.shares_memory(first.probs, second.probs)
+        np.testing.assert_array_equal(first.probs, kept)
+        assert not np.array_equal(first.probs, second.probs)
+
     def test_non_tight_certificate_detected(self, markov_converged):
         src, dist, pt = markov_converged
         # a certificate whose p' was built against a different source cannot

@@ -3,6 +3,7 @@ members would alone, and ``sweep``, which solves its cold points as one
 stack, gives the serial sweep's points bit for bit within a bounded extra
 memory."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from ffrd import curves
 from ffrd.curves import _dedup_sorted, _warm_start, default_lambda_grid, sweep
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import _Contexts
-from ffrd.solver import SolverConfig, _solve_lockstep, _step, _step_stack, solve
+from ffrd.solver import SolverConfig, _solve_lockstep, _step, _step_stack, _Workspace, solve
 
 from helpers import kernel_from_joint
 from oracles import sweep_serial
@@ -188,3 +189,93 @@ def test_lockstep_sweep_memory_is_bounded_by_the_budget(cells, monkeypatch):
     monkeypatch.setattr(curves, "_STACK_CELLS", cells)
     lockstep = _traced_peak(run)
     assert lockstep <= serial + 8 * cells * np.dtype(float).itemsize
+
+
+# --- the step's workspace ------------------------------------------------------
+
+def _lockstep(n, lams, caps, **kwargs):
+    """Points of one lockstep stack; members with smaller caps leave it first."""
+    configs = [SolverConfig(lam=lam, max_iters=cap, **kwargs) for lam, cap in zip(lams, caps)]
+    return _solve_lockstep(block_pmf(MARKOV, n), distortion_tensor(HAMMING, n), configs,
+                           [None] * len(configs))
+
+
+def _ternary_parity_solves(lams):
+    source = block_pmf(SourceSpec.markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 2)
+    dist = distortion_tensor(DistortionSpec.hamming(3), 2)
+    return [solve(source, dist, SolverConfig(lam=lam, feedforward_map=FeedForwardMap.parity(3)))
+            for lam in lams]
+
+
+# each case returns its points for a scale of its weights
+OWNERSHIP_CASES = {
+    "solve": lambda k: [solve(block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3),
+                              SolverConfig(lam=k * lam)) for lam in (2.0, 6.0)],
+    "sweep": lambda k: sweep(MARKOV, HAMMING, 3, [k * lam for lam in (1.0, 3.0, 9.0, 24.0)],
+                             SolverConfig(lam=0.0)).points,
+    "shrinking stack": lambda k: _lockstep(3, [k * 24.0, k * 9.0, k * 6.0], [3, 6, 9]),
+    "n=1": lambda k: _lockstep(1, [k * 6.0, k * 2.0], [4, 400])
+    + [solve(block_pmf(MARKOV, 1), distortion_tensor(HAMMING, 1), SolverConfig(lam=k * 3.0))],
+    "delay 2": lambda k: _lockstep(3, [k * 9.0, k * 4.0], [5, 50], delay=2),
+    "feed-forward map": lambda k: _ternary_parity_solves([k * 2.0, k * 5.0]),
+}
+
+
+@pytest.mark.parametrize("case", OWNERSHIP_CASES)
+def test_points_own_their_tables(case):
+    """The step's tables live in a workspace that every iteration overwrites;
+    a finished point copies what it keeps.  Every channel table, kernel table
+    and factor of a returned point owns its memory and shares none with
+    another's, and further solves leave them unchanged."""
+    run = OWNERSHIP_CASES[case]
+    points = run(1.0)
+    assert len(points) >= 2 and all(pt is not None for pt in points)
+    tables = [t for pt in points for t in (pt.channel.probs, pt.kernel.probs,
+                                          *pt.kernel.factors)]
+    assert all(t.base is None for t in tables)
+    kept = [t.copy() for t in tables]
+    for a, b in itertools.combinations(tables, 2):
+        assert not np.shares_memory(a, b)
+    run(1.5)
+    for t, k in zip(tables, kept):
+        np.testing.assert_array_equal(t, k)
+
+
+def test_steady_step_allocates_no_table():
+    """With a prebuilt workspace, a steady-state step of Markov(0.3, 0.2)/
+    Hamming at n = 8, delay 1, traces a peak below one kernel context table
+    (256 KiB): small per-call objects and numpy's ufunc buffers (at most
+    8192 elements each, whatever the table size), no table-sized temporary."""
+    n = 8
+    source, dist = block_pmf(MARKOV, n), distortion_tensor(HAMMING, n)
+    ctx = _Contexts.of(n, 2, 2, 1, None)
+    ws = _Workspace(ctx, 1)
+    tilt = np.exp2(-4.0 * dist.values)[None]
+    q = np.full((1, 2 ** (n - 1), 2**n), 2.0**-n)
+    for _ in range(3):
+        q = _step_stack(q, tilt, source.probs, ctx, dist.values, ws).q_next
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _step_stack(q, tilt, source.probs, ctx, dist.values, ws)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < q[0].nbytes
+
+
+def test_one_letter_reconstruction_alphabet():
+    """With |X̂| = 1 every level's context sums are its one slice: the
+    channel and the kernel are all ones, the rate is 0 and D the mean
+    distortion."""
+    n = 3
+    source = block_pmf(MARKOV, n)
+    spec = DistortionSpec(m=0, table=np.array([[0.0], [1.0]]), src_alphabet_size=2,
+                          rec_alphabet_size=1)
+    dist = distortion_tensor(spec, n)
+    for lam in (2.0, 9.0):
+        pt = solve(source, dist, SolverConfig(lam=lam))
+        np.testing.assert_array_equal(pt.channel.probs, 1.0)
+        np.testing.assert_array_equal(pt.kernel.probs, 1.0)
+        assert pt.R == 0.0
+        assert pt.D == pytest.approx(source.probs @ dist.values[:, 0], abs=1e-15)

@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""Cost of one solver step, and a hash of the benchmark's answers.
+
+    python3 tools/step_bench.py --out step.json
+    python3 tools/step_bench.py --answers
+    python3 tools/step_bench.py --src OTHER_TREE/src --out other.json
+
+Step mode solves Markov(0.3, 0.2) with Hamming distortion at each block
+length n = 3..10 as a lockstep stack (``solver._solve_lockstep``) of each
+width 1, 4 and 16 that fits ``curves._STACK_CELLS`` table cells; one member
+is always allowed, as ``sweep`` allows it.  The members' tolerance is out of
+reach, so every member runs exactly ``iterations`` steps.  Each case records:
+
+- ``us_per_iter``: wall time of the whole solve over its iterations, the
+  median of ``REPEATS`` solves;
+- ``faults_per_iter``: minor page faults (``resource.getrusage``) per step,
+  over the steps after the first two, which touch a fresh workspace, in a
+  solve of ``PROBE_STEPS`` steps;
+- ``tracemalloc_peak_bytes``: the largest traced allocation peak of one of
+  those steps above the memory traced when it began (numpy reports its data
+  buffers to ``tracemalloc``);
+- ``context_table_bytes``: the size of one member's kernel context table,
+  for scale.
+
+Faults and peaks come from separate solves with ``solver._step_stack``
+wrapped, so they do not slow the timed ones.  Answers mode prints a SHA-256
+over R, D, F_final, channel and kernel of every point of the benchmark's
+three ``sweep`` curves and of its ``certify`` solves, so two trees can be
+checked to give the same answers bit for bit.  ``--src`` imports ``ffrd``
+from another tree's ``src``; the benchmark definitions always come from
+this tree's ``benchmarks``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import resource
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NS = range(3, 11)
+WIDTHS = (1, 4, 16)
+REPEATS = 3  # timed solves per case
+PROBE_STEPS = 12  # steps of the fault and tracemalloc solves
+STEADY_FROM = 3  # the first step whose faults and peak are counted
+TARGET_CELL_STEPS = 2e7  # iterations * stack cells per timed solve
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _case(n: int, width: int) -> dict:
+    import numpy as np
+
+    import ffrd
+    from ffrd import solver
+
+    source = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n)
+    dist = ffrd.distortion_tensor(ffrd.DistortionSpec.hamming(), n)
+    cells = dist.values.size
+    iterations = int(min(2000, max(20, TARGET_CELL_STEPS // (width * cells))))
+
+    def run(max_iters):
+        configs = [ffrd.SolverConfig(lam=4.0 + 0.5 * j, epsilon=1e-300, max_iters=max_iters)
+                   for j in range(width)]
+        return solver._solve_lockstep(source, dist, configs, [None] * width)
+
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run(iterations)
+        times.append(time.perf_counter() - t0)
+
+    # the probes wrap the step that _solve_lockstep looks up at each call
+    step = solver._step_stack
+    faults, peaks = [], []
+
+    def counting(*args, **kwargs):
+        before = _minflt()
+        st = step(*args, **kwargs)
+        faults.append(_minflt() - before)
+        return st
+
+    def tracing(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        st = step(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return st
+
+    try:
+        solver._step_stack = counting
+        run(PROBE_STEPS)
+        solver._step_stack = tracing
+        tracemalloc.start()
+        try:
+            run(PROBE_STEPS)
+        finally:
+            tracemalloc.stop()
+    finally:
+        solver._step_stack = step
+    steady = slice(STEADY_FROM - 1, None)
+    return {
+        "n": n, "width": width, "cells_per_member": cells, "iterations": iterations,
+        "us_per_iter": statistics.median(times) / iterations * 1e6,
+        "us_per_iter_runs": [t / iterations * 1e6 for t in times],
+        "faults_per_iter": statistics.fmean(faults[steady]),
+        "tracemalloc_peak_bytes": max(peaks[steady]),
+        "context_table_bytes": (2 ** (n - 1)) * 2**n * np.dtype(float).itemsize,
+    }
+
+
+def step_cases() -> list:
+    from ffrd import curves
+
+    cases = []
+    for n in NS:
+        for width in WIDTHS:
+            if width > 1 and width * 4**n > curves._STACK_CELLS:
+                continue
+            cases.append(_case(n, width))
+            c = cases[-1]
+            print(f"n={n:2d} width={width:2d}: {c['us_per_iter']:10.1f} us/iter, "
+                  f"{c['faults_per_iter']} faults/iter, "
+                  f"peak {c['tracemalloc_peak_bytes']} B", file=sys.stderr)
+    return cases
+
+
+def answers() -> dict:
+    """SHA-256 of the answers of the benchmark's sweep curves and certify solves."""
+    import numpy as np
+
+    import ffrd
+
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import _sweep_curves
+
+    points = []
+    for c in _sweep_curves(tiny=False):
+        points += ffrd.sweep(c.source, c.dist, c.n, c.grid, c.config, c.initial_context).points
+    hamming = ffrd.DistortionSpec.hamming()
+    for n, lam, eps in ((8, 4.0, 1e-6), (8, 9.216, 1e-6), (8, 24.0, 1e-6), (5, 9.0, 1e-10)):
+        points.append(ffrd.solve(ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n),
+                                 ffrd.distortion_tensor(hamming, n),
+                                 ffrd.SolverConfig(lam=lam, epsilon=eps)))
+    digest = hashlib.sha256()
+    for pt in points:
+        digest.update(np.array([pt.R, pt.D, pt.F_final]).tobytes())
+        digest.update(pt.channel.probs.tobytes())
+        digest.update(pt.kernel.probs.tobytes())
+    return {"points": len(points), "sha256": digest.hexdigest()}
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--answers", action="store_true", help="print the answer hash and exit")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="tree to import ffrd from")
+    ap.add_argument("--out", type=Path, help="write the JSON here as well as to stdout")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    import numpy as np
+
+    import ffrd
+
+    result = {"ffrd": str(Path(ffrd.__file__).parent), "python": platform.python_version(),
+              "numpy": np.__version__}
+    if args.answers:
+        result["answers"] = answers()
+    else:
+        result["cases"] = step_cases()
+    text = json.dumps(result, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n")
+    print(text)
+
+
+if __name__ == "__main__":
+    main()

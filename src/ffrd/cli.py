@@ -119,15 +119,16 @@ def _curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(sp, lam=False):
+def _add_common(sp, lam=False, solver=True):
     sp.add_argument("--config", default=None)
     sp.add_argument("--source", default=None)
     sp.add_argument("--dist", default="hamming")
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--delay", type=int, default=1)
-    sp.add_argument("--eps", type=float, default=1e-6)
-    sp.add_argument("--max-iters", type=int, default=100_000)
-    sp.add_argument("--strict", action="store_true")
+    if solver:
+        sp.add_argument("--delay", type=int, default=1)
+        sp.add_argument("--eps", type=float, default=1e-6)
+        sp.add_argument("--max-iters", type=int, default=100_000)
+        sp.add_argument("--strict", action="store_true")
     sp.add_argument("--output", default=None)
     if lam:
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -156,7 +157,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo code-tree run")
-    _add_common(sp, lam=True)
+    _add_common(sp, lam=True, solver=False)  # monte_carlo picks its own solver settings
     sp.add_argument("--L", type=int, default=None)
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--trials", type=int, default=1000)
@@ -172,7 +173,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--q", type=float, default=0.2)
     sp.add_argument("--pi0", type=float, default=0.4)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--strict", action="store_true")
     sp.add_argument("--output", default=None)
     parser._commands = sub.choices
     return parser

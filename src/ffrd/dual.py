@@ -30,6 +30,15 @@ from .prob import (
 )
 from .solver import RatePoint, _channel, _check_lam, _kernel_table, _step, _Workspace
 
+#: largest constraint excess, in bits, that ``check_feasibility`` accepts
+FEASIBILITY_TOL = 1e-9
+#: ``reconstruct_channel``'s step cap, warm start included
+RECONSTRUCT_MAX_ITERS = 10_000
+#: entrywise residual at which its accelerated iteration stops
+RECONSTRUCT_TOL = 1e-12
+#: the row error and the p' excess, in bits, a tight certificate may show
+TIGHT_TOL = 1e-6
+
 
 class NonTightCertificateError(ValueError):
     """The certificate does not pin down a channel (constraint slack on the
@@ -147,14 +156,14 @@ def _check_shapes(what: str, table, source: BlockSource | None = None,
 
 
 def check_feasibility(cert: DualCertificate, source: BlockSource,
-                      distortion: DistortionTensor, tol: float = 1e-9) -> FeasibilityReport:
+                      distortion: DistortionTensor) -> FeasibilityReport:
     """Verify the certificate's constraint in the log domain.
 
     Checks every factor's per-context normalization and, for each block pair,
     log2 p + log2 gamma - lam*d - log2 p' <= 0.  The largest positive excess
-    (in bits) is reported as ``max_violation``; entries where p' = 0 but the
-    left side has mass count as infinite violations.  The source and the
-    distortion tensor must have the certificate's n and alphabets.
+    (in bits) is ``max_violation``, at most ``FEASIBILITY_TOL`` when feasible;
+    p' = 0 where the left side has mass is an infinite violation.  The source
+    and the distortion tensor must have the certificate's n and alphabets.
     """
     _check_shapes("certificate", cert, source, distortion)
     norm_err = 0.0
@@ -173,7 +182,7 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
         excess = np.log2(lhs[ok]) - np.log2(pp[ok])
         viol = max(viol, float(np.max(excess)))
     viol = max(viol, 0.0)
-    return FeasibilityReport(feasible=viol <= tol and norm_err <= NORM_TOL * 10,
+    return FeasibilityReport(feasible=viol <= FEASIBILITY_TOL and norm_err <= NORM_TOL * 10,
                              max_violation=viol, max_normalization_error=norm_err)
 
 
@@ -202,7 +211,7 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     st = _step(_kernel_table(q_star, ctx, "solution kernel"),
                np.exp2(-point.lam * distortion.values), source.probs, ctx, distortion.values)
     gamma = np.exp2(-max(st.log_max_c, 0.0)) / st.rows
-    _, factors = reverse_causal_factors(st.joint, n, A, B)
+    factors = reverse_causal_factors(st.joint, n, A, B)
     return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
                            gamma=gamma, p_prime_factors=tuple(factors))
 
@@ -248,9 +257,7 @@ def _anderson(g, x: np.ndarray, iters: int, tol: float, memory: int = 5) -> np.n
     return x
 
 
-def reconstruct_channel(cert: DualCertificate, source: BlockSource,
-                        max_iters: int = 10_000, tol: float = 1e-12,
-                        tight_tol: float = 1e-6) -> ForwardChannel:
+def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardChannel:
     """Recover the optimal forward channel from a tight certificate.
 
     The pair (r*, q*) at the optimum satisfies r* = p' q* / p row-wise, and
@@ -262,11 +269,11 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
 
     The certificate must be tight for this source, which two checks test
     (``NonTightCertificateError`` otherwise).  The rows of p' q / p must sum
-    to one to within ``tight_tol``.  And wherever the channel has mass a
+    to one to within ``TIGHT_TOL``.  And wherever the channel has mass a
     tight certificate has p' = p gamma 2^{-lam d} <= p gamma, so the excess
     E_{p r}[(log2(p' / (p gamma)))^+] in bits, at most the stopping
     statistic F of the solve behind the certificate, must not exceed
-    ``tight_tol``; a certificate for another source can pass the row test
+    ``TIGHT_TOL``; a certificate for another source can pass the row test
     and still fail this one.
     """
     _check_shapes("certificate", cert, source)
@@ -284,7 +291,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
     # kernels, so the tail is far too slow on its own.  A short warm start
     # gets into the basin; Anderson acceleration then removes the degenerate
     # slow modes and converges in a handful of extra steps.
-    warmup = min(200, max_iters)
+    warmup = 200
     for _ in range(warmup):
         q = _step(q, weight, p, ctx, ws=ws).q_next
 
@@ -300,18 +307,18 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource,
         return np.exp2(1.0 - y).reshape(q.shape)
 
     y = _anderson(lambda y: to_y(_step(to_q(y), weight, p, ctx, ws=ws).q_next), to_y(q),
-                  max(0, max_iters - warmup), tol)
+                  RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
     last = _step(to_q(y), weight, p, ctx, ws=ws)
     last.r[~support] = float(B) ** (-n)
     # "not <=" so that a NaN channel is refused too
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
-    if not worst <= tight_tol:
+    if not worst <= TIGHT_TOL:
         raise NonTightCertificateError(
             f"certificate is not tight: channel rows deviate by {worst:.3e}")
     with np.errstate(divide="ignore"):  # log2 0 = -inf where p' = 0 is no excess
         ratio = np.log2(weight[support] / (p * cert.gamma)[support, None])
     excess = float(np.sum(last.joint[support] * np.maximum(ratio, 0.0)))
-    if not excess <= tight_tol:
+    if not excess <= TIGHT_TOL:
         raise NonTightCertificateError(
             f"certificate is not tight: p' exceeds p * gamma by {excess:.3e} bits "
             "on the channel's support")

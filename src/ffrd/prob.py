@@ -10,7 +10,8 @@ The solver's causal factorization (``_context_factors``) writes into the
 buffers of a ``_FactorSpace``, part of the solver's step workspace: its
 results are valid until the next factorization given the same space, and a
 caller that keeps them copies them.  It writes with ``out=`` and reduces with
-ufunc reductions, as the solver step does.
+ufunc reductions, as the solver step does.  Run at delay 0 on the transposed
+joint, it also gives the certificates' reverse factors p'.
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | N
     slices of N_i for the context sums and divides once; conditioning
     contexts carrying zero joint mass then get a uniform factor, which keeps
     kernels strictly positive.  The kernel is the product of the factors,
-    one multiply per level.
+    one multiply per level.  At delay 0 on the transposed joint it gives the
+    reverse factors p' (``reverse_causal_factors``).
     """
     n, A, B, s, Z, rows, bins = ctx
     L = joints.shape[0]
@@ -370,23 +372,13 @@ def directed_information(source: BlockSource, channel: ForwardChannel,
     return float(val)
 
 
-def reverse_causal_factors(joint_table: np.ndarray, n: int, A: int, B: int):
+def reverse_causal_factors(joint_table: np.ndarray, n: int, A: int, B: int) -> list:
     """Factors p'(x_i | x^{i-1}, x̂^i) of the reverse causal conditioning.
 
-    Together with the forward kernel these reassemble the joint through the
-    causal-conditioning chain rule.  Factor ``i`` has axes
-    (x_1..x_i, x̂_1..x̂_i); zero-mass contexts are filled uniformly over x_i.
-    Returns (full_table, factors) with full_table over (x^n, x̂^n) flat.
+    The causal factorization of the transposed joint at delay 0; with the
+    forward kernel they reassemble the joint by the causal chain rule.  Factor
+    ``i`` has axes (x_1..x_i, x̂_1..x̂_i); zero-mass contexts are uniform over x_i.
     """
-    J = joint_table.reshape((A,) * n + (B,) * n)
-    factors = []
-    full = np.ones((A,) * n + (B,) * n)
-    for i in range(1, n + 1):
-        sum_axes = tuple(range(i, n)) + tuple(range(n + i, 2 * n))
-        M = J.sum(axis=sum_axes) if sum_axes else J  # axes (x_1..x_i, x̂_1..x̂_i)
-        D = M.sum(axis=i - 1, keepdims=True)
-        safe = np.where(D > 0.0, D, 1.0)
-        fi = np.where(D > 0.0, M / safe, 1.0 / A)
-        factors.append(fi)
-        full = full * fi.reshape((A,) * i + (1,) * (n - i) + (B,) * i + (1,) * (n - i))
-    return full.reshape(A**n, B**n), factors
+    _, factors, _ = _context_factors(joint_table.T[None], _Contexts.of(n, B, A, 0, None))
+    return [np.moveaxis(f[0], range(i, 2 * i), range(i))
+            for i, f in enumerate(factors, start=1)]

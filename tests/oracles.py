@@ -282,6 +282,28 @@ def causal_factors_full_table(joint_table, n, A, B, s, fmap=None):
     return full, factors, mass
 
 
+def reverse_factors_reference(joint_table, n, A, B):
+    """Factors p'(x_i | x^{i-1}, x̂^i) of the reverse causal conditioning,
+    each a marginal of the whole joint over 2n axes.
+
+    Factor ``i`` has axes (x_1..x_i, x̂_1..x̂_i); zero-mass contexts are
+    filled uniformly over x_i.  Returns (full_table, factors) with
+    full_table over (x^n, x̂^n) flat.
+    """
+    J = joint_table.reshape((A,) * n + (B,) * n)
+    factors = []
+    full = np.ones((A,) * n + (B,) * n)
+    for i in range(1, n + 1):
+        sum_axes = tuple(range(i, n)) + tuple(range(n + i, 2 * n))
+        M = J.sum(axis=sum_axes) if sum_axes else J  # axes (x_1..x_i, x̂_1..x̂_i)
+        D = M.sum(axis=i - 1, keepdims=True)
+        safe = np.where(D > 0.0, D, 1.0)
+        fi = np.where(D > 0.0, M / safe, 1.0 / A)
+        factors.append(fi)
+        full = full * fi.reshape((A,) * i + (1,) * (n - i) + (B,) * i + (1,) * (n - i))
+    return full.reshape(A**n, B**n), factors
+
+
 def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
     """One alternating-minimization step from the full kernel table q, with
     the stopping statistic taken over the full table: log2(q_next / q)

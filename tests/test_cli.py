@@ -130,6 +130,20 @@ class TestSimulateCommand:
         assert rep["trials"] == 20
         assert 0.0 <= rep["mean_distortion"] <= 1.0
 
+    def test_solver_flags_rejected(self, tmp_path, capsys):
+        # monte_carlo solves at delay 1 with its own tolerance: a solver
+        # setting on the command line or in a config file is an error, not
+        # a silently ignored value
+        base = ["simulate", "--source", "markov:0.3,0.2", "--dist", "stock", "--n", "2",
+                "--L", "4", "--trials", "50", "--target-D", "0.2"]
+        for extra in (["--delay", "2"], ["--eps", "0.5"], ["--max-iters", "1"], ["--strict"]):
+            assert run(base + extra) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"delay": 2}))
+        assert run(base + ["--config", str(cfg)]) == 1
+        assert "unknown config key 'delay'" in capsys.readouterr().err
+
 
 class TestAnalyticCommand:
     def test_stock_threshold(self, tmp_path):
@@ -140,6 +154,15 @@ class TestAnalyticCommand:
         rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
         assert float(rows["0.12"]) == 0.0
         assert float(rows["0"]) == pytest.approx(0.433157, abs=1e-6)
+
+    def test_strict_rejected(self, tmp_path, capsys):
+        # a closed form has nothing to converge, so there is no --strict
+        assert run(["analytic", "--curve", "stock", "--strict"]) == 1
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"strict": True}))
+        assert run(["analytic", "--curve", "stock", "--config", str(cfg)]) == 1
+        assert "unknown config key 'strict'" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -127,7 +127,7 @@ class TestFeasibility:
         src = block_pmf(SourceSpec.iid(0.3), 2)
         dist = hamming_tensor(2)
         joint = src.probs[:, None] * np.full((4, 4), 0.25)
-        _, factors = reverse_causal_factors(joint, 2, 2, 2)
+        factors = reverse_causal_factors(joint, 2, 2, 2)
         cert = DualCertificate(lam=0.0, n=2, src_alphabet_size=2,
                                rec_alphabet_size=2, gamma=np.ones(4),
                                p_prime_factors=tuple(factors))

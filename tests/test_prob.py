@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffrd.dual import DualCertificate
 from ffrd.models import FeedForwardMap
 from ffrd.prob import (
     BlockSource,
@@ -21,7 +22,7 @@ from ffrd.prob import (
 from ffrd.solver import _kernel_table
 
 from helpers import kernel_from_joint
-from oracles import causal_kernel_loops, context_mass_loops
+from oracles import causal_kernel_loops, context_mass_loops, reverse_factors_reference
 
 
 def random_joint(rng, n=2, A=2, B=2):
@@ -31,6 +32,13 @@ def random_joint(rng, n=2, A=2, B=2):
 def random_kernel(rng, n=2, A=2, B=2, s=1):
     """A valid causal kernel obtained by factorizing a random joint."""
     return kernel_from_joint(random_joint(rng, n, A, B), n, A, B, s)
+
+
+def p_prime_table(factors, n, A, B):
+    """The (|X|^n, |X̂|^n) product of reverse factors, as a certificate
+    holding them multiplies them."""
+    return DualCertificate(lam=0.0, n=n, src_alphabet_size=A, rec_alphabet_size=B,
+                           gamma=np.ones(A**n), p_prime_factors=factors).p_prime_table
 
 
 def assert_causal(kern):
@@ -276,12 +284,12 @@ class TestReverseFactors:
         rng = np.random.default_rng(10)
         joint = random_joint(rng)
         kern = kernel_from_joint(joint, 2, 2, 2, 1)
-        pp, factors = reverse_causal_factors(joint, 2, 2, 2)
+        pp = p_prime_table(reverse_causal_factors(joint, 2, 2, 2), 2, 2, 2)
         np.testing.assert_allclose(pp * kern.probs, joint, atol=1e-12)
 
     def test_factor_normalization(self):
         rng = np.random.default_rng(11)
-        _, factors = reverse_causal_factors(random_joint(rng), 2, 2, 2)
+        factors = reverse_causal_factors(random_joint(rng), 2, 2, 2)
         for i, f in enumerate(factors, start=1):
             np.testing.assert_allclose(f.sum(axis=i - 1), 1.0, atol=1e-12)
 
@@ -304,6 +312,19 @@ SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)
           if (A * B) ** n <= 256]
 
 
+def draw_joint(data, A, B, n):
+    """A random (|X|^n, |X̂|^n) joint with exact zero cells and, at times,
+    zero source rows."""
+    cell_zeros = data.draw(st.sampled_from([0.0, 0.3, 0.95]), label="cell_zeros")
+    row_zeros = data.draw(st.sampled_from([0.0, 0.5]), label="row_zeros")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    keep = (rng.random((A**n, 1)) >= row_zeros) & (rng.random((A**n, B**n)) >= cell_zeros)
+    joint = rng.dirichlet(np.ones(A**n * B**n)) * keep.ravel()
+    if joint.sum() == 0.0:
+        joint[rng.integers(joint.size)] = 1.0
+    return (joint / joint.sum()).reshape(A**n, B**n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(shape=st.sampled_from(SHAPES), data=st.data())
 def test_factorization_matches_loop_oracle(shape, data):
@@ -313,14 +334,7 @@ def test_factorization_matches_loop_oracle(shape, data):
     s = data.draw(st.integers(min_value=1, max_value=n), label="s")
     map_name = data.draw(st.sampled_from([None, "identity", "parity", "constant"]),
                          label="map")
-    cell_zeros = data.draw(st.sampled_from([0.0, 0.3, 0.95]), label="cell_zeros")
-    row_zeros = data.draw(st.sampled_from([0.0, 0.5]), label="row_zeros")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    keep = (rng.random((A**n, 1)) >= row_zeros) & (rng.random((A**n, B**n)) >= cell_zeros)
-    joint = rng.dirichlet(np.ones(A**n * B**n)) * keep.ravel()
-    if joint.sum() == 0.0:
-        joint[rng.integers(joint.size)] = 1.0
-    joint = (joint / joint.sum()).reshape(A**n, B**n)
+    joint = draw_joint(data, A, B, n)
     fmap = None if map_name is None else getattr(FeedForwardMap, map_name)(A).table
 
     ctx = _Contexts.of(n, A, B, s, fmap)
@@ -343,3 +357,21 @@ def test_factorization_matches_loop_oracle(shape, data):
     Z = A if fmap is None else int(np.max(fmap)) + 1
     assert [f.shape[1:] for f in factors] == [(Z,) * max(i - s, 0) + (B,) * i
                                          for i in range(1, n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_reverse_factors_match_reference(shape, data):
+    """The reverse factors, the forward factorization run at delay 0 on the
+    transposed joint, match the 2n-axis marginals of the reference, zero-mass
+    fill included, and with the forward kernel they reassemble the joint."""
+    A, B, n = shape
+    joint = draw_joint(data, A, B, n)
+    factors = reverse_causal_factors(joint, n, A, B)
+    _, expected = reverse_factors_reference(joint, n, A, B)
+    assert [f.shape for f in factors] == [(A,) * i + (B,) * i for i in range(1, n + 1)]
+    for f, e in zip(factors, expected):
+        np.testing.assert_allclose(f, e, rtol=0, atol=1e-12)
+    kern = kernel_from_joint(joint, n, A, B, s=1)
+    np.testing.assert_allclose(p_prime_table(factors, n, A, B) * kern.probs, joint,
+                               rtol=0, atol=1e-12)

@@ -25,8 +25,11 @@ reach, so every member runs exactly ``iterations`` steps.  Each case records:
 Faults and peaks come from separate solves with ``solver._step_stack``
 wrapped, so they do not slow the timed ones.  Answers mode prints a SHA-256
 over R, D, F_final, channel and kernel of every point of the benchmark's
-three ``sweep`` curves and of its ``certify`` solves, so two trees can be
-checked to give the same answers bit for bit.  ``--src`` imports ``ffrd``
+three ``sweep`` curves and of its ``certify`` solves, and two more over the
+certificates (``certificate_from_solution``) of the ``certify`` solves: one
+over their gamma and one over their p' factors, so two trees can be checked
+to give the same answers bit for bit, and a change to one part of the
+certificate told from a change to the other.  ``--src`` imports ``ffrd``
 from another tree's ``src``; the benchmark definitions always come from
 this tree's ``benchmarks``.
 """
@@ -135,7 +138,8 @@ def step_cases() -> list:
 
 
 def answers() -> dict:
-    """SHA-256 of the answers of the benchmark's sweep curves and certify solves."""
+    """SHA-256 of the answers of the benchmark's sweep curves and certify
+    solves, and of the certify solves' certificates."""
     import numpy as np
 
     import ffrd
@@ -147,16 +151,25 @@ def answers() -> dict:
     for c in _sweep_curves(tiny=False):
         points += ffrd.sweep(c.source, c.dist, c.n, c.grid, c.config, c.initial_context).points
     hamming = ffrd.DistortionSpec.hamming()
+    certs = []
     for n, lam, eps in ((8, 4.0, 1e-6), (8, 9.216, 1e-6), (8, 24.0, 1e-6), (5, 9.0, 1e-10)):
-        points.append(ffrd.solve(ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n),
-                                 ffrd.distortion_tensor(hamming, n),
-                                 ffrd.SolverConfig(lam=lam, epsilon=eps)))
+        source = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n)
+        dist = ffrd.distortion_tensor(hamming, n)
+        points.append(ffrd.solve(source, dist, ffrd.SolverConfig(lam=lam, epsilon=eps)))
+        certs.append(ffrd.certificate_from_solution(points[-1], source, dist))
     digest = hashlib.sha256()
     for pt in points:
         digest.update(np.array([pt.R, pt.D, pt.F_final]).tobytes())
         digest.update(pt.channel.probs.tobytes())
         digest.update(pt.kernel.probs.tobytes())
-    return {"points": len(points), "sha256": digest.hexdigest()}
+    gamma, p_prime = hashlib.sha256(), hashlib.sha256()
+    for cert in certs:
+        gamma.update(cert.gamma.tobytes())
+        for f in cert.p_prime_factors:
+            p_prime.update(f.tobytes())  # C order, whatever the strides
+    return {"points": len(points), "sha256": digest.hexdigest(),
+            "certificates": len(certs), "gamma_sha256": gamma.hexdigest(),
+            "p_prime_sha256": p_prime.hexdigest()}
 
 
 def main(argv=None) -> None:

@@ -36,8 +36,10 @@ def markov_rn(p: float, q: float, n: int, D: float) -> float:
     tests check D <= 0.2 on the 0.3/0.2 chain).  At longer delays the
     decoder sees less of the source and the rate is higher: at n=2, delay 2,
     lam=4.26 the certified lower bound is 0.25261 against 0.24955 here.
-    ``n`` may be np.inf for the limiting curve.
+    ``n`` is a whole number >= 1, or np.inf for the limiting curve.
     """
+    if not (n == np.inf or (float(n).is_integer() and n >= 1)):
+        raise ValueError(f"block length must be a whole number >= 1 or inf, got {n!r}")
     if D < 0:
         raise ValueError("distortion must be >= 0")
     if D > 0.5:

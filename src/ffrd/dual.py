@@ -208,7 +208,7 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     # the kernel after that channel to the one before it, over the contexts
     # the joint reaches (elsewhere it can be 0/0 on underflowed entries).
     ctx = _Contexts.of(n, A, B, 1, None)
-    st = _step(_kernel_table(q_star, ctx, "solution kernel"),
+    st = _step(_kernel_table(q_star, ctx, None, "solution kernel"),
                np.exp2(-point.lam * distortion.values), source.probs, ctx, distortion.values)
     gamma = np.exp2(-max(st.log_max_c, 0.0)) / st.rows
     factors = reverse_causal_factors(st.joint, n, A, B)

@@ -27,6 +27,8 @@ class SourceSpec:
         """i.i.d. source. ``bias`` is either P(X=1) for a binary source or a
         full marginal PMF."""
         b = np.atleast_1d(np.asarray(bias, dtype=float))
+        if not np.all(np.isfinite(b)):
+            raise ValueError("i.i.d. marginal has non-finite entries")
         pmf = np.array([1.0 - b[0], b[0]]) if b.size == 1 else b
         if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-12:
             raise ValueError("invalid i.i.d. marginal")
@@ -37,6 +39,9 @@ class SourceSpec:
         """Markov source from a row-stochastic transition matrix.  ``initial``
         defaults to the stationary distribution."""
         P = np.asarray(transition, dtype=float)
+        if not np.all(np.isfinite(P)) or (initial is not None
+                                          and not np.all(np.isfinite(initial))):
+            raise ValueError("Markov source has non-finite entries")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
         if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
@@ -107,6 +112,9 @@ class DistortionSpec:
     @staticmethod
     def single_letter(matrix) -> "DistortionSpec":
         mat = np.asarray(matrix, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError(f"single-letter distortion must be a 2-D matrix, got shape "
+                             f"{mat.shape}")
         return DistortionSpec(m=0, table=mat, src_alphabet_size=mat.shape[0],
                               rec_alphabet_size=mat.shape[1])
 

@@ -105,35 +105,56 @@ class ForwardChannel:
 
 @dataclass(frozen=True)
 class CausalKernel:
-    """Causally conditioned PMF q(x̂^n || c^{n-s}).
+    """Causally conditioned PMF q(x̂^n || c^{n-s}), held as its factors.
 
     The conditioning sequence ``c`` is the source block itself, or its image
     under a deterministic feed-forward symbol map when ``ff_map`` is given.
-    Factor ``i`` conditions on (x̂^{i-1}, c^{i-s}); the full product table is
-    stored over (x^n, x̂^n) and is constant in the source coordinates each
-    factor is forbidden to see.
-
-    ``factors[i-1]`` has shape ``(Z,)*max(i-s, 0) + (B,)*i`` with the
-    conditioning-symbol axes first, then x̂_1..x̂_i (last axis is x̂_i).
+    ``factors[i-1]`` is q(x̂_i | x̂^{i-1}, c^{i-s}), of shape
+    ``(Z,)*max(i-s, 0) + (B,)*i`` with the conditioning-symbol axes first,
+    then x̂_1..x̂_i (last axis is x̂_i).  A factor has no axis for a symbol
+    its context does not see, so every kernel is causal.  ``table`` and
+    ``probs`` multiply the factors out on every access.
     """
 
     n: int
     delay: int
     src_alphabet_size: int
     rec_alphabet_size: int
-    probs: np.ndarray
     factors: tuple = field(repr=False)
     ff_map: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.delay <= self.n:
+        n, s, A, B = self.n, self.delay, self.src_alphabet_size, self.rec_alphabet_size
+        if not 1 <= s <= n:
             raise ValueError("delay must satisfy 1 <= s <= n")
-        q = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
-        if q.shape != (self.src_alphabet_size**self.n, self.rec_alphabet_size**self.n):
-            raise ValueError("kernel table must be |X|^n by |X̂|^n")
-        _check_pmf(q, "kernel rows")
-        object.__setattr__(self, "probs", q)
-        object.__setattr__(self, "factors", tuple(self.factors))
+        if len(self.factors) != n:
+            raise ValueError(f"kernel needs n={n} factors, got {len(self.factors)}")
+        fmap = None if self.ff_map is None else np.asarray(self.ff_map)
+        if fmap is not None and fmap.shape != (A,):
+            raise ValueError(f"ff_map must give one symbol to each of the {A} source letters")
+        Z = A if fmap is None else int(np.max(fmap)) + 1
+        factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
+        for i, f in enumerate(factors, start=1):
+            shape = (Z,) * max(i - s, 0) + (B,) * i
+            if f.shape != shape:
+                raise ValueError(f"kernel factor {i} has shape {f.shape}; expected {shape}")
+            _check_pmf(f, f"kernel factor {i}")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "ff_map", fmap)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (Z^{n-s}, |X̂|^n) context table (see ``_Contexts``)."""
+        return _factor_product([f[None] for f in self.factors], self._contexts())[0]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The (|X|^n, |X̂|^n) table, constant over each context."""
+        return self._contexts().full(self.table)
+
+    def _contexts(self) -> "_Contexts":
+        return _Contexts.of(self.n, self.src_alphabet_size, self.rec_alphabet_size,
+                            self.delay, self.ff_map)
 
     @staticmethod
     def uniform(n: int, src_alphabet_size: int, rec_alphabet_size: int, delay: int = 1,
@@ -141,13 +162,9 @@ class CausalKernel:
         """The all-uniform kernel |X̂|^{-n}, the solver's starting point."""
         A, B = src_alphabet_size, rec_alphabet_size
         Z = A if ff_map is None else int(np.max(ff_map)) + 1
-        factors = []
-        for i in range(1, n + 1):
-            c = max(i - delay, 0)
-            factors.append(np.full((Z,) * c + (B,) * i, 1.0 / B))
-        probs = np.full((A**n, B**n), float(B) ** (-n))
-        return CausalKernel(n, delay, A, B, probs, tuple(factors),
-                            None if ff_map is None else np.asarray(ff_map))
+        factors = tuple(np.full((Z,) * max(i - delay, 0) + (B,) * i, 1.0 / B)
+                        for i in range(1, n + 1))
+        return CausalKernel(n, delay, A, B, factors, ff_map)
 
 
 def binary_entropy(p: float) -> float:
@@ -215,17 +232,6 @@ class _Contexts(NamedTuple):
             table = table[self.rows]
         return np.repeat(table, self.A**self.s, axis=0)
 
-    def table(self, full: np.ndarray) -> np.ndarray:
-        """The context table of a full table that is constant over each
-        context; a class no source prefix maps to gets the first row."""
-        table = full[::self.A**self.s]
-        if self.rows is None:
-            return table
-        first = np.zeros(self.Z ** (self.n - self.s), dtype=np.int64)
-        classes, where = np.unique(self.rows, return_index=True)
-        first[classes] = where
-        return table[first]
-
 
 class _FactorSpace:
     """Buffers for every table ``_context_factors`` writes for a stack of L
@@ -286,8 +292,8 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | N
     over x̂_i and, while i > s, over z_{i-s}.  Each level adds the x̂_i
     slices of N_i for the context sums and divides once; conditioning
     contexts carrying zero joint mass then get a uniform factor, which keeps
-    kernels strictly positive.  The kernel is the product of the factors,
-    one multiply per level.  At delay 0 on the transposed joint it gives the
+    kernels strictly positive.  The kernel is the product of the factors
+    (``_factor_product``).  At delay 0 on the transposed joint it gives the
     reverse factors p' (``reverse_causal_factors``).
     """
     n, A, B, s, Z, rows, bins = ctx
@@ -335,17 +341,31 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | N
     table = space.tables[0]
     if avoid is not None and (avoid is table or avoid.base is table):
         table = space.tables[1]
+    return _factor_product(factors, ctx, table, space.products), factors, mass
+
+
+def _factor_product(factors, ctx: _Contexts, table: np.ndarray | None = None,
+                    products: list | None = None) -> np.ndarray:
+    """The (L, Z^{n-s}, |X̂|^n) kernel tables of a stack of factors, one
+    multiply per level, written into ``table`` and the products of factors
+    1..i into ``products[i-1]`` (fresh arrays when None)."""
+    n, B, s, Z = ctx.n, ctx.B, ctx.s, ctx.Z
+    L = factors[0].shape[0]
+    if table is None:
+        table = np.empty((L, Z ** (n - s), B**n))
+    if products is None:
+        products = [None] * n
     if n == 1:
         np.copyto(table, factors[0].reshape(table.shape))
-        return table, factors, mass
+        return table
     product = factors[0]
     for i in range(2, n + 1):
         c = max(i - s, 0)
         shape = (L, Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-        out = table.reshape(shape) if i == n else space.products[i - 1]
+        out = table.reshape(shape) if i == n else products[i - 1]
         product = np.multiply(factors[i - 1].reshape(shape),
                               product.reshape(shape[:2] + (1, shape[3], 1)), out=out)
-    return table, factors, mass
+    return table
 
 
 def directed_information(source: BlockSource, channel: ForwardChannel,

@@ -37,7 +37,6 @@ from .prob import (
     BlockSource,
     CausalKernel,
     ForwardChannel,
-    NORM_TOL,
     _context_factors,
     _Contexts,
     _FactorSpace,
@@ -295,35 +294,22 @@ def _check_inputs(source: BlockSource, distortion: DistortionTensor,
                          f"the source alphabet has {A}")
 
 
-def _kernel_table(kernel: CausalKernel, ctx: _Contexts, what: str) -> np.ndarray:
-    """The context table of a kernel given from outside.
-
-    The kernel must have the block length and alphabets of ``ctx`` and be
-    constant, to within NORM_TOL, over each context: over the s newest
-    source symbols and over the preimage classes of the feed-forward map.
-    Otherwise its context table would be a different kernel, so
-    ``ValueError`` is raised instead.
-    """
+def _kernel_table(kernel: CausalKernel, ctx: _Contexts, fmap: np.ndarray | None,
+                  what: str) -> np.ndarray:
+    """The context table of a kernel given from outside, which must have the
+    block length, alphabets and delay of ``ctx`` and the feed-forward map
+    ``fmap`` (``ValueError`` otherwise)."""
     n, A, B = ctx.n, ctx.A, ctx.B
     if (kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size) != (n, A, B):
         raise ValueError(f"{what} is for n={kernel.n}, |X|={kernel.src_alphabet_size}, "
                          f"|X̂|={kernel.rec_alphabet_size}; expected n={n}, |X|={A}, |X̂|={B}")
-    table = ctx.table(kernel.probs)
-    if not np.allclose(ctx.full(table), kernel.probs, rtol=0.0, atol=NORM_TOL):
-        raise ValueError(f"{what} depends on source symbols its contexts do not see "
-                         f"(the {ctx.s} newest, or within a feed-forward map class)")
-    return table
-
-
-def _check_initial_kernel(kernel: CausalKernel, s: int, fmap: np.ndarray | None) -> None:
-    if kernel.delay != s:
-        raise ValueError(f"initial kernel has delay {kernel.delay}; the solve has delay {s}")
+    if kernel.delay != ctx.s:
+        raise ValueError(f"{what} has delay {kernel.delay}; the solve has delay {ctx.s}")
     same_map = (kernel.ff_map is None if fmap is None
                 else kernel.ff_map is not None and np.array_equal(kernel.ff_map, fmap))
     if not same_map:
-        raise ValueError("initial kernel has a different feed-forward map than the solve")
-    if not np.all(kernel.probs > 0.0):
-        raise ValueError("initial kernel must be strictly positive")
+        raise ValueError(f"{what} has a different feed-forward map than the solve")
+    return kernel.table
 
 
 def solve(source: BlockSource, distortion: DistortionTensor,
@@ -338,10 +324,9 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     ``RatePoint.trace``.  The distortion tensor and the feed-forward map must
     be defined on the source's block length and alphabet.  An initial
     kernel must match the solve's block length, delay, alphabets and
-    feed-forward map, be strictly positive, so that the bounds hold from the
-    first iterate, and be causal: constant over the source symbols its
-    contexts do not see.  Only its table is used.  The iteration is that of
-    every solve the package runs, a lockstep of one (``_solve_lockstep``).
+    feed-forward map and be strictly positive, so that the bounds hold from
+    the first iterate.  The iteration is that of every solve the package
+    runs, a lockstep of one (``_solve_lockstep``).
     """
     return _solve_lockstep(source, distortion, [config], [initial_kernel])[0]
 
@@ -374,14 +359,14 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     p = source.probs
     dvals = distortion.values
 
-    # kernels are kept as context tables; the full table is built once each
     q = np.empty((len(configs), ctx.Z ** (n - s), B**n))
     for j, kernel in enumerate(kernels):
         if kernel is None:
             q[j] = float(B) ** (-n)
         else:
-            q[j] = _kernel_table(kernel, ctx, "initial kernel")
-            _check_initial_kernel(kernel, s, fmap)
+            q[j] = _kernel_table(kernel, ctx, fmap, "initial kernel")
+            if not np.all(q[j] > 0.0):
+                raise ValueError("initial kernel must be strictly positive")
     tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
     ws = _Workspace(ctx, len(configs))
     members = list(range(len(configs)))  # config index of each stack member
@@ -419,13 +404,12 @@ def _point(st: _Step, diag: IterationDiagnostics, config: SolverConfig, ctx: _Co
     """The RatePoint of a solve whose last step is ``st`` with record ``diag``.
 
     The step's tables live in the solve's workspace, so the point copies the
-    channel and the factors it keeps (``ctx.full`` builds a new kernel table).
+    channel and the factors it keeps.
     """
     channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
                              probs=st.r.copy())
-    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, ctx.full(st.q_next),
-                          tuple(f.copy() for f in st.factors),
-                          None if fmap is None else np.asarray(fmap))
+    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, tuple(f.copy() for f in st.factors),
+                          fmap)
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite
     # when abandoned branches have underflowed.

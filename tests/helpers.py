@@ -17,9 +17,8 @@ def kernel_from_joint(joint, n, A, B, s, fmap=None):
     factored as the solver factors it; with ``fmap`` the contexts see the
     mapped symbols z_j = fmap[x_j]."""
     ctx = _Contexts.of(n, A, B, s, fmap)
-    table, factors, _ = _context_factors(np.asarray(joint, dtype=float)[None], ctx)
-    return CausalKernel(n, s, A, B, ctx.full(table[0]), tuple(f[0] for f in factors),
-                        None if fmap is None else np.asarray(fmap))
+    _, factors, _ = _context_factors(np.asarray(joint, dtype=float)[None], ctx)
+    return CausalKernel(n, s, A, B, tuple(f[0] for f in factors), fmap)
 
 
 def assert_same_iterates(source, distortion, config, block):

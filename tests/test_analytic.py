@@ -54,6 +54,12 @@ class TestMarkov:
         assert markov_rn(0.3, 0.2, 3, 0.49) == 0.0
         assert markov_rn(0.3, 0.2, 3, 0.7) == 0.0
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, np.nan, -np.inf])
+    def test_bad_block_length_rejected(self, n):
+        # n=0 divided by zero, and n=-1 and n=2.5 gave a number
+        with pytest.raises(ValueError, match="block length"):
+            markov_rn(0.3, 0.2, n, 0.1)
+
 
 class TestStockMarket:
     def test_zero_rate_threshold(self):

@@ -155,6 +155,11 @@ class TestAnalyticCommand:
         assert float(rows["0.12"]) == 0.0
         assert float(rows["0"]) == pytest.approx(0.433157, abs=1e-6)
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_bad_block_length_rejected(self, n, capsys):
+        assert run(["analytic", "--curve", "markov", "--n", n]) == 1
+        assert "error: block length must be a whole number" in capsys.readouterr().err
+
     def test_strict_rejected(self, tmp_path, capsys):
         # a closed form has nothing to converge, so there is no --strict
         assert run(["analytic", "--curve", "stock", "--strict"]) == 1

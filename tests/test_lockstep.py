@@ -39,7 +39,7 @@ def _random_kernel_table(rng, ctx, ff_map, cell_zeros):
         joint[rng.integers(joint.size)] = 1.0
     kernel = kernel_from_joint((joint / joint.sum()).reshape(A**n, B**n), n, A, B, ctx.s,
                                None if ff_map is None else ff_map.table)
-    return ctx.table(kernel.probs)
+    return kernel.table
 
 
 def _assert_same_step(got, ref):

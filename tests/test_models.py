@@ -38,6 +38,17 @@ class TestSourceSpec:
         with pytest.raises(ValueError):
             SourceSpec.markov([[0.5, 0.6], [0.2, 0.8]])
 
+    def test_iid_nan_rejected(self):
+        # every comparison with NaN is false, so the PMF checks passed it
+        with pytest.raises(ValueError, match="non-finite"):
+            SourceSpec.iid(float("nan"))
+
+    def test_markov_nan_rejected(self, capfd):
+        # LAPACK used to print to stderr, then raise LinAlgError
+        with pytest.raises(ValueError, match="non-finite"):
+            SourceSpec.markov([[np.nan, 1.0], [0.5, 0.5]])
+        assert capfd.readouterr().err == ""
+
 
 class TestStationaryDistribution:
     def test_reference_chain(self):
@@ -162,6 +173,10 @@ class TestDistortionTensor:
     def test_negative_distortion_rejected(self):
         with pytest.raises(ValueError):
             DistortionSpec.single_letter([[0.0, -1.0], [1.0, 0.0]])
+
+    def test_single_letter_vector_rejected(self):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            DistortionSpec.single_letter([1.0, 2.0])
 
 
 class TestFeedForwardMap:

@@ -19,7 +19,6 @@ from ffrd.prob import (
     reverse_causal_factors,
     sequence_digits,
 )
-from ffrd.solver import _kernel_table
 
 from helpers import kernel_from_joint
 from oracles import causal_kernel_loops, context_mass_loops, reverse_factors_reference
@@ -42,11 +41,13 @@ def p_prime_table(factors, n, A, B):
 
 
 def assert_causal(kern):
-    """The kernel is constant over the source symbols its contexts do not
-    see, as the solver requires of a kernel from outside."""
-    ctx = _Contexts.of(kern.n, kern.src_alphabet_size, kern.rec_alphabet_size, kern.delay,
-                       kern.ff_map)
-    _kernel_table(kern, ctx, "kernel")
+    """The full table repeats the context table over each context: row x^n
+    of ``probs`` is the ``table`` row of the class of z^{n-s}."""
+    n, A, s = kern.n, kern.src_alphabet_size, kern.delay
+    fmap = np.arange(A) if kern.ff_map is None else kern.ff_map
+    Z = int(np.max(fmap)) + 1
+    classes = fmap[sequence_digits(A, n)[:, :n - s]] @ Z ** np.arange(n - s - 1, -1, -1)
+    np.testing.assert_array_equal(kern.probs, kern.table[classes])
 
 
 class TestIndexing:
@@ -136,7 +137,7 @@ class TestConstructors:
 
     def test_kernel_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            CausalKernel(1, 1, 2, 2, np.full((2, 2), np.nan), (np.full(2, np.nan),))
+            CausalKernel(1, 1, 2, 2, (np.full(2, np.nan),))
 
 
 class TestCausalKernel:
@@ -193,6 +194,18 @@ class TestCausalKernel:
         assert np.all(kern.probs == 0.125)
         assert_causal(kern)
 
+    @pytest.mark.parametrize("factors, ff_map, message", [
+        ((np.full(2, 0.5),), None, "needs n=2 factors, got 1"),
+        # factor 2 with an x_2 axis would see the newest symbol
+        ((np.full(2, 0.5), np.full((2, 2, 2, 2), 0.5)), None, "factor 2 has shape"),
+        ((np.array([0.5 + 1e-9, 0.5]), np.full((2, 2, 2), 0.5)), None, "not normalized"),
+        ((np.full(2, 0.5), np.full((2, 2, 2), np.nan)), None, "non-finite"),
+        ((np.full(2, 0.5), np.full((2, 2, 2), 0.5)), np.array([0, 1, 1]), "ff_map"),
+    ], ids=["factor-count", "sees-newest", "rows-off", "nan", "map-length"])
+    def test_malformed_factors_rejected(self, factors, ff_map, message):
+        with pytest.raises(ValueError, match=message):
+            CausalKernel(2, 1, 2, 2, factors, ff_map)
+
     def test_feedforward_map_aggregates_classes(self):
         # constant map: kernel cannot depend on x at all, even at delay 1
         rng = np.random.default_rng(6)
@@ -238,8 +251,7 @@ class TestDirectedInformation:
         src = BlockSource(n=1, src_alphabet_size=2, probs=np.array([0.5, 0.5]))
         ch = ForwardChannel(n=1, src_alphabet_size=2, rec_alphabet_size=2,
                             probs=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        bad = CausalKernel(1, 1, 2, 2, np.array([[1.0, 0.0], [1.0, 0.0]]),
-                           (np.array([1.0, 0.0]),))
+        bad = CausalKernel(1, 1, 2, 2, (np.array([1.0, 0.0]),))
         with pytest.raises(SupportError):
             directed_information(src, ch, bad)
 
@@ -357,6 +369,10 @@ def test_factorization_matches_loop_oracle(shape, data):
     Z = A if fmap is None else int(np.max(fmap)) + 1
     assert [f.shape[1:] for f in factors] == [(Z,) * max(i - s, 0) + (B,) * i
                                          for i in range(1, n + 1)]
+    # the kernel built from the factors multiplies them as the factorization does
+    kern = CausalKernel(n, s, A, B, tuple(f[0] for f in factors), fmap)
+    np.testing.assert_array_equal(kern.table, table[0])
+    np.testing.assert_allclose(kern.probs, expected_q, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

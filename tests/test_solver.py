@@ -21,16 +21,6 @@ from oracles import solve_classical
 HAMMING = DistortionSpec.hamming()
 
 
-def non_causal_kernel(n, A, B, delay=1, ff_map=None):
-    """A strictly positive kernel table whose rows all differ, so it depends
-    on every source symbol, the ones its contexts must not see included."""
-    rng = np.random.default_rng(5)
-    probs = rng.random((A**n, B**n)) + 0.5
-    probs /= probs.sum(axis=1, keepdims=True)
-    return CausalKernel(n, delay, A, B, probs, (),
-                        None if ff_map is None else np.asarray(ff_map))
-
-
 def hamming_tensor(n):
     return distortion_tensor(HAMMING, n)
 
@@ -143,15 +133,6 @@ class TestDiagnostics:
         assert diag.upper_bound == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(gamma_from_kernel(kern, dist, 0.0), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("delay, ff_map", [(1, None), (2, None), (1, [0, 0])],
-                             ids=["newest-symbol", "two-newest", "map-class"])
-    def test_non_causal_kernel_rejected(self, delay, ff_map):
-        # the kernel a step starts from is read through its context table
-        ctx = _Contexts.of(2, 2, 2, delay, None if ff_map is None else np.asarray(ff_map))
-        kern = non_causal_kernel(2, 2, 2, delay, ff_map)
-        with pytest.raises(ValueError, match="previous kernel depends on source symbols"):
-            _kernel_table(kern, ctx, "previous kernel")
-
     def test_kernel_for_other_block_length_named(self):
         with pytest.raises(ValueError, match=r"initial kernel is for n=3, \|X\|=2, \|X̂\|=2; "
                                              r"expected n=2, \|X\|=2, \|X̂\|=2"):
@@ -208,7 +189,7 @@ class TestSolve:
     def test_solution_positive_kernel_invariants(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
         pt = solve(src, hamming_tensor(2), SolverConfig(lam=3.0))
-        _kernel_table(pt.kernel, _Contexts.of(2, 2, 2, 1, None), "solution kernel")
+        _kernel_table(pt.kernel, _Contexts.of(2, 2, 2, 1, None), None, "solution kernel")
         np.testing.assert_allclose(pt.kernel.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_constant_feedforward_equals_no_feedforward(self):
@@ -258,27 +239,15 @@ class TestInitialKernel:
         with pytest.raises(ValueError, match="strictly positive"):
             solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=kern)
 
-    @pytest.mark.parametrize("delay, config", [
-        (1, SolverConfig(lam=4.0)),
-        (2, SolverConfig(lam=4.0, delay=2)),
-        (1, SolverConfig(lam=4.0, feedforward_map=FeedForwardMap.constant(2))),
-    ], ids=["newest-symbol", "two-newest", "map-class"])
-    def test_non_causal_kernel_rejected(self, delay, config):
-        # the parent solve used such a table as given; its context table is
-        # another kernel, so it is refused rather than replaced
-        fmap = None if config.feedforward_map is None else config.feedforward_map.table
-        kern = non_causal_kernel(2, 2, 2, delay, fmap)
-        with pytest.raises(ValueError, match="initial kernel depends on source symbols"):
-            solve(self.SRC, hamming_tensor(2), config, initial_kernel=kern)
-
     def test_causal_kernel_within_tolerance_accepted(self):
         kern = CausalKernel.uniform(2, 2, 2)
-        probs = kern.probs.copy()
-        probs[1] += [1e-13, -1e-13, 0.0, 0.0]  # a newest-symbol row, off by rounding
-        nudged = CausalKernel(2, 1, 2, 2, probs, kern.factors)
+        f2 = kern.factors[1].copy()
+        f2[1, 0, 0] += 1e-13  # a row of factor 2 off by rounding
+        nudged = CausalKernel(2, 1, 2, 2, (kern.factors[0], f2))
         a = solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=kern)
         b = solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0), initial_kernel=nudged)
-        assert (a.R, a.D, a.iterations) == (b.R, b.D, b.iterations)
+        assert a.iterations == b.iterations
+        assert (b.R, b.D) == pytest.approx((a.R, a.D), abs=1e-9)
 
     @pytest.mark.parametrize("lam, delay, ff_map", [
         (4.0, 1, None), (6.0, 2, None), (3.0, 1, FeedForwardMap.parity(3)),

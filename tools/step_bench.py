@@ -25,13 +25,14 @@ reach, so every member runs exactly ``iterations`` steps.  Each case records:
 Faults and peaks come from separate solves with ``solver._step_stack``
 wrapped, so they do not slow the timed ones.  Answers mode prints a SHA-256
 over R, D, F_final, channel and kernel of every point of the benchmark's
-three ``sweep`` curves and of its ``certify`` solves, and two more over the
-certificates (``certificate_from_solution``) of the ``certify`` solves: one
-over their gamma and one over their p' factors, so two trees can be checked
-to give the same answers bit for bit, and a change to one part of the
-certificate told from a change to the other.  ``--src`` imports ``ffrd``
-from another tree's ``src``; the benchmark definitions always come from
-this tree's ``benchmarks``.
+three ``sweep`` curves and of its ``certify`` solves, one over the factors
+of every point's kernel, and two more over the certificates
+(``certificate_from_solution``) of the ``certify`` solves: one over their
+gamma and one over their p' factors, so two trees can be checked to give
+the same answers bit for bit, and a change to one part of the certificate
+told from a change to the other.  ``--src`` imports ``ffrd`` from another
+tree's ``src``; the benchmark definitions always come from this tree's
+``benchmarks``.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def step_cases() -> list:
 
 def answers() -> dict:
     """SHA-256 of the answers of the benchmark's sweep curves and certify
-    solves, and of the certify solves' certificates."""
+    solves, of their kernels' factors, and of the certify solves'
+    certificates."""
     import numpy as np
 
     import ffrd
@@ -157,19 +159,21 @@ def answers() -> dict:
         dist = ffrd.distortion_tensor(hamming, n)
         points.append(ffrd.solve(source, dist, ffrd.SolverConfig(lam=lam, epsilon=eps)))
         certs.append(ffrd.certificate_from_solution(points[-1], source, dist))
-    digest = hashlib.sha256()
+    digest, factors = hashlib.sha256(), hashlib.sha256()
     for pt in points:
         digest.update(np.array([pt.R, pt.D, pt.F_final]).tobytes())
         digest.update(pt.channel.probs.tobytes())
         digest.update(pt.kernel.probs.tobytes())
+        for f in pt.kernel.factors:
+            factors.update(f.tobytes())
     gamma, p_prime = hashlib.sha256(), hashlib.sha256()
     for cert in certs:
         gamma.update(cert.gamma.tobytes())
         for f in cert.p_prime_factors:
             p_prime.update(f.tobytes())  # C order, whatever the strides
     return {"points": len(points), "sha256": digest.hexdigest(),
-            "certificates": len(certs), "gamma_sha256": gamma.hexdigest(),
-            "p_prime_sha256": p_prime.hexdigest()}
+            "factors_sha256": factors.hexdigest(), "certificates": len(certs),
+            "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest()}
 
 
 def main(argv=None) -> None:

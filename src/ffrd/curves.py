@@ -70,7 +70,7 @@ def _warm_start(kernel: CausalKernel) -> CausalKernel:
     n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
     table = (1.0 - WARM_START_MIX) * kernel.probs + WARM_START_MIX * float(B) ** (-n)
     ctx = _Contexts.of(n, A, B, kernel.delay, kernel.ff_map)
-    _, factors, _ = _context_factors((table / float(A) ** n)[None], ctx)
+    factors, _ = _context_factors((table / float(A) ** n)[None], ctx)
     return CausalKernel(n, kernel.delay, A, B, tuple(f[0] for f in factors), kernel.ff_map)
 
 

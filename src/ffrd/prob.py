@@ -238,62 +238,77 @@ class _FactorSpace:
     joints on ``ctx``, allocated once; each call given them overwrites them.
 
     Per level i, ``sums[i-1]`` holds the context sums of N_i,
-    ``factors[i-1]`` factor i, ``nums[i-1]`` the next level's numerator
-    N_{i-1} (None when it is the context sums themselves, i <= s) and
-    ``products[i-1]`` the product of factors 1..i (None at i = 1, where it
-    is factor 1).  N_n goes to ``marginal``, and the kernel table to one of
-    the two ``tables``: the one that does not hold the kernel the joints
-    came from, so a step may read its input kernel while writing the next.
-    ``empty[i-1]`` and ``safe[i-1]`` serve a level whose contexts carry no
-    mass.
+    ``factors[i-1]`` factor i and ``nums[i-1]`` the next level's numerator
+    N_{i-1} (None when it is the context sums themselves, i <= s).  N_n goes
+    to ``marginal``.  ``empty[i-1]`` and ``safe[i-1]`` serve a level whose
+    contexts carry no mass.
     """
 
-    __slots__ = ("marginal", "sums", "nums", "factors", "products", "tables", "empty",
-                 "safe")
+    __slots__ = ("marginal", "sums", "nums", "factors", "empty", "safe")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
         c_n = n - s
         self.marginal = np.empty((L, A**c_n, B**n))
-        self.sums, self.nums, self.factors, self.products = [], [], [], []
+        self.sums, self.nums, self.factors = [], [], []
         for i in range(1, n + 1):
             c = max(i - s, 0)
             self.sums.append(np.empty((L,) + (Z,) * c + (B,) * (i - 1)))
             self.nums.append(np.empty((L,) + (Z,) * (c - 1) + (B,) * (i - 1)) if c else None)
             self.factors.append(np.empty((L,) + (Z,) * c + (B,) * i))
-            shape = (L, Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-            self.products.append(np.empty(shape) if 1 < i < n else None)
-        self.tables = (np.empty((L, Z**c_n, B**n)), np.empty((L, Z**c_n, B**n)))
         # the levels share one flat buffer of each, the size of the largest
         empty, safe = np.empty(self.sums[-1].size, dtype=bool), np.empty(self.sums[-1].size)
         self.empty = [empty[:d.size].reshape(d.shape) for d in self.sums]
         self.safe = [safe[:d.size].reshape(d.shape) for d in self.sums]
 
 
-def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | None = None,
-                     avoid: np.ndarray | None = None):
+#: Tables of at least this many cells are divided and multiplied slice by
+#: slice along their innermost axis x̂_i (``_along_last``): B calls, each
+#: one long inner loop, against one broadcast call whose inner loops run B
+#: entries per context.  Below it the one call costs less.  Per call at
+#: B = 2, slicing loses up to 1,024 cells, breaks even near 2,048 and wins
+#: from 4,096 (``BENCH_15.json``, ``crossover``).  At B = 3 it loses again
+#: from about 10^5 cells, where each of the B strided passes reads all of
+#: the table's memory; no workload has such a table.
+_SLICE_CELLS = 4096
+
+
+def _along_last(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op(a, b, out=out)`` for a ``b`` of last-axis length 1, slice by
+    slice along the last axis when ``out`` has ``_SLICE_CELLS`` cells or
+    more.  Each cell gets the same operation either way, so the results
+    are the same bit for bit."""
+    if out.size < _SLICE_CELLS:
+        return op(a, b, out=out)
+    b = b[..., 0]
+    for k in range(out.shape[-1]):
+        op(a[..., k], b, out=out[..., k])
+    return out
+
+
+def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | None = None):
     """Causal factorization of a stack of joints on the context table.
 
     ``joints`` holds L joint tables, one per member of the stack, with the
-    member axis first.  Returns (table, factors, mass): the kernels and N_n,
-    the joint mass of each context, as (L, Z^{n-s}, |X̂|^n) context tables,
-    and the kernels' factors (see ``CausalKernel``) with the member axis
-    first.  Every operation acts on each member as on a lone table, so a
-    member's results are those of its own factorization bit for bit.
+    member axis first.  Returns (factors, mass): the kernels' factors (see
+    ``CausalKernel``) with the member axis first, and N_n, the joint mass
+    of each context, as an (L, Z^{n-s}, |X̂|^n) context table.  Every
+    operation acts on each member as on a lone table, so a member's results
+    are those of its own factorization bit for bit.  ``_factor_product``
+    multiplies the factors out into the kernel tables.
 
     The results are written into ``space`` (a fresh ``_FactorSpace`` when
-    None), and the kernel table into the one of its two tables that
-    ``avoid`` is not, nor a view of.  They are valid until the next call
-    given the same space; a caller that keeps one copies it.
+    None).  They are valid until the next call given the same space; a
+    caller that keeps one copies it.
 
     Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
     over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
     x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
     over x̂_i and, while i > s, over z_{i-s}.  Each level adds the x̂_i
-    slices of N_i for the context sums and divides once; conditioning
-    contexts carrying zero joint mass then get a uniform factor, which keeps
-    kernels strictly positive.  The kernel is the product of the factors
-    (``_factor_product``).  At delay 0 on the transposed joint it gives the
+    slices of N_i for the context sums and divides once, or slice by slice
+    along x̂_i on a large level (``_along_last``); conditioning contexts
+    carrying zero joint mass then get a uniform factor, which keeps kernels
+    strictly positive.  At delay 0 on the transposed joint it gives the
     reverse factors p' (``reverse_causal_factors``).
     """
     n, A, B, s, Z, rows, bins = ctx
@@ -328,43 +343,51 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | N
             np.add(N[..., 0], N[..., 1], out=D)
             for b in range(2, B):
                 np.add(D, N[..., b], out=D)
-        if np.count_nonzero(D) == D.size:
-            np.divide(N, D[..., None], out=factors[i - 1])
+        # D sums nonnegative terms, so its least entry is 0 exactly when a
+        # context is empty (argmin finds it, or the first NaN, which takes
+        # the masked path and gives NaN too)
+        if D.item(D.argmin()) > 0.0:
+            _along_last(np.divide, N, D[..., None], factors[i - 1])
         else:
             empty = np.equal(D, 0.0, out=space.empty[i - 1])
-            np.divide(N, np.add(D, empty, out=space.safe[i - 1])[..., None],
-                      out=factors[i - 1])
+            _along_last(np.divide, N, np.add(D, empty, out=space.safe[i - 1])[..., None],
+                        factors[i - 1])
             factors[i - 1][empty] = 1.0 / B
         # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
         N = np.add.reduce(D, axis=c, out=space.nums[i - 1]) if c else D
-    # a view's base is the array that owns its memory
-    table = space.tables[0]
-    if avoid is not None and (avoid is table or avoid.base is table):
-        table = space.tables[1]
-    return _factor_product(factors, ctx, table, space.products), factors, mass
+    return factors, mass
+
+
+def _product_shape(ctx: _Contexts, L: int, i: int) -> tuple:
+    """Shape in which ``_factor_product`` multiplies factor i into the
+    product of factors 1..i-1: (members, older contexts, newest context
+    symbol z_{i-s} or 1, x̂^{i-1}, x̂_i)."""
+    c = max(i - ctx.s, 0)
+    return (L, ctx.Z ** max(c - 1, 0), ctx.Z if c else 1, ctx.B ** (i - 1), ctx.B)
 
 
 def _factor_product(factors, ctx: _Contexts, table: np.ndarray | None = None,
                     products: list | None = None) -> np.ndarray:
     """The (L, Z^{n-s}, |X̂|^n) kernel tables of a stack of factors, one
-    multiply per level, written into ``table`` and the products of factors
-    1..i into ``products[i-1]`` (fresh arrays when None)."""
+    multiply per level (slice by slice along x̂_i on a large level,
+    ``_along_last``), written into ``table`` and the products of factors
+    1..i into ``products[i-1]``, 1 < i < n (fresh arrays when None)."""
     n, B, s, Z = ctx.n, ctx.B, ctx.s, ctx.Z
     L = factors[0].shape[0]
     if table is None:
         table = np.empty((L, Z ** (n - s), B**n))
-    if products is None:
-        products = [None] * n
     if n == 1:
         np.copyto(table, factors[0].reshape(table.shape))
         return table
     product = factors[0]
     for i in range(2, n + 1):
-        c = max(i - s, 0)
-        shape = (L, Z ** max(c - 1, 0), Z if c else 1, B ** (i - 1), B)
-        out = table.reshape(shape) if i == n else products[i - 1]
-        product = np.multiply(factors[i - 1].reshape(shape),
-                              product.reshape(shape[:2] + (1, shape[3], 1)), out=out)
+        shape = _product_shape(ctx, L, i)
+        if i == n:
+            out = table.reshape(shape)
+        else:
+            out = np.empty(shape) if products is None else products[i - 1]
+        product = _along_last(np.multiply, factors[i - 1].reshape(shape),
+                              product.reshape(shape[:2] + (1, shape[3], 1)), out)
     return table
 
 
@@ -399,6 +422,6 @@ def reverse_causal_factors(joint_table: np.ndarray, n: int, A: int, B: int) -> l
     forward kernel they reassemble the joint by the causal chain rule.  Factor
     ``i`` has axes (x_1..x_i, x̂_1..x̂_i); zero-mass contexts are uniform over x_i.
     """
-    _, factors, _ = _context_factors(joint_table.T[None], _Contexts.of(n, B, A, 0, None))
+    factors, _ = _context_factors(joint_table.T[None], _Contexts.of(n, B, A, 0, None))
     return [np.moveaxis(f[0], range(i, 2 * i), range(i))
             for i, f in enumerate(factors, start=1)]

@@ -39,7 +39,9 @@ from .prob import (
     ForwardChannel,
     _context_factors,
     _Contexts,
+    _factor_product,
     _FactorSpace,
+    _product_shape,
 )
 
 
@@ -202,9 +204,16 @@ class _Workspace:
     """Buffers for every table ``_step_stack`` writes for a stack of L kernel
     context tables on ``ctx``, allocated once and overwritten by each step
     given them; ``factors`` holds the factorization's (``prob._FactorSpace``).
+
+    The next kernel goes to one of the two ``tables``: the one that does not
+    hold the kernel the step started from, so a step may read its input
+    kernel while writing the next.  ``partial_products[i-1]`` holds the
+    product of the kernel's factors 1..i (None at i = 1, where it is factor
+    1, and at i = n, where it is the kernel).
     """
 
-    __slots__ = ("src", "r", "rows", "joint", "logc", "live", "product", "factors")
+    __slots__ = ("src", "r", "rows", "joint", "logc", "live", "product", "factors", "tables",
+                 "partial_products")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
@@ -215,6 +224,9 @@ class _Workspace:
         self.live = np.empty(self.logc.shape, dtype=bool)
         self.product = np.empty((L, A**n, B**n))
         self.factors = _FactorSpace(ctx, L)
+        self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
+        self.partial_products = [np.empty(_product_shape(ctx, L, i)) if 1 < i < n else None
+                                 for i in range(1, n + 1)]
 
 
 def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
@@ -251,13 +263,18 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     shape = (A ** (n - s), A**s, B**n)
     r, rows = _channel(src[:, :, None, :], weight.reshape((-1,) + shape), ws.r, ws.rows)
     joint = np.multiply(p.reshape(shape[:2] + (1,)), r, out=ws.joint)
-    q_next, factors, mass = _context_factors(joint, ctx, ws.factors, avoid=q)
+    factors, mass = _context_factors(joint, ctx, ws.factors)
+    # a view's base is the array that owns its memory
+    table = ws.tables[1] if q is ws.tables[0] or q.base is ws.tables[0] else ws.tables[0]
+    q_next = _factor_product(factors, ctx, table, ws.partial_products)
     r, rows, joint = (r.reshape(L, A**n, B**n), rows.reshape(L, A**n),
                       joint.reshape(L, A**n, B**n))
     if dvals is None:
         return _Step(r, rows, joint, q_next, factors)
     logc = ws.logc
-    if np.count_nonzero(mass) == mass.size:  # every context is live: no mask
+    # mass sums nonnegative terms: its least entry is 0 exactly when a
+    # context is dead (argmin finds it, or the first NaN: masked path)
+    if mass.item(mass.argmin()) > 0.0:  # every context is live: no mask
         live = True
         np.divide(q_next, q, out=logc)
     else:

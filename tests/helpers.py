@@ -17,7 +17,7 @@ def kernel_from_joint(joint, n, A, B, s, fmap=None):
     factored as the solver factors it; with ``fmap`` the contexts see the
     mapped symbols z_j = fmap[x_j]."""
     ctx = _Contexts.of(n, A, B, s, fmap)
-    _, factors, _ = _context_factors(np.asarray(joint, dtype=float)[None], ctx)
+    factors, _ = _context_factors(np.asarray(joint, dtype=float)[None], ctx)
     return CausalKernel(n, s, A, B, tuple(f[0] for f in factors), fmap)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffrd
 from ffrd.cli import parse_grid, parse_lambda_grid, parse_source, run
 
 
@@ -159,6 +164,17 @@ class TestAnalyticCommand:
     def test_bad_block_length_rejected(self, n, capsys):
         assert run(["analytic", "--curve", "markov", "--n", n]) == 1
         assert "error: block length must be a whole number" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_command(self):
+        # python -m ffrd.cli runs the command, exit code and message included
+        src = str(Path(ffrd.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "ffrd.cli", "analytic", "--curve", "markov",
+                               "--n", "0"], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 1
+        assert "error: block length" in done.stderr
 
     def test_strict_rejected(self, tmp_path, capsys):
         # a closed form has nothing to converge, so there is no --strict

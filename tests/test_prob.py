@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffrd import prob
 from ffrd.dual import DualCertificate
 from ffrd.models import FeedForwardMap
 from ffrd.prob import (
@@ -12,6 +13,7 @@ from ffrd.prob import (
     SupportError,
     _context_factors,
     _Contexts,
+    _factor_product,
     binary_entropy,
     directed_information,
     flat_index,
@@ -350,7 +352,8 @@ def test_factorization_matches_loop_oracle(shape, data):
     fmap = None if map_name is None else getattr(FeedForwardMap, map_name)(A).table
 
     ctx = _Contexts.of(n, A, B, s, fmap)
-    table, factors, mass = _context_factors(joint[None], ctx)
+    factors, mass = _context_factors(joint[None], ctx)
+    table = _factor_product(factors, ctx)
 
     xs, xhs = sequence_digits(A, n), sequence_digits(B, n)
     p = {tuple(x): 1.0 for x in xs}
@@ -373,6 +376,63 @@ def test_factorization_matches_loop_oracle(shape, data):
     kern = CausalKernel(n, s, A, B, tuple(f[0] for f in factors), fmap)
     np.testing.assert_array_equal(kern.table, table[0])
     np.testing.assert_allclose(kern.probs, expected_q, rtol=0, atol=1e-12)
+
+
+def _factorize_both_ways(joint, ctx):
+    """Factors, mass and kernel table of one joint with every table sliced
+    along x̂_i, then with none; each factorization gets a fresh space."""
+    results = []
+    for cells in (0, 2**62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prob, "_SLICE_CELLS", cells)
+            factors, mass = _context_factors(joint[None], ctx)
+            results.append((factors, mass, _factor_product(factors, ctx)))
+    return results
+
+
+def _assert_same_bits(sliced, broadcast):
+    (f_s, m_s, t_s), (f_b, m_b, t_b) = sliced, broadcast
+    assert len(f_s) == len(f_b)
+    for a, b in zip(f_s, f_b):
+        assert np.array_equal(a, b)
+    assert np.array_equal(m_s, m_b)
+    assert np.array_equal(t_s, t_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_slicing_along_last_axis_changes_no_bit(shape, data):
+    """Dividing and multiplying slice by slice along x̂_i gives the
+    broadcast's factors, mass and kernel table bit for bit, for every delay
+    and feed-forward map, on joints with exact zero cells and rows."""
+    A, B, n = shape
+    s = data.draw(st.integers(min_value=1, max_value=n), label="s")
+    map_name = data.draw(st.sampled_from([None, "identity", "parity", "constant"]),
+                         label="map")
+    joint = draw_joint(data, A, B, n)
+    fmap = None if map_name is None else getattr(FeedForwardMap, map_name)(A).table
+    _assert_same_bits(*_factorize_both_ways(joint, _Contexts.of(n, A, B, s, fmap)))
+
+
+def test_slicing_changes_no_bit_on_empty_contexts_at_a_sliced_level():
+    """At n=7 the last level is sliced at the default size switch; with
+    contexts carrying no mass there, its masked divide and the uniform fill
+    give the broadcast's bits too."""
+    n, A, B = 7, 2, 2
+    rng = np.random.default_rng(7)
+    joint = rng.dirichlet(np.ones(A**n * B**n)).reshape(A**n, B**n)
+    joint[:8] = 0.0  # the prefixes x^6 = 000000..000011 carry no mass
+    joint[rng.random(joint.shape) < 0.3] = 0.0
+    joint /= joint.sum()
+    ctx = _Contexts.of(n, A, B, 1, None)
+    assert (A ** (n - 1)) * B**n >= prob._SLICE_CELLS
+    factors, mass = _context_factors(joint[None], ctx)
+    # the uniform fill ran on the empty contexts of the last level
+    assert np.all(factors[-1][0].reshape(A ** (n - 1), -1)[:4] == 1.0 / B)
+    sliced, broadcast = _factorize_both_ways(joint, ctx)
+    _assert_same_bits(sliced, broadcast)
+    for a, b in zip(factors, sliced[0]):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=60, deadline=None)

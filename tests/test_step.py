@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ffrd.dual import _anderson, certificate_from_solution
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
-from ffrd.prob import _context_factors, _Contexts
+from ffrd.prob import _context_factors, _Contexts, _factor_product
 from ffrd.solver import SolverConfig, _diagnostics, _step, solve
 
 from helpers import kernel_from_joint
@@ -35,7 +35,8 @@ def _assert_same_factorization(joint, n, A, B, s, fmap):
     """The factorization of one joint on its context table, spread over the
     source blocks (mass over the source prefixes), equals the reference."""
     ctx = _Contexts.of(n, A, B, s, fmap)
-    table, factors, mass = _context_factors(joint[None], ctx)
+    factors, mass = _context_factors(joint[None], ctx)
+    table = _factor_product(factors, ctx)
     ref_full, ref_factors, ref_mass = causal_factors_full_table(joint, n, A, B, s, fmap)
     np.testing.assert_array_equal(ctx.full(table[0]), ref_full)
     np.testing.assert_array_equal(mass[0] if ctx.rows is None else mass[0, ctx.rows], ref_mass)

@@ -9,19 +9,23 @@ kernel.  The encoder picks the tree of minimum walked distortion; the decoder
 replays the walk from the fed-forward source symbols.
 
 A codebook stacks its trees once into a (trees, L, A^{n-1}) decision array,
-so the encoder walks every tree with one gather over the stream's branch
-indices and scores every walk with one lookup in the windowed-distortion
-costs of ``models._position_costs`` (the routine ``distortion_tensor``
-uses).  Trees and source streams are drawn one level or one stream at a
-time, from the same random numbers, in the same order, as a per-branch
-``Generator.choice`` loop would draw them.
+so the encoder walks every tree along a batch of streams with one gather over
+the streams' branch indices and scores every walk with one lookup in the
+windowed-distortion costs of ``models._position_costs`` (the routine
+``distortion_tensor`` uses).  ``monte_carlo`` draws its codebook level by
+level for all trees and blocks at once, and encodes and scores its trials
+in bounded chunks; trial t draws its stream from ``default_rng([seed, t])``,
+so the stream depends neither on the number of trials nor on the chunk.
+Trees and source streams are drawn from the same random numbers, in the
+same order, as a per-branch ``Generator.choice`` loop would draw them, and
+the one-item functions (``sample_code_tree``, ``encode``, ``decode_walk``)
+are batches of one through the same cores.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,49 +96,68 @@ def _choice_cdf(pmfs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def sample_code_tree(kernel: CausalKernel, L: int, rng) -> CodeTree:
-    """Sample a depth-L tree from a delay-1 causal kernel, block by block.
+def _sample_decisions(kernel: CausalKernel, L: int, trees: int, rng) -> np.ndarray:
+    """Decision array (see :func:`_decision_array`) of ``trees`` depth-L
+    trees sampled from a delay-1 causal kernel.
 
-    Each level takes one uniform draw per branch, in branch order."""
-    n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
+    One ``rng.random`` call draws every uniform in the order tree, block,
+    level, branch, the order successive one-tree draws from the same
+    generator take them in; each level is then decided for all trees and
+    blocks at once."""
+    n, A = kernel.n, kernel.src_alphabet_size
     if L % n != 0:
         raise ValueError("L must be a multiple of the kernel block length")
     if kernel.delay != 1:
         raise ValueError("code trees require a delay-1 kernel")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    # Per level i: the conditioning symbols z^{i-1} of every branch and the
-    # position of its ancestor at each earlier level j, which gives the
-    # reconstruction path x̂^{i-1} along the branch.
-    contexts = []
-    for i in range(1, n + 1):
+    widths = [A ** (i - 1) for i in range(1, n + 1)]
+    u = rng.random((trees, L // n, sum(widths)))
+    out = np.zeros((trees, L // n, n, widths[-1]), dtype=np.int64)
+    start = 0
+    for i, width in enumerate(widths, start=1):
+        # the conditioning symbols z^{i-1} of every branch, then the
+        # reconstruction path x̂^{i-1} read at each branch's ancestors
         digits = sequence_digits(A, i - 1)
         z = digits if kernel.ff_map is None else kernel.ff_map[digits]
-        h = np.arange(A ** (i - 1))
-        contexts.append((tuple(z.T), [h // A ** (i - j) for j in range(1, i)]))
-    blocks = []
-    for _ in range(L // n):
-        levels: list[np.ndarray] = []
-        for i, (z, ancestors) in enumerate(contexts, start=1):
-            path = tuple(levels[j][a] for j, a in enumerate(ancestors))
-            pmfs = kernel.factors[i - 1][z + path].reshape(A ** (i - 1), B)
-            # normalized before the CDF, as a per-branch choice(B, p=pmf / pmf.sum())
-            cdf = _choice_cdf(pmfs / pmfs.sum(axis=1, keepdims=True))
-            u = rng.random(A ** (i - 1))
-            levels.append((cdf <= u[:, None]).sum(axis=1))
-        blocks.append(tuple(levels))
-    return CodeTree(n=n, L=L, src_alphabet_size=A, rec_alphabet_size=B,
-                    blocks=tuple(blocks))
+        h = np.arange(width)
+        path = tuple(out[:, :, j - 1, h // A ** (i - j)] for j in range(1, i))
+        pmfs = kernel.factors[i - 1][tuple(z.T) + path]
+        # normalized before the CDF, as a per-branch choice(B, p=pmf / pmf.sum())
+        cdf = _choice_cdf(pmfs / pmfs.sum(axis=-1, keepdims=True))
+        out[:, :, i - 1, :width] = (cdf <= u[:, :, start:start + width, None]).sum(axis=-1)
+        start += width
+    return out.reshape(trees, L, widths[-1])
+
+
+def sample_code_tree(kernel: CausalKernel, L: int, rng) -> CodeTree:
+    """Sample a depth-L tree from a delay-1 causal kernel: a batch of one of
+    :func:`_sample_decisions`.
+
+    Blocks take their uniform draws in block order, and each level of a block
+    one per branch, in branch order."""
+    n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    decisions = _sample_decisions(kernel, L, 1, rng)[0]
+    blocks = tuple(tuple(decisions[b * n + i, :A**i] for i in range(n))
+                   for b in range(L // n))
+    return CodeTree(n=n, L=L, src_alphabet_size=A, rec_alphabet_size=B, blocks=blocks)
 
 
 def _branch_indices(x: np.ndarray, n: int, A: int) -> np.ndarray:
     """Block-local branch index x^{i-1} (first symbol most significant) of
-    every position of a stream whose length is a multiple of n."""
-    blocks = x.reshape(-1, n)
+    every position of streams along the last axis, whose length is a
+    multiple of n."""
+    blocks = x.reshape(x.shape[:-1] + (-1, n))
     branch = np.zeros(blocks.shape, dtype=np.int64)
     for i in range(1, n):
-        branch[:, i] = branch[:, i - 1] * A + blocks[:, i - 1]
-    return branch.ravel()
+        branch[..., i] = branch[..., i - 1] * A + blocks[..., i - 1]
+    return branch.reshape(x.shape)
+
+
+def _walks(decisions: np.ndarray, n: int, A: int, x: np.ndarray) -> np.ndarray:
+    """Walk of every tree of a decision array along every stream of ``x``
+    (streams, L): a (trees, streams, L) array, one gather."""
+    return decisions[:, np.arange(x.shape[-1]), _branch_indices(x, n, A)]
 
 
 def _check_symbols(seq: np.ndarray, alphabet_size: int, what: str) -> None:
@@ -151,8 +174,8 @@ def decode_walk(tree: CodeTree, x_causal_stream) -> np.ndarray:
     _check_symbols(x, tree.src_alphabet_size, "source")
     if x.size < tree.L:
         raise ValueError("source stream shorter than the tree depth")
-    branch = _branch_indices(x[:tree.L], tree.n, tree.src_alphabet_size)
-    return _decision_array((tree,))[0, np.arange(tree.L), branch]
+    return _walks(_decision_array((tree,)), tree.n, tree.src_alphabet_size,
+                  x[None, :tree.L])[0, 0]
 
 
 def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> float:
@@ -168,12 +191,6 @@ def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> 
         raise ValueError("sequences must have equal length")
     _check_symbols(x, spec.src_alphabet_size, "source")
     _check_symbols(xhat, spec.rec_alphabet_size, "reconstruction")
-    return _sequence_distortion(spec, x, xhat, initial_context)
-
-
-def _sequence_distortion(spec: DistortionSpec, x: np.ndarray, xhat: np.ndarray,
-                         initial_context=None) -> float:
-    """:func:`sequence_distortion` of int64 sequences known to be in range."""
     costs = _position_costs(spec, x, initial_context)
     return float(costs[np.arange(x.size), xhat].sum() / x.size)
 
@@ -190,34 +207,49 @@ def encode(codebook: Codebook, x, distortion: DistortionSpec) -> int:
     if x.size != tree.L:
         raise ValueError(f"source stream has length {x.size}; the trees have depth {tree.L}")
     _check_symbols(x, tree.src_alphabet_size, "source")
-    return _encode(codebook, x, distortion)
+    chosen, _ = _encode_streams(codebook.decision_array, tree.n, tree.src_alphabet_size,
+                                x[None], distortion)
+    return int(chosen[0])
 
 
-def _encode(codebook: Codebook, x: np.ndarray, distortion: DistortionSpec) -> int:
-    """:func:`encode` of an int64 stream of the trees' depth, known to be in range."""
-    tree = codebook.trees[0]
-    levels = np.arange(tree.L)
-    outs = codebook.decision_array[:, levels,
-                                   _branch_indices(x, tree.n, tree.src_alphabet_size)]
-    totals = _position_costs(distortion, x)[levels, outs].sum(axis=1)
-    return int(np.flatnonzero(totals <= totals.min() + 1e-15)[0])
+def _encode_streams(decisions: np.ndarray, n: int, A: int, x: np.ndarray,
+                    distortion: DistortionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode` of int64 streams ``x`` (streams, L), known to be in
+    range, against a decision array: the chosen tree of every stream and the
+    per-letter distortion of its walk, both scored from one table of
+    position costs."""
+    streams, L = x.shape
+    costs = _position_costs(distortion, x)
+    totals = costs[np.arange(streams)[:, None], np.arange(L),
+                   _walks(decisions, n, A, x)].sum(axis=-1)
+    chosen = (totals <= totals.min(axis=0) + 1e-15).argmax(axis=0)
+    return chosen, totals[chosen, np.arange(streams)] / L
+
+
+def _sample_streams(spec: SourceSpec, length: int, rngs) -> np.ndarray:
+    """One stream per generator of ``rngs``, a (streams, length) array drawn
+    with the uniforms, and by the CDFs, that rng.choice would use: for
+    i.i.d. sources one call for the whole stream, for Markov sources one call
+    for the initial state and one per transition.  The Markov transitions of
+    all streams are stepped together."""
+    rngs = list(rngs)
+    u = np.empty((len(rngs), length if spec.kind == "iid" else length + 1))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    if spec.kind == "iid":
+        return np.searchsorted(_choice_cdf(spec.marginal), u, side="right")
+    rows = _choice_cdf(spec.transition)
+    x = np.empty((len(rngs), length), dtype=np.int64)
+    state = np.searchsorted(_choice_cdf(spec.initial), u[:, 0], side="right")
+    for t in range(length):
+        x[:, t] = state
+        state = (rows[state] <= u[:, t + 1, None]).sum(axis=1)
+    return x
 
 
 def _sample_source(spec: SourceSpec, length: int, rng) -> np.ndarray:
-    """A stream drawn with the uniforms, and by the CDFs, that rng.choice
-    would use: for i.i.d. sources one call for the whole stream, for Markov
-    sources one call for the initial state and one per transition."""
-    if spec.kind == "iid":
-        return np.searchsorted(_choice_cdf(spec.marginal), rng.random(length), side="right")
-    u = rng.random(length + 1).tolist()
-    initial = _choice_cdf(spec.initial).tolist()
-    rows = _choice_cdf(spec.transition).tolist()
-    out = np.empty(length, dtype=np.int64)
-    state = bisect_right(initial, u[0])
-    for t in range(length):
-        out[t] = state
-        state = bisect_right(rows[state], u[t + 1])
-    return out
+    """One stream of :func:`_sample_streams`, drawn from ``rng``."""
+    return _sample_streams(spec, length, (rng,))[0]
 
 
 @dataclass(frozen=True)
@@ -261,6 +293,13 @@ def _lambda_for_distortion(source, dist, target_D: float, delay: int,
     return solve(source, dist, SolverConfig(lam=0.5 * (lo + hi), delay=delay, epsilon=1e-8))
 
 
+#: (trial, tree, level) entries of the walks ``monte_carlo`` gathers and
+#: scores in one chunk of trials.  Each of a chunk's few temporaries of this
+#: many entries takes 128 KB, so a chunk stays well under 1 MB, while a
+#: chunk's numpy calls cost little next to the trials' own seeding.
+_CHUNK_ENTRIES = 2**14
+
+
 def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
                 n: int, L: int, delta: float, trials: int, seed: int,
                 target_D: float, lam: float | None = None,
@@ -271,33 +310,41 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     Lagrange weight unless ``lam`` is given), draws floor(2^{L(R + delta)})
     code trees from it, encodes ``trials`` fresh source streams of length L,
     and reports the empirical mean distortion with its standard error.
-    Deterministic for a fixed seed.  ``memory_cap`` bounds the entries of
-    the codebook's (trees, L, |X|^{n-1}) decision array; a larger codebook
-    raises ``MemoryError`` before any tree is drawn.
+    Deterministic for a fixed seed: trial t draws its stream from
+    ``default_rng([seed, t])``, so the stream depends neither on ``trials``
+    nor on the chunk that encodes it.  Trials are encoded and scored in
+    chunks of at most ``_CHUNK_ENTRIES`` (trial, tree, level) walk entries
+    (one trial at least), which bounds the memory a chunk uses.
+    ``memory_cap`` bounds the entries of the codebook's (trees, L, |X|^{n-1})
+    decision array; a larger codebook raises ``MemoryError`` before any tree
+    is drawn.  ``trials < 1``, ``L < n`` and an ``L`` that is not a multiple
+    of ``n`` raise ``ValueError`` before any solve.
     """
     source = block_pmf(source_spec, n)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if L < n or L % n != 0:
+        raise ValueError(f"tree depth L = {L} must be a positive multiple of n = {n}")
     dist = distortion_tensor(distortion_spec, n)
     if lam is None:
         point = _lambda_for_distortion(source, dist, target_D, delay=1)
     else:
         point = solve(source, dist, SolverConfig(lam=lam, delay=1, epsilon=1e-8))
     size = max(int(math.floor(2.0 ** (L * (point.R + delta)))), 1)
-    width = source.src_alphabet_size ** (n - 1)
-    if size * L * width > memory_cap:
-        raise MemoryError(f"decision array of {size} trees x {L} levels x {width} branches "
-                          f"exceeds the cap of {memory_cap} entries")
+    A = source.src_alphabet_size
+    if size * L * A ** (n - 1) > memory_cap:
+        raise MemoryError(f"decision array of {size} trees x {L} levels x {A ** (n - 1)} "
+                          f"branches exceeds the cap of {memory_cap} entries")
     root = np.random.SeedSequence(seed)
-    tree_rng = np.random.default_rng(root.spawn(1)[0])
-    trees = tuple(sample_code_tree(point.kernel, L, tree_rng) for _ in range(size))
-    book = Codebook(trees=trees, target_rate=point.R)
-    levels = np.arange(L)
+    decisions = _sample_decisions(point.kernel, L, size,
+                                  np.random.default_rng(root.spawn(1)[0]))
+    chunk = max(_CHUNK_ENTRIES // (size * L), 1)
     dists = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        x = _sample_source(source_spec, L, rng)
-        idx = _encode(book, x, distortion_spec)
-        out = book.decision_array[idx, levels, _branch_indices(x, n, source.src_alphabet_size)]
-        dists[t] = _sequence_distortion(distortion_spec, x, out)
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        x = _sample_streams(source_spec, L, (np.random.default_rng([seed, t])
+                                             for t in range(start, stop)))
+        _, dists[start:stop] = _encode_streams(decisions, n, A, x, distortion_spec)
     mean = float(dists.mean())
     stderr = float(dists.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimulationReport(n=n, L=L, delta=delta, codebook_size=size,

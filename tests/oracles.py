@@ -213,6 +213,34 @@ def markov_stream_choice(transition, initial, length, rng):
     return out
 
 
+def monte_carlo_loops(source, table, m, factors, rate, n, L, delta, trials, seed,
+                      target_D):
+    """The report fields of ``monte_carlo`` from the loop references above.
+
+    ``source`` is ``("iid", marginal)`` or ``("markov", transition,
+    initial)``; ``factors`` and ``rate`` are those of the point the package
+    solves.  The trees come one at a time from the generator spawned from
+    ``seed``, trial t's stream from ``default_rng([seed, t])``, and every
+    trial is encoded, walked and scored on its own."""
+    A, B = table.shape[0], table.shape[-1]
+    size = max(int(np.floor(2.0 ** (L * (rate + delta)))), 1)
+    tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    trees = [sample_code_tree_loops(factors, n, L, A, B, None, tree_rng) for _ in range(size)]
+    dists = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        if source[0] == "iid":
+            x = iid_stream_choice(source[1], L, rng)
+        else:
+            x = markov_stream_choice(source[1], source[2], L, rng)
+        walk = decode_walk_loops(trees[encode_loops(trees, n, A, x, table, m)], n, A, x)
+        dists[t] = sequence_distortion_loops(table, m, A, x, walk)
+    stderr = float(dists.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return {"n": n, "L": L, "delta": delta, "codebook_size": size, "trials": trials,
+            "mean_distortion": float(dists.mean()), "stderr": stderr,
+            "target_D": target_D, "rate": rate}
+
+
 def distortion_tensor_reference(table, m, A, B, n, initial_context=None):
     """Dense block distortion d(x^n, x̂^n), accumulated position by position:
     each position's window table is resolved over the missing pre-block

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from oracles import (
     encode_loops,
     iid_stream_choice,
     markov_stream_choice,
+    monte_carlo_loops,
     sample_code_tree_loops,
     sequence_distortion_loops,
 )
@@ -217,7 +220,7 @@ class TestMonteCarlo:
             raise AssertionError("a tree was sampled before the cap check")
 
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "sample_code_tree", no_sampling)
+            patch.setattr(sim, "_sample_decisions", no_sampling)
             with pytest.raises(MemoryError):
                 monte_carlo(*args, lam=lam, memory_cap=14 * size)
         assert monte_carlo(*args, lam=lam, memory_cap=24 * size).codebook_size == size
@@ -288,6 +291,9 @@ def test_array_simulator_matches_loops(data):
                 np.testing.assert_array_equal(level, ref_level)
 
     book = Codebook(trees=tuple(trees), target_rate=0.0)
+    np.testing.assert_array_equal(
+        sim._sample_decisions(kern, L, size, np.random.default_rng(tree_seed)),
+        book.decision_array)
     real = DistortionSpec.windowed(1, rng.random((A, A, A)))
     for _ in range(4):
         x = rng.integers(0, A, L)
@@ -310,6 +316,80 @@ def test_array_simulator_matches_loops(data):
     np.testing.assert_array_equal(
         _sample_source(SourceSpec.iid(initial), 40, np.random.default_rng(stream_seed)),
         iid_stream_choice(initial, 40, np.random.default_rng(stream_seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_monte_carlo_matches_loops(data):
+    """Reports equal, byte for byte, those of trees drawn, streams drawn and
+    trials encoded, walked and scored one at a time by the loop references,
+    whatever chunks the trials are encoded in.  Costs are multiples of 1/8
+    and every missing window symbol is averaged over a binary alphabet, so
+    every sum is exact in either order."""
+    A = data.draw(st.sampled_from([2, 3]), label="A")
+    n = data.draw(st.integers(1, 3), label="n")
+    L = n * data.draw(st.integers(1, 3), label="blocks")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="markov"):
+        transition, initial = rng.dirichlet(np.ones(A), size=A), rng.dirichlet(np.ones(A))
+        spec, source = SourceSpec.markov(transition, initial), ("markov", transition, initial)
+    else:
+        marginal = rng.dirichlet(np.ones(A))
+        spec, source = SourceSpec.iid(marginal), ("iid", marginal)
+    dist_name = data.draw(st.sampled_from(["hamming", "stock", "eighths"] if A == 2
+                                          else ["hamming", "eighths"]), label="distortion")
+    if dist_name == "eighths":
+        m = data.draw(st.integers(0, 2 if A == 2 else 0), label="m")
+        dist = DistortionSpec.windowed(m, rng.integers(0, 9, size=(A,) * (m + 2)) / 8)
+    else:
+        dist = _distortion_spec(dist_name, A, rng)
+    lam = data.draw(st.floats(3.0, 8.0), label="lam")
+    point = solve(block_pmf(spec, n), distortion_tensor(dist, n),
+                  SolverConfig(lam=lam, delay=1, epsilon=1e-8))
+    # delta sets the codebook size from the solved rate, so the loops stay short
+    size = data.draw(st.integers(1, 8), label="trees")
+    delta = math.log2(size + 0.5) / L - point.R
+    trials = data.draw(st.integers(1, 10), label="trials")
+    entries = data.draw(st.sampled_from([1, 2**62])
+                        | st.integers(1, 4).map(lambda c: c * size * L), label="entries")
+    seed = data.draw(st.integers(0, 2**16), label="trial seed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CHUNK_ENTRIES", entries)
+        rep = monte_carlo(spec, dist, n, L, delta, trials, seed, 0.25, lam=lam)
+    assert rep.codebook_size == size
+    assert rep.to_json() == json.dumps(monte_carlo_loops(
+        source, dist.table, dist.m, point.kernel.factors, point.R, n, L, delta, trials,
+        seed, 0.25))
+
+
+@pytest.mark.parametrize("n, L, trials", [(2, 8, 0), (2, 8, -1), (2, 0, 10), (2, 1, 10),
+                                          (2, 7, 10), (3, 8, 10)],
+                         ids=["no-trials", "negative-trials", "L0", "L-below-n",
+                              "L7-n2", "L8-n3"])
+def test_monte_carlo_rejects_unworkable_inputs_before_solving(n, L, trials, monkeypatch):
+    def no_solve(*_, **__):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(sim, "solve", no_solve)
+    with pytest.raises(ValueError, match="trials|multiple of n"):
+        monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, 0.15, trials, 1, 0.25)
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    """Trials are encoded in bounded chunks: ten times the trials of the
+    benchmark's iid-hamming-L18 run raise the traced peak by no more than
+    their per-trial distortions (8 bytes each) and a fixed 32 KiB."""
+    args = (SourceSpec.iid(0.5), HAMMING, 2, 18, 0.15)
+    monte_carlo(*args, 20, 1, 0.25)  # caches filled outside the traced runs
+    peaks = {}
+    for trials in (200, 2000):
+        tracemalloc.start()
+        try:
+            monte_carlo(*args, trials, 1, 0.25)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= peaks[200] + 8 * (2000 - 200) + 32 * 1024
 
 
 @pytest.mark.parametrize("x, xhat", [([0, -1], [0, 1]), ([0, 2], [0, 1]),

@@ -30,9 +30,11 @@ of every point's kernel, and two more over the certificates
 (``certificate_from_solution``) of the ``certify`` solves: one over their
 gamma and one over their p' factors, so two trees can be checked to give
 the same answers bit for bit, and a change to one part of the certificate
-told from a change to the other.  ``--src`` imports ``ffrd`` from another
-tree's ``src``; the benchmark definitions always come from this tree's
-``benchmarks``.
+told from a change to the other.  A last one, ``simulate_sha256``, covers
+the ``to_json()`` bytes of the reports of the benchmark's two ``simulate``
+runs at seeds 1 and 7, so simulator changes can be checked bit for bit too.
+``--src`` imports ``ffrd`` from another tree's ``src``; the benchmark
+definitions always come from this tree's ``benchmarks``.
 """
 
 from __future__ import annotations
@@ -140,14 +142,14 @@ def step_cases() -> list:
 
 def answers() -> dict:
     """SHA-256 of the answers of the benchmark's sweep curves and certify
-    solves, of their kernels' factors, and of the certify solves'
-    certificates."""
+    solves, of their kernels' factors, of the certify solves' certificates,
+    and of the simulate reports."""
     import numpy as np
 
     import ffrd
 
     sys.path.insert(0, str(ROOT / "benchmarks"))
-    from workloads import _sweep_curves
+    from workloads import _sweep_curves, simulate_workload
 
     points = []
     for c in _sweep_curves(tiny=False):
@@ -171,9 +173,17 @@ def answers() -> dict:
         gamma.update(cert.gamma.tobytes())
         for f in cert.p_prime_factors:
             p_prime.update(f.tobytes())  # C order, whatever the strides
+    simulate, reports = simulate_workload(), hashlib.sha256()
+    inputs = simulate.setup()
+    for seed in (1, 7):
+        for key, _, rep in simulate.run(inputs, seed):
+            if isinstance(rep, Exception):
+                raise RuntimeError(f"simulate {key} at seed {seed} raised {rep!r}")
+            reports.update(rep.to_json().encode())
     return {"points": len(points), "sha256": digest.hexdigest(),
             "factors_sha256": factors.hexdigest(), "certificates": len(certs),
-            "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest()}
+            "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),
+            "simulate_sha256": reports.hexdigest()}
 
 
 def main(argv=None) -> None:

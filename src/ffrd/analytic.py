@@ -7,7 +7,6 @@ expression goes negative past its zero-rate distortion threshold.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .prob import binary_entropy
 
@@ -71,11 +70,21 @@ def stock_market_rd(q: float, pi0: float, D: float) -> float:
 
 
 def inverse_binary_entropy(h: float) -> float:
-    """The p in [0, 1/2] with H_b(p) = h."""
+    """The p in [0, 1/2] with H_b(p) = h, to within 1e-14.
+
+    H_b increases on [0, 1/2], so the root is bisected there until the
+    bracket is at most 1e-14 wide, about 46 halvings."""
     if not 0.0 <= h <= 1.0:
         raise ValueError("entropy must lie in [0, 1]")
     if h == 0.0:
         return 0.0
     if h == 1.0:
         return 0.5
-    return float(brentq(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14))
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if binary_entropy(mid) < h:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

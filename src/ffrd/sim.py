@@ -89,11 +89,16 @@ class Codebook:
 
 
 def _choice_cdf(pmfs: np.ndarray) -> np.ndarray:
-    """Row CDFs built as ``Generator.choice`` builds them, so a uniform draw u
-    picks the symbol ``(cdf <= u).sum()`` that ``choice`` would return."""
-    cdf = np.cumsum(pmfs, axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
+    """Turn the rows of a float array of PMFs into CDFs in place, built as
+    ``Generator.choice`` builds them, so a uniform draw u picks the symbol
+    ``(cdf <= u).sum()`` that ``choice`` would return.  The columns are
+    summed one at a time, the additions ``np.cumsum`` makes, which needs no
+    second array of the table's size."""
+    for b in range(1, pmfs.shape[-1]):
+        pmfs[..., b] += pmfs[..., b - 1]
+    for b in range(pmfs.shape[-1]):  # the last column last: it is the divisor
+        pmfs[..., b] /= pmfs[..., -1]
+    return pmfs
 
 
 def _sample_decisions(kernel: CausalKernel, L: int, trees: int, rng) -> np.ndarray:
@@ -104,7 +109,7 @@ def _sample_decisions(kernel: CausalKernel, L: int, trees: int, rng) -> np.ndarr
     level, branch, the order successive one-tree draws from the same
     generator take them in; each level is then decided for all trees and
     blocks at once."""
-    n, A = kernel.n, kernel.src_alphabet_size
+    n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
     if L % n != 0:
         raise ValueError("L must be a multiple of the kernel block length")
     if kernel.delay != 1:
@@ -119,11 +124,16 @@ def _sample_decisions(kernel: CausalKernel, L: int, trees: int, rng) -> np.ndarr
         digits = sequence_digits(A, i - 1)
         z = digits if kernel.ff_map is None else kernel.ff_map[digits]
         h = np.arange(width)
-        path = tuple(out[:, :, j - 1, h // A ** (i - j)] for j in range(1, i))
-        pmfs = kernel.factors[i - 1][tuple(z.T) + path]
-        # normalized before the CDF, as a per-branch choice(B, p=pmf / pmf.sum())
-        cdf = _choice_cdf(pmfs / pmfs.sum(axis=-1, keepdims=True))
-        out[:, :, i - 1, :width] = (cdf <= u[:, :, start:start + width, None]).sum(axis=-1)
+        pmfs = kernel.factors[i - 1][tuple(z.T) + tuple(
+            out[:, :, j - 1, h // A ** (i - j)] for j in range(1, i))]
+        if i == 1:  # the factor itself, broadcast over every tree and block
+            pmfs = np.broadcast_to(pmfs, (trees, L // n, 1, B)).copy()
+        # normalized before the CDF, as a per-branch choice(B, p=pmf / pmf.sum()),
+        # then accumulated, rescaled and compared in this one level buffer
+        pmfs /= pmfs.sum(axis=-1, keepdims=True)
+        np.less_equal(_choice_cdf(pmfs), u[:, :, start:start + width, None], out=pmfs)
+        out[:, :, i - 1, :width] = pmfs.sum(axis=-1)
+        del pmfs  # freed before the next level's gather, not after it
         start += width
     return out.reshape(trees, L, widths[-1])
 
@@ -237,10 +247,10 @@ def _sample_streams(spec: SourceSpec, length: int, rngs) -> np.ndarray:
     for row, rng in zip(u, rngs):
         rng.random(out=row)
     if spec.kind == "iid":
-        return np.searchsorted(_choice_cdf(spec.marginal), u, side="right")
-    rows = _choice_cdf(spec.transition)
+        return np.searchsorted(_choice_cdf(spec.marginal.copy()), u, side="right")
+    rows = _choice_cdf(spec.transition.copy())
     x = np.empty((len(rngs), length), dtype=np.int64)
-    state = np.searchsorted(_choice_cdf(spec.initial), u[:, 0], side="right")
+    state = np.searchsorted(_choice_cdf(spec.initial.copy()), u[:, 0], side="right")
     for t in range(length):
         x[:, t] = state
         state = (rows[state] <= u[:, t + 1, None]).sum(axis=1)
@@ -277,10 +287,15 @@ def _lambda_for_distortion(source, dist, target_D: float, delay: int,
                            tol: float = 1e-4) -> RatePoint:
     """Bisect the Lagrange weight so the solved distortion hits the target
     (solved distortion is nonincreasing in the weight); returns the point
-    solved at the weight found.  Once the midpoint rounds onto an end of the
-    bracket, every later probe would be at that same weight, so the point
-    just solved is returned."""
+    solved at the weight found.  The top of the bracket, 64, is solved
+    first: when its distortion is still at least ``tol`` above the target,
+    every probe would climb to it, so that point is returned at once.  Once
+    the midpoint rounds onto an end of the bracket, every later probe would
+    be at that same weight, so the point just solved is returned."""
     lo, hi = 0.0, 64.0
+    point = solve(source, dist, SolverConfig(lam=hi, delay=delay, epsilon=1e-8))
+    if point.D - target_D >= tol:
+        return point
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         point = solve(source, dist, SolverConfig(lam=mid, delay=delay, epsilon=1e-8))
@@ -316,9 +331,12 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     chunks of at most ``_CHUNK_ENTRIES`` (trial, tree, level) walk entries
     (one trial at least), which bounds the memory a chunk uses.
     ``memory_cap`` bounds the entries of the codebook's (trees, L, |X|^{n-1})
-    decision array; a larger codebook raises ``MemoryError`` before any tree
-    is drawn.  ``trials < 1``, ``L < n`` and an ``L`` that is not a multiple
-    of ``n`` raise ``ValueError`` before any solve.
+    decision array, 8 bytes each; a larger codebook raises ``MemoryError``
+    before any tree is drawn.  Drawing the array also holds its uniforms and
+    one level's pmfs, |X̂| floats per branch, at a time: at |X| = |X̂| = 2
+    and n = 2 the draw peaks at about 3.5 times the array.  ``trials < 1``,
+    ``L < n`` and an ``L`` that is not a multiple of ``n`` raise
+    ``ValueError`` before any solve.
     """
     source = block_pmf(source_spec, n)
     if trials < 1:

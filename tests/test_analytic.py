@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ffrd.analytic import (
     iid_binary_rd,
@@ -97,3 +98,20 @@ class TestInverseEntropy:
     def test_domain(self):
         with pytest.raises(ValueError):
             inverse_binary_entropy(1.5)
+
+    def test_ends_are_exact(self):
+        assert inverse_binary_entropy(0.0) == 0.0
+        assert inverse_binary_entropy(1.0) == 0.5
+
+    @pytest.mark.parametrize("h", [1e-300, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.25,
+                                   0.5, 0.75, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8])
+    def test_matches_brentq(self, h):
+        p = inverse_binary_entropy(h)
+        ref = brentq(lambda x: binary_entropy(x) - h, 0.0, 0.5, xtol=1e-14)
+        assert abs(p - ref) <= 1e-13
+
+    @pytest.mark.parametrize("h", [1 - 1e-10, 1 - 1e-12, 1 - 1e-14, 1 - 2**-53])
+    def test_flat_top_hits_the_entropy(self, h):
+        # H_b is flat at 1/2: one rounding of H_b moves its root by up to 1e-8
+        # here, so the root is checked by its entropy, to one ulp of 1
+        assert abs(binary_entropy(inverse_binary_entropy(h)) - h) <= 2**-52

@@ -228,3 +228,19 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"sauce": "iid:0.5"}))
         assert run(["solve", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("args", [["-c", "import ffrd"], ["-m", "ffrd.cli", "--help"]],
+                         ids=["import", "cli-help"])
+def test_start_loads_no_scipy(args):
+    # scipy's import was most of every cold start; the package needs only numpy
+    src = str(Path(ffrd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = {line.rpartition("|")[2].strip().partition(".")[0]
+              for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "numpy" in loaded
+    assert "scipy" not in loaded

@@ -392,6 +392,23 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
     assert peaks[2000] <= peaks[200] + 8 * (2000 - 200) + 32 * 1024
 
 
+def test_codebook_draw_peak_is_a_few_decision_arrays():
+    """Each level is normalized, accumulated, rescaled and compared in one
+    buffer, so drawing 20,000 trees of the iid(0.5), Hamming, lam = 3 kernel
+    at n = 2, L = 18 peaks at under 4 decision arrays: the array, the
+    uniforms and the last level's buffer with one smaller temporary."""
+    source = block_pmf(SourceSpec.iid(0.5), 2)
+    kernel = solve(source, distortion_tensor(HAMMING, 2),
+                   SolverConfig(lam=3.0, delay=1, epsilon=1e-8)).kernel
+    tracemalloc.start()
+    try:
+        decisions = sim._sample_decisions(kernel, 18, 20_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * decisions.nbytes
+
+
 @pytest.mark.parametrize("x, xhat", [([0, -1], [0, 1]), ([0, 2], [0, 1]),
                                      ([0, 1], [0, -1]), ([0, 1], [2, 1])])
 def test_sequence_distortion_rejects_symbols_outside_alphabets(x, xhat):
@@ -434,8 +451,8 @@ def test_monte_carlo_solves_each_lambda_once(monkeypatch):
 
 def test_bisection_stops_once_the_bracket_collapses(monkeypatch):
     """Target 0.08 lies below the least distortion of the n = 2 `stock`
-    curve (0.1), so the bisection climbs to lam = 64; it solves there once
-    and returns that point instead of probing the same weight again."""
+    curve (0.1), so every probe would climb to lam = 64; the top of the
+    bracket is solved first, once, and that point is returned."""
     solved = []
 
     def recording(source, dist, config, *args, **kwargs):
@@ -446,5 +463,5 @@ def test_bisection_stops_once_the_bracket_collapses(monkeypatch):
     source = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
     dist = distortion_tensor(DistortionSpec.stock(), 2)
     point = sim._lambda_for_distortion(source, dist, 0.08, delay=1)
-    assert len(solved) == len(set(solved)) == 54
+    assert len(solved) == len(set(solved)) == 1
     assert point.lam == solved[-1] == 64.0

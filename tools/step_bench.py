@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Cost of one solver step, and a hash of the benchmark's answers.
+"""Cost of one solver step, a hash of the benchmark's answers, and cold-start cost.
 
     python3 tools/step_bench.py --out step.json
     python3 tools/step_bench.py --answers
+    python3 tools/step_bench.py --startup
     python3 tools/step_bench.py --src OTHER_TREE/src --out other.json
 
 Step mode solves Markov(0.3, 0.2) with Hamming distortion at each block
@@ -33,6 +34,10 @@ the same answers bit for bit, and a change to one part of the certificate
 told from a change to the other.  A last one, ``simulate_sha256``, covers
 the ``to_json()`` bytes of the reports of the benchmark's two ``simulate``
 runs at seeds 1 and 7, so simulator changes can be checked bit for bit too.
+Startup mode times fresh interpreters: the median wall time of
+``STARTUP_RUNS`` runs each of ``python -c pass``, ``python -c "import ffrd"``
+and ``python -m ffrd.cli --help``, and lists the top-level packages outside
+the standard library that ``import ffrd`` adds to ``sys.modules``.
 ``--src`` imports ``ffrd`` from another tree's ``src``; the benchmark
 definitions always come from this tree's ``benchmarks``.
 """
@@ -42,9 +47,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -57,6 +64,7 @@ REPEATS = 3  # timed solves per case
 PROBE_STEPS = 12  # steps of the fault and tracemalloc solves
 STEADY_FROM = 3  # the first step whose faults and peak are counted
 TARGET_CELL_STEPS = 2e7  # iterations * stack cells per timed solve
+STARTUP_RUNS = 5  # fresh interpreters per startup timing
 
 
 def _minflt() -> int:
@@ -186,9 +194,39 @@ def answers() -> dict:
             "simulate_sha256": reports.hexdigest()}
 
 
+def startup(src: Path) -> dict:
+    """Median wall times of fresh interpreters that start bare, import
+    ``ffrd`` and print the CLI's help, and the packages outside the standard
+    library that ``import ffrd`` loads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def run(*args) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+
+    def median_s(*args) -> float:
+        times = []
+        for _ in range(STARTUP_RUNS):
+            t0 = time.perf_counter()
+            run(*args)
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times)
+
+    listing = run("-c", "import json, sys\nbefore = set(sys.modules)\nimport ffrd\n"
+                  "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) "
+                  "- before} - sys.stdlib_module_names)))")
+    return {"runs": STARTUP_RUNS, "bare_interpreter_s": median_s("-c", "pass"),
+            "import_ffrd_s": median_s("-c", "import ffrd"),
+            "cli_help_s": median_s("-m", "ffrd.cli", "--help"),
+            "packages": json.loads(listing.stdout)}
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--answers", action="store_true", help="print the answer hash and exit")
+    ap.add_argument("--startup", action="store_true",
+                    help="time fresh interpreters that import ffrd, and exit")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="tree to import ffrd from")
     ap.add_argument("--out", type=Path, help="write the JSON here as well as to stdout")
     args = ap.parse_args(argv)
@@ -200,7 +238,9 @@ def main(argv=None) -> None:
 
     result = {"ffrd": str(Path(ffrd.__file__).parent), "python": platform.python_version(),
               "numpy": np.__version__}
-    if args.answers:
+    if args.startup:
+        result["startup"] = startup(args.src.resolve())
+    elif args.answers:
         result["answers"] = answers()
     else:
         result["cases"] = step_cases()

@@ -6,18 +6,24 @@ flattening of the symbol sequence, with the *first* symbol most significant:
 (log base 2) throughout, with the continuity conventions ``0*log(0) = 0`` and
 ``0*log(0/0) = 0``.
 
-The solver's causal factorization (``_context_factors``) writes into the
-buffers of a ``_FactorSpace``, part of the solver's step workspace: its
-results are valid until the next factorization given the same space, and a
-caller that keeps them copies them.  It writes with ``out=`` and reduces with
-ufunc reductions, as the solver step does.  Run at delay 0 on the transposed
-joint, it also gives the certificates' reverse factors p'.
+The causal factorization is built once per stack shape as a
+``_FactorSpace``: buffers for every table it writes and the list of calls
+that fills them, each call a ufunc or copy with its operand views made and
+its choice between slicing and broadcasting taken when the space is built.
+The solver keeps one space in its step workspace and runs the list at every
+step, so its results are valid until the next factorization in that space,
+and a caller that keeps them copies them.  The kernel product
+(``_product_calls``) is built the same way.  A one-off call
+(``_context_factors``, ``_factor_product``) builds the same list on fresh
+buffers.  Run at delay 0 on the transposed joint, the factorization also
+gives the certificates' reverse factors p'.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -48,16 +54,6 @@ def _sequence_digits_cached(alphabet_size: int, n: int) -> np.ndarray:
         idx = idx // alphabet_size
     out.setflags(write=False)
     return out
-
-
-def flat_index(sequence, alphabet_size: int) -> int:
-    """Flat table index of a symbol sequence (first symbol most significant)."""
-    k = 0
-    for s in sequence:
-        if not 0 <= s < alphabet_size:
-            raise ValueError(f"symbol {s} outside alphabet of size {alphabet_size}")
-        k = k * alphabet_size + int(s)
-    return k
 
 
 def _check_pmf(p: np.ndarray, what: str) -> None:
@@ -233,161 +229,203 @@ class _Contexts(NamedTuple):
         return np.repeat(table, self.A**self.s, axis=0)
 
 
-class _FactorSpace:
-    """Buffers for every table ``_context_factors`` writes for a stack of L
-    joints on ``ctx``, allocated once; each call given them overwrites them.
-
-    Per level i, ``sums[i-1]`` holds the context sums of N_i,
-    ``factors[i-1]`` factor i and ``nums[i-1]`` the next level's numerator
-    N_{i-1} (None when it is the context sums themselves, i <= s).  N_n goes
-    to ``marginal``.  ``empty[i-1]`` and ``safe[i-1]`` serve a level whose
-    contexts carry no mass.
-    """
-
-    __slots__ = ("marginal", "sums", "nums", "factors", "empty", "safe")
-
-    def __init__(self, ctx: _Contexts, L: int):
-        n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
-        c_n = n - s
-        self.marginal = np.empty((L, A**c_n, B**n))
-        self.sums, self.nums, self.factors = [], [], []
-        for i in range(1, n + 1):
-            c = max(i - s, 0)
-            self.sums.append(np.empty((L,) + (Z,) * c + (B,) * (i - 1)))
-            self.nums.append(np.empty((L,) + (Z,) * (c - 1) + (B,) * (i - 1)) if c else None)
-            self.factors.append(np.empty((L,) + (Z,) * c + (B,) * i))
-        # the levels share one flat buffer of each, the size of the largest
-        empty, safe = np.empty(self.sums[-1].size, dtype=bool), np.empty(self.sums[-1].size)
-        self.empty = [empty[:d.size].reshape(d.shape) for d in self.sums]
-        self.safe = [safe[:d.size].reshape(d.shape) for d in self.sums]
-
-
 #: Tables of at least this many cells are divided and multiplied slice by
-#: slice along their innermost axis x̂_i (``_along_last``): B calls, each
-#: one long inner loop, against one broadcast call whose inner loops run B
-#: entries per context.  Below it the one call costs less.  Per call at
-#: B = 2, slicing loses up to 1,024 cells, breaks even near 2,048 and wins
-#: from 4,096 (``BENCH_15.json``, ``crossover``).  At B = 3 it loses again
-#: from about 10^5 cells, where each of the B strided passes reads all of
-#: the table's memory; no workload has such a table.
+#: slice along their innermost axis x̂_i (``_last_axis_calls``): B calls,
+#: each one long inner loop, against one broadcast call whose inner loops
+#: run B entries per context.  Below it the one call costs less.  Per call
+#: at B = 2, slicing loses up to 1,024 cells, breaks even near 2,048 and
+#: wins from 4,096 (``BENCH_15.json``, ``crossover``).  At B = 3 it loses
+#: again from about 10^5 cells, where each of the B strided passes reads
+#: all of the table's memory; no workload has such a table.  It is read
+#: when a list of calls is built.
 _SLICE_CELLS = 4096
 
 
-def _along_last(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``op(a, b, out=out)`` for a ``b`` of last-axis length 1, slice by
-    slice along the last axis when ``out`` has ``_SLICE_CELLS`` cells or
-    more.  Each cell gets the same operation either way, so the results
-    are the same bit for bit."""
+def _sum_calls(x: np.ndarray, axis: int, out: np.ndarray) -> list:
+    """Calls that write the sum of the C-contiguous ``x`` over ``axis`` into
+    the C-contiguous ``out``: the first two slices added, then each later
+    one in order (a lone slice is copied).  Over an axis that is not the
+    innermost, ``np.add.reduce`` adds in that same order; up to 4 slices
+    their adds cost less than its one call, and a longer axis, such as the
+    |X|^s newest source symbols at full delay, takes the reduction.  The
+    slices are taken from ``x`` viewed as (outer, axis) or (outer, axis,
+    inner), since numpy's loops cost less on a few long axes than on many
+    short ones."""
+    k = x.shape[axis]
+    if axis in (-1, x.ndim - 1):
+        x = x.reshape(-1, k)
+    else:
+        x = x.reshape(math.prod(x.shape[:axis]), k, -1)
+    out = out.reshape(x.shape[:1] + x.shape[2:])
+    if k > 4 and x.ndim == 3:
+        return [partial(np.add.reduce, x, 1, None, out)]
+    parts = [x[:, j] for j in range(k)]
+    if k == 1:
+        return [partial(np.copyto, out, parts[0])]
+    return [partial(np.add, parts[0], parts[1], out)] + \
+        [partial(np.add, out, part, out) for part in parts[2:]]
+
+
+def _last_axis_calls(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """Calls that write ``op(a, b)`` into ``out``, for a ``b`` of last-axis
+    length 1: one broadcast call, or one call per slice along the last axis
+    when ``out`` has ``_SLICE_CELLS`` cells or more.  Each cell gets the
+    same operation either way, so the results are the same bit for bit."""
     if out.size < _SLICE_CELLS:
-        return op(a, b, out=out)
+        return [partial(op, a, b, out)]
     b = b[..., 0]
-    for k in range(out.shape[-1]):
-        op(a[..., k], b, out=out[..., k])
-    return out
+    return [partial(op, a[..., k], b, out[..., k]) for k in range(out.shape[-1])]
 
 
-def _context_factors(joints: np.ndarray, ctx: _Contexts, space: _FactorSpace | None = None):
+class _FactorSpace:
+    """The causal factorization of a stack of L joints on ``ctx``, built
+    once: a buffer for every table it reads or writes, and the list of
+    calls that fills them, with every view made and every level's choice
+    between slicing and broadcasting taken when the space is built.
+
+    ``factorize`` factors the joints in ``joints``, an
+    (L, |X|^{n-s}, |X|^s, |X̂|^n) array, and overwrites the rest: ``mass``
+    gets N_n, the joint mass of each context, as an (L, Z^{n-s}, |X̂|^n)
+    context table, and per level i ``sums[i-1]`` the context sums of N_i
+    and ``factors[i-1]`` factor i (see ``_context_factors``).
+    """
+
+    __slots__ = ("B", "joints", "mass", "sums", "factors", "_marginal", "_levels")
+
+    def __init__(self, ctx: _Contexts, L: int):
+        n, A, B, s, Z, _, bins = ctx
+        c_n = n - s
+        self.B = B
+        self.joints = np.empty((L, A**c_n, A**s, B**n))
+        self.mass = np.empty((L, A**c_n, B**n))
+        self._marginal = _sum_calls(self.joints, 2, self.mass)
+        if bins is not None:
+            # each class sums its prefixes in prefix order; members use
+            # disjoint ranges of the bins
+            size = Z**c_n * B**n
+            bins = (np.arange(0, L * size, size)[:, None] + bins).ravel()
+            prefixes = self.mass.reshape(-1)
+            self.mass = np.empty((L, Z**c_n, B**n))
+            classes = self.mass.reshape(-1)
+            self._marginal.append(
+                lambda: np.copyto(classes, np.bincount(bins, prefixes, L * size)))
+        # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
+        # gives the next level's numerator in its factor's axes
+        N = self.mass.reshape((L,) + (Z,) * c_n + (B,) * n)
+        self.sums, self.factors, self._levels = [None] * n, [None] * n, []
+        for i in range(n, 0, -1):
+            c = max(i - s, 0)
+            D = self.sums[i - 1] = np.empty(N.shape[:-1])
+            self.factors[i - 1] = np.empty(N.shape)
+            self._levels += _sum_calls(N, -1, D)
+            self._levels += _last_axis_calls(np.divide, N.reshape(-1, B), D.reshape(-1, 1),
+                                             self.factors[i - 1].reshape(-1, B))
+            # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s
+            if c:
+                N = np.empty(D.shape[:c] + D.shape[c + 1:])
+                self._levels += _sum_calls(D, c, N)
+            else:
+                N = D
+
+    def factorize(self) -> bool:
+        """Factor ``joints`` into the space; True when every context carries
+        joint mass.
+
+        Every level's context sums add up entries of N_n, which sums
+        nonnegative terms, so one test on N_n stands for every level: when
+        its least entry is positive no level divides by 0 (argmin finds a 0,
+        or the first NaN, which takes the other path and gives NaN too).
+        Otherwise the same list runs with 0/0 allowed, and each level's
+        contexts with zero sums get the uniform factor 1/B: the bits of
+        dividing by 1 there and filling.
+        """
+        for call in self._marginal:
+            call()
+        mass = self.mass
+        if mass.item(mass.argmin()) > 0.0:
+            for call in self._levels:
+                call()
+            return True
+        with np.errstate(invalid="ignore"):
+            for call in self._levels:
+                call()
+        for factor, sums in zip(self.factors, self.sums):
+            np.copyto(factor.reshape(-1, self.B), 1.0 / self.B,
+                      where=sums.reshape(-1, 1) == 0.0)
+        return False
+
+
+def _context_factors(joints: np.ndarray, ctx: _Contexts):
     """Causal factorization of a stack of joints on the context table.
 
-    ``joints`` holds L joint tables, one per member of the stack, with the
-    member axis first.  Returns (factors, mass): the kernels' factors (see
-    ``CausalKernel``) with the member axis first, and N_n, the joint mass
-    of each context, as an (L, Z^{n-s}, |X̂|^n) context table.  Every
-    operation acts on each member as on a lone table, so a member's results
-    are those of its own factorization bit for bit.  ``_factor_product``
-    multiplies the factors out into the kernel tables.
+    ``joints`` holds L (|X|^n, |X̂|^n) joint tables, one per member of the
+    stack, with the member axis first.  Returns (factors, mass): the
+    kernels' factors (see ``CausalKernel``) with the member axis first, and
+    N_n, the joint mass of each context, as an (L, Z^{n-s}, |X̂|^n) context
+    table.  Every operation acts on each member as on a lone table, so a
+    member's results are those of its own factorization bit for bit.
+    ``_factor_product`` multiplies the factors out into the kernel tables.
 
-    The results are written into ``space`` (a fresh ``_FactorSpace`` when
-    None).  They are valid until the next call given the same space; a
-    caller that keeps one copies it.
+    The joints are copied into a fresh ``_FactorSpace``, whose buffers hold
+    the results; the solver step keeps one space in its workspace and
+    writes its joints straight into it.
 
     Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
     over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
     x_{n-s+1}..x_n and the preimage classes of the map, and N_{i-1} sums N_i
-    over x̂_i and, while i > s, over z_{i-s}.  Each level adds the x̂_i
-    slices of N_i for the context sums and divides once, or slice by slice
-    along x̂_i on a large level (``_along_last``); conditioning contexts
-    carrying zero joint mass then get a uniform factor, which keeps kernels
-    strictly positive.  At delay 0 on the transposed joint it gives the
-    reverse factors p' (``reverse_causal_factors``).
+    over x̂_i and, while i > s, over z_{i-s}; every sum adds slices
+    (``_sum_calls``).  Each level divides once, or slice by slice along x̂_i
+    on a large level (``_last_axis_calls``); conditioning contexts carrying
+    zero joint mass then get a uniform factor, which keeps kernels strictly
+    positive.  At delay 0 on the transposed joint it gives the reverse
+    factors p' (``reverse_causal_factors``).
     """
-    n, A, B, s, Z, rows, bins = ctx
-    L = joints.shape[0]
-    c_n = n - s
-    if space is None:
-        space = _FactorSpace(ctx, L)
-    N = np.add.reduce(joints.reshape(L, A**c_n, A**s, B**n), axis=2, out=space.marginal)
-    if bins is not None:
-        # each class sums its prefixes in prefix order; members use
-        # disjoint ranges of the bins
-        size = Z**c_n * B**n
-        if L > 1:
-            bins = (np.arange(0, L * size, size)[:, None] + bins).ravel()
-        N = np.bincount(bins, N.ravel(), L * size).reshape(L, Z**c_n, B**n)
-    mass = N
-    # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
-    # gives the next level's numerator in its factor's axes
-    N = N.reshape((L,) + (Z,) * c_n + (B,) * n)
-    factors = space.factors
-    for i in range(n, 0, -1):
-        c = max(i - s, 0)
-        # x̂_i is the innermost axis and has only B entries: adding its
-        # slices beats a reduction along it.  The first add writes D
-        # itself; copying N[..., 0] into D first would cost one more pass
-        # per level (1.2-1.9 us a level on tables up to n=6, about 60% of
-        # the sum on larger ones), so only B == 1 copies.
-        D = space.sums[i - 1]
-        if B == 1:
-            np.copyto(D, N[..., 0])
-        else:
-            np.add(N[..., 0], N[..., 1], out=D)
-            for b in range(2, B):
-                np.add(D, N[..., b], out=D)
-        # D sums nonnegative terms, so its least entry is 0 exactly when a
-        # context is empty (argmin finds it, or the first NaN, which takes
-        # the masked path and gives NaN too)
-        if D.item(D.argmin()) > 0.0:
-            _along_last(np.divide, N, D[..., None], factors[i - 1])
-        else:
-            empty = np.equal(D, 0.0, out=space.empty[i - 1])
-            _along_last(np.divide, N, np.add(D, empty, out=space.safe[i - 1])[..., None],
-                        factors[i - 1])
-            factors[i - 1][empty] = 1.0 / B
-        # N_{i-1}: D already summed x̂_i out; sum z_{i-s} out while i > s.
-        N = np.add.reduce(D, axis=c, out=space.nums[i - 1]) if c else D
-    return factors, mass
+    space = _FactorSpace(ctx, joints.shape[0])
+    np.copyto(space.joints.reshape(joints.shape), joints)
+    space.factorize()
+    return space.factors, space.mass
 
 
 def _product_shape(ctx: _Contexts, L: int, i: int) -> tuple:
-    """Shape in which ``_factor_product`` multiplies factor i into the
+    """Shape in which ``_product_calls`` multiplies factor i into the
     product of factors 1..i-1: (members, older contexts, newest context
     symbol z_{i-s} or 1, x̂^{i-1}, x̂_i)."""
     c = max(i - ctx.s, 0)
     return (L, ctx.Z ** max(c - 1, 0), ctx.Z if c else 1, ctx.B ** (i - 1), ctx.B)
 
 
-def _factor_product(factors, ctx: _Contexts, table: np.ndarray | None = None,
-                    products: list | None = None) -> np.ndarray:
-    """The (L, Z^{n-s}, |X̂|^n) kernel tables of a stack of factors, one
-    multiply per level (slice by slice along x̂_i on a large level,
-    ``_along_last``), written into ``table`` and the products of factors
-    1..i into ``products[i-1]``, 1 < i < n (fresh arrays when None)."""
-    n, B, s, Z = ctx.n, ctx.B, ctx.s, ctx.Z
-    L = factors[0].shape[0]
-    if table is None:
-        table = np.empty((L, Z ** (n - s), B**n))
-    if n == 1:
-        np.copyto(table, factors[0].reshape(table.shape))
-        return table
-    product = factors[0]
-    for i in range(2, n + 1):
+def _product_buffers(ctx: _Contexts, L: int) -> list:
+    """Buffers for the products of factors 1..i, 1 < i < n (None at i = 1,
+    where it is factor 1, and at i = n, where it is the kernel table)."""
+    return [np.empty(_product_shape(ctx, L, i)) if 1 < i < ctx.n else None
+            for i in range(1, ctx.n + 1)]
+
+
+def _product_calls(factors, ctx: _Contexts, table: np.ndarray, products: list) -> list:
+    """Calls that multiply a stack of factors out into its (L, Z^{n-s},
+    |X̂|^n) kernel tables ``table``, one multiply per level
+    (``_last_axis_calls``), with the product of factors 1..i going to
+    ``products[i-1]`` (``_product_buffers``)."""
+    L = table.shape[0]
+    if ctx.n == 1:
+        return [partial(np.copyto, table, factors[0].reshape(table.shape))]
+    calls, product = [], factors[0]
+    for i in range(2, ctx.n + 1):
         shape = _product_shape(ctx, L, i)
-        if i == n:
-            out = table.reshape(shape)
-        else:
-            out = np.empty(shape) if products is None else products[i - 1]
-        product = _along_last(np.multiply, factors[i - 1].reshape(shape),
-                              product.reshape(shape[:2] + (1, shape[3], 1)), out)
+        out = table.reshape(shape) if i == ctx.n else products[i - 1]
+        calls += _last_axis_calls(np.multiply, factors[i - 1].reshape(shape),
+                                  product.reshape(shape[:2] + (1, shape[3], 1)), out)
+        product = out
+    return calls
+
+
+def _factor_product(factors, ctx: _Contexts) -> np.ndarray:
+    """The (L, Z^{n-s}, |X̂|^n) kernel tables of a stack of factors, from
+    ``_product_calls`` on fresh buffers."""
+    L = factors[0].shape[0]
+    table = np.empty((L, ctx.Z ** (ctx.n - ctx.s), ctx.B**ctx.n))
+    for call in _product_calls(factors, ctx, table, _product_buffers(ctx, L)):
+        call()
     return table
 
 

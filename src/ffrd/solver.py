@@ -16,12 +16,17 @@ take the same step with their own weights.
 
 The step writes every table into a workspace (``_Workspace``) that a stack
 of solves builds once and reuses at every iteration, so a step allocates no
-table.  A step's arrays are valid until the next step given the same
-workspace, and a finished point copies the tables it keeps.  A call without
-a workspace gets a fresh one.  The step writes with ``out=`` and in place,
-and reduces with ufunc reductions (``np.add.reduce(x, axis=..., out=...)``):
-they give the bits of ``x.sum`` and ``np.sum``, without the Python-level
-dispatch of those, which costs more than a small step's arithmetic.
+table.  The workspace also holds the step's prebuilt lists of calls, the
+factorization's (``prob._FactorSpace``) and the kernel product's into each
+of its two kernel tables, with every view made once; a step runs them, and
+one test on the context mass tells both the factorization and the stopping
+statistic whether any context is empty.  A step's arrays are valid until
+the next step given the same workspace, and a finished point copies the
+tables it keeps.  A call without a workspace gets a fresh one.  The step
+writes with ``out=`` and in place, and reduces with ufunc reductions
+(``np.add.reduce(x, axis=..., out=...)``): they give the bits of ``x.sum``
+and ``np.sum``, without the Python-level dispatch of those, which costs more
+than a small step's arithmetic.
 """
 
 from __future__ import annotations
@@ -37,11 +42,10 @@ from .prob import (
     BlockSource,
     CausalKernel,
     ForwardChannel,
-    _context_factors,
     _Contexts,
-    _factor_product,
     _FactorSpace,
-    _product_shape,
+    _product_buffers,
+    _product_calls,
 )
 
 
@@ -201,32 +205,39 @@ def _channel(q: np.ndarray, weight: np.ndarray, r: np.ndarray | None = None,
 
 
 class _Workspace:
-    """Buffers for every table ``_step_stack`` writes for a stack of L kernel
-    context tables on ``ctx``, allocated once and overwritten by each step
-    given them; ``factors`` holds the factorization's (``prob._FactorSpace``).
+    """The solver step for a stack of L kernel context tables on ``ctx``,
+    built once: a buffer for every table ``_step_stack`` writes, overwritten
+    by each step given them, and the step's lists of calls.  ``factors`` is
+    the factorization's space (``prob._FactorSpace``), whose ``joints`` the
+    step writes the joint into; ``r``, ``rows`` and ``joint`` are views of
+    the channel, its row sums and the joint in the (L, |X|^n, |X̂|^n) shape
+    a step returns.
 
     The next kernel goes to one of the two ``tables``: the one that does not
     hold the kernel the step started from, so a step may read its input
-    kernel while writing the next.  ``partial_products[i-1]`` holds the
-    product of the kernel's factors 1..i (None at i = 1, where it is factor
-    1, and at i = n, where it is the kernel).
+    kernel while writing the next.  ``products[k]`` multiplies the new
+    factors out into ``tables[k]``.
     """
 
-    __slots__ = ("src", "r", "rows", "joint", "logc", "live", "product", "factors", "tables",
-                 "partial_products")
+    __slots__ = ("src", "num", "row_sums", "r", "rows", "joint", "logc", "live", "product",
+                 "factors", "tables", "products")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
-        shape = (L, A ** (n - s), A**s, B**n)
         self.src = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
-        self.r, self.rows, self.joint = np.empty(shape), np.empty(shape[:3]), np.empty(shape)
+        self.factors = _FactorSpace(ctx, L)
+        self.num = np.empty(self.factors.joints.shape)
+        self.row_sums = np.empty(self.num.shape[:3])
+        self.r, self.rows, self.joint = (self.num.reshape(L, A**n, B**n),
+                                         self.row_sums.reshape(L, A**n),
+                                         self.factors.joints.reshape(L, A**n, B**n))
         self.logc = np.empty((L, Z ** (n - s), B**n))
         self.live = np.empty(self.logc.shape, dtype=bool)
         self.product = np.empty((L, A**n, B**n))
-        self.factors = _FactorSpace(ctx, L)
         self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
-        self.partial_products = [np.empty(_product_shape(ctx, L, i)) if 1 < i < n else None
-                                 for i in range(1, n + 1)]
+        products = _product_buffers(ctx, L)
+        self.products = tuple(_product_calls(self.factors.factors, ctx, table, products)
+                              for table in self.tables)
 
 
 def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
@@ -255,34 +266,31 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     underflow to exact zero; their contexts carry no joint mass and are left
     out of both the max and the mean (restricted-support convention).
     """
-    n, A, B, s = ctx.n, ctx.A, ctx.B, ctx.s
     L = q.shape[0]
     if ws is None:
         ws = _Workspace(ctx, L)
     src = q if ctx.rows is None else np.take(q, ctx.rows, axis=1, out=ws.src, mode="clip")
-    shape = (A ** (n - s), A**s, B**n)
-    r, rows = _channel(src[:, :, None, :], weight.reshape((-1,) + shape), ws.r, ws.rows)
-    joint = np.multiply(p.reshape(shape[:2] + (1,)), r, out=ws.joint)
-    factors, mass = _context_factors(joint, ctx, ws.factors)
+    shape = ws.num.shape[1:]
+    num, _ = _channel(src[:, :, None, :], weight.reshape((-1,) + shape), ws.num, ws.row_sums)
+    np.multiply(p.reshape(shape[:2] + (1,)), num, ws.factors.joints)
+    # the factorization's one test on N_n: True when every context is live
+    live = ws.factors.factorize()
     # a view's base is the array that owns its memory
-    table = ws.tables[1] if q is ws.tables[0] or q.base is ws.tables[0] else ws.tables[0]
-    q_next = _factor_product(factors, ctx, table, ws.partial_products)
-    r, rows, joint = (r.reshape(L, A**n, B**n), rows.reshape(L, A**n),
-                      joint.reshape(L, A**n, B**n))
+    k = 1 if q is ws.tables[0] or q.base is ws.tables[0] else 0
+    for call in ws.products[k]:
+        call()
+    q_next, factors = ws.tables[k], ws.factors.factors
     if dvals is None:
-        return _Step(r, rows, joint, q_next, factors)
-    logc = ws.logc
-    # mass sums nonnegative terms: its least entry is 0 exactly when a
-    # context is dead (argmin finds it, or the first NaN: masked path)
-    if mass.item(mass.argmin()) > 0.0:  # every context is live: no mask
-        live = True
-        np.divide(q_next, q, out=logc)
+        return _Step(ws.r, ws.rows, ws.joint, q_next, factors)
+    mass, logc = ws.factors.mass, ws.logc
+    if live:  # no mask
+        np.divide(q_next, q, logc)
     else:
         live = np.greater(mass, 0.0, out=ws.live)
         logc.fill(1.0)
         np.divide(q_next, q, out=logc, where=live)
-    np.log2(logc, out=logc)
-    product = np.multiply(joint, dvals, out=ws.product)
+    np.log2(logc, logc)
+    product = np.multiply(ws.joint, dvals, ws.product)
     if L == 1:  # whole-array reductions, without per-member lists to build
         log_max_c = [float(np.maximum.reduce(logc, axis=None, initial=-np.inf, where=live))]
         mean_logc = [float(mass.ravel() @ logc.ravel())]
@@ -291,7 +299,7 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
         log_max_c = np.maximum.reduce(logc, axis=(1, 2), initial=-np.inf, where=live).tolist()
         mean_logc = [float(m @ c) for m, c in zip(mass.reshape(L, -1), logc.reshape(L, -1))]
         D = np.add.reduce(product, axis=(1, 2)).tolist()
-    return _Step(r, rows, joint, q_next, factors, log_max_c, mean_logc, D)
+    return _Step(ws.r, ws.rows, ws.joint, q_next, factors, log_max_c, mean_logc, D)
 
 
 def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,

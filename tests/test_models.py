@@ -12,9 +12,12 @@ from ffrd.models import (
     distortion_tensor,
     stationary_distribution,
 )
-from ffrd.prob import flat_index
-
 from oracles import distortion_tensor_reference
+
+
+def flat_index(*symbols):
+    """Table index of a binary sequence, first symbol most significant."""
+    return int(np.ravel_multi_index(symbols, (2,) * len(symbols)))
 
 
 class TestSourceSpec:
@@ -112,11 +115,11 @@ class TestBlockPmf:
 class TestDistortionTensor:
     def test_hamming_identical_sequences(self):
         dt = distortion_tensor(DistortionSpec.hamming(), 2)
-        assert dt.values[flat_index([0, 1], 2), flat_index([0, 1], 2)] == 0.0
+        assert dt.values[flat_index(0, 1), flat_index(0, 1)] == 0.0
 
     def test_hamming_single_mismatch(self):
         dt = distortion_tensor(DistortionSpec.hamming(), 2)
-        assert dt.values[flat_index([0, 1], 2), flat_index([1, 1], 2)] == 0.5
+        assert dt.values[flat_index(0, 1), flat_index(1, 1)] == 0.5
 
     def test_hamming_position_permutation_symmetry(self):
         dt = distortion_tensor(DistortionSpec.hamming(), 3).values.reshape((2,) * 6)
@@ -126,11 +129,11 @@ class TestDistortionTensor:
     def test_stock_flags_missed_drop(self):
         # x = (1, 0) is a drop at the second step; advising x̂_2 = 0 costs 1 there
         dt = distortion_tensor(DistortionSpec.stock(), 2, initial_context=0)
-        row = flat_index([1, 0], 2)
+        row = flat_index(1, 0)
         # i=1: history (0, 1), no drop, correct advisory is x̂_1 = 0
-        assert dt.values[row, flat_index([0, 0], 2)] == pytest.approx(0.5)
-        assert dt.values[row, flat_index([0, 1], 2)] == pytest.approx(0.0)
-        assert dt.values[row, flat_index([1, 1], 2)] == pytest.approx(0.5)
+        assert dt.values[row, flat_index(0, 0)] == pytest.approx(0.5)
+        assert dt.values[row, flat_index(0, 1)] == pytest.approx(0.0)
+        assert dt.values[row, flat_index(1, 1)] == pytest.approx(0.5)
 
     def test_stock_values_quantized(self):
         for ic in (None, 0, 1, np.array([0.4, 0.6])):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from ffrd.prob import (
     _factor_product,
     binary_entropy,
     directed_information,
-    flat_index,
     kl_divergence,
     reverse_causal_factors,
     sequence_digits,
@@ -53,18 +54,14 @@ def assert_causal(kern):
 
 
 class TestIndexing:
-    def test_flat_index_round_trip(self):
+    def test_digits_round_trip(self):
         digits = sequence_digits(3, 4)
-        for k in range(3**4):
-            assert flat_index(digits[k], 3) == k
+        np.testing.assert_array_equal(np.ravel_multi_index(digits.T, (3,) * 4), np.arange(3**4))
 
     def test_first_symbol_most_significant(self):
-        assert flat_index([1, 0, 0], 2) == 4
-        assert flat_index([0, 0, 1], 2) == 1
-
-    def test_out_of_alphabet_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            flat_index([0, 2], 2)
+        digits = sequence_digits(2, 3)
+        np.testing.assert_array_equal(digits[4], [1, 0, 0])
+        np.testing.assert_array_equal(digits[1], [0, 0, 1])
 
 
 class TestBinaryEntropy:
@@ -433,6 +430,39 @@ def test_slicing_changes_no_bit_on_empty_contexts_at_a_sliced_level():
     _assert_same_bits(sliced, broadcast)
     for a, b in zip(factors, sliced[0]):
         assert np.array_equal(a, b)
+
+
+def test_stack_with_one_dead_member_matches_lone_factorizations():
+    """In a stack where one member has contexts without mass at several
+    levels, the largest of them sliced, and the other has none, each member
+    gets its lone factorization bit for bit, the empty contexts get 1/B,
+    and nothing warns (|X| = |X̂| = 3, parity map, n = 5)."""
+    n, A, B = 5, 3, 3
+    fmap = FeedForwardMap.parity(A).table
+    ctx = _Contexts.of(n, A, B, 1, fmap)
+    rng = np.random.default_rng(5)
+    live = rng.dirichlet(np.ones(A**n * B**n)).reshape((A,) * n + (B,) * n)
+    dead = rng.dirichlet(np.ones(A**n * B**n)).reshape((A,) * n + (B,) * n)
+    dead[1, :, :, :, :, 0] = 0.0  # z_1 = 1 with x̂_1 = 0: empty from level 2 on
+    dead[0, :, :, :, :, 1, 2] = 0.0
+    dead[2, :, :, :, :, 1, 2] = 0.0  # z_1 = 0 with x̂^2 = 12: empty from level 3 on
+    joints = np.stack([live / live.sum(), dead / dead.sum()]).reshape(2, A**n, B**n)
+
+    space = prob._FactorSpace(ctx, 2)
+    np.copyto(space.joints.reshape(joints.shape), joints)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space.factorize() is False
+        lone = [_context_factors(j[None], ctx) for j in joints]
+    assert space.factors[-1].size >= prob._SLICE_CELLS
+    empty_levels = [i for i, sums in enumerate(space.sums, start=1) if np.any(sums[1] == 0.0)]
+    assert empty_levels == [2, 3, 4, 5]
+    for j, (factors, mass) in enumerate(lone):
+        assert np.array_equal(space.mass[j], mass[0])
+        for f, lone_f, sums in zip(space.factors, factors, space.sums):
+            assert np.array_equal(f[j], lone_f[0])
+            assert np.all(f[j][sums[j] == 0.0] == 1.0 / B)
+    assert not any(np.any(sums[0] == 0.0) for sums in space.sums)
 
 
 @settings(max_examples=60, deadline=None)

@@ -185,10 +185,11 @@ class _Step(NamedTuple):
                      [f[j] for f in self.factors], *stats)
 
 
-def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, rows: np.ndarray,
+def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, log_rows: np.ndarray,
                  log_max_c: float, mean_logc: float, D: float) -> IterationDiagnostics:
-    """Stopping statistic, Lagrangian and rate bounds from one tilt step's values."""
-    base = -lam * D - float(p @ np.log2(rows))
+    """Stopping statistic, Lagrangian and rate bounds from one tilt step's
+    values, ``log_rows`` being log2 of the step's channel row sums."""
+    base = -lam * D - float(p @ log_rows)
     upper = (base - mean_logc) / n
     lower = (base - log_max_c) / n
     return IterationDiagnostics(k, log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
@@ -394,16 +395,18 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
                 raise ValueError("initial kernel must be strictly positive")
     tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
     ws = _Workspace(ctx, len(configs))
+    log_rows = np.empty(ws.rows.shape)
     members = list(range(len(configs)))  # config index of each stack member
     traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
     points: list = [None] * len(configs)
     end = len(configs)  # members from this config index on are cut
     for k in itertools.count(1):
         st = _step_stack(q, tilt, p, ctx, dvals, ws)
+        np.log2(st.rows, out=log_rows)
         finished = False
         for pos, j in enumerate(members):
             cfg = configs[j]
-            diag = _diagnostics(p, cfg.lam, n, k, st.rows[pos], st.log_max_c[pos],
+            diag = _diagnostics(p, cfg.lam, n, k, log_rows[pos], st.log_max_c[pos],
                                 st.mean_logc[pos], st.D[pos])
             traces[j] = _record(traces[j], diag)
             if diag.F < cfg.epsilon or k == cfg.max_iters:
@@ -422,6 +425,7 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         members = [members[pos] for pos in keep]
         q, tilt = st.q_next[keep], tilt[keep]
         ws = _Workspace(ctx, len(members))
+        log_rows = np.empty(ws.rows.shape)
 
 
 def _point(st: _Step, diag: IterationDiagnostics, config: SolverConfig, ctx: _Contexts,

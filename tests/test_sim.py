@@ -194,6 +194,10 @@ class TestMonteCarlo:
         b = monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, 0.15, 50, 123, 0.25)
         assert a == b
 
+    def test_numpy_integer_seed_same_report(self):
+        args = (SourceSpec.iid(0.5), HAMMING, 2, 8, 0.15, 50)
+        assert monte_carlo(*args, np.int64(123), 0.25) == monte_carlo(*args, 123, 0.25)
+
     def test_report_fields(self):
         rep = monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, 0.15, 50, 1, 0.25)
         assert rep.codebook_size >= 1
@@ -323,9 +327,10 @@ def test_array_simulator_matches_loops(data):
 def test_monte_carlo_matches_loops(data):
     """Reports equal, byte for byte, those of trees drawn, streams drawn and
     trials encoded, walked and scored one at a time by the loop references,
-    whatever chunks the trials are encoded in.  Costs are multiples of 1/8
-    and every missing window symbol is averaged over a binary alphabet, so
-    every sum is exact in either order."""
+    whatever blocks the streams are drawn in and chunks the trials are
+    encoded in.  Costs are multiples of 1/8 and every missing window symbol
+    is averaged over a binary alphabet, so every sum is exact in either
+    order."""
     A = data.draw(st.sampled_from([2, 3]), label="A")
     n = data.draw(st.integers(1, 3), label="n")
     L = n * data.draw(st.integers(1, 3), label="blocks")
@@ -352,9 +357,12 @@ def test_monte_carlo_matches_loops(data):
     trials = data.draw(st.integers(1, 10), label="trials")
     entries = data.draw(st.sampled_from([1, 2**62])
                         | st.integers(1, 4).map(lambda c: c * size * L), label="entries")
-    seed = data.draw(st.integers(0, 2**16), label="trial seed")
+    stream_entries = data.draw(st.sampled_from([1, 2**62]) | st.integers(1, 3 * (L + 1)),
+                               label="stream entries")
+    seed = data.draw(st.integers(0, 2**130), label="trial seed")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_CHUNK_ENTRIES", entries)
+        patch.setattr(sim, "_STREAM_ENTRIES", stream_entries)
         rep = monte_carlo(spec, dist, n, L, delta, trials, seed, 0.25, lam=lam)
     assert rep.codebook_size == size
     assert rep.to_json() == json.dumps(monte_carlo_loops(
@@ -362,17 +370,34 @@ def test_monte_carlo_matches_loops(data):
         seed, 0.25))
 
 
-@pytest.mark.parametrize("n, L, trials", [(2, 8, 0), (2, 8, -1), (2, 0, 10), (2, 1, 10),
-                                          (2, 7, 10), (3, 8, 10)],
-                         ids=["no-trials", "negative-trials", "L0", "L-below-n",
-                              "L7-n2", "L8-n3"])
-def test_monte_carlo_rejects_unworkable_inputs_before_solving(n, L, trials, monkeypatch):
+@pytest.mark.parametrize("n, L, trials, seed, error", [
+    (2, 8, 0, 1, ValueError), (2, 8, -1, 1, ValueError), (2, 0, 10, 1, ValueError),
+    (2, 1, 10, 1, ValueError), (2, 7, 10, 1, ValueError), (3, 8, 10, 1, ValueError),
+    (2, 8, 10, -1, ValueError), (2, 8, 10, 1.5, TypeError)],
+    ids=["no-trials", "negative-trials", "L0", "L-below-n", "L7-n2", "L8-n3",
+         "negative-seed", "float-seed"])
+def test_monte_carlo_rejects_unworkable_inputs_before_solving(n, L, trials, seed, error,
+                                                              monkeypatch):
     def no_solve(*_, **__):
         raise AssertionError("solved before the inputs were checked")
 
     monkeypatch.setattr(sim, "solve", no_solve)
-    with pytest.raises(ValueError, match="trials|multiple of n"):
-        monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, 0.15, trials, 1, 0.25)
+    with pytest.raises(error, match="trials|multiple of n|seed|integer"):
+        monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, 0.15, trials, seed, 0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**130) | st.sampled_from([2**32 - 1, 2**32, 2**96]),
+       start=st.integers(0, 2**20) | st.integers(2**32 - 3, 2**32 + 3),
+       trials=st.integers(1, 6), K=st.integers(1, 40))
+def test_trial_uniforms_are_default_rng_streams(seed, start, trials, K):
+    """Row t of the vectorized SeedSequence + PCG64 draw is, bit for bit,
+    default_rng([seed, t]).random(K), for seeds of one to five 32-bit words
+    (more than SeedSequence's pool of four) and trials of one or two."""
+    u = sim._trial_uniforms(seed, start, start + trials, K)
+    assert u.shape == (trials, K)
+    for row, t in zip(u, range(start, start + trials)):
+        np.testing.assert_array_equal(row, np.random.default_rng([seed, t]).random(K))
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():

@@ -97,7 +97,8 @@ def test_step_matches_full_table_reference(shape, data):
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
     step = _step(kernel.table, tilt, p, ctx, dvals)
-    diag = _diagnostics(p, lam, n, 1, step.rows, step.log_max_c, step.mean_logc, step.D)
+    diag = _diagnostics(p, lam, n, 1, np.log2(step.rows), step.log_max_c, step.mean_logc,
+                        step.D)
 
     np.testing.assert_allclose(diag[1:], ref_diag, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(ctx.full(step.q_next), ref_q)

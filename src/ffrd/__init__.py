@@ -30,7 +30,6 @@ from .dual import (
     dual_objective,
     gamma_from_kernel,
     reconstruct_channel,
-    slope_at,
 )
 from .models import (
     DistortionSpec,
@@ -49,7 +48,6 @@ from .prob import (
     SupportError,
     binary_entropy,
     directed_information,
-    kl_divergence,
 )
 from .sim import (
     Codebook,
@@ -80,9 +78,9 @@ __all__ = [
     "check_feasibility", "decode_walk", "default_lambda_grid",
     "directed_information", "distortion_at_rate", "distortion_tensor",
     "dual_objective", "encode", "gamma_from_kernel", "iid_binary_rd",
-    "inverse_binary_entropy", "kl_divergence", "markov_rn", "monte_carlo",
+    "inverse_binary_entropy", "markov_rn", "monte_carlo",
     "rate_at_distortion", "rate_estimator", "reconstruct_channel",
-    "sample_code_tree", "sequence_distortion", "slope_at", "solve",
+    "sample_code_tree", "sequence_distortion", "solve",
     "stationary_distribution", "stock_market_rd", "subadditivity_check",
     "sweep",
 ]

@@ -50,7 +50,9 @@ class DualCertificate:
     """Lower-bound certificate (lam, gamma, p').
 
     ``p_prime_factors[i-1]`` has axes (x_1..x_i, x̂_1..x̂_i) and rows over x_i
-    (axis i-1) summing to one for every context.
+    (axis i-1) summing to one for every context.  gamma must be finite and
+    positive and p' finite and nonnegative (``ValueError`` otherwise): a NaN
+    passes every comparison of ``check_feasibility`` unseen.
     """
 
     lam: float
@@ -73,6 +75,9 @@ class DualCertificate:
         for i, f in enumerate(facs, start=1):
             if f.shape != (A,) * i + (B,) * i:
                 raise ValueError(f"factor {i} has wrong shape {f.shape}")
+            # min and max are NaN when an entry is, and NaN fails every comparison
+            if not 0.0 <= f.min() <= f.max() < np.inf:
+                raise ValueError(f"p' factor {i} must be finite and nonnegative")
         object.__setattr__(self, "p_prime_factors", facs)
 
     @property
@@ -324,9 +329,3 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
             "on the channel's support")
     # the step's channel lives in the workspace; the returned one owns a copy
     return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=last.r.copy())
-
-
-def slope_at(lam: float, n: int) -> float:
-    """Slope of the rate-distortion curve at the point swept by lam: -lam/n."""
-    _check_lam(lam)
-    return -lam / n

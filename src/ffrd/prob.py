@@ -176,21 +176,6 @@ def binary_entropy(p: float) -> float:
     return float(h)
 
 
-def kl_divergence(p, q) -> float:
-    """D(p || q) in bits over matching flat tables.
-
-    Raises SupportError if q vanishes where p does not.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise ValueError("tables must have equal length")
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        raise SupportError("q vanishes on the support of p")
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
-
-
 class _Contexts(NamedTuple):
     """Where the contexts (z^{n-s}, x̂^n) of a causal kernel sit in the
     (x^n, x̂^n) table.

@@ -123,6 +123,23 @@ class TestDualCheckCommand:
         assert "feasible=1" in out
         assert "dual_objective=" in out
 
+    def test_nan_p_prime_refused(self, tmp_path, capsys):
+        # a NaN p' entry was reported feasible=1 with max_violation=0
+        cert = tmp_path / "cert.json"
+        assert run(["solve", "--source", "markov:0.3,0.2", "--n", "2",
+                    "--lambda", "4", "--emit-certificate", str(cert),
+                    "--output", str(tmp_path / "pt.txt")]) == 0
+        payload = json.loads(cert.read_text())
+        payload["p_prime_factors"][1] = [[[[float("nan")] * 2] * 2] * 2] * 2
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["dual-check", "--certificate", str(cert),
+                    "--source", "markov:0.3,0.2", "--dist", "hamming"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: p' factor 2 must be finite and nonnegative" in captured.err
+        assert "feasible=" not in captured.out
+
 
 class TestSimulateCommand:
     def test_report_json(self, tmp_path):

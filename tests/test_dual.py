@@ -12,7 +12,6 @@ from ffrd.dual import (
     dual_objective,
     gamma_from_kernel,
     reconstruct_channel,
-    slope_at,
 )
 from ffrd.models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import CausalKernel, reverse_causal_factors
@@ -119,6 +118,27 @@ class TestFeasibility:
         report = check_feasibility(bad, src, dist)
         assert not report.feasible
         assert report.max_violation == pytest.approx(1.0, abs=1e-7)
+
+    # max(0.0, nan) is 0.0, so a NaN p' was reported feasible with
+    # max_violation 0; the certificate refuses it, and any non-finite or
+    # negative p' entry, when built
+    @pytest.mark.parametrize("i, index, value", [
+        (2, ..., np.nan), (1, (0, 0), np.nan), (1, (1, 0), np.inf), (2, (0, 1, 1, 0), -0.25)])
+    def test_bad_p_prime_rejected(self, markov_converged, i, index, value):
+        src, dist, pt = markov_converged
+        cert = certificate_from_solution(pt, src, dist)
+        factors = [f.copy() for f in cert.p_prime_factors]
+        factors[i - 1][index] = value
+        with pytest.raises(ValueError, match=f"p' factor {i} must be finite and nonnegative"):
+            DualCertificate(lam=cert.lam, n=cert.n, src_alphabet_size=2, rec_alphabet_size=2,
+                            gamma=cert.gamma, p_prime_factors=tuple(factors))
+
+    def test_nan_p_prime_from_json_rejected(self, markov_converged):
+        src, dist, pt = markov_converged
+        payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
+        payload["p_prime_factors"][0][0][0] = float("nan")
+        with pytest.raises(ValueError, match="p' factor 1 must be finite and nonnegative"):
+            DualCertificate.from_json(json.dumps(payload))
 
     def test_zero_weight_trivial_certificate(self):
         # gamma = 1 with p' built from an arbitrary product joint is feasible
@@ -288,19 +308,3 @@ class TestShapeMismatch:
         with pytest.raises(ValueError, match=r"kernel is for n=3, \|X\|=2, \|X̂\|=2; "
                                              r"the distortion tensor is for n=2"):
             gamma_from_kernel(CausalKernel.uniform(3, 2, 2), hamming_tensor(2), 1.0)
-
-
-class TestSlope:
-    def test_reference_points(self):
-        assert slope_at(6.0, 3) == pytest.approx(-2.0)
-        assert slope_at(0.0, 3) == 0.0
-        assert slope_at(9.216, 3) == pytest.approx(-3.072)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            slope_at(-1.0, 3)
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf])
-    def test_non_finite_weight_rejected(self, lam):
-        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
-            slope_at(lam, 3)

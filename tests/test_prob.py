@@ -18,7 +18,6 @@ from ffrd.prob import (
     _factor_product,
     binary_entropy,
     directed_information,
-    kl_divergence,
     reverse_causal_factors,
     sequence_digits,
 )
@@ -84,32 +83,6 @@ class TestBinaryEntropy:
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_symmetry(self, p):
         assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
-
-
-class TestKlDivergence:
-    def test_zero_iff_equal(self):
-        p = np.array([0.3, 0.7])
-        assert kl_divergence(p, p) == 0.0
-
-    def test_point_mass_vs_uniform(self):
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
-
-    def test_known_value(self):
-        val = 0.5 * np.log2(2.0) + 0.5 * np.log2(2.0 / 3.0)
-        assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(val)
-        assert val == pytest.approx(0.207519, abs=1e-6)
-
-    def test_support_violation(self):
-        with pytest.raises(SupportError):
-            kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-    def test_nonnegative_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(6))
-            q = rng.dirichlet(np.ones(6)) + 1e-9
-            q /= q.sum()
-            assert kl_divergence(p, q) >= 0.0
 
 
 class TestConstructors:

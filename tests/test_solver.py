@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffrd
 from ffrd.curves import _warm_start
 from ffrd.dual import gamma_from_kernel
 from ffrd.models import (
@@ -398,3 +404,32 @@ class TestTrace:
         assert pt.iterations == 5_000 and not pt.converged
         np.testing.assert_array_equal(pt.trace.k, np.arange(1, 5_001))
         assert peak < 0.76e6
+
+
+_THREADED_SOLVE = """
+import hashlib, json
+import ffrd
+src = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), 8)
+pt = ffrd.solve(src, ffrd.distortion_tensor(ffrd.DistortionSpec.hamming(), 8),
+                ffrd.SolverConfig(lam=9.216))
+print(json.dumps([pt.iterations, pt.F_final.hex(), pt.R.hex(), pt.D.hex(),
+                  hashlib.sha256(pt.trace.tobytes()).hexdigest()]))
+"""
+
+
+def test_answers_independent_of_blas_threads():
+    # OpenBLAS splits a dot of more than 10,000 entries across threads; the
+    # step's E[log2 c] over 32,768 context cells was such a dot, and F_final
+    # ended ...7e4bc at one thread and ...7e4bd at two
+    src = str(Path(ffrd.__file__).resolve().parent.parent)
+    runs = []
+    for threads in ("1", "2"):
+        # read by OpenBLAS when numpy loads it, so set before the import
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0][0] == 465
+    assert runs[0] == runs[1]

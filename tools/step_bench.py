@@ -34,6 +34,8 @@ the same answers bit for bit, and a change to one part of the certificate
 told from a change to the other.  A last one, ``simulate_sha256``, covers
 the ``to_json()`` bytes of the reports of the benchmark's two ``simulate``
 runs at seeds 1 and 7, so simulator changes can be checked bit for bit too.
+It also records ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` it ran under
+("unset" when not set); no digest should change with it.
 Startup mode times fresh interpreters: the median wall time of
 ``STARTUP_RUNS`` runs each of ``python -c pass``, ``python -c "import ffrd"``
 and ``python -m ffrd.cli --help``, and lists the top-level packages outside
@@ -188,7 +190,8 @@ def answers() -> dict:
             if isinstance(rep, Exception):
                 raise RuntimeError(f"simulate {key} at seed {seed} raised {rep!r}")
             reports.update(rep.to_json().encode())
-    return {"points": len(points), "sha256": digest.hexdigest(),
+    return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+            "points": len(points), "sha256": digest.hexdigest(),
             "factors_sha256": factors.hexdigest(), "certificates": len(certs),
             "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),
             "simulate_sha256": reports.hexdigest()}

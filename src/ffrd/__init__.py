@@ -49,16 +49,7 @@ from .prob import (
     binary_entropy,
     directed_information,
 )
-from .sim import (
-    Codebook,
-    CodeTree,
-    SimulationReport,
-    decode_walk,
-    encode,
-    monte_carlo,
-    sample_code_tree,
-    sequence_distortion,
-)
+from .sim import SimulationReport, monte_carlo
 from .solver import (
     IterationDiagnostics,
     RatePoint,
@@ -69,18 +60,15 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSource", "CausalKernel", "Codebook", "CodeTree", "DistortionSpec",
-    "DistortionTensor", "DualCertificate", "FeasibilityReport",
-    "FeedForwardMap", "ForwardChannel", "IterationDiagnostics",
-    "NonTightCertificateError", "RatePoint", "RdCurve", "SimulationReport",
-    "SolverConfig", "SourceSpec", "SupportError", "apply_feedforward_map",
-    "binary_entropy", "block_pmf", "certificate_from_solution",
-    "check_feasibility", "decode_walk", "default_lambda_grid",
+    "BlockSource", "CausalKernel", "DistortionSpec", "DistortionTensor",
+    "DualCertificate", "FeasibilityReport", "FeedForwardMap", "ForwardChannel",
+    "IterationDiagnostics", "NonTightCertificateError", "RatePoint", "RdCurve",
+    "SimulationReport", "SolverConfig", "SourceSpec", "SupportError",
+    "apply_feedforward_map", "binary_entropy", "block_pmf",
+    "certificate_from_solution", "check_feasibility", "default_lambda_grid",
     "directed_information", "distortion_at_rate", "distortion_tensor",
-    "dual_objective", "encode", "gamma_from_kernel", "iid_binary_rd",
-    "inverse_binary_entropy", "markov_rn", "monte_carlo",
-    "rate_at_distortion", "rate_estimator", "reconstruct_channel",
-    "sample_code_tree", "sequence_distortion", "solve",
-    "stationary_distribution", "stock_market_rd", "subadditivity_check",
-    "sweep",
+    "dual_objective", "gamma_from_kernel", "iid_binary_rd",
+    "inverse_binary_entropy", "markov_rn", "monte_carlo", "rate_at_distortion",
+    "rate_estimator", "reconstruct_channel", "solve", "stationary_distribution",
+    "stock_market_rd", "subadditivity_check", "sweep",
 ]

@@ -8,21 +8,22 @@ decision per source branch x^{i-1}, each sampled from the optimal causal
 kernel.  The encoder picks the tree of minimum walked distortion; the decoder
 replays the walk from the fed-forward source symbols.
 
-A codebook stacks its trees once into a (trees, L, A^{n-1}) decision array,
-so the encoder walks every tree along a batch of streams with one gather over
-the streams' branch indices and scores every walk with one lookup in the
-windowed-distortion costs of ``models._position_costs`` (the routine
-``distortion_tensor`` uses).  ``monte_carlo`` draws its codebook level by
-level for all trees and blocks at once, and encodes and scores its trials
-in bounded chunks.  Trial t draws its stream from the uniforms of
-``default_rng([seed, t])``, so the stream depends neither on the number of
-trials nor on the chunk; ``_trial_uniforms`` computes those uniforms, bit
-for bit, for a block of trials at once, running SeedSequence's hashing and
-PCG64's 128-bit steps on numpy arrays instead of building a generator per
-trial.  Trees and source streams are drawn from the same random numbers, in
-the same order, as a per-branch ``Generator.choice`` loop would draw them,
-and the one-item functions (``sample_code_tree``, ``encode``,
-``decode_walk``) are batches of one through the same cores.
+A codebook is one (trees, L, A^{n-1}) decision array, so the encoder walks
+every tree along a batch of streams with one gather over the streams' branch
+indices and scores every walk with one lookup in the windowed-distortion
+costs of ``models._position_costs`` (the routine ``distortion_tensor``
+uses).  ``monte_carlo`` draws its codebook level by level for all trees and
+blocks at once, and encodes and scores its trials in bounded chunks.  Trial
+t draws its stream from the uniforms of ``default_rng([seed, t])``, so the
+stream depends neither on the number of trials nor on the chunk;
+``_trial_uniforms`` computes those uniforms, bit for bit, for a block of
+trials at once, running SeedSequence's hashing and PCG64's 128-bit steps on
+numpy arrays instead of building a generator per trial.  Trees and source
+streams are drawn from the same random numbers, in the same order, as a
+per-branch ``Generator.choice`` loop would draw them.  Three array cores
+are the whole simulator: ``_sample_decisions`` draws the codebook,
+``_sample_streams`` the trials' source streams and ``_encode_streams``
+encodes and scores them.
 """
 
 from __future__ import annotations
@@ -31,66 +32,13 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, _position_costs, block_pmf, distortion_tensor
 from .prob import CausalKernel, sequence_digits
 from .solver import RatePoint, SolverConfig, solve
-
-
-@dataclass(frozen=True)
-class CodeTree:
-    """Depth-L tree of reconstruction decisions, L/n independent blocks.
-
-    ``blocks[b][i-1]`` is an int array of length A^{i-1}: the symbol emitted
-    at within-block level i on the branch indexed by the block-local source
-    history x^{i-1} (first symbol most significant).
-    """
-
-    n: int
-    L: int
-    src_alphabet_size: int
-    rec_alphabet_size: int
-    blocks: tuple = field(repr=False)
-
-    @property
-    def decisions(self) -> int:
-        return sum(level.size for block in self.blocks for level in block)
-
-
-def _decision_array(trees) -> np.ndarray:
-    """Decisions of equally shaped trees as a (trees, L, A^{n-1}) int array.
-
-    Entry [k, t, h] is what tree k emits at depth t on block-local branch h;
-    level i of a block fills the first A^{i-1} columns and the rest are 0.
-    """
-    first = trees[0]
-    out = np.zeros((len(trees), first.L, first.src_alphabet_size ** (first.n - 1)),
-                   dtype=np.int64)
-    for k, tree in enumerate(trees):
-        for t, level in enumerate(lvl for block in tree.blocks for lvl in block):
-            out[k, t, :level.size] = level
-    return out
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Code trees of one shape, with their decisions stacked once into
-    ``decision_array`` (see :func:`_decision_array`)."""
-
-    trees: tuple
-    target_rate: float
-    decision_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.trees:
-            raise ValueError("codebook must contain at least one tree")
-        shapes = {(t.n, t.L, t.src_alphabet_size, t.rec_alphabet_size) for t in self.trees}
-        if len(shapes) > 1:
-            raise ValueError(f"code trees differ in (n, L, |X|, |X̂|): {sorted(shapes)}")
-        object.__setattr__(self, "decision_array", _decision_array(self.trees))
 
 
 def _choice_cdf(pmfs: np.ndarray) -> np.ndarray:
@@ -107,8 +55,14 @@ def _choice_cdf(pmfs: np.ndarray) -> np.ndarray:
 
 
 def _sample_decisions(kernel: CausalKernel, L: int, trees: int, rng) -> np.ndarray:
-    """Decision array (see :func:`_decision_array`) of ``trees`` depth-L
-    trees sampled from a delay-1 causal kernel.
+    """Decision array of ``trees`` depth-L trees sampled from a delay-1
+    causal kernel: a (trees, L, A^{n-1}) int64 array.
+
+    The trees are made of L/n independent blocks of n levels.  Entry
+    [k, t, h] is the symbol tree k emits at depth t on the block-local
+    branch h, the source history x^{i-1} since the block began (first symbol
+    most significant); level i of a block fills the first A^{i-1} columns
+    and the rest are 0.
 
     One ``rng.random`` call draws every uniform in the order tree, block,
     level, branch, the order successive one-tree draws from the same
@@ -143,21 +97,6 @@ def _sample_decisions(kernel: CausalKernel, L: int, trees: int, rng) -> np.ndarr
     return out.reshape(trees, L, widths[-1])
 
 
-def sample_code_tree(kernel: CausalKernel, L: int, rng) -> CodeTree:
-    """Sample a depth-L tree from a delay-1 causal kernel: a batch of one of
-    :func:`_sample_decisions`.
-
-    Blocks take their uniform draws in block order, and each level of a block
-    one per branch, in branch order."""
-    n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    decisions = _sample_decisions(kernel, L, 1, rng)[0]
-    blocks = tuple(tuple(decisions[b * n + i, :A**i] for i in range(n))
-                   for b in range(L // n))
-    return CodeTree(n=n, L=L, src_alphabet_size=A, rec_alphabet_size=B, blocks=blocks)
-
-
 def _branch_indices(x: np.ndarray, n: int, A: int) -> np.ndarray:
     """Block-local branch index x^{i-1} (first symbol most significant) of
     every position of streams along the last axis, whose length is a
@@ -175,68 +114,18 @@ def _walks(decisions: np.ndarray, n: int, A: int, x: np.ndarray) -> np.ndarray:
     return decisions[:, np.arange(x.shape[-1]), _branch_indices(x, n, A)]
 
 
-def _check_symbols(seq: np.ndarray, alphabet_size: int, what: str) -> None:
-    """Raise ValueError unless every symbol of ``seq`` is in range(alphabet_size)."""
-    outside = (seq < 0) | (seq >= alphabet_size)
-    if outside.any():
-        raise ValueError(f"{what} symbol {seq[outside][0]} outside the alphabet "
-                         f"of size {alphabet_size}")
-
-
-def decode_walk(tree: CodeTree, x_causal_stream) -> np.ndarray:
-    """Walk the tree along a source stream; output i depends only on x^{i-1}."""
-    x = np.asarray(x_causal_stream, dtype=np.int64)
-    _check_symbols(x, tree.src_alphabet_size, "source")
-    if x.size < tree.L:
-        raise ValueError("source stream shorter than the tree depth")
-    return _walks(_decision_array((tree,)), tree.n, tree.src_alphabet_size,
-                  x[None, :tree.L])[0, 0]
-
-
-def sequence_distortion(spec: DistortionSpec, x, xhat, initial_context=None) -> float:
-    """Per-letter average distortion of a (source, reconstruction) pair.
-
-    Windows reaching before the first symbol are resolved as in
-    :func:`distortion_tensor`: averaged uniformly over the missing symbols
-    when ``initial_context`` is None, pinned to it when it is a symbol, and
-    averaged under it when it is a PMF over the source alphabet."""
-    x = np.asarray(x, dtype=np.int64)
-    xhat = np.asarray(xhat, dtype=np.int64)
-    if x.size != xhat.size:
-        raise ValueError("sequences must have equal length")
-    _check_symbols(x, spec.src_alphabet_size, "source")
-    _check_symbols(xhat, spec.rec_alphabet_size, "reconstruction")
-    costs = _position_costs(spec, x, initial_context)
-    return float(costs[np.arange(x.size), xhat].sum() / x.size)
-
-
-def encode(codebook: Codebook, x, distortion: DistortionSpec) -> int:
-    """Index of the tree with minimum walked distortion.
-
-    Every tree's walk is one gather from the decision array, and every walk
-    is scored from one table of position costs.  The lowest index whose
-    total distortion is within 1e-15 of the least total wins.
-    """
-    tree = codebook.trees[0]
-    x = np.asarray(x, dtype=np.int64)
-    if x.size != tree.L:
-        raise ValueError(f"source stream has length {x.size}; the trees have depth {tree.L}")
-    _check_symbols(x, tree.src_alphabet_size, "source")
-    chosen, _ = _encode_streams(codebook.decision_array, tree.n, tree.src_alphabet_size,
-                                x[None], distortion)
-    return int(chosen[0])
-
-
 def _encode_streams(decisions: np.ndarray, n: int, A: int, x: np.ndarray,
                     distortion: DistortionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`encode` of int64 streams ``x`` (streams, L), known to be in
-    range, against a decision array: the chosen tree of every stream and the
+    """Encode int64 streams ``x`` (streams, L), known to be in range,
+    against a decision array: the chosen tree of every stream and the
     per-letter distortion of its walk, both scored from one table of
-    position costs."""
+    position costs.  The lowest index whose total distortion is within
+    1e-15 of the least total wins.  Every walk's costs are one flat gather,
+    at offset (stream * L + t) * |X̂| + x̂_t of the cost table."""
     streams, L = x.shape
     costs = _position_costs(distortion, x)
-    totals = costs[np.arange(streams)[:, None], np.arange(L),
-                   _walks(decisions, n, A, x)].sum(axis=-1)
+    base = np.arange(streams * L).reshape(streams, L) * costs.shape[-1]
+    totals = costs.ravel().take(base + _walks(decisions, n, A, x)).sum(axis=-1)
     chosen = (totals <= totals.min(axis=0) + 1e-15).argmax(axis=0)
     return chosen, totals[chosen, np.arange(streams)] / L
 
@@ -403,11 +292,6 @@ def _sample_streams(spec: SourceSpec, length: int, u: np.ndarray) -> np.ndarray:
         x[:, t] = state
         state = (rows[state] <= u[:, t + 1, None]).sum(axis=1)
     return x
-
-
-def _sample_source(spec: SourceSpec, length: int, rng) -> np.ndarray:
-    """One stream of :func:`_sample_streams`, its uniforms drawn from ``rng``."""
-    return _sample_streams(spec, length, rng.random((1, _stream_uniforms(spec, length))))[0]
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ and ``np.sum``, without the Python-level dispatch of those, which costs more
 than a small step's arithmetic.  Every sum of the step, its statistics'
 included, is such a reduction, in an order fixed by the array's shape
 alone, for a lone step as for a stack.  The one dot left, in the
-diagnostics, runs over |X|^n entries, and OpenBLAS runs a dot of at most
-10,000 entries on one thread, so while |X|^n <= 10,000 (binary n <= 13,
-ternary n <= 8) no answer depends on the BLAS thread count.
+diagnostics, runs over |X|^n entries in pieces of at most 10,000 added in a
+fixed order, and OpenBLAS runs a dot of that size on one thread, so no
+answer depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -190,13 +190,22 @@ class _Step(NamedTuple):
                      [f[j] for f in self.factors], *stats)
 
 
+#: Entries of the pieces ``_diagnostics`` takes its dot in: OpenBLAS splits
+#: a longer dot across threads, which changes the order of its sum.
+_DOT_PIECE = 10_000
+
+
 def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, log_rows: np.ndarray,
                  log_max_c: float, mean_logc: float, D: float) -> IterationDiagnostics:
     """Stopping statistic, Lagrangian and rate bounds from one tilt step's
     values, ``log_rows`` being log2 of the step's channel row sums."""
     # a dot, as np.add.reduce here gave R = 2.96e-16, not 0, on a one-letter
-    # |X̂| at n = 3; OpenBLAS runs it on one thread while |X|^n <= 10,000
-    base = -lam * D - float(p @ log_rows)
+    # |X̂| at n = 3; up to _DOT_PIECE entries it is the one dot
+    mean_log_rows = float(p[:_DOT_PIECE] @ log_rows[:_DOT_PIECE])
+    for start in range(_DOT_PIECE, p.size, _DOT_PIECE):
+        piece = slice(start, start + _DOT_PIECE)
+        mean_log_rows += float(p[piece] @ log_rows[piece])
+    base = -lam * D - mean_log_rows
     upper = (base - mean_logc) / n
     lower = (base - log_max_c) / n
     return IterationDiagnostics(k, log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)

@@ -153,6 +153,17 @@ def sample_code_tree_loops(factors, n, L, A, B, fmap, rng):
     return blocks
 
 
+def decision_array_loops(trees, n, A):
+    """Trees of :func:`sample_code_tree_loops` as one (trees, L, A^{n-1})
+    decision array: entry [k, t, h] is what tree k emits at depth t on
+    block-local branch h, and 0 past the A^{i-1} branches of level i."""
+    out = np.zeros((len(trees), len(trees[0]) * n, A ** (n - 1)), dtype=np.int64)
+    for k, blocks in enumerate(trees):
+        for t, level in enumerate(lvl for block in blocks for lvl in block):
+            out[k, t, :len(level)] = level
+    return out
+
+
 def decode_walk_loops(blocks, n, A, x):
     """Walk tree blocks along x: output t is read on the branch of the
     block-local history before t."""

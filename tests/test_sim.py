@@ -12,23 +12,17 @@ from ffrd.models import (
     DistortionSpec,
     FeedForwardMap,
     SourceSpec,
+    _position_costs,
     block_pmf,
     distortion_tensor,
 )
 from ffrd.prob import CausalKernel, sequence_digits
-from ffrd.sim import (
-    Codebook,
-    _sample_source,
-    decode_walk,
-    encode,
-    monte_carlo,
-    sample_code_tree,
-    sequence_distortion,
-)
+from ffrd.sim import _encode_streams, _sample_decisions, _walks, monte_carlo
 from ffrd.solver import SolverConfig, solve
 
 from helpers import kernel_from_joint
 from oracles import (
+    decision_array_loops,
     decode_walk_loops,
     encode_loops,
     iid_stream_choice,
@@ -51,131 +45,113 @@ def deterministic_kernel(n=3):
     return kernel_from_joint(np.full(2**n, 2.0**-n)[:, None] * probs, n, 2, 2, 1)
 
 
+def decisions_of(kernel, L, seed, trees=1):
+    return _sample_decisions(kernel, L, trees, np.random.default_rng(seed))
+
+
+def walked_distortion(spec, x, xhat, initial_context=None):
+    """Per-letter distortion of one (source, reconstruction) pair: the
+    position costs of ``x`` gathered at ``xhat``."""
+    costs = _position_costs(spec, np.asarray(x), initial_context)
+    return float(costs[np.arange(len(x)), xhat].sum() / len(x))
+
+
 class TestSampleCodeTree:
+    """Trees drawn by ``sim._sample_decisions``."""
+
     def test_branch_counts(self):
-        tree = sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, 0)
-        assert tree.decisions == 14
-        assert [lvl.size for lvl in tree.blocks[0]] == [1, 2, 4]
+        dec = decisions_of(CausalKernel.uniform(3, 2, 3), 6, 0, trees=2)
+        assert dec.shape == (2, 6, 4) and dec.dtype == np.int64
+        for t in range(6):  # level i of a block fills its first 2^{i-1} branches
+            assert not dec[:, t, 2 ** (t % 3):].any()
+        assert dec[:, :, :1].any() and dec[:, 2::3, 2:].any()
 
     def test_point_mass_kernel_gives_unique_tree(self):
         kern = deterministic_kernel()
-        t1 = sample_code_tree(kern, 6, 1)
-        t2 = sample_code_tree(kern, 6, 99)
-        for b1, b2 in zip(t1.blocks, t2.blocks):
-            for l1, l2 in zip(b1, b2):
-                np.testing.assert_array_equal(l1, l2)
+        np.testing.assert_array_equal(decisions_of(kern, 6, 1), decisions_of(kern, 6, 99))
 
     def test_source_blind_kernel_replicates_one_sequence(self):
         # kernel constant in x: the walk output cannot depend on the source
         rng = np.random.default_rng(3)
         m = rng.dirichlet(np.ones(4))
         kern = kernel_from_joint(np.full(4, 0.25)[:, None] * m[None, :], 2, 2, 2, 1)
-        tree = sample_code_tree(kern, 4, 5)
-        outs = {tuple(decode_walk(tree, x)) for x in
-                (rng.integers(0, 2, 4) for _ in range(20))}
-        assert len(outs) == 1
+        walks = _walks(decisions_of(kern, 4, 5), 2, 2, rng.integers(0, 2, (20, 4)))[0]
+        assert len({tuple(walk) for walk in walks}) == 1
 
     def test_length_must_divide(self):
         with pytest.raises(ValueError):
-            sample_code_tree(CausalKernel.uniform(3, 2, 2), 7, 0)
+            decisions_of(CausalKernel.uniform(3, 2, 2), 7, 0)
 
     def test_seed_determinism(self):
         kern = CausalKernel.uniform(2, 2, 2)
-        a = sample_code_tree(kern, 6, 42)
-        b = sample_code_tree(kern, 6, 42)
-        for ba, bb in zip(a.blocks, b.blocks):
-            for la, lb in zip(ba, bb):
-                np.testing.assert_array_equal(la, lb)
+        np.testing.assert_array_equal(decisions_of(kern, 6, 42), decisions_of(kern, 6, 42))
 
 
 class TestDecodeWalk:
+    """Walks of ``sim._walks``."""
+
     def test_replay_reproducible(self):
-        tree = sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, 7)
-        x = np.array([1, 0, 1, 1, 0, 0])
-        np.testing.assert_array_equal(decode_walk(tree, x), decode_walk(tree, x))
+        dec = decisions_of(CausalKernel.uniform(3, 2, 2), 6, 7)
+        x = np.array([[1, 0, 1, 1, 0, 0]] * 2)
+        walks = _walks(dec, 3, 2, x)[0]
+        np.testing.assert_array_equal(walks[0], walks[1])
 
     def test_causality(self):
-        tree = sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, 8)
+        dec = decisions_of(CausalKernel.uniform(3, 2, 2), 6, 8)
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.integers(0, 2, 6)
             j = rng.integers(0, 6)
             y = x.copy()
             y[j] ^= 1
-            a, b = decode_walk(tree, x), decode_walk(tree, y)
+            a, b = _walks(dec, 3, 2, np.stack([x, y]))[0]
             np.testing.assert_array_equal(a[:j + 1], b[:j + 1])
-
-    def test_short_stream_rejected(self):
-        tree = sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, 9)
-        with pytest.raises(ValueError):
-            decode_walk(tree, [0, 1, 0])
 
 
 class TestEncode:
+    """The encoder ``sim._encode_streams``."""
+
     def test_exact_match_tree_wins(self):
         # the copy kernel reproduces a constant-zero source exactly from the
         # second symbol on; an all-zero source is matched with distortion 0
-        kern = deterministic_kernel()
-        tree = sample_code_tree(kern, 6, 0)
-        x = np.zeros(6, dtype=int)
-        assert np.all(decode_walk(tree, x) == 0)
-        rnd = sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, 12)
-        book = Codebook(trees=(rnd, tree), target_rate=0.5)
-        assert encode(book, x, HAMMING) in (0, 1)
-        assert sequence_distortion(HAMMING, x, decode_walk(tree, x)) == 0.0
+        copy = decisions_of(deterministic_kernel(), 6, 0)
+        x = np.zeros((1, 6), dtype=np.int64)
+        assert not _walks(copy, 3, 2, x).any()
+        rnd = decisions_of(CausalKernel.uniform(3, 2, 2), 6, 12)
+        chosen, dists = _encode_streams(np.concatenate([rnd, copy]), 3, 2, x, HAMMING)
+        assert chosen[0] in (0, 1) and dists[0] == 0.0
 
     def test_single_tree(self):
-        tree = sample_code_tree(CausalKernel.uniform(2, 2, 2), 4, 0)
-        book = Codebook(trees=(tree,), target_rate=0.1)
-        assert encode(book, [0, 1, 0, 1], HAMMING) == 0
+        dec = decisions_of(CausalKernel.uniform(2, 2, 2), 4, 0)
+        chosen, _ = _encode_streams(dec, 2, 2, np.array([[0, 1, 0, 1]]), HAMMING)
+        assert chosen.tolist() == [0]
 
     def test_tie_break_lowest_index(self):
-        tree = sample_code_tree(CausalKernel.uniform(2, 2, 2), 4, 0)
-        book = Codebook(trees=(tree, tree), target_rate=0.1)
-        assert encode(book, [1, 1, 0, 0], HAMMING) == 0
-
-    def test_empty_codebook_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook(trees=(), target_rate=0.1)
-
-    @pytest.mark.parametrize("n, A, B, L", [(3, 2, 2, 6), (2, 2, 2, 4), (2, 3, 2, 6),
-                                            (2, 2, 3, 6)], ids=["n", "L", "X", "Xhat"])
-    def test_mixed_trees_rejected(self, n, A, B, L):
-        base = sample_code_tree(CausalKernel.uniform(2, 2, 2), 6, 0)
-        other = sample_code_tree(CausalKernel.uniform(n, A, B), L, 0)
-        with pytest.raises(ValueError, match="code trees differ"):
-            Codebook(trees=(base, other), target_rate=0.1)
+        dec = decisions_of(CausalKernel.uniform(2, 2, 2), 4, 0)
+        chosen, _ = _encode_streams(np.concatenate([dec, dec]), 2, 2,
+                                    np.array([[1, 1, 0, 0]]), HAMMING)
+        assert chosen.tolist() == [0]
 
     def test_decision_array_layout(self):
-        trees = tuple(sample_code_tree(CausalKernel.uniform(3, 2, 2), 6, s) for s in (1, 2))
-        dec = Codebook(trees=trees, target_rate=0.1).decision_array
-        assert dec.shape == (2, 6, 4) and dec.dtype == np.int64
-        for k, tree in enumerate(trees):
-            for t, level in enumerate(lvl for block in tree.blocks for lvl in block):
-                np.testing.assert_array_equal(dec[k, t, :level.size], level)
-                assert not dec[k, t, level.size:].any()
-
-    @pytest.mark.parametrize("length", [5, 7])
-    def test_stream_length_must_match_depth(self, length):
-        book = Codebook(trees=(sample_code_tree(CausalKernel.uniform(2, 2, 2), 6, 0),),
-                        target_rate=0.1)
-        with pytest.raises(ValueError, match="depth 6"):
-            encode(book, np.zeros(length, dtype=int), HAMMING)
+        kern = CausalKernel.uniform(3, 2, 2)
+        ref_rng = np.random.default_rng(1)
+        ref = [sample_code_tree_loops(kern.factors, 3, 6, 2, 2, None, ref_rng)
+               for _ in range(2)]
+        np.testing.assert_array_equal(decisions_of(kern, 6, 1, trees=2),
+                                      decision_array_loops(ref, 3, 2))
 
 
 class TestSequenceDistortion:
+    """Per-letter distortion: ``models._position_costs`` gathered at x̂."""
+
     def test_hamming(self):
-        assert sequence_distortion(HAMMING, [0, 1, 1, 0], [0, 1, 0, 0]) == 0.25
+        assert walked_distortion(HAMMING, [0, 1, 1, 0], [0, 1, 0, 0]) == 0.25
 
     def test_windowed_stock(self):
         spec = DistortionSpec.stock()
         # x = (1, 0): drop at step 2; warning sequence (0, 1) is exact
-        assert sequence_distortion(spec, [1, 0], [0, 1], initial_context=0) == 0.0
-        assert sequence_distortion(spec, [1, 0], [0, 0], initial_context=0) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sequence_distortion(HAMMING, [0, 1], [0])
+        assert walked_distortion(spec, [1, 0], [0, 1], initial_context=0) == 0.0
+        assert walked_distortion(spec, [1, 0], [0, 0], initial_context=0) == 0.5
 
     @pytest.mark.parametrize("initial_context", [None, 0, [0.4, 0.6]])
     def test_matches_distortion_tensor(self, initial_context):
@@ -184,7 +160,7 @@ class TestSequenceDistortion:
         xs, xhs = sequence_digits(2, 3), sequence_digits(2, 3)
         for i, x in enumerate(xs):
             for j, xh in enumerate(xhs):
-                assert sequence_distortion(spec, x, xh, initial_context) == \
+                assert walked_distortion(spec, x, xh, initial_context) == \
                     pytest.approx(tensor[i, j], abs=1e-12)
 
 
@@ -267,8 +243,10 @@ def _distortion_spec(name, A, rng):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_array_simulator_matches_loops(data):
-    """Trees, walks, scores, encoder choices and source streams equal the
-    per-branch, per-position, per-tree loops drawn with Generator.choice."""
+    """The cores' trees (``_sample_decisions``), walks (``_walks``), position
+    costs, encoder choices and scores (``_encode_streams``) and source
+    streams (``_sample_streams``) equal the per-branch, per-position,
+    per-tree loops drawn with Generator.choice."""
     A = data.draw(st.sampled_from([2, 3]), label="A")
     n = data.draw(st.integers(1, 3), label="n")
     L = n * data.draw(st.integers(1, 3), label="blocks")
@@ -284,42 +262,42 @@ def test_array_simulator_matches_loops(data):
     ctx = rng.dirichlet(np.ones(A)) if context == "pmf" else context
 
     size, tree_seed = int(rng.integers(1, 7)), int(rng.integers(2**32))
-    tree_rng, ref_rng = np.random.default_rng(tree_seed), np.random.default_rng(tree_seed)
-    trees = [sample_code_tree(kern, L, tree_rng) for _ in range(size)]
+    ref_rng = np.random.default_rng(tree_seed)
     ref_trees = [sample_code_tree_loops(kern.factors, n, L, A, A, fmap, ref_rng)
                  for _ in range(size)]
-    for tree, ref in zip(trees, ref_trees):
-        assert len(tree.blocks) == len(ref)
-        for block, ref_block in zip(tree.blocks, ref):
-            for level, ref_level in zip(block, ref_block):
-                np.testing.assert_array_equal(level, ref_level)
+    decisions = _sample_decisions(kern, L, size, np.random.default_rng(tree_seed))
+    np.testing.assert_array_equal(decisions, decision_array_loops(ref_trees, n, A))
 
-    book = Codebook(trees=tuple(trees), target_rate=0.0)
-    np.testing.assert_array_equal(
-        sim._sample_decisions(kern, L, size, np.random.default_rng(tree_seed)),
-        book.decision_array)
     real = DistortionSpec.windowed(1, rng.random((A, A, A)))
-    for _ in range(4):
-        x = rng.integers(0, A, L)
-        for tree, ref in zip(trees, ref_trees):
-            out = decode_walk(tree, x)
-            assert out.tolist() == decode_walk_loops(ref, n, A, x)
-            assert sequence_distortion(spec, x, out, ctx) == pytest.approx(
-                sequence_distortion_loops(spec.table, spec.m, A, x, out, ctx), abs=1e-12)
-        assert encode(book, x, spec) == encode_loops(ref_trees, n, A, x, spec.table, spec.m)
-        walked = [sequence_distortion_loops(real.table, 1, A, x, decode_walk_loops(ref, n, A, x))
-                  for ref in ref_trees]
-        assert walked[encode(book, x, real)] == pytest.approx(min(walked), abs=1e-12)
+    x = rng.integers(0, A, (4, L))
+    walks = _walks(decisions, n, A, x)
+    costs = _position_costs(spec, x, ctx)
+    chosen, dists = _encode_streams(decisions, n, A, x, spec)
+    real_chosen, real_dists = _encode_streams(decisions, n, A, x, real)
+    for s, stream in enumerate(x):
+        ref_walks = [decode_walk_loops(ref, n, A, stream) for ref in ref_trees]
+        for walk, ref_walk in zip(walks[:, s], ref_walks):
+            assert walk.tolist() == ref_walk
+            assert costs[s, np.arange(L), walk].sum() / L == pytest.approx(
+                sequence_distortion_loops(spec.table, spec.m, A, stream, walk, ctx), abs=1e-12)
+        assert chosen[s] == encode_loops(ref_trees, n, A, stream, spec.table, spec.m)
+        assert dists[s] == pytest.approx(sequence_distortion_loops(
+            spec.table, spec.m, A, stream, ref_walks[chosen[s]]), abs=1e-12)
+        walked = [sequence_distortion_loops(real.table, 1, A, stream, walk) for walk in ref_walks]
+        assert walked[real_chosen[s]] == pytest.approx(min(walked), abs=1e-12)
+        assert real_dists[s] == pytest.approx(min(walked), abs=1e-12)
 
+    # consecutive streams of one generator: one row of uniforms each
     transition, initial = rng.dirichlet(np.ones(A), size=A), rng.dirichlet(np.ones(A))
     stream_seed = int(rng.integers(2**32))
-    np.testing.assert_array_equal(
-        _sample_source(SourceSpec.markov(transition, initial), 40,
-                       np.random.default_rng(stream_seed)),
-        markov_stream_choice(transition, initial, 40, np.random.default_rng(stream_seed)))
-    np.testing.assert_array_equal(
-        _sample_source(SourceSpec.iid(initial), 40, np.random.default_rng(stream_seed)),
-        iid_stream_choice(initial, 40, np.random.default_rng(stream_seed)))
+    cases = [(SourceSpec.markov(transition, initial),
+              lambda g: markov_stream_choice(transition, initial, 40, g)),
+             (SourceSpec.iid(initial), lambda g: iid_stream_choice(initial, 40, g))]
+    for source, reference in cases:
+        u = np.random.default_rng(stream_seed).random((3, sim._stream_uniforms(source, 40)))
+        ref_rng = np.random.default_rng(stream_seed)
+        np.testing.assert_array_equal(sim._sample_streams(source, 40, u),
+                                      [reference(ref_rng) for _ in range(3)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,32 +410,6 @@ def test_codebook_draw_peak_is_a_few_decision_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * decisions.nbytes
-
-
-@pytest.mark.parametrize("x, xhat", [([0, -1], [0, 1]), ([0, 2], [0, 1]),
-                                     ([0, 1], [0, -1]), ([0, 1], [2, 1])])
-def test_sequence_distortion_rejects_symbols_outside_alphabets(x, xhat):
-    with pytest.raises(ValueError, match="outside the alphabet"):
-        sequence_distortion(HAMMING, x, xhat)
-
-
-@pytest.mark.parametrize("x", [[0, 1, -1, 0], [0, 1, 2, 0], [0, 1, 0, 1, 3]])
-def test_walk_and_encoder_reject_symbols_outside_alphabet(x):
-    tree = sample_code_tree(CausalKernel.uniform(2, 2, 2), 4, 0)
-    with pytest.raises(ValueError, match="outside the alphabet"):
-        decode_walk(tree, x)
-    if len(x) == tree.L:
-        with pytest.raises(ValueError, match="outside the alphabet"):
-            encode(Codebook(trees=(tree,), target_rate=0.1), x, HAMMING)
-
-
-def test_monte_carlo_checks_no_symbol_per_trial(monkeypatch):
-    # the drawn streams and the walked reconstructions are in range by construction
-    def fail(*_):
-        raise AssertionError("a symbol check ran inside monte_carlo")
-
-    monkeypatch.setattr(sim, "_check_symbols", fail)
-    monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, 0.15, 20, 1, 0.25, lam=3.0)
 
 
 def test_monte_carlo_solves_each_lambda_once(monkeypatch):

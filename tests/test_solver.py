@@ -408,19 +408,26 @@ class TestTrace:
 
 _THREADED_SOLVE = """
 import hashlib, json
+import numpy as np
 import ffrd
-src = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), 8)
-pt = ffrd.solve(src, ffrd.distortion_tensor(ffrd.DistortionSpec.hamming(), 8),
-                ffrd.SolverConfig(lam=9.216))
-print(json.dumps([pt.iterations, pt.F_final.hex(), pt.R.hex(), pt.D.hex(),
-                  hashlib.sha256(pt.trace.tobytes()).hexdigest()]))
+one_letter = ffrd.DistortionSpec(m=0, table=np.array([[0.0], [1.0]]), src_alphabet_size=2,
+                                 rec_alphabet_size=1)
+runs = []
+for n, spec, lam in ((8, ffrd.DistortionSpec.hamming(), 9.216), (14, one_letter, 2.0)):
+    src = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n)
+    pt = ffrd.solve(src, ffrd.distortion_tensor(spec, n), ffrd.SolverConfig(lam=lam))
+    runs.append([pt.iterations, pt.F_final.hex(), pt.R.hex(), pt.D.hex(),
+                 pt.upper_bound.hex(), hashlib.sha256(pt.trace.tobytes()).hexdigest()])
+print(json.dumps(runs))
 """
 
 
 def test_answers_independent_of_blas_threads():
     # OpenBLAS splits a dot of more than 10,000 entries across threads; the
     # step's E[log2 c] over 32,768 context cells was such a dot, and F_final
-    # ended ...7e4bc at one thread and ...7e4bd at two
+    # ended ...7e4bc at one thread and ...7e4bd at two.  At n = 14 the
+    # diagnostics' E[log2 rows] runs over 16,384 source blocks: as one dot
+    # it gave R = 0x1.2492492492492p-55 at one thread and 0 at two
     src = str(Path(ffrd.__file__).resolve().parent.parent)
     runs = []
     for threads in ("1", "2"):
@@ -431,5 +438,5 @@ def test_answers_independent_of_blas_threads():
                               text=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr
         runs.append(json.loads(done.stdout))
-    assert runs[0][0] == 465
+    assert runs[0][0][0] == 465
     assert runs[0] == runs[1]

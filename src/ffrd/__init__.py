@@ -28,7 +28,6 @@ from .dual import (
     certificate_from_solution,
     check_feasibility,
     dual_objective,
-    gamma_from_kernel,
     reconstruct_channel,
 )
 from .models import (
@@ -67,8 +66,8 @@ __all__ = [
     "apply_feedforward_map", "binary_entropy", "block_pmf",
     "certificate_from_solution", "check_feasibility", "default_lambda_grid",
     "directed_information", "distortion_at_rate", "distortion_tensor",
-    "dual_objective", "gamma_from_kernel", "iid_binary_rd",
-    "inverse_binary_entropy", "markov_rn", "monte_carlo", "rate_at_distortion",
-    "rate_estimator", "reconstruct_channel", "solve", "stationary_distribution",
-    "stock_market_rd", "subadditivity_check", "sweep",
+    "dual_objective", "iid_binary_rd", "inverse_binary_entropy", "markov_rn",
+    "monte_carlo", "rate_at_distortion", "rate_estimator", "reconstruct_channel",
+    "solve", "stationary_distribution", "stock_market_rd", "subadditivity_check",
+    "sweep",
 ]

@@ -135,13 +135,17 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
                    configs=tuple(replace(base, lam=pt.lam) for pt in deduped))
 
 
-def _monotone_rd(curve: RdCurve):
-    """(R ascending, D aligned) arrays from the converged points."""
+def _converged_rd(curve: RdCurve):
+    """(R, D) rows of the converged points, D ascending."""
     pts = curve.converged_points()
     if len(pts) < 2:
         raise ValueError("curve needs at least two converged points")
-    R = np.array([pt.R for pt in pts])[::-1]  # D ascending => R descending
-    D = np.array([pt.D for pt in pts])[::-1]
+    return np.array([[pt.R, pt.D] for pt in pts]).T
+
+
+def _monotone_rd(curve: RdCurve):
+    """(R ascending, D aligned) arrays from the converged points."""
+    R, D = _converged_rd(curve)[:, ::-1]  # D ascending => R descending
     keep = np.concatenate([[True], np.diff(R) > 0])
     return R[keep], D[keep]
 
@@ -156,11 +160,7 @@ def distortion_at_rate(curve: RdCurve, rate: float) -> float:
 
 def rate_at_distortion(curve: RdCurve, D: float) -> float:
     """Piecewise-linear interpolation of R as a function of D."""
-    pts = curve.converged_points()
-    if len(pts) < 2:
-        raise ValueError("curve needs at least two converged points")
-    Ds = np.array([pt.D for pt in pts])
-    Rs = np.array([pt.R for pt in pts])
+    Rs, Ds = _converged_rd(curve)
     keep = np.concatenate([[True], np.diff(Ds) > 0])
     Ds, Rs = Ds[keep], Rs[keep]
     if not Ds[0] <= D <= Ds[-1]:

@@ -7,28 +7,31 @@ p'(x_i | x^{i-1}, x̂^i)).  Whenever the feasibility constraint
     p(x^n) * gamma(x^n) * 2^{-lam d(x^n, x̂^n)}  <=  p'(x^n || x̂^n)
 
 holds for every pair of blocks, (1/n)(-lam D + sum_x p log2 gamma) is a valid
-lower bound on the optimal rate at distortion D.  Certificates assembled from
-a converged solver state are tight: the bound matches the primal rate to
-within the solver's stopping threshold.
+lower bound on the optimal rate at distortion D.  For a fixed p' the largest
+such gamma is min over x̂^n of p' 2^{lam d} / p, as in Blahut's dual (IEEE
+Trans. IT 18(4), 1972).  ``_log2_gamma_bound`` computes it in the log domain.
+Certificate assembly takes gamma from it, so its certificates are feasible by
+construction, and ``check_feasibility`` measures a given gamma against it.
+Certificates assembled from a converged solver state are tight: the bound
+matches the primal rate to within the solver's stopping threshold.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .models import DistortionTensor
 from .prob import (
     BlockSource,
-    CausalKernel,
     ForwardChannel,
     NORM_TOL,
     _Contexts,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _channel, _check_lam, _kernel_table, _step, _Workspace
+from .solver import RatePoint, _check_lam, _kernel_table, _step, _Workspace
 
 #: largest constraint excess, in bits, that ``check_feasibility`` accepts
 FEASIBILITY_TOL = 1e-9
@@ -118,20 +121,6 @@ class FeasibilityReport:
     max_normalization_error: float
 
 
-def gamma_from_kernel(kernel: CausalKernel, distortion: DistortionTensor,
-                      lam: float) -> np.ndarray:
-    """gamma(x^n) = (sum_{x̂^n} q(x̂^n||x^{n-s}) 2^{-lam d})^{-1}.
-
-    The distortion tensor must have the kernel's block length and alphabets.
-    """
-    _check_shapes("kernel", kernel, distortion=distortion)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, rows = _channel(kernel.probs, np.exp2(-lam * distortion.values))
-    if not np.all(rows > 0):
-        raise ValueError("kernel must be strictly positive")
-    return 1.0 / rows
-
-
 def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float) -> float:
     """(1/n)(-lam*D + sum_x p(x^n) log2 gamma(x^n)) in bits per symbol."""
     _check_lam(lam)
@@ -144,13 +133,13 @@ def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float)
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
 
 
-def _check_shapes(what: str, table, source: BlockSource | None = None,
+def _check_shapes(what: str, table, source: BlockSource,
                   distortion: DistortionTensor | None = None) -> None:
     """``ValueError`` naming the mismatch unless the source and the distortion
-    tensor, those given, have the block length and alphabets of ``table``
+    tensor, when given, have the block length and alphabets of ``table``
     (a certificate or a kernel), which the message calls ``what``."""
     n, A, B = table.n, table.src_alphabet_size, table.rec_alphabet_size
-    if source is not None and (source.n, source.src_alphabet_size) != (n, A):
+    if (source.n, source.src_alphabet_size) != (n, A):
         raise ValueError(f"{what} is for n={n}, |X|={A}, |X̂|={B}; "
                          f"the source has n={source.n}, |X|={source.src_alphabet_size}")
     if distortion is not None and \
@@ -160,33 +149,38 @@ def _check_shapes(what: str, table, source: BlockSource | None = None,
                          f"|X̂|={distortion.rec_alphabet_size}")
 
 
+def _log2_gamma_bound(cert: DualCertificate, source: BlockSource,
+                      distortion: DistortionTensor) -> np.ndarray:
+    """log2 of the largest gamma(x^n) the constraint allows with the
+    certificate's p', on the source blocks with p > 0 in order: the min over
+    x̂^n of log2 p' + lam d, less log2 p.  A block on whose row p' vanishes
+    anywhere gives -inf."""
+    support = source.probs > 0.0
+    with np.errstate(divide="ignore"):  # log2 0 = -inf where p' = 0
+        log_pp = np.log2(cert.p_prime_table[support])
+    return np.min(log_pp + cert.lam * distortion.values[support], axis=1) - \
+        np.log2(source.probs[support])
+
+
 def check_feasibility(cert: DualCertificate, source: BlockSource,
                       distortion: DistortionTensor) -> FeasibilityReport:
     """Verify the certificate's constraint in the log domain.
 
-    Checks every factor's per-context normalization and, for each block pair,
-    log2 p + log2 gamma - lam*d - log2 p' <= 0.  The largest positive excess
-    (in bits) is ``max_violation``, at most ``FEASIBILITY_TOL`` when feasible;
-    p' = 0 where the left side has mass is an infinite violation.  The source
-    and the distortion tensor must have the certificate's n and alphabets.
+    Checks every factor's per-context normalization and, on every source
+    block with p > 0, that log2 gamma stays within the closed form's
+    largest feasible value (``_log2_gamma_bound``).  The largest excess (in
+    bits, and 0 when there is none) is ``max_violation``, at most
+    ``FEASIBILITY_TOL`` when feasible; p' = 0 on any pair of such a block
+    gives an infinite violation.  The source and the distortion tensor must
+    have the certificate's n and alphabets.
     """
     _check_shapes("certificate", cert, source, distortion)
     norm_err = 0.0
     for i, f in enumerate(cert.p_prime_factors, start=1):
         sums = f.sum(axis=i - 1)
         norm_err = max(norm_err, float(np.max(np.abs(sums - 1.0))))
-    pp = cert.p_prime_table
-    lhs = source.probs[:, None] * cert.gamma[:, None] * np.exp2(-cert.lam * distortion.values)
-    viol = 0.0
-    zero_pp = pp <= 0.0
-    if np.any(lhs[zero_pp] > 0.0):
-        viol = np.inf
-    active = lhs > 0.0
-    ok = active & ~zero_pp
-    if np.any(ok):
-        excess = np.log2(lhs[ok]) - np.log2(pp[ok])
-        viol = max(viol, float(np.max(excess)))
-    viol = max(viol, 0.0)
+    excess = np.log2(cert.gamma[source.probs > 0.0]) - _log2_gamma_bound(cert, source, distortion)
+    viol = float(np.max(excess, initial=0.0))
     return FeasibilityReport(feasible=viol <= FEASIBILITY_TOL and norm_err <= NORM_TOL * 10,
                              max_violation=viol, max_normalization_error=norm_err)
 
@@ -195,12 +189,15 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
                               distortion: DistortionTensor) -> DualCertificate:
     """Assemble a feasible certificate from a converged solver state.
 
-    gamma comes from the final kernel's tilted sums, deflated by the largest
-    kernel-update ratio so the constraint holds exactly even short of the
-    fixed point; p' is the reverse causal factorization of the final joint.
-    The resulting dual objective sits within F/n below the primal rate.  The
-    source and the distortion tensor must have the block length and
-    alphabets of the point's kernel.
+    p' is the reverse causal factorization of the joint of one more step from
+    the returned kernel, and gamma is the closed form's largest feasible
+    value for that p' (1 on blocks with p = 0), so the certificate is
+    feasible by construction.  The resulting dual objective sits within F/n
+    below the primal rate unless kernel entries underflowed, which can leave
+    it looser.  Where the solve's joint underflowed p' can vanish on a pair
+    whose source block has mass; no positive gamma is feasible there and
+    ``ValueError`` says so.  The source and the distortion tensor must have
+    the block length and alphabets of the point's kernel.
     """
     q_star = point.kernel
     _check_shapes("solution kernel", q_star, source, distortion)
@@ -208,17 +205,20 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
         raise ValueError("certificates require a delay-1 solve without a feed-forward map")
     n, A = source.n, source.src_alphabet_size
     B = q_star.rec_alphabet_size
-    # Run one more step from the returned kernel: gamma is defined from the
-    # kernel that generates the channel, and the deflation needs the ratio of
-    # the kernel after that channel to the one before it, over the contexts
-    # the joint reaches (elsewhere it can be 0/0 on underflowed entries).
     ctx = _Contexts.of(n, A, B, 1, None)
-    st = _step(_kernel_table(q_star, ctx, None, "solution kernel"),
-               np.exp2(-point.lam * distortion.values), source.probs, ctx, distortion.values)
-    gamma = np.exp2(-max(st.log_max_c, 0.0)) / st.rows
-    factors = reverse_causal_factors(st.joint, n, A, B)
-    return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
-                           gamma=gamma, p_prime_factors=tuple(factors))
+    # the step's workspace is freed once its joint is factored
+    factors = reverse_causal_factors(
+        _step(_kernel_table(q_star, ctx, None, "solution kernel"),
+              np.exp2(-point.lam * distortion.values), source.probs, ctx).joint, n, A, B)
+    cert = DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
+                           gamma=np.ones(A**n), p_prime_factors=tuple(factors))
+    log_gamma = _log2_gamma_bound(cert, source, distortion)
+    if np.isneginf(log_gamma).any():
+        raise ValueError("p' vanished where the source has mass: the solve's joint "
+                         "underflowed, and no positive gamma is feasible")
+    gamma = cert.gamma.copy()
+    gamma[source.probs > 0.0] = np.exp2(log_gamma)
+    return replace(cert, gamma=gamma)
 
 
 def _anderson(g, x: np.ndarray, iters: int, tol: float, memory: int = 5) -> np.ndarray:

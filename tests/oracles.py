@@ -343,13 +343,13 @@ def reverse_factors_reference(joint_table, n, A, B):
     return full.reshape(A**n, B**n), factors
 
 
-def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
+def _tilt_step_full_table(q, tilt, p, n, A, B, s, fmap):
     """One alternating-minimization step from the full kernel table q, with
-    the stopping statistic taken over the full table: log2(q_next / q)
-    everywhere, its max over pairs whose context carries joint mass and its
-    mean under the joint, both restricted to finite values.
+    log2(q_next / q) taken over the full table: its max over pairs whose
+    context carries joint mass and its mean under the joint, both
+    restricted to finite values.
 
-    Returns (q_next, factors, (F, K_value, D, lower_bound, upper_bound)).
+    Returns (rows, joint, q_next, factors, log_max_c, mean_logc).
     """
     num = q * tilt
     rows = num.sum(axis=1)
@@ -362,11 +362,39 @@ def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
         in_context = (mass > 0.0).reshape(ctx[0], 1, ctx[2]) & finite.reshape(ctx)
         log_max_c = float(logc.reshape(ctx).max(where=in_context, initial=-np.inf))
         mean_logc = float((joint * logc).sum(where=(joint > 0.0) & finite))
+    return rows, joint, q_next, factors, log_max_c, mean_logc
+
+
+def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
+    """One step of ``_tilt_step_full_table`` and its diagnostics.
+
+    Returns (q_next, factors, (F, K_value, D, lower_bound, upper_bound)).
+    """
+    rows, joint, q_next, factors, log_max_c, mean_logc = _tilt_step_full_table(
+        q, tilt, p, n, A, B, s, fmap)
     D = float((joint * dvals).sum())
     base = -lam * D - float(p @ np.log2(rows))
     upper = (base - mean_logc) / n
     lower = (base - log_max_c) / n
     return q_next, factors, (log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
+
+
+def deflated_gamma(q, tilt, p, n, A, B):
+    """The delay-1 certificate's gamma before the closed form: 1/rows of one
+    step from the full kernel table q, deflated by the largest kernel-update
+    ratio 2^{max log2 c} when it is above 1, so that the constraint holds
+    short of the fixed point too."""
+    rows, *_, log_max_c, _ = _tilt_step_full_table(q, tilt, p, n, A, B, 1, None)
+    return 2.0 ** -max(log_max_c, 0.0) / rows
+
+
+def constraint_excess(p, gamma, dvals, lam, p_prime):
+    """Largest excess in bits of the certificate constraint: the max over
+    block pairs with p > 0 of log2(p gamma 2^{-lam d} / p'), and 0 when no
+    excess is positive; p' = 0 gives inf."""
+    with np.errstate(divide="ignore"):
+        excess = np.log2(p * gamma)[:, None] - lam * dvals - np.log2(p_prime)
+    return max(float(excess[p > 0.0].max()), 0.0)
 
 
 TRACE_FIELDS = ("k", "F", "K_value", "D", "lower_bound", "upper_bound")

@@ -3,21 +3,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffrd.dual import (
+    FEASIBILITY_TOL,
     DualCertificate,
     NonTightCertificateError,
     certificate_from_solution,
     check_feasibility,
     dual_objective,
-    gamma_from_kernel,
     reconstruct_channel,
 )
 from ffrd.models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
-from ffrd.prob import CausalKernel, reverse_causal_factors
+from ffrd.prob import reverse_causal_factors
 from ffrd.solver import SolverConfig, solve
 
 from helpers import kernel_from_joint
+from oracles import constraint_excess, deflated_gamma
 
 
 def hamming_tensor(n):
@@ -50,24 +53,80 @@ def markov_converged(tight_certificate):
     return src, hamming_tensor(2), pt
 
 
-class TestGamma:
+class TestClosedFormGamma:
     def test_zero_weight_is_one(self):
-        kern = CausalKernel.uniform(2, 2, 2)
-        np.testing.assert_allclose(gamma_from_kernel(kern, hamming_tensor(2), 0.0),
-                                   1.0, atol=1e-12)
+        # at lam = 0 the channel ignores the source, p' is the source's own
+        # causal factorization and the largest feasible gamma is 1
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+        dist = hamming_tensor(2)
+        pt = solve(src, dist, SolverConfig(lam=0.0))
+        cert = certificate_from_solution(pt, src, dist)
+        np.testing.assert_allclose(cert.gamma, 1.0, rtol=0, atol=1e-12)
 
-    def test_unit_weight_uniform_binary(self):
-        kern = CausalKernel.uniform(1, 2, 2)
-        g = gamma_from_kernel(kern, hamming_tensor(1), 1.0)
-        np.testing.assert_allclose(g, 4.0 / 3.0, atol=1e-12)
+    def test_defect_f_is_feasible(self):
+        # ROADMAP defect (f): kernel entries underflow to 0, and the deflated
+        # gamma was infeasible by 0.163 bits; the closed form is feasible,
+        # and so a valid bound, if a loose one
+        src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
+        dist = distortion_tensor(DistortionSpec.stock(), 2)
+        pt = solve(src, dist, SolverConfig(lam=4.0, epsilon=1e-9))
+        cert = certificate_from_solution(pt, src, dist)
+        report = check_feasibility(cert, src, dist)
+        assert report.feasible and report.max_violation <= 1e-12
+        assert dual_objective(cert.lam, cert.gamma, src, pt.D) <= pt.R
+
+    def test_vanished_p_prime_raises(self):
+        # the joint underflows on a pair whose block has mass, so p' = 0
+        # there and no positive gamma is feasible; the certificate came back
+        # with max_violation = inf
+        source = SourceSpec.markov([[0.33755828851430675, 0.6624417114856934],
+                                    [0.05496667936566828, 0.9450333206343317]])
+        src = block_pmf(source, 3)
+        dist = distortion_tensor(DistortionSpec.single_letter([[1, 1, 0], [0.75, 1, 1]]), 3)
+        pt = solve(src, dist, SolverConfig(lam=9.0, epsilon=1e-9))
+        with pytest.raises(ValueError, match="p' vanished where the source has mass"):
+            certificate_from_solution(pt, src, dist)
 
 
-    def test_nan_rows_rejected(self):
-        # an infinite weight makes 0 * inf = NaN in the tilt on zero-distortion
-        # cells; NaN row sums are not > 0 and must not become a NaN gamma
-        kern = CausalKernel.uniform(1, 2, 2)
-        with pytest.raises(ValueError):
-            gamma_from_kernel(kern, hamming_tensor(1), np.inf)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certificate_feasible_by_construction(data):
+    """Every certificate is feasible with an objective at most R, or refused
+    for a vanished p'; with no kernel entry underflowed, to 0 or to a
+    subnormal, it lies within F/n of R; and it is never below the deflated
+    gamma of ``oracles`` when that one is feasible."""
+    A = data.draw(st.sampled_from([2, 3]), label="A")
+    B = data.draw(st.sampled_from([2, 3]), label="B")
+    n = data.draw(st.integers(1, 3), label="n")
+    lam = data.draw(st.sampled_from([0.0, 0.5, 2.0, 4.0, 9.0, 24.0]), label="lam")
+    m = data.draw(st.sampled_from([0, 1]), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    source = SourceSpec.markov(rng.dirichlet(np.full(A, 0.7), size=A))
+    table = rng.integers(0, 5, size=(A,) * (m + 1) + (B,)) / 4
+    src = block_pmf(source, n)
+    dist = distortion_tensor(DistortionSpec.windowed(m, table), n)
+    pt = solve(src, dist, SolverConfig(lam=lam, epsilon=1e-6))
+    try:
+        cert = certificate_from_solution(pt, src, dist)
+    except ValueError as err:
+        assert "p' vanished where the source has mass" in str(err)
+        return
+    pp = cert.p_prime_table
+    report = check_feasibility(cert, src, dist)
+    assert report.feasible
+    assert report.max_violation == pytest.approx(
+        constraint_excess(src.probs, cert.gamma, dist.values, lam, pp), abs=1e-12)
+    obj = dual_objective(lam, cert.gamma, src, pt.D)
+    assert obj <= pt.R + 1e-12
+    # a subnormal kernel entry (1e-322 at n=2, lam=0.5) has lost its
+    # precision and can leave p' loose by 2e-4 bits: ROADMAP item 6's open half
+    if pt.kernel.probs.min() >= np.finfo(float).tiny:
+        assert obj >= pt.R - pt.F_final / n - 1e-12
+    ref = deflated_gamma(pt.kernel.probs, np.exp2(-lam * dist.values), src.probs, n, A, B)
+    ref_excess = constraint_excess(src.probs, ref, dist.values, lam, pp)
+    if ref_excess <= FEASIBILITY_TOL:
+        # the closed form is the largest feasible gamma, row by row
+        assert obj >= dual_objective(lam, ref, src, pt.D) - ref_excess / n - 1e-12
 
 
 class TestDualObjective:
@@ -155,8 +214,8 @@ class TestFeasibility:
         assert report.max_violation == pytest.approx(0.0, abs=1e-12)
 
     def test_certificate_on_underflowed_kernel(self):
-        # at n=6, lam=7.53 kernel entries underflow to zero; the deflation
-        # must skip their 0/0 ratios instead of turning gamma into NaN
+        # at n=6, lam=7.53 kernel entries underflow to zero; the closed-form
+        # gamma must stay finite and feasible there, and within F/n of R
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 6)
         dist = hamming_tensor(6)
         pt = solve(src, dist, SolverConfig(lam=7.53))
@@ -302,9 +361,3 @@ class TestShapeMismatch:
         with pytest.raises(ValueError, match=r"solution kernel is for n=2, \|X\|=2, \|X̂\|=2; "
                                              r"the distortion tensor is for n=3"):
             certificate_from_solution(pt, src, hamming_tensor(3))
-
-    def test_gamma_names_the_tensor(self):
-        # numpy's broadcast error was all that named it
-        with pytest.raises(ValueError, match=r"kernel is for n=3, \|X\|=2, \|X̂\|=2; "
-                                             r"the distortion tensor is for n=2"):
-            gamma_from_kernel(CausalKernel.uniform(3, 2, 2), hamming_tensor(2), 1.0)

@@ -10,7 +10,6 @@ import pytest
 
 import ffrd
 from ffrd.curves import _warm_start
-from ffrd.dual import gamma_from_kernel
 from ffrd.models import (
     DistortionSpec,
     FeedForwardMap,
@@ -137,7 +136,6 @@ class TestDiagnostics:
         assert diag.F == pytest.approx(0.0, abs=1e-12)
         assert diag.D == pytest.approx(0.5)
         assert diag.upper_bound == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(gamma_from_kernel(kern, dist, 0.0), 1.0, atol=1e-12)
 
     def test_kernel_for_other_block_length_named(self):
         with pytest.raises(ValueError, match=r"initial kernel is for n=3, \|X\|=2, \|X̂\|=2; "

@@ -77,7 +77,7 @@ def parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(v) for v in text.split(":"))
         count = int(round((stop - start) / step)) + 1
         return start + step * np.arange(count)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a zero step divides by 0
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
@@ -88,6 +88,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
             file_vals = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    if not isinstance(file_vals, dict):
+        raise ConfigError(f"config {args.config!r} must be a JSON object")
     defaults = {}
     for key, value in file_vals.items():
         attr = "lam" if key == "lambda" else key.replace("-", "_")

@@ -28,10 +28,12 @@ from .prob import (
     BlockSource,
     ForwardChannel,
     NORM_TOL,
+    _check_dims,
     _Contexts,
+    _factor_product,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _check_lam, _kernel_table, _step, _Workspace
+from .solver import RatePoint, _check_lam, _step, _Workspace
 
 #: largest constraint excess, in bits, that ``check_feasibility`` accepts
 FEASIBILITY_TOL = 1e-9
@@ -85,12 +87,15 @@ class DualCertificate:
 
     @property
     def p_prime_table(self) -> np.ndarray:
-        """Dense p'(x^n || x̂^n) over (x^n, x̂^n), product of the factors."""
-        A, B, n = self.src_alphabet_size, self.rec_alphabet_size, self.n
-        full = np.ones((A,) * n + (B,) * n)
-        for i, f in enumerate(self.p_prime_factors, start=1):
-            full = full * f.reshape((A,) * i + (1,) * (n - i) + (B,) * i + (1,) * (n - i))
-        return full.reshape(A**n, B**n)
+        """Dense p'(x^n || x̂^n) over (x^n, x̂^n), product of the factors.
+
+        The factors are those of a delay-0 kernel of x^n given x̂^n
+        (``reverse_causal_factors``), so ``_factor_product`` multiplies them
+        out with x̂^i first, and the (x̂^n, x^n) table is transposed."""
+        n, A, B = self.n, self.src_alphabet_size, self.rec_alphabet_size
+        factors = [np.moveaxis(f, range(i), range(i, 2 * i))[None]
+                   for i, f in enumerate(self.p_prime_factors, start=1)]
+        return _factor_product(factors, _Contexts.of(n, B, A, 0, None))[0].T
 
     def to_json(self) -> str:
         return json.dumps({
@@ -105,13 +110,18 @@ class DualCertificate:
     @staticmethod
     def from_json(text: str) -> "DualCertificate":
         d = json.loads(text)
-        return DualCertificate(
-            lam=float(d["lam"]), n=int(d["n"]),
-            src_alphabet_size=int(d["src_alphabet_size"]),
-            rec_alphabet_size=int(d["rec_alphabet_size"]),
-            gamma=np.asarray(d["gamma"], dtype=float),
-            p_prime_factors=tuple(np.asarray(f, dtype=float) for f in d["p_prime_factors"]),
-        )
+        if not isinstance(d, dict):
+            raise ValueError("certificate JSON must be an object")
+        try:
+            return DualCertificate(
+                lam=float(d["lam"]), n=int(d["n"]),
+                src_alphabet_size=int(d["src_alphabet_size"]),
+                rec_alphabet_size=int(d["rec_alphabet_size"]),
+                gamma=np.asarray(d["gamma"], dtype=float),
+                p_prime_factors=tuple(np.asarray(f, dtype=float) for f in d["p_prime_factors"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"certificate JSON has no key {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -131,22 +141,6 @@ def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float)
     if not np.all(np.isfinite(g)) or np.any(g <= 0):
         raise ValueError("gamma must be finite and strictly positive")
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
-
-
-def _check_shapes(what: str, table, source: BlockSource,
-                  distortion: DistortionTensor | None = None) -> None:
-    """``ValueError`` naming the mismatch unless the source and the distortion
-    tensor, when given, have the block length and alphabets of ``table``
-    (a certificate or a kernel), which the message calls ``what``."""
-    n, A, B = table.n, table.src_alphabet_size, table.rec_alphabet_size
-    if (source.n, source.src_alphabet_size) != (n, A):
-        raise ValueError(f"{what} is for n={n}, |X|={A}, |X̂|={B}; "
-                         f"the source has n={source.n}, |X|={source.src_alphabet_size}")
-    if distortion is not None and \
-            (distortion.n, distortion.src_alphabet_size, distortion.rec_alphabet_size) != (n, A, B):
-        raise ValueError(f"{what} is for n={n}, |X|={A}, |X̂|={B}; the distortion "
-                         f"tensor is for n={distortion.n}, |X|={distortion.src_alphabet_size}, "
-                         f"|X̂|={distortion.rec_alphabet_size}")
 
 
 def _log2_gamma_bound(cert: DualCertificate, source: BlockSource,
@@ -174,7 +168,8 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
     gives an infinite violation.  The source and the distortion tensor must
     have the certificate's n and alphabets.
     """
-    _check_shapes("certificate", cert, source, distortion)
+    _check_dims("certificate", cert, source, "the source has")
+    _check_dims("certificate", cert, distortion, "the distortion tensor is for")
     norm_err = 0.0
     for i, f in enumerate(cert.p_prime_factors, start=1):
         sums = f.sum(axis=i - 1)
@@ -200,7 +195,8 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     the block length and alphabets of the point's kernel.
     """
     q_star = point.kernel
-    _check_shapes("solution kernel", q_star, source, distortion)
+    _check_dims("solution kernel", q_star, source, "the source has")
+    _check_dims("solution kernel", q_star, distortion, "the distortion tensor is for")
     if q_star.delay != 1 or q_star.ff_map is not None:
         raise ValueError("certificates require a delay-1 solve without a feed-forward map")
     n, A = source.n, source.src_alphabet_size
@@ -208,7 +204,7 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     ctx = _Contexts.of(n, A, B, 1, None)
     # the step's workspace is freed once its joint is factored
     factors = reverse_causal_factors(
-        _step(_kernel_table(q_star, ctx, None, "solution kernel"),
+        _step(q_star.table,
               np.exp2(-point.lam * distortion.values), source.probs, ctx).joint, n, A, B)
     cert = DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
                            gamma=np.ones(A**n), p_prime_factors=tuple(factors))
@@ -281,7 +277,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     ``TIGHT_TOL``; a certificate for another source can pass the row test
     and still fail this one.
     """
-    _check_shapes("certificate", cert, source)
+    _check_dims("certificate", cert, source, "the source has")
     n, A, B = cert.n, cert.src_alphabet_size, cert.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, 1, None)
     p = source.probs

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import BlockSource, sequence_digits
+from .prob import BlockSource, _check_pmf, _context_alphabet, sequence_digits
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,9 @@ class SourceSpec:
     def iid(bias) -> "SourceSpec":
         """i.i.d. source. ``bias`` is either P(X=1) for a binary source or a
         full marginal PMF."""
-        b = np.atleast_1d(np.asarray(bias, dtype=float))
-        if not np.all(np.isfinite(b)):
-            raise ValueError("i.i.d. marginal has non-finite entries")
+        b = np.ravel(np.asarray(bias, dtype=float))  # one PMF, however nested
         pmf = np.array([1.0 - b[0], b[0]]) if b.size == 1 else b
-        if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-12:
-            raise ValueError("invalid i.i.d. marginal")
+        _check_pmf(pmf, "i.i.d. marginal")
         return SourceSpec(kind="iid", alphabet_size=pmf.size, marginal=pmf)
 
     @staticmethod
@@ -39,16 +36,13 @@ class SourceSpec:
         """Markov source from a row-stochastic transition matrix.  ``initial``
         defaults to the stationary distribution."""
         P = np.asarray(transition, dtype=float)
-        if not np.all(np.isfinite(P)) or (initial is not None
-                                          and not np.all(np.isfinite(initial))):
-            raise ValueError("Markov source has non-finite entries")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
-        if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("transition matrix rows must be PMFs")
+        _check_pmf(P, "transition matrix")  # before the stationary solve sees a NaN
         pi = stationary_distribution(P) if initial is None else np.asarray(initial, dtype=float)
-        if pi.shape != (P.shape[0],) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("invalid initial distribution")
+        if pi.shape != (P.shape[0],):
+            raise ValueError("initial distribution must have one entry per state")
+        _check_pmf(pi, "initial distribution")
         return SourceSpec(kind="markov", alphabet_size=P.shape[0], transition=P, initial=pi)
 
     @staticmethod
@@ -180,17 +174,20 @@ def _boundary_table(table: np.ndarray, missing: int, A: int,
     (window truncation); a fixed symbol pins them; a distribution over the
     pre-block symbol averages under it.
     """
+    if initial_context is not None and np.ndim(initial_context) == 0:
+        x = float(initial_context)
+        if not (x.is_integer() and 0 <= x < A):
+            raise ValueError(f"initial context symbol must be a whole number in [0, {A}), "
+                             f"got {initial_context!r}")
+        return table[(int(x),) * missing]
+    if initial_context is not None:
+        w = np.asarray(initial_context, dtype=float)
+        if w.shape != (A,):
+            raise ValueError("initial context distribution must be a PMF over X")
+        _check_pmf(w, "initial context distribution")
     t = table
     for _ in range(missing):
-        if initial_context is None:
-            t = t.mean(axis=0)
-        elif np.ndim(initial_context) == 0:
-            t = t[int(initial_context)]
-        else:
-            w = np.asarray(initial_context, dtype=float)
-            if w.shape != (A,) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("initial context distribution must be a PMF over X")
-            t = np.tensordot(w, t, axes=(0, 0))
+        t = t.mean(axis=0) if initial_context is None else np.tensordot(w, t, axes=(0, 0))
     return t
 
 
@@ -223,10 +220,11 @@ def distortion_tensor(spec: DistortionSpec, n: int, initial_context=None) -> Dis
     """
     A, B = spec.src_alphabet_size, spec.rec_alphabet_size
     costs = _position_costs(spec, sequence_digits(A, n), initial_context)
-    dh = sequence_digits(B, n)
     vals = np.zeros((A**n, B**n))
+    # position i's costs broadcast over every x̂ axis but the i-th, in place
+    per_letter = vals.reshape((A**n,) + (B,) * n)
     for i in range(n):
-        vals += costs[:, i, dh[:, i]]
+        per_letter += costs[:, i].reshape((A**n,) + (1,) * i + (B,) + (1,) * (n - 1 - i))
     vals /= n
     return DistortionTensor(n=n, src_alphabet_size=A, rec_alphabet_size=B, values=vals)
 
@@ -249,7 +247,7 @@ class FeedForwardMap:
 
     @property
     def codomain_size(self) -> int:
-        return int(self.table.max()) + 1
+        return _context_alphabet(self.domain_size, self.table)
 
     @staticmethod
     def identity(alphabet_size: int) -> "FeedForwardMap":

@@ -66,6 +66,25 @@ def _check_pmf(p: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} not normalized (max deviation {np.max(np.abs(s - 1.0)):.3e})")
 
 
+def _check_dims(what: str, table, ref, ref_what: str) -> None:
+    """``ValueError`` "{what} is for n=…, |X|=…[, |X̂|=…]; {ref_what} n=…, …",
+    printing every dimension of both, unless ``table`` has the block length
+    and source alphabet of ``ref``, and its |X̂| too when both have one."""
+    dims = [(t.n, t.src_alphabet_size, getattr(t, "rec_alphabet_size", None))
+            for t in (table, ref)]
+    (n, A, B), (n_ref, A_ref, B_ref) = dims
+    if (n, A) != (n_ref, A_ref) or (None not in (B, B_ref) and B != B_ref):
+        text = [f"n={d[0]}, |X|={d[1]}" + ("" if d[2] is None else f", |X̂|={d[2]}")
+                for d in dims]
+        raise ValueError(f"{what} is for {text[0]}; {ref_what} {text[1]}")
+
+
+def _context_alphabet(A: int, fmap) -> int:
+    """Z, the alphabet of a kernel's conditioning symbols: the source's
+    without a feed-forward map, the map's codomain max(map) + 1 with one."""
+    return A if fmap is None else int(np.max(fmap)) + 1
+
+
 @dataclass(frozen=True)
 class BlockSource:
     """Source block PMF p(x^n) over sequences of length ``n``."""
@@ -128,7 +147,7 @@ class CausalKernel:
         fmap = None if self.ff_map is None else np.asarray(self.ff_map)
         if fmap is not None and fmap.shape != (A,):
             raise ValueError(f"ff_map must give one symbol to each of the {A} source letters")
-        Z = A if fmap is None else int(np.max(fmap)) + 1
+        Z = _context_alphabet(A, fmap)
         factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
         for i, f in enumerate(factors, start=1):
             shape = (Z,) * max(i - s, 0) + (B,) * i
@@ -156,11 +175,10 @@ class CausalKernel:
     def uniform(n: int, src_alphabet_size: int, rec_alphabet_size: int, delay: int = 1,
                 ff_map: np.ndarray | None = None) -> "CausalKernel":
         """The all-uniform kernel |X̂|^{-n}, the solver's starting point."""
-        A, B = src_alphabet_size, rec_alphabet_size
-        Z = A if ff_map is None else int(np.max(ff_map)) + 1
+        Z, B = _context_alphabet(src_alphabet_size, ff_map), rec_alphabet_size
         factors = tuple(np.full((Z,) * max(i - delay, 0) + (B,) * i, 1.0 / B)
                         for i in range(1, n + 1))
-        return CausalKernel(n, delay, A, B, factors, ff_map)
+        return CausalKernel(n, delay, src_alphabet_size, B, factors, ff_map)
 
 
 def binary_entropy(p: float) -> float:
@@ -201,7 +219,7 @@ class _Contexts(NamedTuple):
         if fmap is None:
             return _Contexts(n, A, B, s, A, None, None)
         fmap = np.asarray(fmap)
-        Z = int(np.max(fmap)) + 1
+        Z = _context_alphabet(A, fmap)
         c_n = n - s
         rows = fmap[_sequence_digits_cached(A, c_n)] @ Z ** np.arange(c_n - 1, -1, -1)
         bins = (rows[:, None] * B**n + np.arange(B**n)).ravel()
@@ -422,13 +440,8 @@ def directed_information(source: BlockSource, channel: ForwardChannel,
     kernel the channel's block length and alphabets (``ValueError`` naming
     the mismatch otherwise).
     """
-    if (channel.n, channel.src_alphabet_size) != (source.n, source.src_alphabet_size):
-        raise ValueError(f"channel is for n={channel.n}, |X|={channel.src_alphabet_size}; "
-                         f"the source has n={source.n}, |X|={source.src_alphabet_size}")
-    dims = [(t.n, t.src_alphabet_size, t.rec_alphabet_size) for t in (kernel, channel)]
-    if dims[0] != dims[1]:
-        raise ValueError("kernel is for n={}, |X|={}, |X̂|={}; the channel is for "
-                         "n={}, |X|={}, |X̂|={}".format(*dims[0], *dims[1]))
+    _check_dims("channel", channel, source, "the source has")
+    _check_dims("kernel", kernel, channel, "the channel is for")
     w = source.probs[:, None] * channel.probs
     mask = w > 0
     q = kernel.probs

@@ -32,7 +32,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -307,12 +307,7 @@ class SimulationReport:
     rate: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "L": self.L, "delta": self.delta,
-            "codebook_size": self.codebook_size, "trials": self.trials,
-            "mean_distortion": self.mean_distortion, "stderr": self.stderr,
-            "target_D": self.target_D, "rate": self.rate,
-        })
+        return json.dumps(asdict(self))
 
 
 def _lambda_for_distortion(source, dist, target_D: float, delay: int,

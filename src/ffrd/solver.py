@@ -47,6 +47,7 @@ from .prob import (
     BlockSource,
     CausalKernel,
     ForwardChannel,
+    _check_dims,
     _Contexts,
     _FactorSpace,
     _product_buffers,
@@ -321,24 +322,17 @@ def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
                   ff_map: FeedForwardMap | None) -> None:
-    n, A = source.n, source.src_alphabet_size
-    if (distortion.n, distortion.src_alphabet_size) != (n, A):
-        raise ValueError(f"distortion tensor is for n={distortion.n}, "
-                         f"|X|={distortion.src_alphabet_size}; the source has n={n}, |X|={A}")
-    if ff_map is not None and ff_map.domain_size != A:
+    _check_dims("distortion tensor", distortion, source, "the source has")
+    if ff_map is not None and ff_map.domain_size != source.src_alphabet_size:
         raise ValueError(f"feed-forward map is defined on {ff_map.domain_size} symbols; "
-                         f"the source alphabet has {A}")
+                         f"the source alphabet has {source.src_alphabet_size}")
 
 
 def _kernel_table(kernel: CausalKernel, ctx: _Contexts, fmap: np.ndarray | None,
                   what: str) -> np.ndarray:
     """The context table of a kernel given from outside, which must have the
-    block length, alphabets and delay of ``ctx`` and the feed-forward map
-    ``fmap`` (``ValueError`` otherwise)."""
-    n, A, B = ctx.n, ctx.A, ctx.B
-    if (kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size) != (n, A, B):
-        raise ValueError(f"{what} is for n={kernel.n}, |X|={kernel.src_alphabet_size}, "
-                         f"|X̂|={kernel.rec_alphabet_size}; expected n={n}, |X|={A}, |X̂|={B}")
+    delay of ``ctx`` and the feed-forward map ``fmap`` (``ValueError``
+    otherwise); the caller has checked its block length and alphabets."""
     if kernel.delay != ctx.s:
         raise ValueError(f"{what} has delay {kernel.delay}; the solve has delay {ctx.s}")
     same_map = (kernel.ff_map is None if fmap is None
@@ -400,6 +394,7 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         if kernel is None:
             q[j] = float(B) ** (-n)
         else:
+            _check_dims("initial kernel", kernel, distortion, "expected")
             q[j] = _kernel_table(kernel, ctx, fmap, "initial kernel")
             if not np.all(q[j] > 0.0):
                 raise ValueError("initial kernel must be strictly positive")

@@ -140,6 +140,26 @@ class TestDualCheckCommand:
         assert "error: p' factor 2 must be finite and nonnegative" in captured.err
         assert "feasible=" not in captured.out
 
+    def test_missing_key_named(self, tmp_path, capsys):
+        # from_json raised a bare KeyError (a TypeError on a list), and the
+        # command a traceback
+        cert = tmp_path / "cert.json"
+        assert run(["solve", "--source", "markov:0.3,0.2", "--n", "2",
+                    "--lambda", "4", "--emit-certificate", str(cert),
+                    "--output", str(tmp_path / "pt.txt")]) == 0
+        payload = json.loads(cert.read_text())
+        del payload["gamma"]
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: certificate JSON has no key 'gamma'" in err
+        assert "Traceback" not in err
+        cert.write_text(json.dumps([payload]))
+        assert run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"]) == 1
+        assert "error: certificate JSON must be an object" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_report_json(self, tmp_path):
@@ -181,6 +201,13 @@ class TestAnalyticCommand:
     def test_bad_block_length_rejected(self, n, capsys):
         assert run(["analytic", "--curve", "markov", "--n", n]) == 1
         assert "error: block length must be a whole number" in capsys.readouterr().err
+
+    def test_zero_step_grid_named(self, capsys):
+        # the grid's count divided by the step: a ZeroDivisionError traceback
+        assert run(["analytic", "--curve", "iid", "--D-grid", "0:0.5:0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: bad grid '0:0.5:0'" in err
+        assert "Traceback" not in err
 
     def test_module_entry_point_runs_the_command(self):
         # python -m ffrd.cli runs the command, exit code and message included
@@ -240,6 +267,15 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"max-iters": 3.0, "eps": 1e-14}))
         assert run(base) == 0
         assert "iterations=3 converged=0" in capsys.readouterr().out
+
+    def test_non_object_rejected(self, tmp_path, capsys):
+        # a JSON list had no .items(): an AttributeError traceback
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(["source", "iid:0.5"]))
+        assert run(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config '{cfg}' must be a JSON object" in err
+        assert "Traceback" not in err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"

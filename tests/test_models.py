@@ -32,6 +32,8 @@ class TestSourceSpec:
     def test_invalid_marginal(self):
         with pytest.raises(ValueError):
             SourceSpec.iid([0.5, 0.6])
+        with pytest.raises(ValueError):  # two rows that are each a PMF are not one
+            SourceSpec.iid([[0.5, 0.5], [0.5, 0.5]])
 
     def test_markov_default_initial_is_stationary(self):
         spec = SourceSpec.binary_markov(0.3, 0.2)
@@ -151,6 +153,18 @@ class TestDistortionTensor:
         d0 = distortion_tensor(DistortionSpec.stock(), 2, initial_context=0).values
         d1 = distortion_tensor(DistortionSpec.stock(), 2, initial_context=1).values
         np.testing.assert_allclose(davg, 0.4 * d0 + 0.6 * d1, atol=1e-12)
+
+    def test_bad_initial_context_refused(self):
+        # -1 read the last symbol, 0.7 read symbol 0, 5 raised a bare
+        # IndexError, and weights summing to 1 passed though one is negative
+        spec = DistortionSpec.stock()
+        for context in (-1, 0.7, 5, 2, float("nan"), [1.5, -0.5]):
+            with pytest.raises(ValueError, match="initial context"):
+                distortion_tensor(spec, 2, initial_context=context)
+        for context in (0, 1, 1.0, np.int64(1), [0.25, 0.75]):
+            np.testing.assert_array_equal(
+                distortion_tensor(spec, 3, initial_context=context).values,
+                distortion_tensor_reference(spec.table, 1, 2, 2, 3, context))
 
     def test_single_letter_matches_windowed_m0(self):
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -232,7 +232,7 @@ class TestDirectedInformation:
         src3 = BlockSource(n=3, src_alphabet_size=2, probs=np.full(8, 0.125))
         ch = ForwardChannel(n=2, src_alphabet_size=2, rec_alphabet_size=2,
                             probs=np.full((4, 4), 0.25))
-        with pytest.raises(ValueError, match=r"channel is for n=2, \|X\|=2; "
+        with pytest.raises(ValueError, match=r"channel is for n=2, \|X\|=2, \|X̂\|=2; "
                                              r"the source has n=3, \|X\|=2"):
             directed_information(src3, ch, CausalKernel.uniform(2, 2, 2))
         src2 = BlockSource(n=2, src_alphabet_size=2, probs=np.full(4, 0.25))

@@ -345,9 +345,9 @@ class TestConfigValidation:
 class TestInputValidation:
     @pytest.mark.parametrize("source, n_dist, A_dist, ff_map, message", [
         (SourceSpec.iid(0.3), 3, 2, None,
-         r"distortion tensor is for n=3, \|X\|=2; the source has n=2, \|X\|=2"),
+         r"distortion tensor is for n=3, \|X\|=2, \|X̂\|=2; the source has n=2, \|X\|=2"),
         (SourceSpec.iid(0.3), 2, 3, None,
-         r"distortion tensor is for n=2, \|X\|=3; the source has n=2, \|X\|=2"),
+         r"distortion tensor is for n=2, \|X\|=3, \|X̂\|=3; the source has n=2, \|X\|=2"),
         (SourceSpec.markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 2, 3,
          FeedForwardMap.identity(2), "map is defined on 2 symbols; the source alphabet has 3"),
         (SourceSpec.iid(0.3), 2, 2, FeedForwardMap.parity(3),

@@ -76,6 +76,8 @@ def parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in text.split(":"))
         count = int(round((stop - start) / step)) + 1
+        if count < 1:
+            raise ConfigError(f"bad grid {text!r}: step {step:g} leads away from the stop")
         return start + step * np.arange(count)
     except (ValueError, ArithmeticError) as exc:  # a zero step divides by 0
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc

@@ -104,14 +104,17 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
 
     ``config`` supplies everything but the weight (tolerance, iteration cap,
     delay, feed-forward map); ``initial_context`` is passed to the
-    distortion-tensor builder for windowed measures.
+    distortion-tensor builder for windowed measures.  An empty grid raises
+    ``ValueError``.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
+    lams = [float(lam) for lam in lambda_grid]
+    if not lams:
+        raise ValueError("lambda_grid must hold at least one weight")
     base = config if config is not None else SolverConfig(lam=0.0)
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
-    lams = [float(lam) for lam in lambda_grid]
     order = sorted(set(lams), reverse=True)
     width = max(1, _STACK_CELLS // dist.values.size)
     solved: dict[float, RatePoint] = {}

@@ -54,10 +54,11 @@ class NonTightCertificateError(ValueError):
 class DualCertificate:
     """Lower-bound certificate (lam, gamma, p').
 
-    ``p_prime_factors[i-1]`` has axes (x_1..x_i, x̂_1..x̂_i) and rows over x_i
-    (axis i-1) summing to one for every context.  gamma must be finite and
-    positive and p' finite and nonnegative (``ValueError`` otherwise): a NaN
-    passes every comparison of ``check_feasibility`` unseen.
+    ``p_prime_factors[i-1]``, one for each i = 1..n, has axes
+    (x_1..x_i, x̂_1..x̂_i) and rows over x_i (axis i-1) summing to one for
+    every context.  gamma must be finite and positive and p' finite and
+    nonnegative (``ValueError`` otherwise): a NaN passes every comparison
+    of ``check_feasibility`` unseen.
     """
 
     lam: float
@@ -76,6 +77,9 @@ class DualCertificate:
             raise ValueError("gamma must be finite and strictly positive")
         object.__setattr__(self, "gamma", g)
         facs = tuple(np.asarray(f, dtype=float) for f in self.p_prime_factors)
+        if len(facs) != self.n:
+            raise ValueError(f"a certificate for n={self.n} needs {self.n} p' factors, "
+                             f"got {len(facs)}")
         A, B = self.src_alphabet_size, self.rec_alphabet_size
         for i, f in enumerate(facs, start=1):
             if f.shape != (A,) * i + (B,) * i:

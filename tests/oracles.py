@@ -230,16 +230,17 @@ def monte_carlo_loops(source, table, m, factors, rate, n, L, delta, trials, seed
 
     ``source`` is ``("iid", marginal)`` or ``("markov", transition,
     initial)``; ``factors`` and ``rate`` are those of the point the package
-    solves.  The trees come one at a time from the generator spawned from
-    ``seed``, trial t's stream from ``default_rng([seed, t])``, and every
-    trial is encoded, walked and scored on its own."""
+    solves.  ``SeedSequence(seed)`` spawns two generators: the trees come
+    one at a time from the first, the trials' streams one after another
+    from the second, and every trial is encoded, walked and scored on its
+    own."""
     A, B = table.shape[0], table.shape[-1]
     size = max(int(np.floor(2.0 ** (L * (rate + delta)))), 1)
-    tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    tree_seed, stream_seed = np.random.SeedSequence(seed).spawn(2)
+    tree_rng, rng = np.random.default_rng(tree_seed), np.random.default_rng(stream_seed)
     trees = [sample_code_tree_loops(factors, n, L, A, B, None, tree_rng) for _ in range(size)]
     dists = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
         if source[0] == "iid":
             x = iid_stream_choice(source[1], L, rng)
         else:

@@ -109,6 +109,16 @@ class TestSweepCommand:
         assert run(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_grid_refused(self, tmp_path, capsys):
+        # a zero count wrote the CSV header alone and exited 0
+        out = tmp_path / "curve.csv"
+        assert run(["sweep", "--source", "iid:0.5", "--n", "2",
+                    "--lambda-grid", "log:1,2,0", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: lambda_grid must hold at least one weight" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDualCheckCommand:
     def test_round_trip(self, tmp_path, capsys):
@@ -160,6 +170,23 @@ class TestDualCheckCommand:
         assert run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"]) == 1
         assert "error: certificate JSON must be an object" in capsys.readouterr().err
 
+    def test_factor_count_named(self, tmp_path, capsys):
+        # one factor short died with an IndexError traceback
+        cert = tmp_path / "cert.json"
+        assert run(["solve", "--source", "markov:0.3,0.2", "--n", "2",
+                    "--lambda", "4", "--emit-certificate", str(cert),
+                    "--output", str(tmp_path / "pt.txt")]) == 0
+        payload = json.loads(cert.read_text())
+        payload["p_prime_factors"].pop()
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: a certificate for n=2 needs 2 p' factors, got 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert "feasible=" not in captured.out
+
 
 class TestSimulateCommand:
     def test_report_json(self, tmp_path):
@@ -208,6 +235,14 @@ class TestAnalyticCommand:
         err = capsys.readouterr().err
         assert "error: bad grid '0:0.5:0'" in err
         assert "Traceback" not in err
+
+    def test_step_away_from_stop_refused(self, capsys):
+        # a negative count made an empty grid: the D,R header alone, exit 0
+        assert run(["analytic", "--curve", "iid", "--D-grid", "0:0.5:-0.1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: bad grid '0:0.5:-0.1'" in captured.err
+        assert "Traceback" not in captured.err
+        assert "D,R" not in captured.out
 
     def test_module_entry_point_runs_the_command(self):
         # python -m ffrd.cli runs the command, exit code and message included

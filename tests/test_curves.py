@@ -51,6 +51,11 @@ class TestSweep:
         assert grid[0] == pytest.approx(0.125)
         assert grid[-1] == pytest.approx(32.0)
 
+    def test_empty_grid_refused(self):
+        # it returned a curve with no points
+        with pytest.raises(ValueError, match="lambda_grid must hold at least one weight"):
+            sweep(SourceSpec.iid(0.5), HAMMING, 2, [])
+
     def test_duplicate_points_removed(self):
         curve = sweep(SourceSpec.iid(0.5), HAMMING, 1, [2.0, 2.0, 4.0])
         assert len(curve.points) == 2

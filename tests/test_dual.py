@@ -199,6 +199,18 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="p' factor 1 must be finite and nonnegative"):
             DualCertificate.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-over"])
+    def test_factor_count_must_be_n(self, markov_converged, extra):
+        # one factor short raised an IndexError in the product, and one
+        # factor over was ignored and the certificate reported feasible
+        src, dist, pt = markov_converged
+        payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
+        factors = payload["p_prime_factors"]
+        payload["p_prime_factors"] = (factors[:-1] if extra < 0
+                                      else factors + [np.full((2,) * 6, 0.5).tolist()])
+        with pytest.raises(ValueError, match=f"n=2 needs 2 p' factors, got {2 + extra}"):
+            DualCertificate.from_json(json.dumps(payload))
+
     def test_zero_weight_trivial_certificate(self):
         # gamma = 1 with p' built from an arbitrary product joint is feasible
         # with equality when the channel ignores the source

@@ -33,7 +33,7 @@ from .prob import (
     _factor_product,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _check_lam, _step, _Workspace
+from .solver import RatePoint, _channel, _check_lam, _step, _Workspace
 
 #: largest constraint excess, in bits, that ``check_feasibility`` accepts
 FEASIBILITY_TOL = 1e-9
@@ -313,8 +313,10 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
 
     y = _anderson(lambda y: to_y(_step(to_q(y), weight, p, ctx, ws=ws).q_next), to_y(q),
                   RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
-    last = _step(to_q(y), weight, p, ctx, ws=ws)
-    last.r[~support] = float(B) ** (-n)
+    q = to_q(y)
+    last = _step(q, weight, p, ctx, ws=ws)
+    channel = _channel(q, weight, ctx)
+    channel[~support] = float(B) ** (-n)
     # "not <=" so that a NaN channel is refused too
     worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
     if not worst <= TIGHT_TOL:
@@ -327,5 +329,4 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
         raise NonTightCertificateError(
             f"certificate is not tight: p' exceeds p * gamma by {excess:.3e} bits "
             "on the channel's support")
-    # the step's channel lives in the workspace; the returned one owns a copy
-    return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=last.r.copy())
+    return ForwardChannel(n=n, src_alphabet_size=A, rec_alphabet_size=B, probs=channel)

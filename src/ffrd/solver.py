@@ -23,15 +23,18 @@ one test on the context mass tells both the factorization and the stopping
 statistic whether any context is empty.  A step's arrays are valid until
 the next step given the same workspace, and a finished point copies the
 tables it keeps.  A call without a workspace gets a fresh one.  The step
-writes with ``out=`` and in place, and reduces with ufunc reductions
+writes the joint (q * weight) * (p / rows) straight into the buffer the
+factorization reads, and no channel: a point builds its channel (q *
+weight) / rows once, from its last step's input kernel (``_channel``).  The
+step writes with ``out=`` and in place, and reduces with ufunc reductions
 (``np.add.reduce(x, axis=..., out=...)``): they give the bits of ``x.sum``
 and ``np.sum``, without the Python-level dispatch of those, which costs more
-than a small step's arithmetic.  Every sum of the step, its statistics'
-included, is such a reduction, in an order fixed by the array's shape
-alone, for a lone step as for a stack.  The one dot left, in the
-diagnostics, runs over |X|^n entries in pieces of at most 10,000 added in a
-fixed order, and OpenBLAS runs a dot of that size on one thread, so no
-answer depends on the BLAS thread count.
+than a small step's arithmetic.  Its three weighted sums, D, E[log2 c] and
+E_p[log2 rows], are dots (``_dots``) that write no table, over pieces of at
+most 10,000 entries added in a fixed order; OpenBLAS runs a dot of that
+size on one thread.  Every sum of the step is taken in an order fixed by
+the array's shape alone, for a lone step as for a stack, so no answer
+depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -144,6 +147,9 @@ class RatePoint:
     upper_bound; its rows have attribute access (``pt.trace[-1].F``).  It is
     a view of the first rows of the buffer the solve wrote them into, which
     doubles when full.
+
+    ``channel`` is the channel of the last step's input kernel, and
+    ``kernel`` is that step's output, the kernel of the channel's joint.
     """
 
     lam: float
@@ -171,55 +177,70 @@ class _Step(NamedTuple):
     A step of a stack holds its statistics as lists of one Python float per
     member.  ``member(j)``, and so ``_step``, gives the lone step of one
     member: its arrays without the member axis and its statistics as floats.
+    The step holds no channel; ``_channel`` builds it from q and the weight.
     """
 
-    r: np.ndarray  # channel: the rows of q * weight, normalized
     rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
-    joint: np.ndarray  # p * r
+    joint: np.ndarray  # (q * weight) * (p / rows): p times the channel
     q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
     # the rest only when the step is given the distortion values
     log_max_c: float | list | None = None  # max log2 c over contexts carrying joint mass
     mean_logc: float | list | None = None  # E[log2 c] under the joint
     D: float | list | None = None
+    mean_log_rows: float | list | None = None  # E_p[log2 rows]
 
     def member(self, j: int) -> "_Step":
         """The lone step of member j of a stack."""
-        stats = (None,) * 3 if self.D is None else \
-            (self.log_max_c[j], self.mean_logc[j], self.D[j])
-        return _Step(self.r[j], self.rows[j], self.joint[j], self.q_next[j],
+        stats = (None,) * 4 if self.D is None else \
+            (self.log_max_c[j], self.mean_logc[j], self.D[j], self.mean_log_rows[j])
+        return _Step(self.rows[j], self.joint[j], self.q_next[j],
                      [f[j] for f in self.factors], *stats)
 
 
-#: Entries of the pieces ``_diagnostics`` takes its dot in: OpenBLAS splits
-#: a longer dot across threads, which changes the order of its sum.
+#: Entries of the pieces ``_dots`` takes its dots in: OpenBLAS splits a
+#: longer dot across threads, which changes the order of its sum.
 _DOT_PIECE = 10_000
 
 
-def _diagnostics(p: np.ndarray, lam: float, n: int, k: int, log_rows: np.ndarray,
-                 log_max_c: float, mean_logc: float, D: float) -> IterationDiagnostics:
-    """Stopping statistic, Lagrangian and rate bounds from one tilt step's
-    values, ``log_rows`` being log2 of the step's channel row sums."""
-    # a dot, as np.add.reduce here gave R = 2.96e-16, not 0, on a one-letter
-    # |X̂| at n = 3; up to _DOT_PIECE entries it is the one dot
-    mean_log_rows = float(p[:_DOT_PIECE] @ log_rows[:_DOT_PIECE])
-    for start in range(_DOT_PIECE, p.size, _DOT_PIECE):
+def _dots(a: np.ndarray, b: np.ndarray) -> list:
+    """Each member's sum of a * b, for a stack ``a`` of L members, member
+    axis first, and ``b`` of a's shape or of one member's.
+
+    ``np.vecdot`` takes it in pieces of at most ``_DOT_PIECE`` entries of
+    the flattened members, added in order, so its bits depend on neither
+    the stack nor the BLAS thread count.  A dot, as ``np.add.reduce`` gave
+    R = 2.96e-16, not 0, on a one-letter |X̂| at n = 3.  It writes no table.
+    """
+    a = a.reshape(a.shape[0], -1)
+    b = b.reshape(-1, a.shape[1])  # (L, M) or (1, M)
+    total = np.vecdot(a[:, :_DOT_PIECE], b[:, :_DOT_PIECE])
+    for start in range(_DOT_PIECE, a.shape[1], _DOT_PIECE):
         piece = slice(start, start + _DOT_PIECE)
-        mean_log_rows += float(p[piece] @ log_rows[piece])
+        total += np.vecdot(a[:, piece], b[:, piece])
+    return total.tolist()
+
+
+def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: float,
+                 mean_logc: float, D: float) -> IterationDiagnostics:
+    """Stopping statistic, Lagrangian and rate bounds from one tilt step's
+    statistics, ``mean_log_rows`` being E_p[log2 rows] of its row sums."""
     base = -lam * D - mean_log_rows
     upper = (base - mean_logc) / n
     lower = (base - log_max_c) / n
     return IterationDiagnostics(k, log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
 
 
-def _channel(q: np.ndarray, weight: np.ndarray, r: np.ndarray | None = None,
-             rows: np.ndarray | None = None):
-    """Rows of q * weight normalized, and their sums, written into ``r`` and
-    ``rows`` (fresh arrays when None)."""
-    num = np.multiply(q, weight, out=r)
-    rows = np.add.reduce(num, axis=-1, out=rows)
-    num /= rows[..., None]
-    return num, rows
+def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> np.ndarray:
+    """The (|X|^n, |X̂|^n) channel (q * weight) / rows of one kernel context
+    table q, as a fresh table: the rows of q * weight normalized, with the
+    step's row sums bit for bit."""
+    src = q if ctx.rows is None else q[ctx.rows]
+    r = np.empty(weight.shape)
+    num = r.reshape(src.shape[0], ctx.A**ctx.s, -1)
+    np.multiply(src[:, None, :], weight.reshape(num.shape), num)
+    num /= np.add.reduce(num, axis=-1)[..., None]
+    return r
 
 
 class _Workspace:
@@ -227,9 +248,9 @@ class _Workspace:
     built once: a buffer for every table ``_step_stack`` writes, overwritten
     by each step given them, and the step's lists of calls.  ``factors`` is
     the factorization's space (``prob._FactorSpace``), whose ``joints`` the
-    step writes the joint into; ``r``, ``rows`` and ``joint`` are views of
-    the channel, its row sums and the joint in the (L, |X|^n, |X̂|^n) shape
-    a step returns.
+    step writes the joint into, the one full table the step writes;
+    ``rows`` and ``joint`` are views of the row sums and the joint in the
+    (L, |X|^n) and (L, |X|^n, |X̂|^n) shapes a step returns.
 
     The next kernel goes to one of the two ``tables``: the one that does not
     hold the kernel the step started from, so a step may read its input
@@ -237,21 +258,20 @@ class _Workspace:
     factors out into ``tables[k]``.
     """
 
-    __slots__ = ("src", "num", "row_sums", "r", "rows", "joint", "logc", "live", "product",
+    __slots__ = ("src", "row_sums", "scale", "log_rows", "rows", "joint", "logc", "live",
                  "factors", "tables", "products")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
         self.src = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
         self.factors = _FactorSpace(ctx, L)
-        self.num = np.empty(self.factors.joints.shape)
-        self.row_sums = np.empty(self.num.shape[:3])
-        self.r, self.rows, self.joint = (self.num.reshape(L, A**n, B**n),
-                                         self.row_sums.reshape(L, A**n),
-                                         self.factors.joints.reshape(L, A**n, B**n))
+        # (L, |X|^{n-s}, |X|^s): row sums, p / rows and log2 rows
+        self.row_sums, self.scale, self.log_rows = (
+            np.empty(self.factors.joints.shape[:3]) for _ in range(3))
+        self.rows, self.joint = (self.row_sums.reshape(L, A**n),
+                                 self.factors.joints.reshape(L, A**n, B**n))
         self.logc = np.empty((L, Z ** (n - s), B**n))
         self.live = np.empty(self.logc.shape, dtype=bool)
-        self.product = np.empty((L, A**n, B**n))
         self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
         products = _product_buffers(ctx, L)
         self.products = tuple(_product_calls(self.factors.factors, ctx, table, products)
@@ -260,17 +280,19 @@ class _Workspace:
 
 def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
                 dvals: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
-    """Channel update r = q * weight / rows, then the causal kernel of p * r,
-    for a stack of L kernels at once.
+    """The joint p * r of the channel r = q * weight / rows, then its causal
+    kernel, for a stack of L kernels at once.
 
     q holds the kernels' (Z^{n-s}, |X̂|^n) context tables (see
-    ``prob._Contexts``) as an (L, Z^{n-s}, |X̂|^n) array.  The channel
-    broadcasts each over the s newest source symbols, which is the product
-    with the full table entry by entry.  The weight is one (|X|^n, |X̂|^n)
-    table for every member or an (L, |X|^n, |X̂|^n) stack: the tilt
-    2^{-lam d} in the solver, p' in certificate reconstruction.  Each member
-    goes through the operations of a lone step, and its sums run over its
-    own entries, so its results are those of a lone step bit for bit.
+    ``prob._Contexts``) as an (L, Z^{n-s}, |X̂|^n) array.  The product
+    q * weight broadcasts each over the s newest source symbols, which is
+    the product with the full table entry by entry.  The weight is one
+    (|X|^n, |X̂|^n) table for every member or an (L, |X|^n, |X̂|^n) stack:
+    the tilt 2^{-lam d} in the solver, p' in certificate reconstruction.
+    The joint is (q * weight) * (p / rows), written in place; the step
+    writes no channel (``_channel`` builds it).  Each member goes through
+    the operations of a lone step, and its sums run over its own entries,
+    so its results are those of a lone step bit for bit.
 
     The step's tables are written into ``ws`` (a fresh ``_Workspace`` when
     None) and are valid until the next step given it; q may be the previous
@@ -279,17 +301,21 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     Given the distortion values the step also returns, per member and for
     c = q_next / q on the context table, the max of log2 c over contexts
     with positive joint mass N_n, the mean of log2 c under the joint,
-    sum N_n log2 c, and D.  Kernel entries on abandoned branches can
-    underflow to exact zero; their contexts carry no joint mass and are left
-    out of both the max and the mean (restricted-support convention).
+    sum N_n log2 c, D and E_p[log2 rows], the three sums by ``_dots``.
+    Kernel entries on abandoned branches can underflow to exact zero; their
+    contexts carry no joint mass and are left out of both the max and the
+    mean (restricted-support convention).
     """
     L = q.shape[0]
     if ws is None:
         ws = _Workspace(ctx, L)
     src = q if ctx.rows is None else np.take(q, ctx.rows, axis=1, out=ws.src, mode="clip")
-    shape = ws.num.shape[1:]
-    num, _ = _channel(src[:, :, None, :], weight.reshape((-1,) + shape), ws.num, ws.row_sums)
-    np.multiply(p.reshape(shape[:2] + (1,)), num, ws.factors.joints)
+    joints = ws.factors.joints
+    shape = joints.shape[1:]
+    np.multiply(src[:, :, None, :], weight.reshape((-1,) + shape), joints)
+    rows = np.add.reduce(joints, axis=-1, out=ws.row_sums)
+    scale = np.divide(p.reshape(shape[:2]), rows, ws.scale)
+    np.multiply(joints, scale[..., None], joints)
     # the factorization's one test on N_n: True when every context is live
     live = ws.factors.factorize()
     # a view's base is the array that owns its memory
@@ -298,7 +324,7 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
         call()
     q_next, factors = ws.tables[k], ws.factors.factors
     if dvals is None:
-        return _Step(ws.r, ws.rows, ws.joint, q_next, factors)
+        return _Step(ws.rows, ws.joint, q_next, factors)
     mass, logc = ws.factors.mass, ws.logc
     if live:  # no mask
         np.divide(q_next, q, logc)
@@ -309,9 +335,10 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     np.log2(logc, logc)
     log_max_c = np.maximum.reduce(logc, axis=(1, 2), initial=-np.inf, where=live).tolist()
     # masked cells hold log2 1 = 0, so the mass-weighted log c sums to E[log2 c]
-    mean_logc = np.add.reduce(np.multiply(logc, mass, logc), axis=(1, 2)).tolist()
-    D = np.add.reduce(np.multiply(ws.joint, dvals, ws.product), axis=(1, 2)).tolist()
-    return _Step(ws.r, ws.rows, ws.joint, q_next, factors, log_max_c, mean_logc, D)
+    mean_logc = _dots(logc, mass)
+    D = _dots(ws.joint, dvals)
+    mean_log_rows = _dots(np.log2(rows, ws.log_rows), p)
+    return _Step(ws.rows, ws.joint, q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
 
 
 def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
@@ -400,23 +427,22 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
                 raise ValueError("initial kernel must be strictly positive")
     tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
     ws = _Workspace(ctx, len(configs))
-    log_rows = np.empty(ws.rows.shape)
     members = list(range(len(configs)))  # config index of each stack member
     traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
     points: list = [None] * len(configs)
     end = len(configs)  # members from this config index on are cut
     for k in itertools.count(1):
         st = _step_stack(q, tilt, p, ctx, dvals, ws)
-        np.log2(st.rows, out=log_rows)
         finished = False
         for pos, j in enumerate(members):
             cfg = configs[j]
-            diag = _diagnostics(p, cfg.lam, n, k, log_rows[pos], st.log_max_c[pos],
+            diag = _diagnostics(cfg.lam, n, k, st.mean_log_rows[pos], st.log_max_c[pos],
                                 st.mean_logc[pos], st.D[pos])
             traces[j] = _record(traces[j], diag)
             if diag.F < cfg.epsilon or k == cfg.max_iters:
                 finished = True
-                points[j] = _point(st.member(pos), diag, cfg, ctx, fmap, traces[j])
+                points[j] = _point(st.member(pos), q[pos], tilt[pos], diag, cfg, ctx, fmap,
+                                   traces[j])
                 if diag.lower_bound <= 0.0:
                     end = j + 1  # the members after it are cut
                     break
@@ -430,18 +456,19 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         members = [members[pos] for pos in keep]
         q, tilt = st.q_next[keep], tilt[keep]
         ws = _Workspace(ctx, len(members))
-        log_rows = np.empty(ws.rows.shape)
 
 
-def _point(st: _Step, diag: IterationDiagnostics, config: SolverConfig, ctx: _Contexts,
-           fmap: np.ndarray | None, trace: np.ndarray) -> RatePoint:
-    """The RatePoint of a solve whose last step is ``st`` with record ``diag``.
+def _point(st: _Step, q: np.ndarray, weight: np.ndarray, diag: IterationDiagnostics,
+           config: SolverConfig, ctx: _Contexts, fmap: np.ndarray | None,
+           trace: np.ndarray) -> RatePoint:
+    """The RatePoint of a solve whose last step is ``st``, taken from the
+    kernel context table q with ``weight``, with record ``diag``.
 
     The step's tables live in the solve's workspace, so the point copies the
-    channel and the factors it keeps.
+    factors it keeps; its channel is built afresh from q (``_channel``).
     """
     channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
-                             probs=st.r.copy())
+                             probs=_channel(q, weight, ctx))
     kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, tuple(f.copy() for f in st.factors),
                           fmap)
     # The per-symbol directed information of the final pair equals the upper

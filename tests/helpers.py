@@ -1,13 +1,15 @@
 """Test helpers built on the package: causal kernels factored from a joint
-table, and the iterate-by-iterate comparison of the feed-forward solver at
-full delay with the textbook solver of ``oracles``."""
+table, the iterate-by-iterate comparison of the feed-forward solver at
+full delay with the textbook solver of ``oracles``, and the memory a solver
+workspace owns."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
 from ffrd.prob import CausalKernel, _context_factors, _Contexts
-from ffrd.solver import solve
+from ffrd.solver import _Workspace, solve
 
 from oracles import TRACE_FIELDS, solve_classical
 
@@ -51,3 +53,20 @@ def assert_same_iterates(source, distortion, config, block):
         np.testing.assert_allclose(a.kernel.probs, kernel_rows, atol=1e-12)
         assert a.trace[0].item()[1:] == block.trace[k - 1].item()[1:]
         kernel = a.kernel
+
+
+def workspace_bytes(ctx, L):
+    """Bytes of the arrays a fresh ``solver._Workspace(ctx, L)`` owns: the
+    numpy data buffers allocated while it is built that are still live once
+    it is, as ``tracemalloc`` traces them in numpy's domain.  Each buffer
+    counts once and a view, which allocates none, not at all; the buffers
+    only its lists of calls hold count too."""
+    tracemalloc.start()
+    try:
+        ws = _Workspace(ctx, L)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del ws  # held until the snapshot
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(trace.size for trace in snapshot.filter_traces([numpy_data]).traces)

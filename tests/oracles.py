@@ -344,6 +344,13 @@ def reverse_factors_reference(joint_table, n, A, B):
     return full.reshape(A**n, B**n), factors
 
 
+def channel_full_table(q, tilt):
+    """The channel of one step from the full kernel table q: the rows of
+    q * tilt, normalized."""
+    num = q * tilt
+    return num / num.sum(axis=1)[:, None]
+
+
 def _tilt_step_full_table(q, tilt, p, n, A, B, s, fmap):
     """One alternating-minimization step from the full kernel table q, with
     log2(q_next / q) taken over the full table: its max over pairs whose
@@ -354,7 +361,7 @@ def _tilt_step_full_table(q, tilt, p, n, A, B, s, fmap):
     """
     num = q * tilt
     rows = num.sum(axis=1)
-    joint = p[:, None] * (num / rows[:, None])
+    joint = num * (p / rows)[:, None]
     q_next, factors, mass = causal_factors_full_table(joint, n, A, B, s, fmap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logc = np.log2(q_next / q)

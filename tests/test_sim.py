@@ -213,7 +213,7 @@ class TestMonteCarlo:
         ((SourceSpec.binary_markov(0.3, 0.2), DistortionSpec.stock(), 2, 12, 0.1, 200, 1, 0.08),
          '{"n": 2, "L": 12, "delta": 0.1, "codebook_size": 13, "trials": 200, '
          '"mean_distortion": 0.07229166666666666, "stderr": 0.004192523414646152, '
-         '"target_D": 0.08, "rate": 0.21657842976395117}'),
+         '"target_D": 0.08, "rate": 0.2165784297639517}'),
     ], ids=["iid-hamming-L18", "markov-stock-L12"])
     def test_reports_pinned(self, args, expected):
         """Reports of the per-branch, per-tree loop simulator, byte for byte."""

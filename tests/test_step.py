@@ -8,12 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffrd.dual import _anderson, certificate_from_solution
-from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
-from ffrd.prob import _context_factors, _Contexts, _factor_product
+from ffrd.models import (
+    DistortionSpec,
+    DistortionTensor,
+    FeedForwardMap,
+    SourceSpec,
+    block_pmf,
+    distortion_tensor,
+)
+from ffrd.prob import BlockSource, _context_factors, _Contexts, _factor_product
 from ffrd.solver import SolverConfig, _diagnostics, _step, solve
 
 from helpers import kernel_from_joint
-from oracles import anderson_stacked, causal_factors_full_table, solver_step_full_table
+from oracles import (
+    anderson_stacked,
+    causal_factors_full_table,
+    channel_full_table,
+    solver_step_full_table,
+)
 
 SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)]
 MAPS = [None, "identity", "parity", "constant"]
@@ -97,13 +109,37 @@ def test_step_matches_full_table_reference(shape, data):
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
     step = _step(kernel.table, tilt, p, ctx, dvals)
-    diag = _diagnostics(p, lam, n, 1, np.log2(step.rows), step.log_max_c, step.mean_logc,
-                        step.D)
+    diag = _diagnostics(lam, n, 1, step.mean_log_rows, step.log_max_c, step.mean_logc, step.D)
 
     np.testing.assert_allclose(diag[1:], ref_diag, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(ctx.full(step.q_next), ref_q)
     for f, ref_f in zip(step.factors, ref_factors):
         np.testing.assert_array_equal(f, ref_f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_point_channel_is_that_of_the_last_input_kernel(shape, data):
+    """A one-step solve from a random, strictly positive kernel returns that
+    kernel's channel, the full-table rows of q * tilt normalized, bit for
+    bit, and D = sum p r d to 1e-12, for every delay and map."""
+    A, B, n = shape
+    s = data.draw(st.integers(1, n), label="s")
+    map_name = data.draw(st.sampled_from(MAPS), label="map")
+    fmap = _map_table(map_name, A)
+    lam = data.draw(st.sampled_from([0.0, 1.0, 6.0, 40.0]), label="lam")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kernel = kernel_from_joint(_joint_with_zeros(rng, A, B, n, 0.0), n, A, B, s, fmap)
+    p = rng.dirichlet(np.ones(A**n))
+    dvals = rng.integers(0, 9, size=(A**n, B**n)) / 8
+    config = SolverConfig(lam=lam, max_iters=1, delay=s,
+                          feedforward_map=None if fmap is None else FeedForwardMap(fmap))
+    pt = solve(BlockSource(n, A, p), DistortionTensor(n, A, B, dvals), config,
+               initial_kernel=kernel)
+
+    r = channel_full_table(kernel.probs, np.exp2(-lam * dvals))
+    np.testing.assert_array_equal(pt.channel.probs, r)
+    assert pt.D == pytest.approx(float(np.sum(p[:, None] * r * dvals)), rel=0.0, abs=1e-12)
 
 
 def _certificate_map(n, lam):

@@ -20,6 +20,10 @@ reach, so every member runs exactly ``iterations`` steps.  Each case records:
 - ``tracemalloc_peak_bytes``: the largest traced allocation peak of one of
   those steps above the memory traced when it began (numpy reports its data
   buffers to ``tracemalloc``);
+- ``workspace_bytes``: the bytes of the arrays the stack's solver workspace
+  (``solver._Workspace``) owns, each buffer counted once and views left
+  out, counted as the Tier-1 memory guard counts them
+  (``tests/helpers.py``, ``workspace_bytes``);
 - ``context_table_bytes``: the size of one member's kernel context table,
   for scale.
 
@@ -78,6 +82,8 @@ def _case(n: int, width: int) -> dict:
 
     import ffrd
     from ffrd import solver
+    from ffrd.prob import _Contexts
+    from helpers import workspace_bytes
 
     source = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n)
     dist = ffrd.distortion_tensor(ffrd.DistortionSpec.hamming(), n)
@@ -130,6 +136,7 @@ def _case(n: int, width: int) -> dict:
         "us_per_iter_runs": [t / iterations * 1e6 for t in times],
         "faults_per_iter": statistics.fmean(faults[steady]),
         "tracemalloc_peak_bytes": max(peaks[steady]),
+        "workspace_bytes": workspace_bytes(_Contexts.of(n, 2, 2, 1, None), width),
         "context_table_bytes": (2 ** (n - 1)) * 2**n * np.dtype(float).itemsize,
     }
 
@@ -137,6 +144,7 @@ def _case(n: int, width: int) -> dict:
 def step_cases() -> list:
     from ffrd import curves
 
+    sys.path.insert(0, str(ROOT / "tests"))
     cases = []
     for n in NS:
         for width in WIDTHS:
@@ -146,7 +154,8 @@ def step_cases() -> list:
             c = cases[-1]
             print(f"n={n:2d} width={width:2d}: {c['us_per_iter']:10.1f} us/iter, "
                   f"{c['faults_per_iter']} faults/iter, "
-                  f"peak {c['tracemalloc_peak_bytes']} B", file=sys.stderr)
+                  f"peak {c['tracemalloc_peak_bytes']} B, "
+                  f"workspace {c['workspace_bytes']} B", file=sys.stderr)
     return cases
 
 

@@ -188,8 +188,9 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
                               distortion: DistortionTensor) -> DualCertificate:
     """Assemble a feasible certificate from a converged solver state.
 
-    p' is the reverse causal factorization of the joint of one more step from
-    the returned kernel, and gamma is the closed form's largest feasible
+    p' is the reverse causal factorization of the joint p * r, with r the
+    channel of one more step from the returned kernel (``solver._channel``),
+    and gamma is the closed form's largest feasible
     value for that p' (1 on blocks with p = 0), so the certificate is
     feasible by construction.  The resulting dual objective sits within F/n
     below the primal rate unless kernel entries underflowed, which can leave
@@ -206,10 +207,9 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     n, A = source.n, source.src_alphabet_size
     B = q_star.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, 1, None)
-    # the step's workspace is freed once its joint is factored
-    factors = reverse_causal_factors(
-        _step(q_star.table,
-              np.exp2(-point.lam * distortion.values), source.probs, ctx).joint, n, A, B)
+    joint = _channel(q_star.table, np.exp2(-point.lam * distortion.values), ctx)
+    joint *= source.probs[:, None]
+    factors = reverse_causal_factors(joint, n, A, B)
     cert = DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
                            gamma=np.ones(A**n), p_prime_factors=tuple(factors))
     log_gamma = _log2_gamma_bound(cert, source, distortion)
@@ -324,7 +324,8 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
             f"certificate is not tight: channel rows deviate by {worst:.3e}")
     with np.errstate(divide="ignore"):  # log2 0 = -inf where p' = 0 is no excess
         ratio = np.log2(weight[support] / (p * cert.gamma)[support, None])
-    excess = float(np.sum(last.joint[support] * np.maximum(ratio, 0.0)))
+    joint = p[support, None] * channel[support]
+    excess = float(np.sum(joint * np.maximum(ratio, 0.0)))
     if not excess <= TIGHT_TOL:
         raise NonTightCertificateError(
             f"certificate is not tight: p' exceeds p * gamma by {excess:.3e} bits "

@@ -10,13 +10,16 @@ The causal factorization is built once per stack shape as a
 ``_FactorSpace``: buffers for every table it writes and the list of calls
 that fills them, each call a ufunc or copy with its operand views made and
 its choice between slicing and broadcasting taken when the space is built.
-The solver keeps one space in its step workspace and runs the list at every
-step, so its results are valid until the next factorization in that space,
-and a caller that keeps them copies them.  The kernel product
-(``_product_calls``) is built the same way.  A one-off call
-(``_context_factors``, ``_factor_product``) builds the same list on fresh
-buffers.  Run at delay 0 on the transposed joint, the factorization also
-gives the certificates' reverse factors p'.
+It factors a prefix mass, the joint summed over the s newest source
+symbols, so it never reads a full (|X|^n, |X̂|^n) table: the solver step
+writes that mass straight into its space, and a one-off call
+(``_context_factors``) sums a joint into a fresh space itself.  The solver
+keeps one space in its step workspace and runs the list at every step, so
+its results are valid until the next factorization in that space, and a
+caller that keeps them copies them.  The kernel product
+(``_product_calls``) is built the same way; ``_factor_product`` builds it
+on fresh buffers.  Run at delay 0 on the transposed joint, the
+factorization also gives the certificates' reverse factors p'.
 """
 
 from __future__ import annotations
@@ -281,36 +284,37 @@ def _last_axis_calls(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
 
 
 class _FactorSpace:
-    """The causal factorization of a stack of L joints on ``ctx``, built
-    once: a buffer for every table it reads or writes, and the list of
+    """The causal factorization of a stack of L prefix masses on ``ctx``,
+    built once: a buffer for every table it reads or writes, and the list of
     calls that fills them, with every view made and every level's choice
     between slicing and broadcasting taken when the space is built.
 
-    ``factorize`` factors the joints in ``joints``, an
-    (L, |X|^{n-s}, |X|^s, |X̂|^n) array, and overwrites the rest: ``mass``
-    gets N_n, the joint mass of each context, as an (L, Z^{n-s}, |X̂|^n)
-    context table, and per level i ``sums[i-1]`` the context sums of N_i
-    and ``factors[i-1]`` factor i (see ``_context_factors``).
+    ``factorize`` factors the prefix masses in ``prefix``, an
+    (L, |X|^{n-s}, |X̂|^n) array holding each member's joint summed over the
+    s newest source symbols, and overwrites the rest: ``mass`` gets N_n, the
+    joint mass of each context, as an (L, Z^{n-s}, |X̂|^n) context table
+    (``prefix`` itself without a map), and per level i ``sums[i-1]`` the
+    context sums of N_i and ``factors[i-1]`` factor i (see
+    ``_context_factors``).
     """
 
-    __slots__ = ("B", "joints", "mass", "sums", "factors", "_marginal", "_levels")
+    __slots__ = ("B", "prefix", "mass", "sums", "factors", "_classes", "_levels")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z, _, bins = ctx
         c_n = n - s
         self.B = B
-        self.joints = np.empty((L, A**c_n, A**s, B**n))
-        self.mass = np.empty((L, A**c_n, B**n))
-        self._marginal = _sum_calls(self.joints, 2, self.mass)
+        self.prefix = self.mass = np.empty((L, A**c_n, B**n))
+        self._classes = []
         if bins is not None:
             # each class sums its prefixes in prefix order; members use
             # disjoint ranges of the bins
             size = Z**c_n * B**n
             bins = (np.arange(0, L * size, size)[:, None] + bins).ravel()
-            prefixes = self.mass.reshape(-1)
+            prefixes = self.prefix.reshape(-1)
             self.mass = np.empty((L, Z**c_n, B**n))
             classes = self.mass.reshape(-1)
-            self._marginal.append(
+            self._classes.append(
                 lambda: np.copyto(classes, np.bincount(bins, prefixes, L * size)))
         # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
         # gives the next level's numerator in its factor's axes
@@ -331,7 +335,7 @@ class _FactorSpace:
                 N = D
 
     def factorize(self) -> bool:
-        """Factor ``joints`` into the space; True when every context carries
+        """Factor ``prefix`` into the space; True when every context carries
         joint mass.
 
         Every level's context sums add up entries of N_n, which sums
@@ -342,7 +346,7 @@ class _FactorSpace:
         contexts with zero sums get the uniform factor 1/B: the bits of
         dividing by 1 there and filling.
         """
-        for call in self._marginal:
+        for call in self._classes:
             call()
         mass = self.mass
         if mass.item(mass.argmin()) > 0.0:
@@ -353,8 +357,9 @@ class _FactorSpace:
             for call in self._levels:
                 call()
         for factor, sums in zip(self.factors, self.sums):
-            np.copyto(factor.reshape(-1, self.B), 1.0 / self.B,
-                      where=sums.reshape(-1, 1) == 0.0)
+            empty = np.flatnonzero(sums.reshape(-1) == 0.0)
+            if empty.size:
+                factor.reshape(-1, self.B)[empty] = 1.0 / self.B
         return False
 
 
@@ -369,9 +374,9 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     member's results are those of its own factorization bit for bit.
     ``_factor_product`` multiplies the factors out into the kernel tables.
 
-    The joints are copied into a fresh ``_FactorSpace``, whose buffers hold
-    the results; the solver step keeps one space in its workspace and
-    writes its joints straight into it.
+    The joints are summed over the s newest source symbols into a fresh
+    ``_FactorSpace``, whose buffers hold the results; the solver step keeps
+    one space in its workspace and writes its prefix mass straight into it.
 
     Factor i is N_i / sum_{x̂_i} N_i with numerator N_i the joint marginal
     over (z^{i-s}, x̂^i).  The marginals are nested: N_n sums the joint over
@@ -383,8 +388,12 @@ def _context_factors(joints: np.ndarray, ctx: _Contexts):
     positive.  At delay 0 on the transposed joint it gives the reverse
     factors p' (``reverse_causal_factors``).
     """
-    space = _FactorSpace(ctx, joints.shape[0])
-    np.copyto(space.joints.reshape(joints.shape), joints)
+    L = joints.shape[0]
+    space = _FactorSpace(ctx, L)
+    shape = (L, ctx.A ** (ctx.n - ctx.s), ctx.A**ctx.s, ctx.B**ctx.n)
+    for call in _sum_calls(np.ascontiguousarray(joints, dtype=float).reshape(shape), 2,
+                           space.prefix):
+        call()
     space.factorize()
     return space.factors, space.mass
 
@@ -397,11 +406,25 @@ def _product_shape(ctx: _Contexts, L: int, i: int) -> tuple:
     return (L, ctx.Z ** max(c - 1, 0), ctx.Z if c else 1, ctx.B ** (i - 1), ctx.B)
 
 
-def _product_buffers(ctx: _Contexts, L: int) -> list:
+def _product_buffers(ctx: _Contexts, L: int, memory: np.ndarray | None = None) -> list:
     """Buffers for the products of factors 1..i, 1 < i < n (None at i = 1,
-    where it is factor 1, and at i = n, where it is the kernel table)."""
-    return [np.empty(_product_shape(ctx, L, i)) if 1 < i < ctx.n else None
-            for i in range(1, ctx.n + 1)]
+    where it is factor 1, and at i = n, where it is the kernel table).
+
+    Each product is read only while the next is written, so they are views
+    of one flat buffer at alternate ends: even i at its front, odd i at its
+    back.  The buffer is ``memory`` (any float64 array, such as a table the
+    caller writes only after the product is done) when it holds every two
+    neighbours, and fresh otherwise."""
+    shapes = {i: _product_shape(ctx, L, i) for i in range(2, ctx.n)}
+    sizes = {i: math.prod(shape) for i, shape in shapes.items()}
+    need = max((sizes[i] + sizes[i + 1] for i in range(2, ctx.n - 1)),
+               default=sum(sizes.values()))
+    flat = memory.reshape(-1) if memory is not None and memory.size >= need else np.empty(need)
+    buffers = [None] * ctx.n
+    for i, size in sizes.items():
+        view = flat[:size] if i % 2 == 0 else flat[flat.size - size:]
+        buffers[i - 1] = view.reshape(shapes[i])
+    return buffers
 
 
 def _product_calls(factors, ctx: _Contexts, table: np.ndarray, products: list) -> list:

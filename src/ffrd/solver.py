@@ -22,19 +22,23 @@ of its two kernel tables, with every view made once; a step runs them, and
 one test on the context mass tells both the factorization and the stopping
 statistic whether any context is empty.  A step's arrays are valid until
 the next step given the same workspace, and a finished point copies the
-tables it keeps.  A call without a workspace gets a fresh one.  The step
-writes the joint (q * weight) * (p / rows) straight into the buffer the
-factorization reads, and no channel: a point builds its channel (q *
-weight) / rows once, from its last step's input kernel (``_channel``).  The
-step writes with ``out=`` and in place, and reduces with ufunc reductions
+tables it keeps.  A call without a workspace gets a fresh one.
+
+The step writes no full (|X|^n, |X̂|^n) table: neither the channel nor the
+joint p * r.  Every table after the weight is context-sized, because the
+kernel is constant over the s newest source symbols: the row sums, the
+prefix mass the factorization reads and D are contractions of the weight
+against q and p / rows.  A point builds its channel (q * weight) / rows
+once, from its last step's input kernel (``_channel``).  The step writes
+with ``out=`` and in place, and reduces with ufunc reductions
 (``np.add.reduce(x, axis=..., out=...)``): they give the bits of ``x.sum``
 and ``np.sum``, without the Python-level dispatch of those, which costs more
-than a small step's arithmetic.  Its three weighted sums, D, E[log2 c] and
-E_p[log2 rows], are dots (``_dots``) that write no table, over pieces of at
-most 10,000 entries added in a fixed order; OpenBLAS runs a dot of that
-size on one thread.  Every sum of the step is taken in an order fixed by
-the array's shape alone, for a lone step as for a stack, so no answer
-depends on the BLAS thread count.
+than a small step's arithmetic.  Its dots (``_dot``: the row sums, D,
+E[log2 c] and E_p[log2 rows]) write no table and run over pieces of at most
+10,000 entries added in a fixed order; OpenBLAS runs a dot of that size on
+one thread.  Every sum of the step is taken in an order fixed by the
+array's shape alone, for a lone step as for a stack, so no answer depends
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -177,14 +181,14 @@ class _Step(NamedTuple):
     A step of a stack holds its statistics as lists of one Python float per
     member.  ``member(j)``, and so ``_step``, gives the lone step of one
     member: its arrays without the member axis and its statistics as floats.
-    The step holds no channel; ``_channel`` builds it from q and the weight.
+    The step holds no channel and no joint; ``_channel`` builds the channel
+    from q and the weight, and p times it is the joint.
     """
 
     rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
-    joint: np.ndarray  # (q * weight) * (p / rows): p times the channel
     q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
-    # the rest only when the step is given the distortion values
+    # the rest only when the step is given the weighted distortion
     log_max_c: float | list | None = None  # max log2 c over contexts carrying joint mass
     mean_logc: float | list | None = None  # E[log2 c] under the joint
     D: float | list | None = None
@@ -194,31 +198,38 @@ class _Step(NamedTuple):
         """The lone step of member j of a stack."""
         stats = (None,) * 4 if self.D is None else \
             (self.log_max_c[j], self.mean_logc[j], self.D[j], self.mean_log_rows[j])
-        return _Step(self.rows[j], self.joint[j], self.q_next[j],
-                     [f[j] for f in self.factors], *stats)
+        return _Step(self.rows[j], self.q_next[j], [f[j] for f in self.factors], *stats)
 
 
-#: Entries of the pieces ``_dots`` takes its dots in: OpenBLAS splits a
+#: Entries of the pieces ``_dot`` takes its dots in: OpenBLAS splits a
 #: longer dot across threads, which changes the order of its sum.
 _DOT_PIECE = 10_000
 
 
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of a * b over the last axis, broadcast over the others.
+
+    ``np.vecdot`` takes it in pieces of at most ``_DOT_PIECE`` entries,
+    added in order, so its bits depend on neither the broadcast shape nor
+    the BLAS thread count.  It writes no table.  A dot of one piece takes
+    no slices, whose views cost more than a small dot.
+    """
+    if a.shape[-1] <= _DOT_PIECE:
+        return np.vecdot(a, b, out=out)
+    total = np.vecdot(a[..., :_DOT_PIECE], b[..., :_DOT_PIECE], out=out)
+    for start in range(_DOT_PIECE, a.shape[-1], _DOT_PIECE):
+        piece = slice(start, start + _DOT_PIECE)
+        total += np.vecdot(a[..., piece], b[..., piece])
+    return total
+
+
 def _dots(a: np.ndarray, b: np.ndarray) -> list:
     """Each member's sum of a * b, for a stack ``a`` of L members, member
-    axis first, and ``b`` of a's shape or of one member's.
-
-    ``np.vecdot`` takes it in pieces of at most ``_DOT_PIECE`` entries of
-    the flattened members, added in order, so its bits depend on neither
-    the stack nor the BLAS thread count.  A dot, as ``np.add.reduce`` gave
-    R = 2.96e-16, not 0, on a one-letter |X̂| at n = 3.  It writes no table.
-    """
+    axis first, and ``b`` of a's shape or of one member's: ``_dot`` over the
+    flattened members.  A dot, as ``np.add.reduce`` gave R = 2.96e-16, not
+    0, on a one-letter |X̂| at n = 3."""
     a = a.reshape(a.shape[0], -1)
-    b = b.reshape(-1, a.shape[1])  # (L, M) or (1, M)
-    total = np.vecdot(a[:, :_DOT_PIECE], b[:, :_DOT_PIECE])
-    for start in range(_DOT_PIECE, a.shape[1], _DOT_PIECE):
-        piece = slice(start, start + _DOT_PIECE)
-        total += np.vecdot(a[:, piece], b[:, piece])
-    return total.tolist()
+    return _dot(a, b.reshape(-1, a.shape[1])).tolist()  # b: (L, M) or (1, M)
 
 
 def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: float,
@@ -233,8 +244,9 @@ def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: fl
 
 def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> np.ndarray:
     """The (|X|^n, |X̂|^n) channel (q * weight) / rows of one kernel context
-    table q, as a fresh table: the rows of q * weight normalized, with the
-    step's row sums bit for bit."""
+    table q, as a fresh table: the rows of q * weight normalized.  Its row
+    sums are ufunc sums of the table, not the step's dots, so they may
+    differ from the step's ``rows`` in the last bit."""
     src = q if ctx.rows is None else q[ctx.rows]
     r = np.empty(weight.shape)
     num = r.reshape(src.shape[0], ctx.A**ctx.s, -1)
@@ -247,75 +259,82 @@ class _Workspace:
     """The solver step for a stack of L kernel context tables on ``ctx``,
     built once: a buffer for every table ``_step_stack`` writes, overwritten
     by each step given them, and the step's lists of calls.  ``factors`` is
-    the factorization's space (``prob._FactorSpace``), whose ``joints`` the
-    step writes the joint into, the one full table the step writes;
-    ``rows`` and ``joint`` are views of the row sums and the joint in the
-    (L, |X|^n) and (L, |X|^n, |X̂|^n) shapes a step returns.
+    the factorization's space (``prob._FactorSpace``), whose ``prefix`` the
+    step writes the prefix mass into; ``rows`` is a view of the row sums in
+    the (L, |X|^n) shape a step returns.  No buffer is a full table.
 
     The next kernel goes to one of the two ``tables``: the one that does not
     hold the kernel the step started from, so a step may read its input
     kernel while writing the next.  ``products[k]`` multiplies the new
-    factors out into ``tables[k]``.
+    factors out into ``tables[k]``, with its partial products in views of
+    ``logc``, which the step writes only after them.
     """
 
-    __slots__ = ("src", "row_sums", "scale", "log_rows", "rows", "joint", "logc", "live",
+    __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "rows", "logc", "live",
                  "factors", "tables", "products")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
         self.src = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
         self.factors = _FactorSpace(ctx, L)
-        # (L, |X|^{n-s}, |X|^s): row sums, p / rows and log2 rows
-        self.row_sums, self.scale, self.log_rows = (
-            np.empty(self.factors.joints.shape[:3]) for _ in range(3))
-        self.rows, self.joint = (self.row_sums.reshape(L, A**n),
-                                 self.factors.joints.reshape(L, A**n, B**n))
+        # (L, |X|^{n-s}, |X|^s): row sums, p / rows, the rows' sums of
+        # q * weight * d, and log2 rows
+        self.row_sums, self.scale, self.row_d, self.log_rows = (
+            np.empty((L, A ** (n - s), A**s)) for _ in range(4))
+        self.rows = self.row_sums.reshape(L, A**n)
         self.logc = np.empty((L, Z ** (n - s), B**n))
         self.live = np.empty(self.logc.shape, dtype=bool)
         self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
-        products = _product_buffers(ctx, L)
+        products = _product_buffers(ctx, L, self.logc)
         self.products = tuple(_product_calls(self.factors.factors, ctx, table, products)
                               for table in self.tables)
 
 
 def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-                dvals: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
-    """The joint p * r of the channel r = q * weight / rows, then its causal
-    kernel, for a stack of L kernels at once.
+                wd: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
+    """The causal kernel of the joint p * r of the channel r = q * weight /
+    rows, for a stack of L kernels at once.
 
     q holds the kernels' (Z^{n-s}, |X̂|^n) context tables (see
-    ``prob._Contexts``) as an (L, Z^{n-s}, |X̂|^n) array.  The product
-    q * weight broadcasts each over the s newest source symbols, which is
-    the product with the full table entry by entry.  The weight is one
+    ``prob._Contexts``) as an (L, Z^{n-s}, |X̂|^n) array, broadcast over the
+    s newest source symbols as the full table is.  The weight is one
     (|X|^n, |X̂|^n) table for every member or an (L, |X|^n, |X̂|^n) stack:
     the tilt 2^{-lam d} in the solver, p' in certificate reconstruction.
-    The joint is (q * weight) * (p / rows), written in place; the step
-    writes no channel (``_channel`` builds it).  Each member goes through
-    the operations of a lone step, and its sums run over its own entries,
-    so its results are those of a lone step bit for bit.
+    With w the weight as (|X|^{n-s}, |X|^s, |X̂|^n) and q' the context table
+    of each source prefix, the step contracts w and never writes the joint:
+
+        rows[c, t] = sum_x̂ q'[c, x̂] w[c, t, x̂]  (a ``_dot``),
+        prefix[c, x̂] = q'[c, x̂] sum_t w[c, t, x̂] p[c, t] / rows[c, t],
+
+    the prefix mass, the joint summed over the s newest symbols, which the
+    factorization reads.  Each member goes through the operations of a lone
+    step, and its sums run over its own entries, so its results are those
+    of a lone step bit for bit.
 
     The step's tables are written into ``ws`` (a fresh ``_Workspace`` when
     None) and are valid until the next step given it; q may be the previous
     step's ``q_next``.
 
-    Given the distortion values the step also returns, per member and for
-    c = q_next / q on the context table, the max of log2 c over contexts
-    with positive joint mass N_n, the mean of log2 c under the joint,
-    sum N_n log2 c, D and E_p[log2 rows], the three sums by ``_dots``.
-    Kernel entries on abandoned branches can underflow to exact zero; their
-    contexts carry no joint mass and are left out of both the max and the
-    mean (restricted-support convention).
+    Given ``wd``, the weight times the distortion values in the weight's
+    shape, the step also returns, per member and for c = q_next / q on the
+    context table, the max of log2 c over contexts with positive joint mass
+    N_n, the mean of log2 c under the joint, sum N_n log2 c, D = sum
+    (p / rows) ``_dot``(q', wd) and E_p[log2 rows], the last three sums by
+    ``_dots``.  Kernel entries on abandoned branches can underflow to exact
+    zero; their contexts carry no joint mass and are left out of both the
+    max and the mean (restricted-support convention).
     """
     L = q.shape[0]
     if ws is None:
         ws = _Workspace(ctx, L)
     src = q if ctx.rows is None else np.take(q, ctx.rows, axis=1, out=ws.src, mode="clip")
-    joints = ws.factors.joints
-    shape = joints.shape[1:]
-    np.multiply(src[:, :, None, :], weight.reshape((-1,) + shape), joints)
-    rows = np.add.reduce(joints, axis=-1, out=ws.row_sums)
+    shape = ws.row_sums.shape[1:] + (src.shape[-1],)
+    w4 = weight.reshape((-1,) + shape)
+    src4 = src[:, :, None, :]
+    rows = _dot(src4, w4, ws.row_sums)
     scale = np.divide(p.reshape(shape[:2]), rows, ws.scale)
-    np.multiply(joints, scale[..., None], joints)
+    prefix = np.einsum("lcsb,lcs->lcb", w4, scale, out=ws.factors.prefix)
+    np.multiply(prefix, src, prefix)
     # the factorization's one test on N_n: True when every context is live
     live = ws.factors.factorize()
     # a view's base is the array that owns its memory
@@ -323,8 +342,8 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     for call in ws.products[k]:
         call()
     q_next, factors = ws.tables[k], ws.factors.factors
-    if dvals is None:
-        return _Step(ws.rows, ws.joint, q_next, factors)
+    if wd is None:
+        return _Step(ws.rows, q_next, factors)
     mass, logc = ws.factors.mass, ws.logc
     if live:  # no mask
         np.divide(q_next, q, logc)
@@ -336,15 +355,15 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     log_max_c = np.maximum.reduce(logc, axis=(1, 2), initial=-np.inf, where=live).tolist()
     # masked cells hold log2 1 = 0, so the mass-weighted log c sums to E[log2 c]
     mean_logc = _dots(logc, mass)
-    D = _dots(ws.joint, dvals)
+    D = _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d))
     mean_log_rows = _dots(np.log2(rows, ws.log_rows), p)
-    return _Step(ws.rows, ws.joint, q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
+    return _Step(ws.rows, q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
 
 
 def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-          dvals: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
+          wd: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
     """:func:`_step_stack` from one (Z^{n-s}, |X̂|^n) context table q."""
-    return _step_stack(q[None], weight, p, ctx, dvals, ws).member(0)
+    return _step_stack(q[None], weight, p, ctx, wd, ws).member(0)
 
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
@@ -426,13 +445,14 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             if not np.all(q[j] > 0.0):
                 raise ValueError("initial kernel must be strictly positive")
     tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
+    wd = tilt * dvals
     ws = _Workspace(ctx, len(configs))
     members = list(range(len(configs)))  # config index of each stack member
     traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
     points: list = [None] * len(configs)
     end = len(configs)  # members from this config index on are cut
     for k in itertools.count(1):
-        st = _step_stack(q, tilt, p, ctx, dvals, ws)
+        st = _step_stack(q, tilt, p, ctx, wd, ws)
         finished = False
         for pos, j in enumerate(members):
             cfg = configs[j]
@@ -454,7 +474,7 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         if not keep:
             return points
         members = [members[pos] for pos in keep]
-        q, tilt = st.q_next[keep], tilt[keep]
+        q, tilt, wd = st.q_next[keep], tilt[keep], wd[keep]
         ws = _Workspace(ctx, len(members))
 
 

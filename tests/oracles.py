@@ -283,8 +283,14 @@ def causal_factors_full_table(joint_table, n, A, B, s, fmap=None):
     """The nested-marginal causal factorization with per-symbol slices:
     (full (|X|^n, |X̂|^n) kernel table, factors, context mass over source
     prefixes)."""
+    return causal_factors_of_prefix_mass(
+        joint_table.reshape(A ** (n - s), A**s, B**n).sum(axis=1), n, A, B, s, fmap)
+
+
+def causal_factors_of_prefix_mass(N, n, A, B, s, fmap=None):
+    """``causal_factors_full_table`` from the (|X|^{n-s}, |X̂|^n) prefix
+    mass N, the joint summed over the s newest source symbols."""
     c_n = n - s
-    N = joint_table.reshape(A**c_n, A**s, B**n).sum(axis=1)
     if fmap is None:
         Z = A
         mass = N
@@ -357,12 +363,22 @@ def _tilt_step_full_table(q, tilt, p, n, A, B, s, fmap):
     context carries joint mass and its mean under the joint, both
     restricted to finite values.
 
+    The rows are dots of the full table's rows, and the prefix mass the
+    factorization reads is q times the sum of tilt * (p / rows) over the s
+    newest source symbols, added in their order.  The joint (q * tilt) *
+    (p / rows) is formed only for the statistics.
+
     Returns (rows, joint, q_next, factors, log_max_c, mean_logc).
     """
-    num = q * tilt
-    rows = num.sum(axis=1)
-    joint = num * (p / rows)[:, None]
-    q_next, factors, mass = causal_factors_full_table(joint, n, A, B, s, fmap)
+    rows = np.vecdot(q, tilt)
+    scale = p / rows
+    scaled = (tilt * scale[:, None]).reshape(A ** (n - s), A**s, B**n)
+    mass = scaled[:, 0]
+    for t in range(1, A**s):
+        mass = mass + scaled[:, t]
+    prefix = q.reshape(A ** (n - s), A**s, B**n)[:, 0] * mass
+    q_next, factors, mass = causal_factors_of_prefix_mass(prefix, n, A, B, s, fmap)
+    joint = q * tilt * scale[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logc = np.log2(q_next / q)
         finite = np.isfinite(logc)

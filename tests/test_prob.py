@@ -422,7 +422,8 @@ def test_stack_with_one_dead_member_matches_lone_factorizations():
     joints = np.stack([live / live.sum(), dead / dead.sum()]).reshape(2, A**n, B**n)
 
     space = prob._FactorSpace(ctx, 2)
-    np.copyto(space.joints.reshape(joints.shape), joints)
+    # the prefix mass, summed over x_n in order as _context_factors sums it
+    np.add.reduce(joints.reshape(2, A ** (n - 1), A, B**n), axis=2, out=space.prefix)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert space.factorize() is False

@@ -209,11 +209,11 @@ class TestMonteCarlo:
         ((SourceSpec.iid(0.5), HAMMING, 2, 18, 0.15, 200, 1, 0.25),
          '{"n": 2, "L": 18, "delta": 0.15, "codebook_size": 68, "trials": 200, '
          '"mean_distortion": 0.22583333333333336, "stderr": 0.00341236797938778, '
-         '"target_D": 0.25, "rate": 0.18872155353331904}'),
+         '"target_D": 0.25, "rate": 0.18872155353331893}'),
         ((SourceSpec.binary_markov(0.3, 0.2), DistortionSpec.stock(), 2, 12, 0.1, 200, 1, 0.08),
          '{"n": 2, "L": 12, "delta": 0.1, "codebook_size": 13, "trials": 200, '
          '"mean_distortion": 0.07229166666666666, "stderr": 0.004192523414646152, '
-         '"target_D": 0.08, "rate": 0.2165784297639517}'),
+         '"target_D": 0.08, "rate": 0.2165784297639516}'),
     ], ids=["iid-hamming-L18", "markov-stock-L12"])
     def test_reports_pinned(self, args, expected):
         """Reports of the per-branch, per-tree loop simulator, byte for byte."""

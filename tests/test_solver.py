@@ -410,10 +410,17 @@ import numpy as np
 import ffrd
 one_letter = ffrd.DistortionSpec(m=0, table=np.array([[0.0], [1.0]]), src_alphabet_size=2,
                                  rec_alphabet_size=1)
+markov = ffrd.SourceSpec.binary_markov(0.3, 0.2)
+cases = [(ffrd.block_pmf(markov, n), ffrd.distortion_tensor(spec, n), lam, 1e-6)
+         for n, spec, lam in ((8, ffrd.DistortionSpec.hamming(), 9.216), (14, one_letter, 2.0))]
+# one source block and 3^9 = 19,683 reconstructions: every row is a dot
+# longer than OpenBLAS runs on one thread
+rng = np.random.default_rng(9)
+cases.append((ffrd.BlockSource(9, 1, np.ones(1)),
+              ffrd.DistortionTensor(9, 1, 3, rng.integers(0, 9, (1, 3**9)) / 8), 3.0, 1e-9))
 runs = []
-for n, spec, lam in ((8, ffrd.DistortionSpec.hamming(), 9.216), (14, one_letter, 2.0)):
-    src = ffrd.block_pmf(ffrd.SourceSpec.binary_markov(0.3, 0.2), n)
-    pt = ffrd.solve(src, ffrd.distortion_tensor(spec, n), ffrd.SolverConfig(lam=lam))
+for src, dist, lam, eps in cases:
+    pt = ffrd.solve(src, dist, ffrd.SolverConfig(lam=lam, epsilon=eps))
     runs.append([pt.iterations, pt.F_final.hex(), pt.R.hex(), pt.D.hex(),
                  pt.upper_bound.hex(), hashlib.sha256(pt.trace.tobytes()).hexdigest()])
 print(json.dumps(runs))
@@ -425,7 +432,9 @@ def test_answers_independent_of_blas_threads():
     # step's E[log2 c] over 32,768 context cells was such a dot, and F_final
     # ended ...7e4bc at one thread and ...7e4bd at two.  At n = 14 the
     # diagnostics' E[log2 rows] runs over 16,384 source blocks: as one dot
-    # it gave R = 0x1.2492492492492p-55 at one thread and 0 at two
+    # it gave R = 0x1.2492492492492p-55 at one thread and 0 at two.  At
+    # |X̂|^n = 19,683 the row sums and D are such dots over x̂^n; whole, they
+    # gave a different R, F and trace at one thread and at two
     src = str(Path(ffrd.__file__).resolve().parent.parent)
     runs = []
     for threads in ("1", "2"):

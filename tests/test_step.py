@@ -108,7 +108,7 @@ def test_step_matches_full_table_reference(shape, data):
     ref_q, ref_factors, ref_diag = solver_step_full_table(
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
-    step = _step(kernel.table, tilt, p, ctx, dvals)
+    step = _step(kernel.table, tilt, p, ctx, tilt * dvals)
     diag = _diagnostics(lam, n, 1, step.mean_log_rows, step.log_max_c, step.mean_logc, step.D)
 
     np.testing.assert_allclose(diag[1:], ref_diag, rtol=0.0, atol=1e-12)

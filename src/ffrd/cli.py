@@ -128,10 +128,10 @@ def _add_common(sp, lam=False, solver=True):
     sp.add_argument("--source", default=None)
     sp.add_argument("--dist", default="hamming")
     sp.add_argument("--n", type=int, default=None)
-    if solver:
-        sp.add_argument("--delay", type=int, default=1)
-        sp.add_argument("--eps", type=float, default=1e-6)
-        sp.add_argument("--max-iters", type=int, default=100_000)
+    if solver:  # a dataclass field's default is its class attribute
+        sp.add_argument("--delay", type=int, default=SolverConfig.delay)
+        sp.add_argument("--eps", type=float, default=SolverConfig.epsilon)
+        sp.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
         sp.add_argument("--strict", action="store_true")
     sp.add_argument("--output", default=None)
     if lam:
@@ -150,7 +150,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="trace the curve over a lambda grid")
     _add_common(sp)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", default="log:0.125,32,24")
+    sp.add_argument("--lambda-grid", dest="lambda_grid", default=None)
 
     sp = sub.add_parser("dual-check", help="verify a certificate JSON")
     sp.add_argument("--config", default=None)
@@ -201,11 +201,9 @@ def _cmd_solve(args) -> int:
            f"upper_bound={_fmt(pt.upper_bound)}\n")
     _write(args.output, out)
     if args.trace:
-        lines = ["k,F,K_value,D,lower_bound,upper_bound"]
-        for diag in pt.trace:
-            lines.append(",".join([str(diag.k), _fmt(diag.F), _fmt(diag.K_value),
-                                   _fmt(diag.D), _fmt(diag.lower_bound),
-                                   _fmt(diag.upper_bound)]))
+        lines = [",".join(pt.trace.dtype.names)]
+        for row in pt.trace.tolist():
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
         _write(args.trace, "\n".join(lines) + "\n")
     if args.emit_certificate:
         cert = certificate_from_solution(pt, source, dist)
@@ -218,8 +216,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "source", "n")
-    curve = sweep_curve(parse_source(args.source), parse_distortion(args.dist),
-                        args.n, parse_lambda_grid(args.lambda_grid),
+    grid = None if args.lambda_grid is None else parse_lambda_grid(args.lambda_grid)
+    curve = sweep_curve(parse_source(args.source), parse_distortion(args.dist), args.n, grid,
                         SolverConfig(lam=0.0, epsilon=args.eps,
                                      max_iters=args.max_iters, delay=args.delay))
     _write(args.output, _curve_csv(curve))
@@ -289,10 +287,8 @@ def run(argv=None) -> int:
             parser._commands[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError: the codebook cap of ``simulate``
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

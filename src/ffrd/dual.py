@@ -33,7 +33,7 @@ from .prob import (
     _factor_product,
     reverse_causal_factors,
 )
-from .solver import RatePoint, _channel, _check_lam, _step, _Workspace
+from .solver import RatePoint, _channel, _check_lam, _step_stack, _Workspace
 
 #: largest constraint excess, in bits, that ``check_feasibility`` accepts
 FEASIBILITY_TOL = 1e-9
@@ -43,6 +43,19 @@ RECONSTRUCT_MAX_ITERS = 10_000
 RECONSTRUCT_TOL = 1e-12
 #: the row error and the p' excess, in bits, a tight certificate may show
 TIGHT_TOL = 1e-6
+#: differences of residuals and of iterates ``_anderson`` extrapolates from
+ANDERSON_MEMORY = 5
+
+
+def _check_gamma(gamma, shape: tuple) -> np.ndarray:
+    """gamma as a contiguous float array, checked to be finite, positive and of ``shape``."""
+    g = np.ascontiguousarray(np.asarray(gamma, dtype=float))
+    if g.shape != shape:
+        raise ValueError(f"gamma has shape {g.shape}; the source needs one entry per "
+                         f"block, shape {shape}")
+    if not np.all(np.isfinite(g)) or np.any(g <= 0):
+        raise ValueError("gamma must be finite and strictly positive")
+    return g
 
 
 class NonTightCertificateError(ValueError):
@@ -70,12 +83,8 @@ class DualCertificate:
 
     def __post_init__(self):
         _check_lam(self.lam)
-        g = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
-        if g.shape != (self.src_alphabet_size**self.n,):
-            raise ValueError("gamma must have one entry per source block")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0):
-            raise ValueError("gamma must be finite and strictly positive")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma",
+                           _check_gamma(self.gamma, (self.src_alphabet_size**self.n,)))
         facs = tuple(np.asarray(f, dtype=float) for f in self.p_prime_factors)
         if len(facs) != self.n:
             raise ValueError(f"a certificate for n={self.n} needs {self.n} p' factors, "
@@ -138,12 +147,7 @@ class FeasibilityReport:
 def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float) -> float:
     """(1/n)(-lam*D + sum_x p(x^n) log2 gamma(x^n)) in bits per symbol."""
     _check_lam(lam)
-    g = np.asarray(gamma, dtype=float)
-    if g.shape != source.probs.shape:
-        raise ValueError(f"gamma has shape {g.shape}; the source needs one entry per "
-                         f"block, shape {source.probs.shape}")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise ValueError("gamma must be finite and strictly positive")
+    g = _check_gamma(gamma, source.probs.shape)
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
 
 
@@ -207,7 +211,7 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     n, A = source.n, source.src_alphabet_size
     B = q_star.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, 1, None)
-    joint = _channel(q_star.table, np.exp2(-point.lam * distortion.values), ctx)
+    joint, _ = _channel(q_star.table, np.exp2(-point.lam * distortion.values), ctx)
     joint *= source.probs[:, None]
     factors = reverse_causal_factors(joint, n, A, B)
     cert = DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
@@ -221,18 +225,18 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     return replace(cert, gamma=gamma)
 
 
-def _anderson(g, x: np.ndarray, iters: int, tol: float, memory: int = 5) -> np.ndarray:
+def _anderson(g, x: np.ndarray, iters: int, tol: float) -> np.ndarray:
     """Fixed point of g by Anderson acceleration from x (Walker & Ni 2011).
 
     Each step evaluates g at the iterate and proposes the extrapolation from
-    the last ``memory`` differences of residuals g(x) - x and of iterates;
-    a proposal that leaves the positive orthant is replaced by the plain
-    step g(x).  Stops after ``iters`` steps, or at g(x) once the residual is
-    below ``tol`` entrywise.  The differences are kept as the columns of two
-    arrays, oldest first, each computed once when its step is taken.
+    the last ``ANDERSON_MEMORY`` differences of residuals g(x) - x and of
+    iterates; a proposal that leaves the positive orthant is replaced by the
+    plain step g(x).  Stops after ``iters`` steps, or at g(x) once the
+    residual is below ``tol`` entrywise.  The differences are kept as the
+    columns of two arrays, oldest first, each computed once when its step is
+    taken.
     """
-    dF = np.empty((x.size, memory))
-    dX = np.empty((x.size, memory))
+    dF, dX = (np.empty((x.size, ANDERSON_MEMORY)) for _ in range(2))
     m = 0
     f_prev = x_prev = None
     for _ in range(iters):
@@ -241,7 +245,7 @@ def _anderson(g, x: np.ndarray, iters: int, tol: float, memory: int = 5) -> np.n
         if float(np.max(np.abs(f))) < tol:
             return gx
         if f_prev is not None:
-            if m == memory:
+            if m == ANDERSON_MEMORY:
                 dF[:, :-1] = dF[:, 1:]
                 dX[:, :-1] = dX[:, 1:]
             else:
@@ -289,7 +293,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     # rows off the source support carry no joint mass: keep them finite
     weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
-    q = np.full((A ** (n - 1), B**n), float(B) ** (-n))
+    q = np.full((1, A ** (n - 1), B**n), float(B) ** (-n))  # a stack of one
     ws = _Workspace(ctx, 1)  # every step below writes into it
     # Plain iteration first: the map contracts toward the fixed point but its
     # linearization has unit eigenvalues along a manifold of equal-objective
@@ -298,7 +302,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     # slow modes and converges in a handful of extra steps.
     warmup = 200
     for _ in range(warmup):
-        q = _step(q, weight, p, ctx, ws=ws).q_next
+        q = _step_stack(q, weight, p, ctx, ws=ws).q_next
 
     # Anderson acceleration on y = 1 - log2 q.  On q its proposals for the
     # entries that head to 0 turn negative and are refused; on y every
@@ -311,14 +315,12 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     def to_q(y):
         return np.exp2(1.0 - y).reshape(q.shape)
 
-    y = _anderson(lambda y: to_y(_step(to_q(y), weight, p, ctx, ws=ws).q_next), to_y(q),
-                  RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
-    q = to_q(y)
-    last = _step(q, weight, p, ctx, ws=ws)
-    channel = _channel(q, weight, ctx)
+    y = _anderson(lambda y: to_y(_step_stack(to_q(y), weight, p, ctx, ws=ws).q_next),
+                  to_y(q), RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
+    channel, rows = _channel(to_q(y)[0], weight, ctx)
     channel[~support] = float(B) ** (-n)
     # "not <=" so that a NaN channel is refused too
-    worst = float(np.max(np.abs(last.rows[support] - p[support]) / p[support]))
+    worst = float(np.max(np.abs(rows[support] - p[support]) / p[support]))
     if not worst <= TIGHT_TOL:
         raise NonTightCertificateError(
             f"certificate is not tight: channel rows deviate by {worst:.3e}")

@@ -90,6 +90,11 @@ def block_pmf(spec: SourceSpec, n: int) -> BlockSource:
     return BlockSource(n=n, src_alphabet_size=A, probs=probs)
 
 
+def _check_distortion_values(values: np.ndarray) -> None:
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise ValueError("distortion values must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class DistortionSpec:
     """Per-letter distortion with a sliding window of ``m`` past source symbols.
@@ -141,8 +146,7 @@ class DistortionSpec:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
-        if np.any(t < 0) or not np.all(np.isfinite(t)):
-            raise ValueError("distortion values must be finite and >= 0")
+        _check_distortion_values(t)
         if t.shape != (self.src_alphabet_size,) * (self.m + 1) + (self.rec_alphabet_size,):
             raise ValueError("distortion table shape mismatch with alphabets")
         object.__setattr__(self, "table", t)
@@ -161,8 +165,7 @@ class DistortionTensor:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if v.shape != (self.src_alphabet_size**self.n, self.rec_alphabet_size**self.n):
             raise ValueError("distortion tensor must be |X|^n by |X̂|^n")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("distortion values must be finite and >= 0")
+        _check_distortion_values(v)
         object.__setattr__(self, "values", v)
 
 

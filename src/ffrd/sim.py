@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -169,29 +169,34 @@ class SimulationReport:
         return json.dumps(asdict(self))
 
 
-def _lambda_for_distortion(source, dist, target_D: float, delay: int,
-                           tol: float = 1e-4) -> RatePoint:
+#: every solve of the simulator, with its lam replaced; code trees need delay 1
+_CONFIG = SolverConfig(lam=0.0, delay=1, epsilon=1e-8)
+#: distortion gap at which ``_lambda_for_distortion`` takes a weight
+_D_TOL = 1e-4
+
+
+def _lambda_for_distortion(source, dist, target_D: float) -> RatePoint:
     """Bisect the Lagrange weight so the solved distortion hits the target
     (solved distortion is nonincreasing in the weight); returns the point
     solved at the weight found.  The top of the bracket, 64, is solved
-    first: when its distortion is still at least ``tol`` above the target,
-    every probe would climb to it, so that point is returned at once.  Once
-    the midpoint rounds onto an end of the bracket, every later probe would
-    be at that same weight, so the point just solved is returned."""
+    first: when its distortion is still at least ``_D_TOL`` above the
+    target, every probe would climb to it, so that point is returned at
+    once.  Once the midpoint rounds onto an end of the bracket, every later
+    probe would be at that same weight: the point just solved is returned."""
     lo, hi = 0.0, 64.0
-    point = solve(source, dist, SolverConfig(lam=hi, delay=delay, epsilon=1e-8))
-    if point.D - target_D >= tol:
+    point = solve(source, dist, replace(_CONFIG, lam=hi))
+    if point.D - target_D >= _D_TOL:
         return point
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        point = solve(source, dist, SolverConfig(lam=mid, delay=delay, epsilon=1e-8))
-        if abs(point.D - target_D) < tol or mid in (lo, hi):
+        point = solve(source, dist, replace(_CONFIG, lam=mid))
+        if abs(point.D - target_D) < _D_TOL or mid in (lo, hi):
             return point
         if point.D > target_D:
             lo = mid
         else:
             hi = mid
-    return solve(source, dist, SolverConfig(lam=0.5 * (lo + hi), delay=delay, epsilon=1e-8))
+    return solve(source, dist, replace(_CONFIG, lam=0.5 * (lo + hi)))
 
 
 #: (trial, tree, level) entries of the walks ``monte_carlo`` gathers and
@@ -223,13 +228,18 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     before any tree is drawn.  Drawing the array also holds its uniforms and
     one level's pmfs, |X̂| floats per branch, at a time: at |X| = |X̂| = 2
     and n = 2 the draw peaks at about 3.5 times the array.  ``trials < 1``,
-    ``L < n``, an ``L`` that is not a multiple of ``n`` and a negative
-    ``seed`` raise ``ValueError``, and a ``seed`` that is not an integer
-    ``TypeError``, before any solve.
+    ``L < n``, an ``L`` that is not a multiple of ``n``, a negative
+    ``seed``, a non-finite ``delta`` and a NaN or negative ``target_D`` raise
+    ``ValueError``, and a ``seed`` that is not an integer ``TypeError``,
+    before any solve; a tree count past the floats exceeds every cap.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if not target_D >= 0.0:  # NaN too
+        raise ValueError(f"target_D must be >= 0, got {target_D!r}")
     source = block_pmf(source_spec, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -237,10 +247,11 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
         raise ValueError(f"tree depth L = {L} must be a positive multiple of n = {n}")
     dist = distortion_tensor(distortion_spec, n)
     if lam is None:
-        point = _lambda_for_distortion(source, dist, target_D, delay=1)
+        point = _lambda_for_distortion(source, dist, target_D)
     else:
-        point = solve(source, dist, SolverConfig(lam=lam, delay=1, epsilon=1e-8))
-    size = max(int(math.floor(2.0 ** (L * (point.R + delta)))), 1)
+        point = solve(source, dist, replace(_CONFIG, lam=lam))
+    bits = L * (point.R + delta)  # 2.0 ** bits overflows a float from 1024 on
+    size = max(math.floor(2.0 ** bits), 1) if bits < 1024 else math.inf
     A = source.src_alphabet_size
     if size * L * A ** (n - 1) > memory_cap:
         raise MemoryError(f"decision array of {size} trees x {L} levels x {A ** (n - 1)} "

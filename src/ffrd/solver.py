@@ -10,9 +10,9 @@ the causal-kernel update q = causal factorization of p*r, and the stopping
 statistic F (which bounds the gap between the per-iteration lower and upper
 bounds on the rate by exactly F/n).  The step is written once, in
 ``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
-stack of solves.  ``solve`` runs it for one point and ``curves.sweep`` for a
-stack of points; the certificate and the channel reconstruction in ``dual``
-take the same step with their own weights.
+stack of solves.  ``solve`` runs it on a stack of one and ``curves.sweep``
+on a stack of points; the channel reconstruction in ``dual`` takes the same
+step, on a stack of one, with p' as its weight.
 
 The step writes every table into a workspace (``_Workspace``) that a stack
 of solves builds once and reuses at every iteration, so a step allocates no
@@ -37,8 +37,8 @@ than a small step's arithmetic.  Its dots (``_dot``: the row sums, D,
 E[log2 c] and E_p[log2 rows]) write no table and run over pieces of at most
 10,000 entries added in a fixed order; OpenBLAS runs a dot of that size on
 one thread.  Every sum of the step is taken in an order fixed by the
-array's shape alone, for a lone step as for a stack, so no answer depends
-on the BLAS thread count.
+array's shape alone, for a stack of one as for a larger one, so no answer
+depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -176,29 +176,22 @@ class RatePoint:
 
 class _Step(NamedTuple):
     """One alternating-minimization step taken from a stack of kernel context
-    tables q, member axis first.
+    tables q, member axis first; a lone solve is a stack of one.
 
-    A step of a stack holds its statistics as lists of one Python float per
-    member.  ``member(j)``, and so ``_step``, gives the lone step of one
-    member: its arrays without the member axis and its statistics as floats.
-    The step holds no channel and no joint; ``_channel`` builds the channel
-    from q and the weight, and p times it is the joint.
+    Its arrays keep the member axis, and its statistics are lists of one
+    Python float per member.  The step holds no channel and no joint;
+    ``_channel`` builds the channel from q and the weight, and p times it
+    is the joint.
     """
 
     rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
     q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
     # the rest only when the step is given the weighted distortion
-    log_max_c: float | list | None = None  # max log2 c over contexts carrying joint mass
-    mean_logc: float | list | None = None  # E[log2 c] under the joint
-    D: float | list | None = None
-    mean_log_rows: float | list | None = None  # E_p[log2 rows]
-
-    def member(self, j: int) -> "_Step":
-        """The lone step of member j of a stack."""
-        stats = (None,) * 4 if self.D is None else \
-            (self.log_max_c[j], self.mean_logc[j], self.D[j], self.mean_log_rows[j])
-        return _Step(self.rows[j], self.q_next[j], [f[j] for f in self.factors], *stats)
+    log_max_c: list | None = None  # max log2 c over contexts carrying joint mass
+    mean_logc: list | None = None  # E[log2 c] under the joint
+    D: list | None = None
+    mean_log_rows: list | None = None  # E_p[log2 rows]
 
 
 #: Entries of the pieces ``_dot`` takes its dots in: OpenBLAS splits a
@@ -242,17 +235,18 @@ def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: fl
     return IterationDiagnostics(k, log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
 
 
-def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> np.ndarray:
+def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> tuple:
     """The (|X|^n, |X̂|^n) channel (q * weight) / rows of one kernel context
-    table q, as a fresh table: the rows of q * weight normalized.  Its row
-    sums are ufunc sums of the table, not the step's dots, so they may
+    table q, as a fresh table, and the (|X|^n,) row sums it is divided by.
+    They are ufunc sums of the table, not the step's dots, so they may
     differ from the step's ``rows`` in the last bit."""
     src = q if ctx.rows is None else q[ctx.rows]
     r = np.empty(weight.shape)
     num = r.reshape(src.shape[0], ctx.A**ctx.s, -1)
     np.multiply(src[:, None, :], weight.reshape(num.shape), num)
-    num /= np.add.reduce(num, axis=-1)[..., None]
-    return r
+    rows = np.add.reduce(num, axis=-1)
+    num /= rows[..., None]
+    return r, rows.ravel()
 
 
 class _Workspace:
@@ -307,9 +301,9 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
         prefix[c, x̂] = q'[c, x̂] sum_t w[c, t, x̂] p[c, t] / rows[c, t],
 
     the prefix mass, the joint summed over the s newest symbols, which the
-    factorization reads.  Each member goes through the operations of a lone
-    step, and its sums run over its own entries, so its results are those
-    of a lone step bit for bit.
+    factorization reads.  Each member goes through the operations of a
+    one-member stack, and its sums run over its own entries, so its results
+    are those of its own one-member stack bit for bit.
 
     The step's tables are written into ``ws`` (a fresh ``_Workspace`` when
     None) and are valid until the next step given it; q may be the previous
@@ -358,12 +352,6 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     D = _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d))
     mean_log_rows = _dots(np.log2(rows, ws.log_rows), p)
     return _Step(ws.rows, q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
-
-
-def _step(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-          wd: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
-    """:func:`_step_stack` from one (Z^{n-s}, |X̂|^n) context table q."""
-    return _step_stack(q[None], weight, p, ctx, wd, ws).member(0)
 
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
@@ -461,8 +449,8 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             traces[j] = _record(traces[j], diag)
             if diag.F < cfg.epsilon or k == cfg.max_iters:
                 finished = True
-                points[j] = _point(st.member(pos), q[pos], tilt[pos], diag, cfg, ctx, fmap,
-                                   traces[j])
+                points[j] = _point([f[pos] for f in st.factors], q[pos], tilt[pos], diag,
+                                   cfg, ctx, fmap, traces[j])
                 if diag.lower_bound <= 0.0:
                     end = j + 1  # the members after it are cut
                     break
@@ -478,19 +466,18 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         ws = _Workspace(ctx, len(members))
 
 
-def _point(st: _Step, q: np.ndarray, weight: np.ndarray, diag: IterationDiagnostics,
+def _point(factors: list, q: np.ndarray, weight: np.ndarray, diag: IterationDiagnostics,
            config: SolverConfig, ctx: _Contexts, fmap: np.ndarray | None,
            trace: np.ndarray) -> RatePoint:
-    """The RatePoint of a solve whose last step is ``st``, taken from the
-    kernel context table q with ``weight``, with record ``diag``.
+    """The RatePoint of a solve whose last step, from the context table q
+    with ``weight``, gave the kernel ``factors`` and the record ``diag``.
 
-    The step's tables live in the solve's workspace, so the point copies the
-    factors it keeps; its channel is built afresh from q (``_channel``).
+    The factors live in the solve's workspace, so the point copies them; its
+    channel is built afresh from q (``_channel``).
     """
     channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
-                             probs=_channel(q, weight, ctx))
-    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, tuple(f.copy() for f in st.factors),
-                          fmap)
+                             probs=_channel(q, weight, ctx)[0])
+    kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, tuple(f.copy() for f in factors), fmap)
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite
     # when abandoned branches have underflowed.

@@ -199,6 +199,16 @@ class TestSimulateCommand:
         assert rep["trials"] == 20
         assert 0.0 <= rep["mean_distortion"] <= 1.0
 
+    def test_codebook_over_the_cap_is_an_error_line(self, capsys):
+        # the cap's MemoryError used to escape as a traceback
+        code = run(["simulate", "--source", "iid:0.5", "--n", "2", "--L", "18",
+                    "--delta", "1.5", "--trials", "10", "--target-D", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: decision array of ")
+        assert "exceeds the cap" in captured.err
+        assert captured.out == ""
+
     def test_solver_flags_rejected(self, tmp_path, capsys):
         # monte_carlo solves at delay 1 with its own tolerance: a solver
         # setting on the command line or in a config file is an error, not

@@ -15,7 +15,7 @@ from ffrd import curves
 from ffrd.curves import _dedup_sorted, _warm_start, default_lambda_grid, sweep
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import _Contexts
-from ffrd.solver import SolverConfig, _solve_lockstep, _step, _step_stack, _Workspace, solve
+from ffrd.solver import SolverConfig, _solve_lockstep, _step_stack, _Workspace, solve
 
 from helpers import kernel_from_joint, workspace_bytes
 from oracles import sweep_serial
@@ -42,22 +42,25 @@ def _random_kernel_table(rng, ctx, ff_map, cell_zeros):
     return kernel.table
 
 
-def _assert_same_step(got, ref):
-    for a, b in zip(got[:2], ref[:2]):  # rows, q_next
-        assert a.shape == b.shape
-        np.testing.assert_array_equal(a, b)
-    assert len(got.factors) == len(ref.factors)
-    for a, b in zip(got.factors, ref.factors):
-        assert a.shape == b.shape
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(got[3:], ref[3:])  # log_max_c, mean_logc, D, mean_log_rows
+def _assert_same_member(stack, j, lone):
+    """Member j of the stacked step ``stack`` is the one-member step ``lone``."""
+    for a, b in zip(stack[:2], lone[:2]):  # rows, q_next
+        assert a[j].shape == b[0].shape
+        np.testing.assert_array_equal(a[j], b[0])
+    assert len(stack.factors) == len(lone.factors)
+    for a, b in zip(stack.factors, lone.factors):
+        assert a[j].shape == b[0].shape
+        np.testing.assert_array_equal(a[j], b[0])
+    # log_max_c, mean_logc, D, mean_log_rows: lists of one float per member, or None
+    assert [x if x is None else x[j] for x in stack[3:]] == \
+        [x if x is None else x[0] for x in lone[3:]]
 
 
 @settings(max_examples=80, deadline=None)
 @given(shape=st.sampled_from(SHAPES), data=st.data())
 def test_stacked_step_equals_lone_steps(shape, data):
     """Each member of a stacked step, with its own weight or with one shared
-    weight, is the lone step of its table bit for bit, statistics included."""
+    weight, is the one-member step of its table bit for bit, statistics included."""
     A, B, n = shape
     s = data.draw(st.integers(1, n), label="s")
     ff_map = _map(data.draw(st.sampled_from(MAPS), label="map"), A)
@@ -74,11 +77,12 @@ def test_stacked_step_equals_lone_steps(shape, data):
 
     stack = _step_stack(q, tilt, p, ctx, tilt * dvals)
     for j in range(L):
-        _assert_same_step(stack.member(j), _step(q[j], tilt[j], p, ctx, tilt[j] * dvals))
+        _assert_same_member(stack, j, _step_stack(q[j][None], tilt[j], p, ctx,
+                                                  tilt[j] * dvals))
     weight = rng.random((A**n, B**n)) + 0.1  # one weight for all, no statistics
     stack = _step_stack(q, weight, p, ctx)
     for j in range(L):
-        _assert_same_step(stack.member(j), _step(q[j], weight, p, ctx))
+        _assert_same_member(stack, j, _step_stack(q[j][None], weight, p, ctx))
 
 
 def _assert_same_point(a, b):

@@ -344,20 +344,38 @@ def test_monte_carlo_matches_loops(data):
         seed, 0.25))
 
 
-@pytest.mark.parametrize("n, L, trials, seed, error", [
-    (2, 8, 0, 1, ValueError), (2, 8, -1, 1, ValueError), (2, 0, 10, 1, ValueError),
-    (2, 1, 10, 1, ValueError), (2, 7, 10, 1, ValueError), (3, 8, 10, 1, ValueError),
-    (2, 8, 10, -1, ValueError), (2, 8, 10, 1.5, TypeError)],
+@pytest.mark.parametrize("n, L, trials, seed, delta, target_D, error", [
+    (2, 8, 0, 1, 0.15, 0.25, ValueError), (2, 8, -1, 1, 0.15, 0.25, ValueError),
+    (2, 0, 10, 1, 0.15, 0.25, ValueError), (2, 1, 10, 1, 0.15, 0.25, ValueError),
+    (2, 7, 10, 1, 0.15, 0.25, ValueError), (3, 8, 10, 1, 0.15, 0.25, ValueError),
+    (2, 8, 10, -1, 0.15, 0.25, ValueError), (2, 8, 10, 1.5, 0.15, 0.25, TypeError),
+    (2, 8, 10, 1, np.nan, 0.25, ValueError), (2, 8, 10, 1, np.inf, 0.25, ValueError),
+    (2, 8, 10, 1, -np.inf, 0.25, ValueError), (2, 8, 10, 1, 0.15, np.nan, ValueError),
+    (2, 8, 10, 1, 0.15, -0.1, ValueError)],
     ids=["no-trials", "negative-trials", "L0", "L-below-n", "L7-n2", "L8-n3",
-         "negative-seed", "float-seed"])
-def test_monte_carlo_rejects_unworkable_inputs_before_solving(n, L, trials, seed, error,
-                                                              monkeypatch):
+         "negative-seed", "float-seed", "nan-delta", "inf-delta", "minus-inf-delta",
+         "nan-target", "negative-target"])
+def test_monte_carlo_rejects_unworkable_inputs_before_solving(n, L, trials, seed, delta,
+                                                              target_D, error, monkeypatch):
+    # a NaN target used to run 82 solves and report rate 0, a NaN delta to
+    # fail after 16 solves, and an infinite one to raise OverflowError
     def no_solve(*_, **__):
         raise AssertionError("solved before the inputs were checked")
 
     monkeypatch.setattr(sim, "solve", no_solve)
-    with pytest.raises(error, match="trials|multiple of n|seed|integer"):
-        monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, 0.15, trials, seed, 0.25)
+    with pytest.raises(error, match="trials|multiple of n|seed|integer|delta|target_D"):
+        monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, delta, trials, seed, target_D)
+
+
+@pytest.mark.parametrize("delta", [1e6, 1e300])
+def test_monte_carlo_tree_count_past_a_float_meets_the_cap(delta, monkeypatch):
+    # 2^{L(R + delta)} overflows a float; it used to raise OverflowError
+    def no_sampling(*_):
+        raise AssertionError("a tree was sampled before the cap check")
+
+    monkeypatch.setattr(sim, "_sample_decisions", no_sampling)
+    with pytest.raises(MemoryError, match="exceeds the cap"):
+        monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 18, delta, 10, 1, 0.25, lam=3.0)
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
@@ -421,6 +439,6 @@ def test_bisection_stops_once_the_bracket_collapses(monkeypatch):
     monkeypatch.setattr(sim, "solve", recording)
     source = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
     dist = distortion_tensor(DistortionSpec.stock(), 2)
-    point = sim._lambda_for_distortion(source, dist, 0.08, delay=1)
+    point = sim._lambda_for_distortion(source, dist, 0.08)
     assert len(solved) == len(set(solved)) == 1
     assert point.lam == solved[-1] == 64.0

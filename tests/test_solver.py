@@ -18,7 +18,7 @@ from ffrd.models import (
     distortion_tensor,
 )
 from ffrd.prob import CausalKernel, ForwardChannel, _Contexts
-from ffrd.solver import IterationDiagnostics, SolverConfig, _kernel_table, _step, solve
+from ffrd.solver import IterationDiagnostics, SolverConfig, _kernel_table, _step_stack, solve
 
 from helpers import assert_same_iterates, kernel_from_joint
 from oracles import solve_classical
@@ -46,8 +46,8 @@ def kernel_update(source, channel, s, ff_map=None):
     kernel with the channel as its weight, as reconstruction takes it."""
     n, A, B = channel.n, channel.src_alphabet_size, channel.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
-    uniform = np.full((ctx.Z ** (n - s), B**n), float(B) ** (-n))
-    return ctx.full(_step(uniform, channel.probs, source.probs, ctx).q_next)
+    uniform = np.full((1, ctx.Z ** (n - s), B**n), float(B) ** (-n))
+    return ctx.full(_step_stack(uniform, channel.probs, source.probs, ctx).q_next[0])
 
 
 class TestUpdateR:

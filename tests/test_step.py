@@ -17,7 +17,7 @@ from ffrd.models import (
     distortion_tensor,
 )
 from ffrd.prob import BlockSource, _context_factors, _Contexts, _factor_product
-from ffrd.solver import SolverConfig, _diagnostics, _step, solve
+from ffrd.solver import SolverConfig, _diagnostics, _step_stack, solve
 
 from helpers import kernel_from_joint
 from oracles import (
@@ -108,13 +108,14 @@ def test_step_matches_full_table_reference(shape, data):
     ref_q, ref_factors, ref_diag = solver_step_full_table(
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
-    step = _step(kernel.table, tilt, p, ctx, tilt * dvals)
-    diag = _diagnostics(lam, n, 1, step.mean_log_rows, step.log_max_c, step.mean_logc, step.D)
+    step = _step_stack(kernel.table[None], tilt, p, ctx, tilt * dvals)
+    diag = _diagnostics(lam, n, 1, step.mean_log_rows[0], step.log_max_c[0],
+                        step.mean_logc[0], step.D[0])
 
     np.testing.assert_allclose(diag[1:], ref_diag, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(ctx.full(step.q_next), ref_q)
+    np.testing.assert_array_equal(ctx.full(step.q_next[0]), ref_q)
     for f, ref_f in zip(step.factors, ref_factors):
-        np.testing.assert_array_equal(f, ref_f)
+        np.testing.assert_array_equal(f[0], ref_f)
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,8 +153,8 @@ def _certificate_map(n, lam):
     ctx = _Contexts.of(n, 2, 2, 1, None)
 
     def g(x):
-        return ctx.full(_step(x.reshape(2**n, 2**n)[::2], cert.p_prime_table,
-                              source.probs, ctx).q_next).ravel()
+        return ctx.full(_step_stack(x.reshape(2**n, 2**n)[None, ::2], cert.p_prime_table,
+                                    source.probs, ctx).q_next[0]).ravel()
     return g, np.full(4**n, 2.0**-n)
 
 

@@ -35,9 +35,11 @@ of every point's kernel, and two more over the certificates
 (``certificate_from_solution``) of the ``certify`` solves: one over their
 gamma and one over their p' factors, so two trees can be checked to give
 the same answers bit for bit, and a change to one part of the certificate
-told from a change to the other.  A last one, ``simulate_sha256``, covers
-the ``to_json()`` bytes of the reports of the benchmark's two ``simulate``
-runs at seeds 1 and 7, so simulator changes can be checked bit for bit too.
+told from a change to the other.  ``reconstruct_sha256`` covers the
+channel ``reconstruct_channel`` rebuilds from the n=5, lam=9 certificate.
+A last one, ``simulate_sha256``, covers the ``to_json()`` bytes of the
+reports of the benchmark's two ``simulate`` runs at seeds 1 and 7, so
+simulator changes can be checked bit for bit too.
 It also records ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` it ran under
 ("unset" when not set); no digest should change with it.
 Startup mode times fresh interpreters: the median wall time of
@@ -162,7 +164,8 @@ def step_cases() -> list:
 def answers() -> dict:
     """SHA-256 of the answers of the benchmark's sweep curves and certify
     solves, of their kernels' factors, of the certify solves' certificates,
-    and of the simulate reports."""
+    of the channel rebuilt from the last certificate, and of the simulate
+    reports."""
     import numpy as np
 
     import ffrd
@@ -192,6 +195,8 @@ def answers() -> dict:
         gamma.update(cert.gamma.tobytes())
         for f in cert.p_prime_factors:
             p_prime.update(f.tobytes())  # C order, whatever the strides
+    # the last certificate is the n=5 one, and ``source`` is still its source
+    reconstruct = hashlib.sha256(ffrd.reconstruct_channel(certs[-1], source).probs.tobytes())
     simulate, reports = simulate_workload(), hashlib.sha256()
     inputs = simulate.setup()
     for seed in (1, 7):
@@ -203,6 +208,7 @@ def answers() -> dict:
             "points": len(points), "sha256": digest.hexdigest(),
             "factors_sha256": factors.hexdigest(), "certificates": len(certs),
             "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),
+            "reconstruct_sha256": reconstruct.hexdigest(),
             "simulate_sha256": reports.hexdigest()}
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .analytic import iid_binary_rd, markov_rn, stock_market_rd
 from .curves import sweep as sweep_curve
-from .dual import DualCertificate, certificate_from_solution, check_feasibility, dual_objective
+from .dual import (DualCertificate, _json_field, certificate_from_solution, check_feasibility,
+                   dual_objective)
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
 from .sim import monte_carlo
 from .solver import SolverConfig, solve
@@ -60,12 +61,10 @@ def parse_distortion(text: str) -> DistortionSpec:
 def parse_lambda_grid(text: str) -> np.ndarray:
     """'log:<lo>,<hi>,<count>' or 'lin:<lo>,<hi>,<count>' or comma list."""
     try:
-        if text.startswith("log:"):
+        spacing = {"log:": np.geomspace, "lin:": np.linspace}.get(text[:4])
+        if spacing is not None:
             lo, hi, count = text[4:].split(",")
-            return np.geomspace(float(lo), float(hi), int(count))
-        if text.startswith("lin:"):
-            lo, hi, count = text[4:].split(",")
-            return np.linspace(float(lo), float(hi), int(count))
+            return spacing(float(lo), float(hi), int(count))
         return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid {text!r}: {exc}") from exc
@@ -83,8 +82,26 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The JSON config file's values keyed by argument name."""
+#: the JSON types a config file may give a flag, by the type the flag
+#: parses, and their name; a string goes through the flag's own parser
+_CONFIG_TYPES = {int: ((int, str), "a whole number"), float: ((int, float, str), "a number"),
+                 str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config file's value for the flag ``action``, checked against ``_CONFIG_TYPES``."""
+    kind = bool if action.nargs == 0 else action.type or str
+    if kind is int and type(value) is float and value % 1 == 0:
+        value = int(value)  # a whole float is a whole number
+    types, name = _CONFIG_TYPES[kind]
+    if type(value) not in types:
+        raise ConfigError(f"config key {key!r}: {action.dest} must be {name}, got {value!r}")
+    return value
+
+
+def _config_defaults(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
+    """The JSON config file's values keyed by argument name, checked
+    against the flags of ``command``."""
     try:
         with open(args.config) as fh:
             file_vals = json.load(fh)
@@ -92,12 +109,13 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(file_vals, dict):
         raise ConfigError(f"config {args.config!r} must be a JSON object")
+    actions = {action.dest: action for action in command._actions if hasattr(args, action.dest)}
     defaults = {}
     for key, value in file_vals.items():
         attr = "lam" if key == "lambda" else key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        defaults[attr] = value
+        defaults[attr] = _config_value(key, value, actions[attr])
     return defaults
 
 
@@ -112,15 +130,10 @@ def _write(path: str | None, text: str) -> None:
 SWEEP_COLUMNS = "lambda,D,R,iterations,F_final,lower_bound,upper_bound,converged"
 
 
-def _curve_csv(curve) -> str:
-    lines = [SWEEP_COLUMNS]
-    for pt in curve.points:
-        lines.append(",".join([
-            _fmt(pt.lam), _fmt(pt.D), _fmt(pt.R), str(pt.iterations),
-            _fmt(pt.F_final), _fmt(pt.lower_bound), _fmt(pt.upper_bound),
-            str(int(pt.converged)),
-        ]))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    """CSV text of ``header`` and one line per row, floats by ``_fmt``."""
+    lines = [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join([header] + lines) + "\n"
 
 
 def _add_common(sp, lam=False, solver=True):
@@ -201,10 +214,7 @@ def _cmd_solve(args) -> int:
            f"upper_bound={_fmt(pt.upper_bound)}\n")
     _write(args.output, out)
     if args.trace:
-        lines = [",".join(pt.trace.dtype.names)]
-        for row in pt.trace.tolist():
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        _write(args.trace, "\n".join(lines) + "\n")
+        _write(args.trace, _csv(",".join(pt.trace.dtype.names), pt.trace.tolist()))
     if args.emit_certificate:
         cert = certificate_from_solution(pt, source, dist)
         payload = json.loads(cert.to_json())
@@ -220,7 +230,9 @@ def _cmd_sweep(args) -> int:
     curve = sweep_curve(parse_source(args.source), parse_distortion(args.dist), args.n, grid,
                         SolverConfig(lam=0.0, epsilon=args.eps,
                                      max_iters=args.max_iters, delay=args.delay))
-    _write(args.output, _curve_csv(curve))
+    _write(args.output, _csv(SWEEP_COLUMNS, [
+        (pt.lam, pt.D, pt.R, pt.iterations, pt.F_final, pt.lower_bound, pt.upper_bound,
+         int(pt.converged)) for pt in curve.points]))
     if args.strict and not all(pt.converged for pt in curve.points):
         return 2
     return 0
@@ -234,7 +246,7 @@ def _cmd_dual_check(args) -> int:
     source = block_pmf(parse_source(args.source), cert.n)
     dist = distortion_tensor(parse_distortion(args.dist), cert.n)
     report = check_feasibility(cert, source, dist)
-    D = float(payload.get("D", 0.0))
+    D = _json_field(payload, "D", float) if "D" in payload else 0.0
     obj = dual_objective(cert.lam, cert.gamma, source, D)
     _write(args.output,
            f"feasible={int(report.feasible)} max_violation={_fmt(report.max_violation)} "
@@ -284,7 +296,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # file values become defaults, so every flag given overrides them
-            parser._commands[args.command].set_defaults(**_config_defaults(args))
+            command = parser._commands[args.command]
+            command.set_defaults(**_config_defaults(args, command))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
-from .prob import CausalKernel, _context_factors, _Contexts
-from .solver import RatePoint, SolverConfig, _solve_lockstep, solve
+from .prob import CausalKernel
+from .solver import RatePoint, SolverConfig, _check_inputs, _solve_lockstep
 
 
 def default_lambda_grid(count: int = 24, low: float = 2.0**-3, high: float = 2.0**5) -> np.ndarray:
@@ -60,18 +60,17 @@ def _dedup_sorted(points: list[RatePoint]) -> list[RatePoint]:
 WARM_START_MIX = 1e-6
 
 
-def _warm_start(kernel: CausalKernel) -> CausalKernel:
-    """``kernel`` mixed with the uniform kernel by WARM_START_MIX.
+def _warm_start(kernel: CausalKernel) -> np.ndarray:
+    """The context table of ``kernel`` mixed with the uniform kernel by
+    WARM_START_MIX, the start the solver reads.
 
     Causal conditioning is a set of linear constraints on the table, so the
-    mixture is again a causal kernel; its factors are those of the mixture
-    spread over a uniform source.
+    mixture is again the table of a causal kernel, and strictly positive.
     """
-    n, A, B = kernel.n, kernel.src_alphabet_size, kernel.rec_alphabet_size
-    table = (1.0 - WARM_START_MIX) * kernel.probs + WARM_START_MIX * float(B) ** (-n)
-    ctx = _Contexts.of(n, A, B, kernel.delay, kernel.ff_map)
-    factors, _ = _context_factors((table / float(A) ** n)[None], ctx)
-    return CausalKernel(n, kernel.delay, A, B, tuple(f[0] for f in factors), kernel.ff_map)
+    table = kernel.table
+    table *= 1.0 - WARM_START_MIX
+    table += WARM_START_MIX * float(kernel.rec_alphabet_size) ** (-kernel.n)
+    return table
 
 
 #: Cells (|X|^n * |X̂|^n per point) of the stack of cold points ``sweep``
@@ -90,17 +89,13 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     The weights are solved from the largest down, each from the uniform
     kernel, until a point's certified lower bound reaches zero.  Its sandwich
     then contains rate 0, and so does every smaller weight's; from there on
-    each point starts from the previous one's kernel mixed with the uniform
-    kernel (``WARM_START_MIX``), which needs far fewer iterations on the
-    flat part of the curve.  Points above that one are exactly the cold
-    solves.  A weight listed twice is solved once.
-
-    The cold solves are independent, so they run in lockstep
-    (``solver._solve_lockstep``): as many weights at a time, largest first,
-    as fit ``_STACK_CELLS`` table cells, and at least one.  Once a point of
-    the stack certifies rate 0, the smaller weights leave it and the warm
-    chain takes over.  Every point is bit for bit the one a solve of its
-    own gives.
+    each point starts from the previous one's ``_warm_start``, which needs
+    far fewer iterations on the flat part of the curve.  A weight listed
+    twice is solved once.  Each pass is one lockstep
+    (``solver._solve_lockstep``): of as many cold weights, largest first, as
+    fit ``_STACK_CELLS`` table cells, and at least one, or of one warm
+    weight.  The cold stack's points stop at the first that certifies rate
+    0.  Every point is bit for bit that of a lockstep of its own.
 
     ``config`` supplies everything but the weight (tolerance, iteration cap,
     delay, feed-forward map); ``initial_context`` is passed to the
@@ -115,24 +110,18 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     base = config if config is not None else SolverConfig(lam=0.0)
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
+    _check_inputs(source, dist, base.feedforward_map)
     order = sorted(set(lams), reverse=True)
     width = max(1, _STACK_CELLS // dist.values.size)
     solved: dict[float, RatePoint] = {}
     start = None
-    while start is None and len(solved) < len(order):
-        chunk = order[len(solved):len(solved) + width]
+    while len(solved) < len(order):
+        chunk = order[len(solved):len(solved) + (width if start is None else 1)]
         points = _solve_lockstep(source, dist, [replace(base, lam=lam) for lam in chunk],
-                                 [None] * len(chunk))
-        for lam, pt in zip(chunk, points):
-            if pt is None:
-                break
-            solved[lam] = pt
-            if pt.lower_bound <= 0.0:
-                start = _warm_start(pt.kernel)
-    for lam in order[len(solved):]:
-        pt = solve(source, dist, replace(base, lam=lam), initial_kernel=start)
-        solved[lam] = pt
-        start = _warm_start(pt.kernel)
+                                 [start] * len(chunk))
+        solved.update(zip(chunk, points))
+        if start is not None or points[-1].lower_bound <= 0.0:
+            start = _warm_start(points[-1].kernel)
     deduped = _dedup_sorted([solved[lam] for lam in lams])
     return RdCurve(n=n, points=tuple(deduped),
                    configs=tuple(replace(base, lam=pt.lam) for pt in deduped))
@@ -146,29 +135,26 @@ def _converged_rd(curve: RdCurve):
     return np.array([[pt.R, pt.D] for pt in pts]).T
 
 
-def _monotone_rd(curve: RdCurve):
-    """(R ascending, D aligned) arrays from the converged points."""
-    R, D = _converged_rd(curve)[:, ::-1]  # D ascending => R descending
-    keep = np.concatenate([[True], np.diff(R) > 0])
-    return R[keep], D[keep]
+def _interp(x: float, xs: np.ndarray, ys: np.ndarray, what: str) -> float:
+    """Piecewise-linear interpolation of ys over xs ascending at x; of equal
+    xs the first is kept."""
+    keep = np.concatenate([[True], np.diff(xs) > 0])
+    xs, ys = xs[keep], ys[keep]
+    if not xs[0] <= x <= xs[-1]:
+        raise ValueError(f"{what} {x} outside curve range [{xs[0]:.6g}, {xs[-1]:.6g}]")
+    return float(np.interp(x, xs, ys))
 
 
 def distortion_at_rate(curve: RdCurve, rate: float) -> float:
     """Piecewise-linear interpolation of D as a function of R."""
-    R, D = _monotone_rd(curve)
-    if not R[0] <= rate <= R[-1]:
-        raise ValueError(f"rate {rate} outside curve range [{R[0]:.6g}, {R[-1]:.6g}]")
-    return float(np.interp(rate, R, D))
+    R, D = _converged_rd(curve)[:, ::-1]  # D ascending => R descending
+    return _interp(rate, R, D, "rate")
 
 
 def rate_at_distortion(curve: RdCurve, D: float) -> float:
     """Piecewise-linear interpolation of R as a function of D."""
-    Rs, Ds = _converged_rd(curve)
-    keep = np.concatenate([[True], np.diff(Ds) > 0])
-    Ds, Rs = Ds[keep], Rs[keep]
-    if not Ds[0] <= D <= Ds[-1]:
-        raise ValueError(f"distortion {D} outside curve range [{Ds[0]:.6g}, {Ds[-1]:.6g}]")
-    return float(np.interp(D, Ds, Rs))
+    R, Ds = _converged_rd(curve)
+    return _interp(D, Ds, R, "distortion")
 
 
 def rate_estimator(curve_n: RdCurve, curve_n_minus_1: RdCurve, rate_grid) -> np.ndarray:

@@ -19,6 +19,7 @@ matches the primal rate to within the solver's stopping threshold.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,16 +126,27 @@ class DualCertificate:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("certificate JSON must be an object")
-        try:
-            return DualCertificate(
-                lam=float(d["lam"]), n=int(d["n"]),
-                src_alphabet_size=int(d["src_alphabet_size"]),
-                rec_alphabet_size=int(d["rec_alphabet_size"]),
-                gamma=np.asarray(d["gamma"], dtype=float),
-                p_prime_factors=tuple(np.asarray(f, dtype=float) for f in d["p_prime_factors"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"certificate JSON has no key {exc.args[0]!r}") from None
+        return DualCertificate(**{key: _json_field(d, key, read)
+                                  for key, read in _JSON_FIELDS.items()})
+
+
+#: each key of a certificate's JSON, with what reads its value
+_JSON_FIELDS = {"lam": float, "n": operator.index, "src_alphabet_size": operator.index,
+                "rec_alphabet_size": operator.index,
+                "gamma": lambda v: np.asarray(v, dtype=float),
+                "p_prime_factors": lambda v: tuple(np.asarray(f, dtype=float) for f in v)}
+
+
+def _json_field(d: dict, key: str, read):
+    """``read`` of a JSON object's value at ``key``, with ``ValueError``
+    naming the key when it is missing or its value does not read."""
+    try:
+        return read(d[key])
+    except KeyError:
+        raise ValueError(f"certificate JSON has no key {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"certificate JSON key {key!r} holds a value of the wrong type "
+                         f"({exc})") from None
 
 
 @dataclass(frozen=True)

@@ -138,10 +138,8 @@ class DistortionSpec:
         distortion 1 for a missed drop or a false alarm, 0 otherwise.
         """
         e = np.zeros((2, 2, 2))
-        for prev in range(2):
-            for cur in range(2):
-                drop = 1 if (prev == 1 and cur == 0) else 0
-                e[prev, cur, 1 - drop] = 1.0
+        e[:, :, 1] = 1.0  # a false alarm
+        e[1, 0] = [1.0, 0.0]  # after a drop, silence misses it and a warning is right
         return DistortionSpec(m=1, table=e, src_alphabet_size=2, rec_alphabet_size=2)
 
     def __post_init__(self):

@@ -178,14 +178,17 @@ _D_TOL = 1e-4
 def _lambda_for_distortion(source, dist, target_D: float) -> RatePoint:
     """Bisect the Lagrange weight so the solved distortion hits the target
     (solved distortion is nonincreasing in the weight); returns the point
-    solved at the weight found.  The top of the bracket, 64, is solved
-    first: when its distortion is still at least ``_D_TOL`` above the
-    target, every probe would climb to it, so that point is returned at
-    once.  Once the midpoint rounds onto an end of the bracket, every later
-    probe would be at that same weight: the point just solved is returned."""
+    solved at the weight found.  The ends of the bracket are solved first:
+    when the distortion at 64 is still ``_D_TOL`` or more above the target,
+    or the target at or above the distortion at 0, every probe would go to
+    that end, and its point is returned.  Once the midpoint rounds onto an
+    end of the bracket, the point just solved is returned."""
     lo, hi = 0.0, 64.0
     point = solve(source, dist, replace(_CONFIG, lam=hi))
     if point.D - target_D >= _D_TOL:
+        return point
+    point = solve(source, dist, replace(_CONFIG, lam=lo))
+    if target_D >= point.D:
         return point
     for _ in range(80):
         mid = 0.5 * (lo + hi)

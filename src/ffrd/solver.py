@@ -10,35 +10,23 @@ the causal-kernel update q = causal factorization of p*r, and the stopping
 statistic F (which bounds the gap between the per-iteration lower and upper
 bounds on the rate by exactly F/n).  The step is written once, in
 ``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
-stack of solves.  ``solve`` runs it on a stack of one and ``curves.sweep``
-on a stack of points; the channel reconstruction in ``dual`` takes the same
-step, on a stack of one, with p' as its weight.
+stack of solves, and every solve is a member of a ``_solve_lockstep``
+stack started from a context table: ``solve`` runs a stack of one, from
+the uniform kernel or the table of the kernel it was given, and
+``curves.sweep`` its stacks of points; the channel reconstruction in
+``dual`` takes the same step, on a stack of one, with p' as its weight.
 
 The step writes every table into a workspace (``_Workspace``) that a stack
-of solves builds once and reuses at every iteration, so a step allocates no
-table.  The workspace also holds the step's prebuilt lists of calls, the
-factorization's (``prob._FactorSpace``) and the kernel product's into each
-of its two kernel tables, with every view made once; a step runs them, and
-one test on the context mass tells both the factorization and the stopping
-statistic whether any context is empty.  A step's arrays are valid until
-the next step given the same workspace, and a finished point copies the
-tables it keeps.  A call without a workspace gets a fresh one.
-
-The step writes no full (|X|^n, |X̂|^n) table: neither the channel nor the
-joint p * r.  Every table after the weight is context-sized, because the
-kernel is constant over the s newest source symbols: the row sums, the
+builds once, so a step allocates no table, and its arrays are valid until
+the next step given the same workspace; a finished point copies what it
+keeps.  No buffer is a full (|X|^n, |X̂|^n) table: the row sums, the
 prefix mass the factorization reads and D are contractions of the weight
-against q and p / rows.  A point builds its channel (q * weight) / rows
-once, from its last step's input kernel (``_channel``).  The step writes
-with ``out=`` and in place, and reduces with ufunc reductions
-(``np.add.reduce(x, axis=..., out=...)``): they give the bits of ``x.sum``
-and ``np.sum``, without the Python-level dispatch of those, which costs more
-than a small step's arithmetic.  Its dots (``_dot``: the row sums, D,
-E[log2 c] and E_p[log2 rows]) write no table and run over pieces of at most
-10,000 entries added in a fixed order; OpenBLAS runs a dot of that size on
-one thread.  Every sum of the step is taken in an order fixed by the
-array's shape alone, for a stack of one as for a larger one, so no answer
-depends on the BLAS thread count.
+against q and p / rows, and a point builds its channel once (``_channel``).
+The step reduces with ufunc reductions (``np.add.reduce(x, axis=...,
+out=...)``), which give the bits of ``x.sum`` without its Python-level
+dispatch, and takes its dots in fixed pieces (``_dot``).  Every sum of the
+step is taken in an order fixed by the array's shape alone, for a stack of
+one as for a larger one, so no answer depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -362,13 +350,13 @@ def _check_inputs(source: BlockSource, distortion: DistortionTensor,
                          f"the source alphabet has {source.src_alphabet_size}")
 
 
-def _kernel_table(kernel: CausalKernel, ctx: _Contexts, fmap: np.ndarray | None,
+def _kernel_table(kernel: CausalKernel, s: int, fmap: np.ndarray | None,
                   what: str) -> np.ndarray:
-    """The context table of a kernel given from outside, which must have the
-    delay of ``ctx`` and the feed-forward map ``fmap`` (``ValueError``
+    """The context table of a kernel given from outside, which must have
+    delay ``s`` and the feed-forward map ``fmap`` (``ValueError``
     otherwise); the caller has checked its block length and alphabets."""
-    if kernel.delay != ctx.s:
-        raise ValueError(f"{what} has delay {kernel.delay}; the solve has delay {ctx.s}")
+    if kernel.delay != s:
+        raise ValueError(f"{what} has delay {kernel.delay}; the solve has delay {s}")
     same_map = (kernel.ff_map is None if fmap is None
                 else kernel.ff_map is not None and np.array_equal(kernel.ff_map, fmap))
     if not same_map:
@@ -379,42 +367,48 @@ def _kernel_table(kernel: CausalKernel, ctx: _Contexts, fmap: np.ndarray | None,
 def solve(source: BlockSource, distortion: DistortionTensor,
           config: SolverConfig, initial_kernel: CausalKernel | None = None) -> RatePoint:
     """Run the alternating minimization from the uniform kernel, or from
-    ``initial_kernel``.
+    ``initial_kernel``, as a lockstep of one (``_solve_lockstep``).
 
     Iterates channel and kernel updates until the stopping statistic F drops
     below ``config.epsilon`` (then the reported rate is within epsilon of the
     true optimum at the realized distortion) or the iteration cap is hit.
     Every iteration appends its scalar IterationDiagnostics record to
     ``RatePoint.trace``.  The distortion tensor and the feed-forward map must
-    be defined on the source's block length and alphabet.  An initial
+    be defined on the source's block length and alphabet, and an initial
     kernel must match the solve's block length, delay, alphabets and
     feed-forward map and be strictly positive, so that the bounds hold from
-    the first iterate.  The iteration is that of every solve the package
-    runs, a lockstep of one (``_solve_lockstep``).
+    the first iterate (``ValueError`` otherwise).
     """
-    return _solve_lockstep(source, distortion, [config], [initial_kernel])[0]
+    _check_inputs(source, distortion, config.feedforward_map)
+    start = None
+    if initial_kernel is not None:
+        _check_dims("initial kernel", initial_kernel, distortion, "expected")
+        fmap = None if config.feedforward_map is None else config.feedforward_map.table
+        start = _kernel_table(initial_kernel, min(config.delay, source.n), fmap, "initial kernel")
+        if not np.all(start > 0.0):
+            raise ValueError("initial kernel must be strictly positive")
+    return _solve_lockstep(source, distortion, [config], [start])[0]
 
 
 def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: list,
-                    kernels: list) -> list:
+                    starts: list) -> list:
     """Solve one point per config, as :func:`solve` would, stepping all of
-    them together as one stack of context tables.
+    them together as one stack of context tables; nothing is checked.
 
     The configs share the delay and the feed-forward map and may differ in
-    the weight, tolerance and iteration cap; ``kernels`` holds one initial
-    kernel or None per config.  All members take their k-th step together;
-    a member leaves the stack when F drops below its tolerance or it reaches
-    its cap, and its RatePoint is built then.  Every member's iterates, and
-    so its point, are bit for bit those of its own solve.
+    the weight, tolerance and iteration cap.  ``starts`` holds one start per
+    config: a strictly positive kernel context table, or None for the
+    uniform kernel.  All members take their k-th step together; a member
+    leaves the stack when F drops below its tolerance or it reaches its cap,
+    and its RatePoint is built then.  Every member's iterates, and so its
+    point, are bit for bit those of its own lockstep of one.
 
     The configs are taken in order, as ``sweep`` passes them by descending
-    weight: a member that finishes with a lower bound <= 0 takes every later
-    member out of the stack, finished or not, and their entries in the
-    returned list are None.  The entries that stay are the points before the
-    first one whose lower bound is <= 0, and that point.
+    weight: a member that finishes with a lower bound <= 0 cuts every later
+    member, finished or not.  The points returned, in config order, end at
+    the first one whose lower bound is <= 0.
     """
     config = configs[0]
-    _check_inputs(source, distortion, config.feedforward_map)
     n, A = source.n, source.src_alphabet_size
     B = distortion.rec_alphabet_size
     s = min(config.delay, n)
@@ -424,14 +418,8 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     dvals = distortion.values
 
     q = np.empty((len(configs), ctx.Z ** (n - s), B**n))
-    for j, kernel in enumerate(kernels):
-        if kernel is None:
-            q[j] = float(B) ** (-n)
-        else:
-            _check_dims("initial kernel", kernel, distortion, "expected")
-            q[j] = _kernel_table(kernel, ctx, fmap, "initial kernel")
-            if not np.all(q[j] > 0.0):
-                raise ValueError("initial kernel must be strictly positive")
+    for j, start in enumerate(starts):
+        q[j] = float(B) ** (-n) if start is None else start
     tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
     wd = tilt * dvals
     ws = _Workspace(ctx, len(configs))
@@ -457,10 +445,9 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         if not finished:
             q = st.q_next
             continue
-        points[end:] = [None] * (len(configs) - end)
         keep = [pos for pos, j in enumerate(members) if j < end and points[j] is None]
         if not keep:
-            return points
+            return points[:end]
         members = [members[pos] for pos in keep]
         q, tilt, wd = st.q_next[keep], tilt[keep], wd[keep]
         ws = _Workspace(ctx, len(members))

@@ -502,12 +502,14 @@ def anderson_stacked(g, x, iters, tol, memory=5):
 def sweep_serial(solve, warm_start, source, distortion, lambda_grid, base):
     """The points of a sweep solved one at a time, from the largest weight
     down: cold until a point's lower bound reaches 0, then each from the
-    previous point's kernel passed through ``warm_start``.  ``solve`` and
-    ``warm_start`` are the package's, passed in; returns {lam: point}."""
+    previous point's kernel passed through ``warm_start``.  ``solve(source,
+    distortion, config, start)`` solves from a start table or None, and
+    ``warm_start`` gives that table; both are the package's, passed in.
+    Returns {lam: point}."""
     solved = {}
     start = None
     for lam in sorted({float(lam) for lam in lambda_grid}, reverse=True):
-        point = solve(source, distortion, replace(base, lam=lam), initial_kernel=start)
+        point = solve(source, distortion, replace(base, lam=lam), start)
         solved[lam] = point
         if start is not None or point.lower_bound <= 0.0:
             start = warm_start(point.kernel)

@@ -187,6 +187,26 @@ class TestDualCheckCommand:
         assert "Traceback" not in captured.err
         assert "feasible=" not in captured.out
 
+    @pytest.mark.parametrize("key, value", [("lam", None), ("n", [2]), ("n", 2.7),
+                                            ("p_prime_factors", 5), ("D", None)])
+    def test_wrongly_typed_key_named(self, key, value, tmp_path, capsys):
+        # each raised a TypeError out of run(), but n = 2.7, which was read as 2
+        cert = tmp_path / "cert.json"
+        assert run(["solve", "--source", "markov:0.3,0.2", "--n", "2",
+                    "--lambda", "4", "--emit-certificate", str(cert),
+                    "--output", str(tmp_path / "pt.txt")]) == 0
+        payload = json.loads(cert.read_text())
+        payload[key] = value
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: certificate JSON key {key!r} holds a value of the wrong type" \
+            in captured.err
+        assert "Traceback" not in captured.err
+        assert "feasible=" not in captured.out
+
 
 class TestSimulateCommand:
     def test_report_json(self, tmp_path):
@@ -312,6 +332,24 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"max-iters": 3.0, "eps": 1e-14}))
         assert run(base) == 0
         assert "iterations=3 converged=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("n", [2]), ("n", 2.5), ("lambda", [3]),
+                                            ("source", 5), ("eps", None)])
+    def test_wrongly_typed_value_rejected(self, key, value, tmp_path, capsys):
+        # each ended in a TypeError or AttributeError traceback
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": "iid:0.5", "n": 3, "lambda": 6.0, key: value}))
+        assert run(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r}: " in err
+        assert "Traceback" not in err
+
+    def test_strings_and_whole_floats_accepted(self, tmp_path, capsys):
+        # a string goes through the flag's parser; "n": 3.0 was a TypeError
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": "iid:0.5", "n": 3.0, "lambda": "6"}))
+        assert run(["solve", "--config", str(cfg)]) == 0
+        assert "R=0.278071905" in capsys.readouterr().out
 
     def test_non_object_rejected(self, tmp_path, capsys):
         # a JSON list had no .items(): an AttributeError traceback

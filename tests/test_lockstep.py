@@ -97,8 +97,13 @@ def _assert_same_point(a, b):
     assert a.trace.tobytes() == b.trace.tobytes()
 
 
+def _solve_from(source, dist, config, start):
+    """The point of a lockstep of one from the start table ``start``."""
+    return _solve_lockstep(source, dist, [config], [start])[0]
+
+
 def _serial_curve(source_spec, distortion_spec, n, grid, base, initial_context=None):
-    solved = sweep_serial(solve, _warm_start, block_pmf(source_spec, n),
+    solved = sweep_serial(_solve_from, _warm_start, block_pmf(source_spec, n),
                           distortion_tensor(distortion_spec, n, initial_context), grid, base)
     return _dedup_sorted([solved[float(lam)] for lam in grid])
 
@@ -152,7 +157,7 @@ def test_zero_rate_cut_drops_finished_members_below():
     configs = [SolverConfig(lam=0.5, max_iters=60), SolverConfig(lam=0.4, max_iters=10),
                SolverConfig(lam=0.3, max_iters=10)]
     points = _solve_lockstep(source, dist, configs, [None] * 3)
-    assert points[1:] == [None, None]
+    assert len(points) == 1
     lone = solve(source, dist, configs[0])
     assert lone.lower_bound <= 0.0 and lone.iterations == 60
     _assert_same_point(points[0], lone)
@@ -160,15 +165,16 @@ def test_zero_rate_cut_drops_finished_members_below():
 
 def test_lockstep_members_with_initial_kernels_equal_their_solves():
     """Members in descending weight, none of them at rate 0 before the
-    last, with their own initial kernels, tolerances and caps."""
+    last, with their own start tables, tolerances and caps."""
     source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
     warm = _warm_start(solve(source, dist, SolverConfig(lam=2.0)).kernel)
     configs = [SolverConfig(lam=9.0, max_iters=30), SolverConfig(lam=4.0, epsilon=1e-8),
                SolverConfig(lam=1.0)]
-    kernels = [warm, None, warm]
-    points = _solve_lockstep(source, dist, configs, kernels)
-    for pt, cfg, kernel in zip(points, configs, kernels):
-        _assert_same_point(pt, solve(source, dist, cfg, initial_kernel=kernel))
+    starts = [warm, None, warm]
+    points = _solve_lockstep(source, dist, configs, starts)
+    assert len(points) == 3
+    for pt, cfg, start in zip(points, configs, starts):
+        _assert_same_point(pt, _solve_from(source, dist, cfg, start))
     assert all(pt.lower_bound > 0.0 for pt in points[:-1])
 
 
@@ -193,6 +199,23 @@ def test_lockstep_sweep_memory_is_bounded_by_the_budget(cells, monkeypatch):
     monkeypatch.setattr(curves, "_STACK_CELLS", cells)
     lockstep = _traced_peak(run)
     assert lockstep <= serial + 8 * cells * np.dtype(float).itemsize
+
+
+def test_warm_start_is_the_mixed_context_table():
+    """A warm start is its point's kernel context table mixed with the
+    uniform kernel, built without the full (|X|^n, |X̂|^n) table: at n = 8
+    its traced peak is under 1.5 full tables (3.95 while it multiplied the
+    kernel out, mixed the full table and factored it again)."""
+    n = 8
+    kernel = solve(block_pmf(MARKOV, n), distortion_tensor(HAMMING, n),
+                   SolverConfig(lam=24.0)).kernel
+    table = kernel.table
+    assert _traced_peak(lambda: _warm_start(kernel)) <= 1.5 * 4**n * np.dtype(float).itemsize
+    start = _warm_start(kernel)
+    np.testing.assert_array_equal(kernel.table, table)  # the kernel is left as it was
+    np.testing.assert_array_equal(
+        start, (1.0 - curves.WARM_START_MIX) * table + curves.WARM_START_MIX * 2.0**-n)
+    assert np.all(start > 0.0)
 
 
 # --- the step's workspace ------------------------------------------------------

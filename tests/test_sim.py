@@ -442,3 +442,21 @@ def test_bisection_stops_once_the_bracket_collapses(monkeypatch):
     point = sim._lambda_for_distortion(source, dist, 0.08)
     assert len(solved) == len(set(solved)) == 1
     assert point.lam == solved[-1] == 64.0
+
+
+@pytest.mark.parametrize("target_D", [np.inf, 0.6])
+def test_target_above_the_curve_takes_the_zero_weight_point(target_D, monkeypatch):
+    """iid(0.5)/Hamming at n = 2 reaches D = 0.5 at lam = 0; a target at or
+    above it gets the lam = 0 point after the two ends of the bracket (the
+    bisection ran 82 solves down towards lam = 0 for both)."""
+    solved = []
+
+    def recording(source, dist, config, *args, **kwargs):
+        solved.append(config.lam)
+        return solve(source, dist, config, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "solve", recording)
+    rep = monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, 0.1, 10, 1, target_D)
+    assert solved == [64.0, 0.0]
+    assert rep.rate == solve(block_pmf(SourceSpec.iid(0.5), 2), distortion_tensor(HAMMING, 2),
+                             SolverConfig(lam=0.0, delay=1, epsilon=1e-8)).R

@@ -39,7 +39,9 @@ told from a change to the other.  ``reconstruct_sha256`` covers the
 channel ``reconstruct_channel`` rebuilds from the n=5, lam=9 certificate.
 A last one, ``simulate_sha256``, covers the ``to_json()`` bytes of the
 reports of the benchmark's two ``simulate`` runs at seeds 1 and 7, so
-simulator changes can be checked bit for bit too.
+simulator changes can be checked bit for bit too.  ``iterations`` is the
+total iteration count of the points the first two digests cover, so a
+change that moves last bits but no iteration count shows as such.
 It also records ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` it ran under
 ("unset" when not set); no digest should change with it.
 Startup mode times fresh interpreters: the median wall time of
@@ -205,7 +207,8 @@ def answers() -> dict:
                 raise RuntimeError(f"simulate {key} at seed {seed} raised {rep!r}")
             reports.update(rep.to_json().encode())
     return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-            "points": len(points), "sha256": digest.hexdigest(),
+            "points": len(points), "iterations": sum(pt.iterations for pt in points),
+            "sha256": digest.hexdigest(),
             "factors_sha256": factors.hexdigest(), "certificates": len(certs),
             "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),
             "reconstruct_sha256": reconstruct.hexdigest(),

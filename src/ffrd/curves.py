@@ -91,16 +91,18 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     then contains rate 0, and so does every smaller weight's; from there on
     each point starts from the previous one's ``_warm_start``, which needs
     far fewer iterations on the flat part of the curve.  A weight listed
-    twice is solved once.  Each pass is one lockstep
-    (``solver._solve_lockstep``): of as many cold weights, largest first, as
-    fit ``_STACK_CELLS`` table cells, and at least one, or of one warm
-    weight.  The cold stack's points stop at the first that certifies rate
-    0.  Every point is bit for bit that of a lockstep of its own.
+    twice is solved once.  The cold weights are one rolling lockstep
+    (``solver._solve_lockstep``) of as many members as fit ``_STACK_CELLS``
+    table cells, and at least one: a member that finishes hands its slot to
+    the next weight, and the points stop at the first that certifies rate
+    0.  Each warm weight is then a lockstep of its own.  Every point is bit
+    for bit that of a lockstep of its own.
 
     ``config`` supplies everything but the weight (tolerance, iteration cap,
     delay, feed-forward map); ``initial_context`` is passed to the
-    distortion-tensor builder for windowed measures.  An empty grid raises
-    ``ValueError``.
+    distortion-tensor builder for windowed measures.  An empty grid, or a
+    weight that is negative or not finite, raises ``ValueError`` before
+    anything is solved.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -108,20 +110,15 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     if not lams:
         raise ValueError("lambda_grid must hold at least one weight")
     base = config if config is not None else SolverConfig(lam=0.0)
+    configs = [replace(base, lam=lam) for lam in sorted(set(lams), reverse=True)]
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
     _check_inputs(source, dist, base.feedforward_map)
-    order = sorted(set(lams), reverse=True)
     width = max(1, _STACK_CELLS // dist.values.size)
-    solved: dict[float, RatePoint] = {}
-    start = None
-    while len(solved) < len(order):
-        chunk = order[len(solved):len(solved) + (width if start is None else 1)]
-        points = _solve_lockstep(source, dist, [replace(base, lam=lam) for lam in chunk],
-                                 [start] * len(chunk))
-        solved.update(zip(chunk, points))
-        if start is not None or points[-1].lower_bound <= 0.0:
-            start = _warm_start(points[-1].kernel)
+    points = _solve_lockstep(source, dist, configs, [None] * len(configs), width)
+    for cfg in configs[len(points):]:
+        points += _solve_lockstep(source, dist, [cfg], [_warm_start(points[-1].kernel)])
+    solved = {pt.lam: pt for pt in points}
     deduped = _dedup_sorted([solved[lam] for lam in lams])
     return RdCurve(n=n, points=tuple(deduped),
                    configs=tuple(replace(base, lam=pt.lam) for pt in deduped))

@@ -13,13 +13,14 @@ bounds on the rate by exactly F/n).  The step is written once, in
 stack of solves, and every solve is a member of a ``_solve_lockstep``
 stack started from a context table: ``solve`` runs a stack of one, from
 the uniform kernel or the table of the kernel it was given, and
-``curves.sweep`` its stacks of points; the channel reconstruction in
+``curves.sweep`` its cold points as one rolling stack, whose finished
+members hand their slots to the next weights; the channel reconstruction in
 ``dual`` takes the same step, on a stack of one, with p' as its weight.
 
 The step writes every table into a workspace (``_Workspace``) that a stack
-builds once, so a step allocates no table, and its arrays are valid until
-the next step given the same workspace; a finished point copies what it
-keeps.  No buffer is a full (|X|^n, |X̂|^n) table: the row sums, the
+builds once, and again only when it shrinks, so a step allocates no table,
+and its arrays are valid until the next step given the same workspace; a
+finished point copies what it keeps.  No buffer is a full (|X|^n, |X̂|^n) table: the row sums, the
 prefix mass the factorization reads and D are contractions of the weight
 against q and p / rows, and a point builds its channel once (``_channel``).
 The step reduces with ufunc reductions (``np.add.reduce(x, axis=...,
@@ -31,7 +32,6 @@ one as for a larger one, so no answer depends on the BLAS thread count.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -391,21 +391,24 @@ def solve(source: BlockSource, distortion: DistortionTensor,
 
 
 def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: list,
-                    starts: list) -> list:
-    """Solve one point per config, as :func:`solve` would, stepping all of
-    them together as one stack of context tables; nothing is checked.
+                    starts: list, width: int | None = None) -> list:
+    """Solve one point per config, as :func:`solve` would, stepping up to
+    ``width`` of them (all when None) together as one stack of context
+    tables; nothing is checked.
 
     The configs share the delay and the feed-forward map and may differ in
     the weight, tolerance and iteration cap.  ``starts`` holds one start per
     config: a strictly positive kernel context table, or None for the
-    uniform kernel.  All members take their k-th step together; a member
-    leaves the stack when F drops below its tolerance or it reaches its cap,
-    and its RatePoint is built then.  Every member's iterates, and so its
-    point, are bit for bit those of its own lockstep of one.
+    uniform kernel.  The configs enter the stack in order.  A member leaves
+    it when F drops below its tolerance or it reaches its cap; its RatePoint
+    is built then, and the next config takes its slot in place, with its own
+    iteration count from 1.  The stack, and its workspace with it, shrinks
+    only once no config is left to admit.  Every member's iterates, and so
+    its point, are bit for bit those of its own lockstep of one.
 
     The configs are taken in order, as ``sweep`` passes them by descending
     weight: a member that finishes with a lower bound <= 0 cuts every later
-    member, finished or not.  The points returned, in config order, end at
+    config, admitted or not.  The points returned, in config order, end at
     the first one whose lower bound is <= 0.
     """
     config = configs[0]
@@ -417,40 +420,62 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     p = source.probs
     dvals = distortion.values
 
-    q = np.empty((len(configs), ctx.Z ** (n - s), B**n))
-    for j, start in enumerate(starts):
-        q[j] = float(B) ** (-n) if start is None else start
-    tilt = np.stack([np.exp2(-cfg.lam * dvals) for cfg in configs])
-    wd = tilt * dvals
-    ws = _Workspace(ctx, len(configs))
-    members = list(range(len(configs)))  # config index of each stack member
-    traces = [_trace_buffer(cfg.max_iters) for cfg in configs]
+    L = len(configs) if width is None else min(width, len(configs))
+    q = np.empty((L, ctx.Z ** (n - s), B**n))
+    tilt = np.empty((L,) + dvals.shape)
+    wd = np.empty(tilt.shape)
+    traces: list = [None] * len(configs)
+
+    def admit(pos: int, j: int) -> None:
+        # config j's start, tilt and tilt * d into row pos of the stack
+        q[pos] = float(B) ** (-n) if starts[j] is None else starts[j]
+        tilt[pos] = np.exp2(-configs[j].lam * dvals)
+        np.multiply(tilt[pos], dvals, wd[pos])
+        traces[j] = _trace_buffer(configs[j].max_iters)
+
+    for j in range(L):
+        admit(j, j)
+    ws = _Workspace(ctx, L)
+    members = list(range(L))  # config index of each stack member
+    steps = [0] * len(configs)  # steps each config has taken
     points: list = [None] * len(configs)
-    end = len(configs)  # members from this config index on are cut
-    for k in itertools.count(1):
+    queued = L  # the next config to admit
+    end = len(configs)  # configs from this index on are cut
+    while True:
         st = _step_stack(q, tilt, p, ctx, wd, ws)
         finished = False
         for pos, j in enumerate(members):
+            if j >= end:
+                continue
             cfg = configs[j]
-            diag = _diagnostics(cfg.lam, n, k, st.mean_log_rows[pos], st.log_max_c[pos],
-                                st.mean_logc[pos], st.D[pos])
+            steps[j] += 1
+            diag = _diagnostics(cfg.lam, n, steps[j], st.mean_log_rows[pos],
+                                st.log_max_c[pos], st.mean_logc[pos], st.D[pos])
             traces[j] = _record(traces[j], diag)
-            if diag.F < cfg.epsilon or k == cfg.max_iters:
+            if diag.F < cfg.epsilon or diag.k == cfg.max_iters:
                 finished = True
                 points[j] = _point([f[pos] for f in st.factors], q[pos], tilt[pos], diag,
                                    cfg, ctx, fmap, traces[j])
                 if diag.lower_bound <= 0.0:
-                    end = j + 1  # the members after it are cut
-                    break
+                    end = j + 1  # the configs after it are cut
+        q = st.q_next  # admit writes into the stack the next step reads
         if not finished:
-            q = st.q_next
             continue
-        keep = [pos for pos, j in enumerate(members) if j < end and points[j] is None]
-        if not keep:
-            return points[:end]
-        members = [members[pos] for pos in keep]
-        q, tilt, wd = st.q_next[keep], tilt[keep], wd[keep]
-        ws = _Workspace(ctx, len(members))
+        keep = []
+        for pos, j in enumerate(members):
+            if j < end and points[j] is None:
+                keep.append(pos)
+            elif queued < end:  # the slot's point is built; the next config takes it
+                admit(pos, queued)
+                members[pos] = queued
+                queued += 1
+                keep.append(pos)
+        if len(keep) < len(members):
+            if not keep:
+                return points[:end]
+            members = [members[pos] for pos in keep]
+            q, tilt, wd = q[keep], tilt[keep], wd[keep]
+            ws = _Workspace(ctx, len(keep))
 
 
 def _point(factors: list, q: np.ndarray, weight: np.ndarray, diag: IterationDiagnostics,

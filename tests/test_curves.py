@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ffrd import curves
 from ffrd.analytic import iid_binary_rd, markov_rn
 from ffrd.curves import (
     RdCurve,
@@ -55,6 +56,18 @@ class TestSweep:
         # it returned a curve with no points
         with pytest.raises(ValueError, match="lambda_grid must hold at least one weight"):
             sweep(SourceSpec.iid(0.5), HAMMING, 2, [])
+
+    @pytest.mark.parametrize("grid", [[5.0, 4.0, float("nan")], [5.0, 4.0, -1.0]],
+                             ids=["nan", "negative"])
+    def test_bad_weight_refused_before_any_solve(self, grid, monkeypatch):
+        # with one weight per stack, the valid weights were solved first
+        def solve_refused(*args, **kwargs):
+            raise AssertionError("a weight was solved before the grid was checked")
+
+        monkeypatch.setattr(curves, "_STACK_CELLS", 1)
+        monkeypatch.setattr(curves, "_solve_lockstep", solve_refused)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            sweep(SourceSpec.iid(0.5), HAMMING, 2, grid)
 
     def test_duplicate_points_removed(self):
         curve = sweep(SourceSpec.iid(0.5), HAMMING, 1, [2.0, 2.0, 4.0])

@@ -1,7 +1,8 @@
 """Lockstep solves: a stack of kernel context tables steps as each of its
-members would alone, and ``sweep``, which solves its cold points as one
-stack, gives the serial sweep's points bit for bit within a bounded extra
-memory."""
+members would alone, a rolling stack, whose finished members hand their
+slots to the next configs, gives each config's lone point, and ``sweep``,
+which solves its cold points as one rolling stack, gives the serial
+sweep's points bit for bit within a bounded extra memory."""
 
 import itertools
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffrd import curves
+from ffrd import curves, solver
 from ffrd.curves import _dedup_sorted, _warm_start, default_lambda_grid, sweep
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import _Contexts
@@ -163,6 +164,81 @@ def test_zero_rate_cut_drops_finished_members_below():
     _assert_same_point(points[0], lone)
 
 
+def _lone_points(source, dist, configs, starts):
+    """Each config's point from its own lockstep of one, in config order, up
+    to the first whose lower bound is <= 0."""
+    points = []
+    for cfg, start in zip(configs, starts):
+        points.append(_solve_from(source, dist, cfg, start))
+        if points[-1].lower_bound <= 0.0:
+            break
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_rolling_lockstep_equals_lone_solves(shape, data):
+    """A stack narrower than its queue: each config that takes a finished
+    member's slot runs from its own start with its own iteration count, so
+    every point is that of its own lockstep of one, and the first point in
+    config order that certifies rate 0 (every weight 0 does) cuts the rest
+    of the queue, admitted or not."""
+    A, B, n = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    source = block_pmf(SourceSpec.markov(rng.dirichlet(np.ones(A), size=A)), n)
+    dist = distortion_tensor(DistortionSpec.single_letter(rng.integers(0, 4, size=(A, B)) / 3), n)
+    s = data.draw(st.integers(1, n), label="s")
+    ff_map = _map(data.draw(st.sampled_from(MAPS), label="map"), A)
+    ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
+    count = data.draw(st.integers(2, 7), label="count")
+    width = data.draw(st.integers(1, count - 1), label="width")
+    configs, starts = [], []
+    for _ in range(count):
+        configs.append(SolverConfig(
+            lam=data.draw(st.sampled_from(LAMBDA_POOL), label="lam"),
+            epsilon=data.draw(st.sampled_from([1e-3, 1e-6]), label="eps"),
+            max_iters=data.draw(st.sampled_from([1, 4, 60, 400]), label="cap"),
+            delay=s, feedforward_map=ff_map))
+        warm = data.draw(st.booleans(), label="warm")
+        starts.append(_random_kernel_table(rng, ctx, ff_map, 0.0) if warm else None)
+    points = _solve_lockstep(source, dist, configs, starts, width)
+    expected = _lone_points(source, dist, configs, starts)
+    assert len(points) == len(expected)
+    for a, b in zip(points, expected):
+        _assert_same_point(a, b)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, None])
+def test_rolling_lockstep_builds_a_workspace_only_when_it_shrinks(width, monkeypatch):
+    """Markov(0.3, 0.2)/Hamming at n = 3, seven weights: the one at 0.3
+    certifies rate 0 in the middle of the queue and cuts the three after
+    it.  A finished member's slot takes the next config in place, so the
+    call builds its first workspace and one more only each time the stack
+    shrinks, at most 1 + width in all; it built one each time a member
+    left."""
+    builds = []
+
+    class Counting(_Workspace):
+        def __init__(self, ctx, L):
+            builds.append(L)
+            super().__init__(ctx, L)
+
+    monkeypatch.setattr(solver, "_Workspace", Counting)
+    source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
+    configs = [SolverConfig(lam=lam, max_iters=cap) for lam, cap in
+               ((24.0, 100), (9.0, 30), (6.0, 100_000), (0.3, 100_000), (3.0, 20), (2.0, 100),
+                (1.0, 100))]
+    points = _solve_lockstep(source, dist, configs, [None] * len(configs), width)
+    monkeypatch.undo()
+    expected = _lone_points(source, dist, configs, [None] * len(configs))
+    assert len(points) == len(expected) == 4
+    for a, b in zip(points, expected):
+        _assert_same_point(a, b)
+    L = len(configs) if width is None else width
+    assert builds[0] == L and builds == sorted(set(builds), reverse=True)
+    assert len(builds) <= 1 + L
+
+
 def test_lockstep_members_with_initial_kernels_equal_their_solves():
     """Members in descending weight, none of them at rate 0 before the
     last, with their own start tables, tolerances and caps."""
@@ -191,8 +267,8 @@ def _traced_peak(fn):
 def test_lockstep_sweep_memory_is_bounded_by_the_budget(cells, monkeypatch):
     """A lockstep sweep holds at most a few stacks of ``cells`` table cells
     more than the serial sweep.  Markov(0.3, 0.2)/Hamming at n = 4 has 256
-    cells per point and 15 cold points: a stack of 2^10 cells takes them
-    four at a time, one of 2^12 all at once."""
+    cells per point and 15 cold points: a stack of 2^10 cells steps four
+    of them at a time, one of 2^12 all at once."""
     run = lambda: sweep(MARKOV, HAMMING, 4, config=SolverConfig(lam=0.0, epsilon=1e-4))
     monkeypatch.setattr(curves, "_STACK_CELLS", 1)
     serial = _traced_peak(run)

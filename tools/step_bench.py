@@ -42,6 +42,10 @@ reports of the benchmark's two ``simulate`` runs at seeds 1 and 7, so
 simulator changes can be checked bit for bit too.  ``iterations`` is the
 total iteration count of the points the first two digests cover, so a
 change that moves last bits but no iteration count shows as such.
+``sweeps`` gives, for each sweep curve, the iterations of its points, its
+``lockstep_steps`` (``solver._step_stack`` calls) and its
+``member_steps`` (the stack widths of those calls summed), so a change in
+how ``sweep`` batches its points shows beside the unchanged iterations.
 It also records ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` it ran under
 ("unset" when not set); no digest should change with it.
 Startup mode times fresh interpreters: the median wall time of
@@ -171,13 +175,29 @@ def answers() -> dict:
     import numpy as np
 
     import ffrd
+    from ffrd import solver
 
     sys.path.insert(0, str(ROOT / "benchmarks"))
     from workloads import _sweep_curves, simulate_workload
 
-    points = []
-    for c in _sweep_curves(tiny=False):
-        points += ffrd.sweep(c.source, c.dist, c.n, c.grid, c.config, c.initial_context).points
+    points, sweeps = [], []
+    step = solver._step_stack  # wrapped to count the sweeps' steps and members
+    widths: list = []
+
+    def counting(q, *args, **kwargs):
+        widths.append(q.shape[0])
+        return step(q, *args, **kwargs)
+
+    try:
+        solver._step_stack = counting
+        for c in _sweep_curves(tiny=False):
+            widths.clear()
+            curve = ffrd.sweep(c.source, c.dist, c.n, c.grid, c.config, c.initial_context)
+            points += curve.points
+            sweeps.append({"key": c.key, "iterations": sum(pt.iterations for pt in curve.points),
+                           "lockstep_steps": len(widths), "member_steps": sum(widths)})
+    finally:
+        solver._step_stack = step
     hamming = ffrd.DistortionSpec.hamming()
     certs = []
     for n, lam, eps in ((8, 4.0, 1e-6), (8, 9.216, 1e-6), (8, 24.0, 1e-6), (5, 9.0, 1e-10)):
@@ -208,6 +228,7 @@ def answers() -> dict:
             reports.update(rep.to_json().encode())
     return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
             "points": len(points), "iterations": sum(pt.iterations for pt in points),
+            "sweeps": sweeps,
             "sha256": digest.hexdigest(),
             "factors_sha256": factors.hexdigest(), "certificates": len(certs),
             "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),

@@ -73,14 +73,6 @@ def _warm_start(kernel: CausalKernel) -> np.ndarray:
     return table
 
 
-#: Cells (|X|^n * |X̂|^n per point) of the stack of cold points ``sweep``
-#: steps together.  Per point, a step of a stack this large costs a fraction
-#: of a lone step at n <= 6, where numpy's per-call overhead dominates;
-#: tables of this size or more are solved one at a time (``BENCH_8.json``,
-#: ``budget``).
-_STACK_CELLS = 2**14
-
-
 def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
           lambda_grid=None, config: SolverConfig | None = None,
           initial_context=None) -> RdCurve:
@@ -91,11 +83,11 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     then contains rate 0, and so does every smaller weight's; from there on
     each point starts from the previous one's ``_warm_start``, which needs
     far fewer iterations on the flat part of the curve.  A weight listed
-    twice is solved once.  The cold weights are one rolling lockstep
-    (``solver._solve_lockstep``) of as many members as fit ``_STACK_CELLS``
-    table cells, and at least one: a member that finishes hands its slot to
-    the next weight, and the points stop at the first that certifies rate
-    0.  Each warm weight is then a lockstep of its own.  Every point is bit
+    twice is solved once.  The cold weights are one call of
+    ``solver._solve_lockstep``, which steps them as a rolling stack sized
+    by its ``_STACK_CELLS``: a member that finishes hands its slot to the
+    next weight, and the points stop at the first that certifies rate 0.
+    Each warm weight is then a lockstep of its own.  Every point is bit
     for bit that of a lockstep of its own.
 
     ``config`` supplies everything but the weight (tolerance, iteration cap,
@@ -114,8 +106,7 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
     _check_inputs(source, dist, base.feedforward_map)
-    width = max(1, _STACK_CELLS // dist.values.size)
-    points = _solve_lockstep(source, dist, configs, [None] * len(configs), width)
+    points = _solve_lockstep(source, dist, configs, [None] * len(configs))
     for cfg in configs[len(points):]:
         points += _solve_lockstep(source, dist, [cfg], [_warm_start(points[-1].kernel)])
     solved = {pt.lam: pt for pt in points}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,15 +101,9 @@ class DualCertificate:
 
     @property
     def p_prime_table(self) -> np.ndarray:
-        """Dense p'(x^n || x̂^n) over (x^n, x̂^n), product of the factors.
-
-        The factors are those of a delay-0 kernel of x^n given x̂^n
-        (``reverse_causal_factors``), so ``_factor_product`` multiplies them
-        out with x̂^i first, and the (x̂^n, x^n) table is transposed."""
-        n, A, B = self.n, self.src_alphabet_size, self.rec_alphabet_size
-        factors = [np.moveaxis(f, range(i), range(i, 2 * i))[None]
-                   for i, f in enumerate(self.p_prime_factors, start=1)]
-        return _factor_product(factors, _Contexts.of(n, B, A, 0, None))[0].T
+        """Dense p'(x^n || x̂^n) over (x^n, x̂^n) (``_p_prime_table``)."""
+        return _p_prime_table(self.p_prime_factors, self.n, self.src_alphabet_size,
+                              self.rec_alphabet_size)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -128,6 +122,17 @@ class DualCertificate:
             raise ValueError("certificate JSON must be an object")
         return DualCertificate(**{key: _json_field(d, key, read)
                                   for key, read in _JSON_FIELDS.items()})
+
+
+def _p_prime_table(factors, n: int, A: int, B: int) -> np.ndarray:
+    """Dense p'(x^n || x̂^n) over (x^n, x̂^n) from its (x^i, x̂^i) factors.
+
+    The factors are those of a delay-0 kernel of x^n given x̂^n
+    (``reverse_causal_factors``), so ``_factor_product`` multiplies them
+    out with x̂^i first, and the (x̂^n, x^n) table is transposed."""
+    factors = [np.moveaxis(f, range(i), range(i, 2 * i))[None]
+               for i, f in enumerate(factors, start=1)]
+    return _factor_product(factors, _Contexts.of(n, B, A, 0, None))[0].T
 
 
 #: each key of a certificate's JSON, with what reads its value
@@ -163,16 +168,17 @@ def dual_objective(lam: float, gamma: np.ndarray, source: BlockSource, D: float)
     return float(-lam * D + source.probs @ np.log2(g)) / source.n
 
 
-def _log2_gamma_bound(cert: DualCertificate, source: BlockSource,
+def _log2_gamma_bound(p_prime: np.ndarray, lam: float, source: BlockSource,
                       distortion: DistortionTensor) -> np.ndarray:
-    """log2 of the largest gamma(x^n) the constraint allows with the
-    certificate's p', on the source blocks with p > 0 in order: the min over
-    x̂^n of log2 p' + lam d, less log2 p.  A block on whose row p' vanishes
-    anywhere gives -inf."""
+    """log2 of the largest gamma(x^n) the constraint allows with the p'
+    table ``p_prime`` at weight ``lam``, on the source blocks with p > 0 in
+    order: the min over x̂^n of log2 p' + lam d, less log2 p.  A block on
+    whose row p' vanishes anywhere gives -inf.  It overwrites the table
+    with its logarithm, so the call holds no second full table."""
     support = source.probs > 0.0
     with np.errstate(divide="ignore"):  # log2 0 = -inf where p' = 0
-        log_pp = np.log2(cert.p_prime_table[support])
-    return np.min(log_pp + cert.lam * distortion.values[support], axis=1) - \
+        log_pp = np.log2(p_prime, out=p_prime)
+    return np.min(log_pp + lam * distortion.values, axis=1)[support] - \
         np.log2(source.probs[support])
 
 
@@ -194,7 +200,8 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
     for i, f in enumerate(cert.p_prime_factors, start=1):
         sums = f.sum(axis=i - 1)
         norm_err = max(norm_err, float(np.max(np.abs(sums - 1.0))))
-    excess = np.log2(cert.gamma[source.probs > 0.0]) - _log2_gamma_bound(cert, source, distortion)
+    excess = np.log2(cert.gamma[source.probs > 0.0]) - \
+        _log2_gamma_bound(cert.p_prime_table, cert.lam, source, distortion)
     viol = float(np.max(excess, initial=0.0))
     return FeasibilityReport(feasible=viol <= FEASIBILITY_TOL and norm_err <= NORM_TOL * 10,
                              max_violation=viol, max_normalization_error=norm_err)
@@ -225,16 +232,16 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     ctx = _Contexts.of(n, A, B, 1, None)
     joint, _ = _channel(q_star.table, np.exp2(-point.lam * distortion.values), ctx)
     joint *= source.probs[:, None]
-    factors = reverse_causal_factors(joint, n, A, B)
-    cert = DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
-                           gamma=np.ones(A**n), p_prime_factors=tuple(factors))
-    log_gamma = _log2_gamma_bound(cert, source, distortion)
+    factors = tuple(reverse_causal_factors(joint, n, A, B))
+    log_gamma = _log2_gamma_bound(_p_prime_table(factors, n, A, B), point.lam, source,
+                                  distortion)
     if np.isneginf(log_gamma).any():
         raise ValueError("p' vanished where the source has mass: the solve's joint "
                          "underflowed, and no positive gamma is feasible")
-    gamma = cert.gamma.copy()
+    gamma = np.ones(A**n)
     gamma[source.probs > 0.0] = np.exp2(log_gamma)
-    return replace(cert, gamma=gamma)
+    return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
+                           gamma=gamma, p_prime_factors=factors)
 
 
 def _anderson(g, x: np.ndarray, iters: int, tol: float) -> np.ndarray:

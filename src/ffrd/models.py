@@ -143,6 +143,10 @@ class DistortionSpec:
         return DistortionSpec(m=1, table=e, src_alphabet_size=2, rec_alphabet_size=2)
 
     def __post_init__(self):
+        # _position_costs writes every position only for a window m >= 0
+        if not (float(self.m).is_integer() and self.m >= 0):
+            raise ValueError(f"window m must be a whole number >= 0, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         t = np.asarray(self.table, dtype=float)
         _check_distortion_values(t)
         if t.shape != (self.src_alphabet_size,) * (self.m + 1) + (self.rec_alphabet_size,):

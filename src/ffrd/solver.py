@@ -11,11 +11,12 @@ statistic F (which bounds the gap between the per-iteration lower and upper
 bounds on the rate by exactly F/n).  The step is written once, in
 ``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
 stack of solves, and every solve is a member of a ``_solve_lockstep``
-stack started from a context table: ``solve`` runs a stack of one, from
-the uniform kernel or the table of the kernel it was given, and
-``curves.sweep`` its cold points as one rolling stack, whose finished
-members hand their slots to the next weights; the channel reconstruction in
-``dual`` takes the same step, on a stack of one, with p' as its weight.
+stack started from a context table.  That call alone decides how many
+solves step together: as many as fit ``_STACK_CELLS`` table cells, and at
+least one, in a rolling stack whose finished members hand their slots to
+the next configs.  ``solve`` passes it one config, and ``curves.sweep``
+every cold weight; the channel reconstruction in ``dual`` takes the same
+step, on a stack of one, with p' as its weight.
 
 The step writes every table into a workspace (``_Workspace``) that a stack
 builds once, and again only when it shrinks, so a step allocates no table,
@@ -172,7 +173,6 @@ class _Step(NamedTuple):
     is the joint.
     """
 
-    rows: np.ndarray  # row sums of q * weight; 1/gamma when the weight is the tilt
     q_next: np.ndarray  # causal kernel of the joint, as a context table
     factors: list
     # the rest only when the step is given the weighted distortion
@@ -227,7 +227,7 @@ def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> tuple:
     """The (|X|^n, |X̂|^n) channel (q * weight) / rows of one kernel context
     table q, as a fresh table, and the (|X|^n,) row sums it is divided by.
     They are ufunc sums of the table, not the step's dots, so they may
-    differ from the step's ``rows`` in the last bit."""
+    differ from the step's row sums in the last bit."""
     src = q if ctx.rows is None else q[ctx.rows]
     r = np.empty(weight.shape)
     num = r.reshape(src.shape[0], ctx.A**ctx.s, -1)
@@ -242,8 +242,7 @@ class _Workspace:
     built once: a buffer for every table ``_step_stack`` writes, overwritten
     by each step given them, and the step's lists of calls.  ``factors`` is
     the factorization's space (``prob._FactorSpace``), whose ``prefix`` the
-    step writes the prefix mass into; ``rows`` is a view of the row sums in
-    the (L, |X|^n) shape a step returns.  No buffer is a full table.
+    step writes the prefix mass into.  No buffer is a full table.
 
     The next kernel goes to one of the two ``tables``: the one that does not
     hold the kernel the step started from, so a step may read its input
@@ -252,8 +251,8 @@ class _Workspace:
     ``logc``, which the step writes only after them.
     """
 
-    __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "rows", "logc", "live",
-                 "factors", "tables", "products")
+    __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "logc", "live", "factors",
+                 "tables", "products")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
@@ -263,7 +262,6 @@ class _Workspace:
         # q * weight * d, and log2 rows
         self.row_sums, self.scale, self.row_d, self.log_rows = (
             np.empty((L, A ** (n - s), A**s)) for _ in range(4))
-        self.rows = self.row_sums.reshape(L, A**n)
         self.logc = np.empty((L, Z ** (n - s), B**n))
         self.live = np.empty(self.logc.shape, dtype=bool)
         self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
@@ -325,7 +323,7 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
         call()
     q_next, factors = ws.tables[k], ws.factors.factors
     if wd is None:
-        return _Step(ws.rows, q_next, factors)
+        return _Step(q_next, factors)
     mass, logc = ws.factors.mass, ws.logc
     if live:  # no mask
         np.divide(q_next, q, logc)
@@ -339,7 +337,7 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     mean_logc = _dots(logc, mass)
     D = _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d))
     mean_log_rows = _dots(np.log2(rows, ws.log_rows), p)
-    return _Step(ws.rows, q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
+    return _Step(q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
 
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
@@ -348,20 +346,6 @@ def _check_inputs(source: BlockSource, distortion: DistortionTensor,
     if ff_map is not None and ff_map.domain_size != source.src_alphabet_size:
         raise ValueError(f"feed-forward map is defined on {ff_map.domain_size} symbols; "
                          f"the source alphabet has {source.src_alphabet_size}")
-
-
-def _kernel_table(kernel: CausalKernel, s: int, fmap: np.ndarray | None,
-                  what: str) -> np.ndarray:
-    """The context table of a kernel given from outside, which must have
-    delay ``s`` and the feed-forward map ``fmap`` (``ValueError``
-    otherwise); the caller has checked its block length and alphabets."""
-    if kernel.delay != s:
-        raise ValueError(f"{what} has delay {kernel.delay}; the solve has delay {s}")
-    same_map = (kernel.ff_map is None if fmap is None
-                else kernel.ff_map is not None and np.array_equal(kernel.ff_map, fmap))
-    if not same_map:
-        raise ValueError(f"{what} has a different feed-forward map than the solve")
-    return kernel.table
 
 
 def solve(source: BlockSource, distortion: DistortionTensor,
@@ -383,18 +367,32 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     start = None
     if initial_kernel is not None:
         _check_dims("initial kernel", initial_kernel, distortion, "expected")
-        fmap = None if config.feedforward_map is None else config.feedforward_map.table
-        start = _kernel_table(initial_kernel, min(config.delay, source.n), fmap, "initial kernel")
+        s, fmap = min(config.delay, source.n), config.feedforward_map
+        if initial_kernel.delay != s:
+            raise ValueError(f"initial kernel has delay {initial_kernel.delay}; "
+                             f"the solve has delay {s}")
+        # np.array_equal takes None as equal to None alone
+        if not np.array_equal(initial_kernel.ff_map, None if fmap is None else fmap.table):
+            raise ValueError("initial kernel has a different feed-forward map than the solve")
+        start = initial_kernel.table
         if not np.all(start > 0.0):
             raise ValueError("initial kernel must be strictly positive")
     return _solve_lockstep(source, distortion, [config], [start])[0]
 
 
+#: Cells (|X|^n * |X̂|^n per point) of the stack of solves
+#: ``_solve_lockstep`` steps together.  Per point, a step of a stack this
+#: large costs a fraction of a lone step at n <= 6, where numpy's per-call
+#: overhead dominates; tables of this size or more are solved one at a time
+#: (``BENCH_8.json``, ``budget``).
+_STACK_CELLS = 2**14
+
+
 def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: list,
-                    starts: list, width: int | None = None) -> list:
-    """Solve one point per config, as :func:`solve` would, stepping up to
-    ``width`` of them (all when None) together as one stack of context
-    tables; nothing is checked.
+                    starts: list) -> list:
+    """Solve one point per config, as :func:`solve` would, stepping as many
+    of them together as fit ``_STACK_CELLS`` table cells, and at least one,
+    as one stack of context tables; nothing is checked.
 
     The configs share the delay and the feed-forward map and may differ in
     the weight, tolerance and iteration cap.  ``starts`` holds one start per
@@ -420,7 +418,7 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     p = source.probs
     dvals = distortion.values
 
-    L = len(configs) if width is None else min(width, len(configs))
+    L = min(len(configs), max(1, _STACK_CELLS // dvals.size))
     q = np.empty((L, ctx.Z ** (n - s), B**n))
     tilt = np.empty((L,) + dvals.shape)
     wd = np.empty(tilt.shape)
@@ -443,34 +441,32 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     end = len(configs)  # configs from this index on are cut
     while True:
         st = _step_stack(q, tilt, p, ctx, wd, ws)
-        finished = False
+        q_in, q = q, st.q_next  # admit writes into the stack the next step reads
+        keep = None  # the rows that stay, listed from the first member that finishes
         for pos, j in enumerate(members):
             if j >= end:
-                continue
+                continue  # cut by a member before it in this step
             cfg = configs[j]
             steps[j] += 1
             diag = _diagnostics(cfg.lam, n, steps[j], st.mean_log_rows[pos],
                                 st.log_max_c[pos], st.mean_logc[pos], st.D[pos])
             traces[j] = _record(traces[j], diag)
             if diag.F < cfg.epsilon or diag.k == cfg.max_iters:
-                finished = True
-                points[j] = _point([f[pos] for f in st.factors], q[pos], tilt[pos], diag,
+                if keep is None:
+                    keep = list(range(pos))  # every member before it runs on
+                points[j] = _point([f[pos] for f in st.factors], q_in[pos], tilt[pos], diag,
                                    cfg, ctx, fmap, traces[j])
                 if diag.lower_bound <= 0.0:
                     end = j + 1  # the configs after it are cut
-        q = st.q_next  # admit writes into the stack the next step reads
-        if not finished:
-            continue
-        keep = []
-        for pos, j in enumerate(members):
-            if j < end and points[j] is None:
+                    keep = [k for k in keep if members[k] < end]
+                if queued < end:  # the next config takes the slot
+                    admit(pos, queued)
+                    members[pos] = queued
+                    queued += 1
+                    keep.append(pos)
+            elif keep is not None:
                 keep.append(pos)
-            elif queued < end:  # the slot's point is built; the next config takes it
-                admit(pos, queued)
-                members[pos] = queued
-                queued += 1
-                keep.append(pos)
-        if len(keep) < len(members):
+        if keep is not None and len(keep) < len(members):
             if not keep:
                 return points[:end]
             members = [members[pos] for pos in keep]

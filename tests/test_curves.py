@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffrd import curves
+from ffrd import curves, solver
 from ffrd.analytic import iid_binary_rd, markov_rn
 from ffrd.curves import (
     RdCurve,
@@ -64,7 +64,7 @@ class TestSweep:
         def solve_refused(*args, **kwargs):
             raise AssertionError("a weight was solved before the grid was checked")
 
-        monkeypatch.setattr(curves, "_STACK_CELLS", 1)
+        monkeypatch.setattr(solver, "_STACK_CELLS", 1)
         monkeypatch.setattr(curves, "_solve_lockstep", solve_refused)
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             sweep(SourceSpec.iid(0.5), HAMMING, 2, grid)

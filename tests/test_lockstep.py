@@ -45,16 +45,15 @@ def _random_kernel_table(rng, ctx, ff_map, cell_zeros):
 
 def _assert_same_member(stack, j, lone):
     """Member j of the stacked step ``stack`` is the one-member step ``lone``."""
-    for a, b in zip(stack[:2], lone[:2]):  # rows, q_next
-        assert a[j].shape == b[0].shape
-        np.testing.assert_array_equal(a[j], b[0])
+    assert stack.q_next[j].shape == lone.q_next[0].shape
+    np.testing.assert_array_equal(stack.q_next[j], lone.q_next[0])
     assert len(stack.factors) == len(lone.factors)
     for a, b in zip(stack.factors, lone.factors):
         assert a[j].shape == b[0].shape
         np.testing.assert_array_equal(a[j], b[0])
     # log_max_c, mean_logc, D, mean_log_rows: lists of one float per member, or None
-    assert [x if x is None else x[j] for x in stack[3:]] == \
-        [x if x is None else x[0] for x in lone[3:]]
+    assert [x if x is None else x[j] for x in stack[2:]] == \
+        [x if x is None else x[0] for x in lone[2:]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,7 +128,7 @@ def test_sweep_equals_serial_sweep(shape, data):
                      label="grid")
     width = data.draw(st.sampled_from([1, 2, 3, 5]), label="width")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curves, "_STACK_CELLS", width * A**n * B**n)
+        mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
         curve = sweep(source, distortion, n, grid, base)
     expected = _serial_curve(source, distortion, n, grid, base)
     assert len(curve.points) == len(expected)
@@ -142,7 +141,7 @@ def test_default_grid_sweep_equals_serial_sweep(width, monkeypatch):
     """Markov(0.3, 0.2)/Hamming at n = 3: the point at 0.86 certifies rate 0
     after 461 iterations while 1.77 runs to 2,487, so wide stacks cut in
     their middle."""
-    monkeypatch.setattr(curves, "_STACK_CELLS", width * 64)
+    monkeypatch.setattr(solver, "_STACK_CELLS", width * 64)
     base = SolverConfig(lam=0.0)
     curve = sweep(MARKOV, HAMMING, 3, config=base)
     expected = _serial_curve(MARKOV, HAMMING, 3, default_lambda_grid(), base)
@@ -178,7 +177,8 @@ def _lone_points(source, dist, configs, starts):
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(SHAPES), data=st.data())
 def test_rolling_lockstep_equals_lone_solves(shape, data):
-    """A stack narrower than its queue: each config that takes a finished
+    """A stack narrower than its queue (a budget of fewer members' cells
+    than there are configs): each config that takes a finished
     member's slot runs from its own start with its own iteration count, so
     every point is that of its own lockstep of one, and the first point in
     config order that certifies rate 0 (every weight 0 does) cuts the rest
@@ -191,7 +191,7 @@ def test_rolling_lockstep_equals_lone_solves(shape, data):
     ff_map = _map(data.draw(st.sampled_from(MAPS), label="map"), A)
     ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
     count = data.draw(st.integers(2, 7), label="count")
-    width = data.draw(st.integers(1, count - 1), label="width")
+    width = data.draw(st.integers(1, count - 1), label="width")  # members the budget fits
     configs, starts = [], []
     for _ in range(count):
         configs.append(SolverConfig(
@@ -201,21 +201,26 @@ def test_rolling_lockstep_equals_lone_solves(shape, data):
             delay=s, feedforward_map=ff_map))
         warm = data.draw(st.booleans(), label="warm")
         starts.append(_random_kernel_table(rng, ctx, ff_map, 0.0) if warm else None)
-    points = _solve_lockstep(source, dist, configs, starts, width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
+        points = _solve_lockstep(source, dist, configs, starts)
     expected = _lone_points(source, dist, configs, starts)
     assert len(points) == len(expected)
     for a, b in zip(points, expected):
         _assert_same_point(a, b)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, None])
-def test_rolling_lockstep_builds_a_workspace_only_when_it_shrinks(width, monkeypatch):
-    """Markov(0.3, 0.2)/Hamming at n = 3, seven weights: the one at 0.3
-    certifies rate 0 in the middle of the queue and cuts the three after
-    it.  A finished member's slot takes the next config in place, so the
-    call builds its first workspace and one more only each time the stack
-    shrinks, at most 1 + width in all; it built one each time a member
-    left."""
+#: Markov(0.3, 0.2)/Hamming at n = 3: the weight 0.3 certifies rate 0 in
+#: the middle of the queue and cuts the three after it
+ROLLING_CONFIGS = [SolverConfig(lam=lam, max_iters=cap) for lam, cap in
+                   ((24.0, 100), (9.0, 30), (6.0, 100_000), (0.3, 100_000), (3.0, 20),
+                    (2.0, 100), (1.0, 100))]
+
+
+def _counted_lockstep(budget, source, dist, configs):
+    """The points of a lockstep of ``configs`` from the uniform kernel with
+    ``solver._STACK_CELLS`` set to ``budget`` (left as it is for None), and
+    the member count of each workspace the call built, in order."""
     builds = []
 
     class Counting(_Workspace):
@@ -223,20 +228,52 @@ def test_rolling_lockstep_builds_a_workspace_only_when_it_shrinks(width, monkeyp
             builds.append(L)
             super().__init__(ctx, L)
 
-    monkeypatch.setattr(solver, "_Workspace", Counting)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_Workspace", Counting)
+        if budget is not None:
+            mp.setattr(solver, "_STACK_CELLS", budget)
+        points = _solve_lockstep(source, dist, configs, [None] * len(configs))
+    return points, builds
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, None])
+def test_rolling_lockstep_builds_a_workspace_only_when_it_shrinks(members):
+    """Markov(0.3, 0.2)/Hamming at n = 3, seven weights (``ROLLING_CONFIGS``),
+    under a budget of ``members`` points' table cells (the default, which
+    fits all seven, for None).  A finished member's slot takes the next
+    config in place, so the call builds its first workspace and one more
+    only each time the stack shrinks, at most 1 + members in all; it built
+    one each time a member left."""
     source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
-    configs = [SolverConfig(lam=lam, max_iters=cap) for lam, cap in
-               ((24.0, 100), (9.0, 30), (6.0, 100_000), (0.3, 100_000), (3.0, 20), (2.0, 100),
-                (1.0, 100))]
-    points = _solve_lockstep(source, dist, configs, [None] * len(configs), width)
-    monkeypatch.undo()
+    configs = ROLLING_CONFIGS
+    points, builds = _counted_lockstep(None if members is None else members * 64, source,
+                                       dist, configs)
     expected = _lone_points(source, dist, configs, [None] * len(configs))
     assert len(points) == len(expected) == 4
     for a, b in zip(points, expected):
         _assert_same_point(a, b)
-    L = len(configs) if width is None else width
+    L = len(configs) if members is None else members
     assert builds[0] == L and builds == sorted(set(builds), reverse=True)
     assert len(builds) <= 1 + L
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("budget", [1, 20, 100, 300])
+def test_lockstep_stack_fits_the_budget(n, budget):
+    """``_solve_lockstep`` alone sizes its stack: its first workspace holds
+    max(1, ``_STACK_CELLS`` // cells) members, or every config when fewer,
+    no later one holds more, and every point is that of its own lockstep of
+    one.  A call of several configs stacked all of them while the budget
+    was its caller's."""
+    source, dist = block_pmf(MARKOV, n), distortion_tensor(HAMMING, n)
+    configs = ROLLING_CONFIGS
+    points, builds = _counted_lockstep(budget, source, dist, configs)
+    fits = max(1, budget // dist.values.size)
+    assert builds[0] == min(len(configs), fits) and max(builds) <= fits
+    expected = _lone_points(source, dist, configs, [None] * len(configs))
+    assert len(points) == len(expected)
+    for a, b in zip(points, expected):
+        _assert_same_point(a, b)
 
 
 def test_lockstep_members_with_initial_kernels_equal_their_solves():
@@ -270,9 +307,9 @@ def test_lockstep_sweep_memory_is_bounded_by_the_budget(cells, monkeypatch):
     cells per point and 15 cold points: a stack of 2^10 cells steps four
     of them at a time, one of 2^12 all at once."""
     run = lambda: sweep(MARKOV, HAMMING, 4, config=SolverConfig(lam=0.0, epsilon=1e-4))
-    monkeypatch.setattr(curves, "_STACK_CELLS", 1)
+    monkeypatch.setattr(solver, "_STACK_CELLS", 1)
     serial = _traced_peak(run)
-    monkeypatch.setattr(curves, "_STACK_CELLS", cells)
+    monkeypatch.setattr(solver, "_STACK_CELLS", cells)
     lockstep = _traced_peak(run)
     assert lockstep <= serial + 8 * cells * np.dtype(float).itemsize
 

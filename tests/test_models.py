@@ -195,6 +195,19 @@ class TestDistortionTensor:
         with pytest.raises(ValueError, match="2-D matrix"):
             DistortionSpec.single_letter([1.0, 2.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: DistortionSpec.windowed(-1, [0.0, 1.0]),
+        lambda: DistortionSpec(m=-1, table=np.array([0.0, 1.0]), src_alphabet_size=2,
+                               rec_alphabet_size=2),
+        lambda: DistortionSpec(m=0.5, table=np.eye(2), src_alphabet_size=2,
+                               rec_alphabet_size=2),
+    ], ids=["windowed", "constructor", "fractional"])
+    def test_bad_window_rejected(self, build):
+        # m = -1 was accepted, and distortion_tensor returned entries read
+        # from unwritten memory
+        with pytest.raises(ValueError, match="window m must be a whole number >= 0"):
+            build()
+
 
 class TestFeedForwardMap:
     def test_identity(self):

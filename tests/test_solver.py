@@ -21,7 +21,6 @@ from ffrd.prob import CausalKernel, ForwardChannel, _Contexts
 from ffrd.solver import (
     IterationDiagnostics,
     SolverConfig,
-    _kernel_table,
     _solve_lockstep,
     _step_stack,
     solve,
@@ -200,7 +199,8 @@ class TestSolve:
     def test_solution_positive_kernel_invariants(self):
         src = block_pmf(SourceSpec.binary_markov(0.3, 0.2), 2)
         pt = solve(src, hamming_tensor(2), SolverConfig(lam=3.0))
-        _kernel_table(pt.kernel, 1, None, "solution kernel")
+        assert (pt.kernel.delay, pt.kernel.ff_map) == (1, None)
+        assert np.all(pt.kernel.table > 0.0)
         np.testing.assert_allclose(pt.kernel.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_constant_feedforward_equals_no_feedforward(self):

@@ -8,9 +8,10 @@
 
 Step mode solves Markov(0.3, 0.2) with Hamming distortion at each block
 length n = 3..10 as a lockstep stack (``solver._solve_lockstep``) of each
-width 1, 4 and 16 that fits ``curves._STACK_CELLS`` table cells; one member
-is always allowed, as ``sweep`` allows it.  The members' tolerance is out of
-reach, so every member runs exactly ``iterations`` steps.  Each case records:
+width 1, 4 and 16 that fits ``solver._STACK_CELLS`` table cells, so that
+the call steps all its members together; width 1 always runs, as that call
+always allows one member.  The members' tolerance is out of reach, so
+every member runs exactly ``iterations`` steps.  Each case records:
 
 - ``us_per_iter``: wall time of the whole solve over its iterations, the
   median of ``REPEATS`` solves;
@@ -150,13 +151,13 @@ def _case(n: int, width: int) -> dict:
 
 
 def step_cases() -> list:
-    from ffrd import curves
+    from ffrd import solver
 
     sys.path.insert(0, str(ROOT / "tests"))
     cases = []
     for n in NS:
         for width in WIDTHS:
-            if width > 1 and width * 4**n > curves._STACK_CELLS:
+            if width > 1 and width * 4**n > solver._STACK_CELLS:
                 continue
             cases.append(_case(n, width))
             c = cases[-1]

@@ -344,7 +344,8 @@ class _FactorSpace:
         or the first NaN, which takes the other path and gives NaN too).
         Otherwise the same list runs with 0/0 allowed, and each level's
         contexts with zero sums get the uniform factor 1/B: the bits of
-        dividing by 1 there and filling.
+        dividing by 1 there and filling.  A level is scanned for them only
+        when one argmin finds that its least sum is not positive.
         """
         for call in self._classes:
             call()
@@ -356,10 +357,13 @@ class _FactorSpace:
         with np.errstate(invalid="ignore"):
             for call in self._levels:
                 call()
-        for factor, sums in zip(self.factors, self.sums):
+        # from level n down: a level whose sums are all positive makes every
+        # context sum below it a sum of positive terms
+        for factor, sums in zip(reversed(self.factors), reversed(self.sums)):
+            if sums.item(sums.argmin()) > 0.0:
+                break
             empty = np.flatnonzero(sums.reshape(-1) == 0.0)
-            if empty.size:
-                factor.reshape(-1, self.B)[empty] = 1.0 / self.B
+            factor.reshape(-1, self.B)[empty] = 1.0 / self.B
         return False
 
 

@@ -16,7 +16,15 @@ solves step together: as many as fit ``_STACK_CELLS`` table cells, and at
 least one, in a rolling stack whose finished members hand their slots to
 the next configs.  ``solve`` passes it one config, and ``curves.sweep``
 every cold weight; the channel reconstruction in ``dual`` takes the same
-step, on a stack of one, with p' as its weight.
+step, on a stack of one, with p' as its weight.  A member keeps only its
+steps' four statistics, 32 bytes a step, tests F and its cap on Python
+floats, and builds its trace once, when it finishes (``_trace``).
+
+When a context carries no joint mass (its kernel entries underflowed to
+0), the step divides the whole table anyway, puts log2 1 = 0 in that
+context's cells (``np.putmask``) and takes a masked max only for a member
+whose plain max is not positive; the factorization scans a level for such
+contexts only when its least sum is 0.
 
 The step writes every table into a workspace (``_Workspace``) that a stack
 builds once, and again only when it shrinks, so a step allocates no table,
@@ -33,6 +41,7 @@ one as for a larger one, so no answer depends on the BLAS thread count.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -109,26 +118,18 @@ _TRACE_DTYPE = np.dtype([(name, np.int64 if name == "k" else np.float64)
                          for name in IterationDiagnostics._fields])
 
 
-def _trace_array(rows: np.ndarray) -> np.recarray:
-    """Read-only record-array view of ``_TRACE_DTYPE`` rows."""
+def _trace(lam: float, n: int, stats: array) -> np.recarray:
+    """The read-only trace of a solve from its steps' statistics, four per
+    step in ``_Step`` order (log_max_c, mean_logc, D, mean_log_rows): each
+    row is ``_diagnostics`` of its step, taken on the columns at once."""
+    log_max_c, mean_logc, D, mean_log_rows = np.frombuffer(stats).reshape(-1, 4).T
+    rows = np.empty(D.size, dtype=_TRACE_DTYPE)
+    diag = _diagnostics(lam, n, np.arange(1, D.size + 1), mean_log_rows, log_max_c, mean_logc, D)
+    for name, column in zip(diag._fields, diag):
+        rows[name] = column
     trace = rows.view(np.recarray)
     trace.flags.writeable = False
     return trace
-
-
-def _trace_buffer(max_iters: int) -> np.ndarray:
-    """An empty trace buffer for a solve; ``_record`` grows it as needed."""
-    return np.empty(min(max_iters, 64), dtype=_TRACE_DTYPE)
-
-
-def _record(rows: np.ndarray, diag: IterationDiagnostics) -> np.ndarray:
-    """Write ``diag`` into row k - 1 of a trace buffer, doubling it when full."""
-    if diag.k > rows.size:
-        grown = np.empty(2 * rows.size, dtype=_TRACE_DTYPE)
-        grown[:rows.size] = rows
-        rows = grown
-    rows[diag.k - 1] = diag
-    return rows
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,7 @@ class RatePoint:
     ``trace`` holds one IterationDiagnostics row per iteration as a read-only
     numpy record array with fields k, F, K_value, D, lower_bound and
     upper_bound; its rows have attribute access (``pt.trace[-1].F``).  It is
-    a view of the first rows of the buffer the solve wrote them into, which
-    doubles when full.
+    built once, when the solve finishes, and holds its own rows alone.
 
     ``channel`` is the channel of the last step's input kernel, and
     ``kernel`` is that step's output, the kernel of the channel's joint.
@@ -155,7 +155,7 @@ class RatePoint:
     F_final: float = 0.0
     lower_bound: float = 0.0
     upper_bound: float = 0.0
-    trace: np.recarray = field(default_factory=lambda: _trace_array(_trace_buffer(0)),
+    trace: np.recarray = field(default_factory=lambda: _trace(0.0, 1, array("d")),
                                repr=False)
 
     def __post_init__(self):
@@ -216,7 +216,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> list:
 def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: float,
                  mean_logc: float, D: float) -> IterationDiagnostics:
     """Stopping statistic, Lagrangian and rate bounds from one tilt step's
-    statistics, ``mean_log_rows`` being E_p[log2 rows] of its row sums."""
+    statistics, ``mean_log_rows`` being E_p[log2 rows] of its row sums; on
+    arrays of steps' statistics, each element gets a lone step's bits."""
     base = -lam * D - mean_log_rows
     upper = (base - mean_logc) / n
     lower = (base - log_max_c) / n
@@ -251,7 +252,7 @@ class _Workspace:
     ``logc``, which the step writes only after them.
     """
 
-    __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "logc", "live", "factors",
+    __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "logc", "dead", "factors",
                  "tables", "products")
 
     def __init__(self, ctx: _Contexts, L: int):
@@ -263,7 +264,7 @@ class _Workspace:
         self.row_sums, self.scale, self.row_d, self.log_rows = (
             np.empty((L, A ** (n - s), A**s)) for _ in range(4))
         self.logc = np.empty((L, Z ** (n - s), B**n))
-        self.live = np.empty(self.logc.shape, dtype=bool)
+        self.dead = np.empty(self.logc.shape, dtype=bool)
         self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
         products = _product_buffers(ctx, L, self.logc)
         self.products = tuple(_product_calls(self.factors.factors, ctx, table, products)
@@ -302,7 +303,9 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     (p / rows) ``_dot``(q', wd) and E_p[log2 rows], the last three sums by
     ``_dots``.  Kernel entries on abandoned branches can underflow to exact
     zero; their contexts carry no joint mass and are left out of both the
-    max and the mean (restricted-support convention).
+    max and the mean (restricted-support convention): their cells of log2 c
+    are set to 0 in place, and a member whose max over the whole table is
+    not positive, so may be such a 0, has it retaken over the live cells.
     """
     L = q.shape[0]
     if ws is None:
@@ -325,15 +328,21 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     if wd is None:
         return _Step(q_next, factors)
     mass, logc = ws.factors.mass, ws.logc
-    if live:  # no mask
+    if live:
         np.divide(q_next, q, logc)
-    else:
-        live = np.greater(mass, 0.0, out=ws.live)
-        logc.fill(1.0)
-        np.divide(q_next, q, out=logc, where=live)
+    else:  # a dead cell, of a context without joint mass, may divide by 0; it gets 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(q_next, q, logc)
+        np.putmask(logc, np.equal(mass, 0.0, out=ws.dead), 1.0)
     np.log2(logc, logc)
-    log_max_c = np.maximum.reduce(logc, axis=(1, 2), initial=-np.inf, where=live).tolist()
-    # masked cells hold log2 1 = 0, so the mass-weighted log c sums to E[log2 c]
+    # dead cells hold log2 1 = 0, so the mass-weighted log c sums to E[log2 c],
+    # and a positive max is a live cell's; a max <= 0 is retaken over live cells
+    log_max_c = np.maximum.reduce(logc, axis=(1, 2)).tolist()
+    if not live:
+        for j, top in enumerate(log_max_c):
+            if not top > 0.0:
+                log_max_c[j] = float(np.maximum.reduce(logc[j], axis=None, initial=-np.inf,
+                                                       where=mass[j] > 0.0))
     mean_logc = _dots(logc, mass)
     D = _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d))
     mean_log_rows = _dots(np.log2(rows, ws.log_rows), p)
@@ -422,20 +431,20 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     q = np.empty((L, ctx.Z ** (n - s), B**n))
     tilt = np.empty((L,) + dvals.shape)
     wd = np.empty(tilt.shape)
-    traces: list = [None] * len(configs)
+    # each config's step statistics, four floats per step (``_trace``)
+    stats: list = [None] * len(configs)
 
     def admit(pos: int, j: int) -> None:
         # config j's start, tilt and tilt * d into row pos of the stack
         q[pos] = float(B) ** (-n) if starts[j] is None else starts[j]
         tilt[pos] = np.exp2(-configs[j].lam * dvals)
         np.multiply(tilt[pos], dvals, wd[pos])
-        traces[j] = _trace_buffer(configs[j].max_iters)
+        stats[j] = array("d")
 
     for j in range(L):
         admit(j, j)
     ws = _Workspace(ctx, L)
     members = list(range(L))  # config index of each stack member
-    steps = [0] * len(configs)  # steps each config has taken
     points: list = [None] * len(configs)
     queued = L  # the next config to admit
     end = len(configs)  # configs from this index on are cut
@@ -443,20 +452,20 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
         st = _step_stack(q, tilt, p, ctx, wd, ws)
         q_in, q = q, st.q_next  # admit writes into the stack the next step reads
         keep = None  # the rows that stay, listed from the first member that finishes
-        for pos, j in enumerate(members):
+        step_stats = zip(st.log_max_c, st.mean_logc, st.D, st.mean_log_rows)
+        for pos, (j, new) in enumerate(zip(members, step_stats)):
             if j >= end:
                 continue  # cut by a member before it in this step
-            cfg = configs[j]
-            steps[j] += 1
-            diag = _diagnostics(cfg.lam, n, steps[j], st.mean_log_rows[pos],
-                                st.log_max_c[pos], st.mean_logc[pos], st.D[pos])
-            traces[j] = _record(traces[j], diag)
-            if diag.F < cfg.epsilon or diag.k == cfg.max_iters:
+            cfg, taken = configs[j], stats[j]
+            taken.extend(new)
+            # F = log_max_c - mean_logc, as ``_diagnostics`` takes it
+            if new[0] - new[1] < cfg.epsilon or len(taken) == 4 * cfg.max_iters:
                 if keep is None:
                     keep = list(range(pos))  # every member before it runs on
-                points[j] = _point([f[pos] for f in st.factors], q_in[pos], tilt[pos], diag,
-                                   cfg, ctx, fmap, traces[j])
-                if diag.lower_bound <= 0.0:
+                points[j] = _point([f[pos] for f in st.factors], q_in[pos], tilt[pos],
+                                   _trace(cfg.lam, n, taken), cfg, ctx, fmap)
+                stats[j] = None  # the trace holds its rows now
+                if points[j].lower_bound <= 0.0:
                     end = j + 1  # the configs after it are cut
                     keep = [k for k in keep if members[k] < end]
                 if queued < end:  # the next config takes the slot
@@ -474,11 +483,10 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             ws = _Workspace(ctx, len(keep))
 
 
-def _point(factors: list, q: np.ndarray, weight: np.ndarray, diag: IterationDiagnostics,
-           config: SolverConfig, ctx: _Contexts, fmap: np.ndarray | None,
-           trace: np.ndarray) -> RatePoint:
+def _point(factors: list, q: np.ndarray, weight: np.ndarray, trace: np.recarray,
+           config: SolverConfig, ctx: _Contexts, fmap: np.ndarray | None) -> RatePoint:
     """The RatePoint of a solve whose last step, from the context table q
-    with ``weight``, gave the kernel ``factors`` and the record ``diag``.
+    with ``weight``, gave the kernel ``factors`` and the last row of ``trace``.
 
     The factors live in the solve's workspace, so the point copies them; its
     channel is built afresh from q (``_channel``).
@@ -486,10 +494,11 @@ def _point(factors: list, q: np.ndarray, weight: np.ndarray, diag: IterationDiag
     channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
                              probs=_channel(q, weight, ctx)[0])
     kernel = CausalKernel(ctx.n, ctx.s, ctx.A, ctx.B, tuple(f.copy() for f in factors), fmap)
+    diag = IterationDiagnostics(*trace[-1].item())
     # The per-symbol directed information of the final pair equals the upper
     # bound exactly (algebraic identity), and the bound form stays finite
     # when abandoned branches have underflowed.
     return RatePoint(lam=config.lam, D=diag.D, R=max(diag.upper_bound, 0.0),
                      iterations=diag.k, converged=diag.F < config.epsilon, channel=channel,
                      kernel=kernel, F_final=diag.F, lower_bound=diag.lower_bound,
-                     upper_bound=diag.upper_bound, trace=_trace_array(trace[:diag.k]))
+                     upper_bound=diag.upper_bound, trace=trace)

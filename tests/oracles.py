@@ -403,6 +403,23 @@ def solver_step_full_table(q, tilt, p, n, A, B, s, fmap, dvals, lam):
     return q_next, factors, (log_max_c - mean_logc, n * upper + lam * D, D, lower, upper)
 
 
+def restricted_log_ratio_stats(q, q_next, mass):
+    """For each member of a stack of kernel context tables (member axis
+    first), the max of log2(q_next / q) over the cells whose context carries
+    joint mass (``mass`` > 0) and the mass-weighted sum of log2(q_next / q),
+    as two lists of floats, with masked ufuncs (``where=``): cells without
+    mass are left out of the max and hold log2 1 = 0 in the sum.  The sum is
+    one ``np.vecdot`` per member, the solver's dot on tables of at most
+    10,000 cells."""
+    live = mass > 0.0
+    logc = np.ones(q.shape)
+    np.divide(q_next, q, out=logc, where=live)
+    np.log2(logc, logc)
+    log_max_c = np.maximum.reduce(logc, axis=(1, 2), initial=-np.inf, where=live)
+    mean_logc = np.vecdot(logc.reshape(len(q), -1), mass.reshape(len(q), -1))
+    return log_max_c.tolist(), mean_logc.tolist()
+
+
 def deflated_gamma(q, tilt, p, n, A, B):
     """The delay-1 certificate's gamma before the closed form: 1/rows of one
     step from the full kernel table q, deflated by the largest kernel-update
@@ -514,3 +531,23 @@ def sweep_serial(solve, warm_start, source, distortion, lambda_grid, base):
         if start is not None or point.lower_bound <= 0.0:
             start = warm_start(point.kernel)
     return solved
+
+
+# --- per-iteration trace ------------------------------------------------------
+
+def trace_row_by_row(step, diagnostics, dtype, q, weight, wd, p, ctx, lam, epsilon, max_iters):
+    """The trace of a lone solve from the stack of one ``q``, written one row
+    per iteration: each iteration steps the stack with ``step(q, weight, p,
+    ctx, wd)`` and writes ``diagnostics(lam, n, k, mean_log_rows, log_max_c,
+    mean_logc, D)`` of it as row k - 1, until F < epsilon or k = max_iters.
+    ``step``, ``diagnostics`` and the row type ``dtype`` are the package's,
+    passed in.  Returns the rows as an array of ``dtype``."""
+    rows = np.empty(max_iters, dtype=dtype)
+    for k in range(1, max_iters + 1):
+        st = step(q, weight, p, ctx, wd)
+        rows[k - 1] = diag = diagnostics(lam, ctx.n, k, st.mean_log_rows[0], st.log_max_c[0],
+                                         st.mean_logc[0], st.D[0])
+        if diag.F < epsilon:
+            break
+        q = st.q_next
+    return rows[:k].copy()

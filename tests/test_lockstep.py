@@ -16,10 +16,18 @@ from ffrd import curves, solver
 from ffrd.curves import _dedup_sorted, _warm_start, default_lambda_grid, sweep
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import _Contexts
-from ffrd.solver import SolverConfig, _solve_lockstep, _step_stack, _Workspace, solve
+from ffrd.solver import (
+    _TRACE_DTYPE,
+    SolverConfig,
+    _diagnostics,
+    _solve_lockstep,
+    _step_stack,
+    _Workspace,
+    solve,
+)
 
 from helpers import kernel_from_joint, workspace_bytes
-from oracles import sweep_serial
+from oracles import sweep_serial, trace_row_by_row
 
 SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)]
 MAPS = [None, "identity", "parity"]
@@ -210,6 +218,42 @@ def test_rolling_lockstep_equals_lone_solves(shape, data):
         _assert_same_point(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_rolling_lockstep_traces_equal_row_by_row_traces(shape, data):
+    """Every point of a rolling lockstep of 1 to 4 members has the trace of
+    its own solve written one row per iteration from a stack of one
+    (``oracles.trace_row_by_row``) bit for bit, and its trace's memory holds
+    its rows alone, 48 bytes each."""
+    A, B, n = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    source = block_pmf(SourceSpec.markov(rng.dirichlet(np.ones(A), size=A)), n)
+    dist = distortion_tensor(DistortionSpec.single_letter(rng.integers(0, 4, size=(A, B)) / 3), n)
+    s = data.draw(st.integers(1, n), label="s")
+    ff_map = _map(data.draw(st.sampled_from(MAPS), label="map"), A)
+    ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
+    width = data.draw(st.integers(1, 4), label="width")  # members the budget fits
+    count = data.draw(st.integers(width, 6), label="count")
+    configs = [SolverConfig(lam=data.draw(st.sampled_from(LAMBDA_POOL), label="lam"),
+                            epsilon=data.draw(st.sampled_from([1e-3, 1e-6]), label="eps"),
+                            max_iters=data.draw(st.sampled_from([1, 4, 60, 400]), label="cap"),
+                            delay=s, feedforward_map=ff_map) for _ in range(count)]
+    starts = [_random_kernel_table(rng, ctx, ff_map, 0.0)
+              if data.draw(st.booleans(), label="warm") else None for _ in range(count)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
+        points = _solve_lockstep(source, dist, configs, starts)
+    for pt, cfg, start in zip(points, configs, starts):
+        q = np.full((1, ctx.Z ** (n - s), B**n), float(B) ** -n) if start is None \
+            else start[None]
+        tilt = np.exp2(-cfg.lam * dist.values)
+        rows = trace_row_by_row(_step_stack, _diagnostics, _TRACE_DTYPE, q, tilt,
+                                tilt * dist.values, source.probs, ctx, cfg.lam, cfg.epsilon,
+                                cfg.max_iters)
+        assert pt.trace.dtype == rows.dtype and pt.trace.tobytes() == rows.tobytes()
+        assert pt.trace.base.nbytes == 48 * pt.iterations
+
+
 #: Markov(0.3, 0.2)/Hamming at n = 3: the weight 0.3 certifies rate 0 in
 #: the middle of the queue and cuts the three after it
 ROLLING_CONFIGS = [SolverConfig(lam=lam, max_iters=cap) for lam, cap in
@@ -385,24 +429,31 @@ def test_steady_step_allocates_no_table():
     """With a prebuilt workspace, a steady-state step of Markov(0.3, 0.2)/
     Hamming at n = 8, delay 1, traces a peak below one kernel context table
     (256 KiB): small per-call objects and numpy's ufunc buffers (at most
-    8192 elements each, whatever the table size), no table-sized temporary."""
+    8192 elements each, whatever the table size), no table-sized temporary.
+    So does a masked step: with the kernel's column x̂^n = 0 set to 0, every
+    context of that column carries no joint mass at every step, and the step
+    fills those cells in place."""
     n = 8
     source, dist = block_pmf(MARKOV, n), distortion_tensor(HAMMING, n)
     ctx = _Contexts.of(n, 2, 2, 1, None)
-    ws = _Workspace(ctx, 1)
     tilt = np.exp2(-4.0 * dist.values)[None]
     wd = tilt * dist.values
-    q = np.full((1, 2 ** (n - 1), 2**n), 2.0**-n)
-    for _ in range(3):
-        q = _step_stack(q, tilt, source.probs, ctx, wd, ws).q_next
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        _step_stack(q, tilt, source.probs, ctx, wd, ws)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak < q[0].nbytes
+    for masked in (False, True):
+        ws = _Workspace(ctx, 1)
+        q = np.full((1, 2 ** (n - 1), 2**n), 2.0**-n)
+        if masked:
+            q[..., 0] = 0.0
+        for _ in range(3):
+            q = _step_stack(q, tilt, source.probs, ctx, wd, ws).q_next
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _step_stack(q, tilt, source.probs, ctx, wd, ws)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.any(ws.factors.mass == 0.0) == masked
+        assert peak < q[0].nbytes
 
 
 def test_workspace_owns_under_three_and_a_half_tables():

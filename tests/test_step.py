@@ -2,6 +2,8 @@
 and factorization kept in ``oracles``, and the rolling Anderson history of
 the channel reconstruction against the re-stacked one."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,15 @@ from ffrd.models import (
     distortion_tensor,
 )
 from ffrd.prob import BlockSource, _context_factors, _Contexts, _factor_product
-from ffrd.solver import SolverConfig, _diagnostics, _step_stack, solve
+from ffrd.solver import SolverConfig, _diagnostics, _step_stack, _Workspace, solve
 
 from helpers import kernel_from_joint
 from oracles import (
     anderson_stacked,
     causal_factors_full_table,
+    causal_factors_of_prefix_mass,
     channel_full_table,
+    restricted_log_ratio_stats,
     solver_step_full_table,
 )
 
@@ -116,6 +120,63 @@ def test_step_matches_full_table_reference(shape, data):
     np.testing.assert_array_equal(ctx.full(step.q_next[0]), ref_q)
     for f, ref_f in zip(step.factors, ref_factors):
         np.testing.assert_array_equal(f[0], ref_f)
+
+
+def _masked_step(q, lam, n):
+    """One step of the stack of context tables q of Markov(0.3, 0.2)/Hamming
+    at delay 1, and its workspace; the step must not warn."""
+    source = block_pmf(SourceSpec.binary_markov(0.3, 0.2), n)
+    dvals = distortion_tensor(DistortionSpec.hamming(), n).values
+    tilt = np.exp2(-lam * dvals)
+    ctx = _Contexts.of(n, 2, 2, 1, None)
+    ws = _Workspace(ctx, len(q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _step_stack(q, tilt, source.probs, ctx, tilt * dvals, ws)
+    assert np.any(ws.factors.mass == 0.0)  # the step took the restricted-support path
+    for j in range(len(q)):
+        ref_q, ref_factors, ref_mass = causal_factors_of_prefix_mass(
+            ws.factors.prefix[j], n, 2, 2, 1)
+        np.testing.assert_array_equal(ctx.full(step.q_next[j]), ref_q)
+        np.testing.assert_array_equal(ws.factors.mass[j], ref_mass)
+        for f, ref_f in zip(step.factors, ref_factors, strict=True):
+            np.testing.assert_array_equal(f[j], ref_f)
+        lone = _step_stack(q[j][None], tilt, source.probs, ctx, tilt * dvals)
+        assert (step.D[j], step.mean_log_rows[j]) == (lone.D[0], lone.mean_log_rows[0])
+    assert (step.log_max_c, step.mean_logc) == \
+        restricted_log_ratio_stats(q, step.q_next, ws.factors.mass)
+    return step, ws
+
+
+def test_masked_step_matches_where_reference_in_a_mixed_stack():
+    """A stack of two at n = 3: the first kernel has exact zeros, so some of
+    its contexts carry no joint mass, and the second has none.  The step's
+    kernels, factors and statistics equal the references bit for bit: the
+    per-slice factorization of its prefix mass and the restricted max and
+    mean of log2 c taken with ``where=``.  The first member's max, positive,
+    is a live cell's."""
+    rng = np.random.default_rng(3)
+    q = np.stack([kernel_from_joint(_joint_with_zeros(rng, 2, 2, 3, zeros), 3, 2, 2, 1).table
+                  for zeros in (0.5, 0.0)])
+    step, ws = _masked_step(q, 4.0, 3)
+    assert np.any(ws.factors.mass[0] == 0.0) and np.all(ws.factors.mass[1] > 0.0)
+    assert step.log_max_c[0] > 0.0
+
+
+@pytest.mark.parametrize("seed", [4, 553])
+def test_masked_step_retakes_a_max_of_zero_over_live_cells(seed):
+    """At lam = 0 the channel of a causal kernel is the kernel itself, so a
+    kernel with exact zeros (n = 3) is a fixed point: log2 c is 0 or an ulp
+    off on the live cells, and with these seeds the max over the whole
+    table, the dead cells' 0 included, is 0.  The step retakes it over the
+    live cells alone and equals the ``where=`` reference: 0 with seed 4,
+    where some live ratio is 1 exactly, and log2(1 - 2^-53) with seed 553,
+    where every live log2 c is negative."""
+    rng = np.random.default_rng(seed)
+    q = kernel_from_joint(_joint_with_zeros(rng, 2, 2, 3, 0.5), 3, 2, 2, 1).table[None]
+    step, ws = _masked_step(q, 0.0, 3)
+    assert ws.logc.max() == 0.0  # the plain max did not settle it
+    assert step.log_max_c[0] == (0.0 if seed == 4 else np.log2(1.0 - 2.0**-53))
 
 
 @settings(max_examples=80, deadline=None)

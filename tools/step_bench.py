@@ -36,17 +36,23 @@ of every point's kernel, and two more over the certificates
 (``certificate_from_solution``) of the ``certify`` solves: one over their
 gamma and one over their p' factors, so two trees can be checked to give
 the same answers bit for bit, and a change to one part of the certificate
-told from a change to the other.  ``reconstruct_sha256`` covers the
-channel ``reconstruct_channel`` rebuilds from the n=5, lam=9 certificate.
+told from a change to the other.  ``trace_sha256`` covers the trace rows
+(``RatePoint.trace``) of every one of those points, so a change to how a
+solve records its iterations shows even where no answer moves.
+``reconstruct_sha256`` covers the channel ``reconstruct_channel`` rebuilds
+from the n=5, lam=9 certificate.
 A last one, ``simulate_sha256``, covers the ``to_json()`` bytes of the
 reports of the benchmark's two ``simulate`` runs at seeds 1 and 7, so
 simulator changes can be checked bit for bit too.  ``iterations`` is the
 total iteration count of the points the first two digests cover, so a
 change that moves last bits but no iteration count shows as such.
 ``sweeps`` gives, for each sweep curve, the iterations of its points, its
-``lockstep_steps`` (``solver._step_stack`` calls) and its
-``member_steps`` (the stack widths of those calls summed), so a change in
-how ``sweep`` batches its points shows beside the unchanged iterations.
+``lockstep_steps`` (``solver._step_stack`` calls), its
+``member_steps`` (the stack widths of those calls summed) and its
+``masked_steps`` (the steps on which ``prob._FactorSpace.factorize``
+returned False: some context carried no joint mass, so the step took its
+restricted-support path), so a change in how ``sweep`` batches its points
+shows beside the unchanged iterations.
 It also records ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` it ran under
 ("unset" when not set); no digest should change with it.
 Startup mode times fresh interpreters: the median wall time of
@@ -170,35 +176,46 @@ def step_cases() -> list:
 
 def answers() -> dict:
     """SHA-256 of the answers of the benchmark's sweep curves and certify
-    solves, of their kernels' factors, of the certify solves' certificates,
-    of the channel rebuilt from the last certificate, and of the simulate
-    reports."""
+    solves, of their kernels' factors and traces, of the certify solves'
+    certificates, of the channel rebuilt from the last certificate, and of
+    the simulate reports."""
     import numpy as np
 
     import ffrd
-    from ffrd import solver
+    from ffrd import prob, solver
 
     sys.path.insert(0, str(ROOT / "benchmarks"))
     from workloads import _sweep_curves, simulate_workload
 
     points, sweeps = [], []
-    step = solver._step_stack  # wrapped to count the sweeps' steps and members
+    # wrapped to count the sweeps' steps, members and masked steps
+    step, factorize = solver._step_stack, prob._FactorSpace.factorize
     widths: list = []
+    masked: list = []
 
     def counting(q, *args, **kwargs):
         widths.append(q.shape[0])
         return step(q, *args, **kwargs)
 
+    def counting_factorize(space):
+        live = factorize(space)
+        masked.append(not live)
+        return live
+
     try:
         solver._step_stack = counting
+        prob._FactorSpace.factorize = counting_factorize
         for c in _sweep_curves(tiny=False):
             widths.clear()
+            masked.clear()
             curve = ffrd.sweep(c.source, c.dist, c.n, c.grid, c.config, c.initial_context)
             points += curve.points
             sweeps.append({"key": c.key, "iterations": sum(pt.iterations for pt in curve.points),
-                           "lockstep_steps": len(widths), "member_steps": sum(widths)})
+                           "lockstep_steps": len(widths), "member_steps": sum(widths),
+                           "masked_steps": sum(masked)})
     finally:
         solver._step_stack = step
+        prob._FactorSpace.factorize = factorize
     hamming = ffrd.DistortionSpec.hamming()
     certs = []
     for n, lam, eps in ((8, 4.0, 1e-6), (8, 9.216, 1e-6), (8, 24.0, 1e-6), (5, 9.0, 1e-10)):
@@ -206,13 +223,14 @@ def answers() -> dict:
         dist = ffrd.distortion_tensor(hamming, n)
         points.append(ffrd.solve(source, dist, ffrd.SolverConfig(lam=lam, epsilon=eps)))
         certs.append(ffrd.certificate_from_solution(points[-1], source, dist))
-    digest, factors = hashlib.sha256(), hashlib.sha256()
+    digest, factors, traces = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for pt in points:
         digest.update(np.array([pt.R, pt.D, pt.F_final]).tobytes())
         digest.update(pt.channel.probs.tobytes())
         digest.update(pt.kernel.probs.tobytes())
         for f in pt.kernel.factors:
             factors.update(f.tobytes())
+        traces.update(pt.trace.tobytes())  # the point's own rows only
     gamma, p_prime = hashlib.sha256(), hashlib.sha256()
     for cert in certs:
         gamma.update(cert.gamma.tobytes())
@@ -231,7 +249,8 @@ def answers() -> dict:
             "points": len(points), "iterations": sum(pt.iterations for pt in points),
             "sweeps": sweeps,
             "sha256": digest.hexdigest(),
-            "factors_sha256": factors.hexdigest(), "certificates": len(certs),
+            "factors_sha256": factors.hexdigest(), "trace_sha256": traces.hexdigest(),
+            "certificates": len(certs),
             "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),
             "reconstruct_sha256": reconstruct.hexdigest(),
             "simulate_sha256": reports.hexdigest()}

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
-from .prob import CausalKernel
 from .solver import RatePoint, SolverConfig, _check_inputs, _solve_lockstep
 
 
@@ -52,43 +51,17 @@ def _dedup_sorted(points: list[RatePoint]) -> list[RatePoint]:
     return out
 
 
-#: Share of the uniform kernel mixed into a warm start.  It keeps the start
-#: strictly positive; without it abandoned branches stay at exact zero and
-#: neighbouring zero-rate points land on the same distortion.  A larger
-#: share only costs iterations (1e-2 cost 19% more than 1e-6 on the
-#: benchmark's sweeps).
-WARM_START_MIX = 1e-6
-
-
-def _warm_start(kernel: CausalKernel) -> np.ndarray:
-    """The context table of ``kernel`` mixed with the uniform kernel by
-    WARM_START_MIX, the start the solver reads.
-
-    Causal conditioning is a set of linear constraints on the table, so the
-    mixture is again the table of a causal kernel, and strictly positive.
-    """
-    table = kernel.table
-    table *= 1.0 - WARM_START_MIX
-    table += WARM_START_MIX * float(kernel.rec_alphabet_size) ** (-kernel.n)
-    return table
-
-
 def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
           lambda_grid=None, config: SolverConfig | None = None,
           initial_context=None) -> RdCurve:
     """Solve every Lagrange weight of the grid and merge the points into a curve.
 
-    The weights are solved from the largest down, each from the uniform
-    kernel, until a point's certified lower bound reaches zero.  Its sandwich
-    then contains rate 0, and so does every smaller weight's; from there on
-    each point starts from the previous one's ``_warm_start``, which needs
-    far fewer iterations on the flat part of the curve.  A weight listed
-    twice is solved once.  The cold weights are one call of
-    ``solver._solve_lockstep``, which steps them as a rolling stack sized
-    by its ``_STACK_CELLS``: a member that finishes hands its slot to the
-    next weight, and the points stop at the first that certifies rate 0.
-    Each warm weight is then a lockstep of its own.  Every point is bit
-    for bit that of a lockstep of its own.
+    The weights are one ``solver._solve_lockstep`` call, largest first, in
+    a rolling stack.  Once a point's lower bound reaches 0 (within epsilon
+    / n), so does every smaller weight's: those still running restart from
+    its warm start and the rest start from the nearest such point's, which
+    needs far fewer iterations on the flat part of the curve than the
+    uniform start of the others.  A weight listed twice is solved once.
 
     ``config`` supplies everything but the weight (tolerance, iteration cap,
     delay, feed-forward map); ``initial_context`` is passed to the
@@ -107,8 +80,6 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     dist = distortion_tensor(distortion_spec, n, initial_context)
     _check_inputs(source, dist, base.feedforward_map)
     points = _solve_lockstep(source, dist, configs, [None] * len(configs))
-    for cfg in configs[len(points):]:
-        points += _solve_lockstep(source, dist, [cfg], [_warm_start(points[-1].kernel)])
     solved = {pt.lam: pt for pt in points}
     deduped = _dedup_sorted([solved[lam] for lam in lams])
     return RdCurve(n=n, points=tuple(deduped),

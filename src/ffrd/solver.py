@@ -10,15 +10,13 @@ the causal-kernel update q = causal factorization of p*r, and the stopping
 statistic F (which bounds the gap between the per-iteration lower and upper
 bounds on the rate by exactly F/n).  The step is written once, in
 ``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
-stack of solves, and every solve is a member of a ``_solve_lockstep``
-stack started from a context table.  That call alone decides how many
-solves step together: as many as fit ``_STACK_CELLS`` table cells, and at
-least one, in a rolling stack whose finished members hand their slots to
-the next configs.  ``solve`` passes it one config, and ``curves.sweep``
-every cold weight; the channel reconstruction in ``dual`` takes the same
-step, on a stack of one, with p' as its weight.  A member keeps only its
-steps' four statistics, 32 bytes a step, tests F and its cap on Python
-floats, and builds its trace once, when it finishes (``_trace``).
+stack of solves.  Every solve is a member of a ``_solve_lockstep`` call,
+which alone decides how many solves step together, in a rolling stack
+whose finished members hand their slots to the next configs, and where
+each starts from.  ``solve`` passes it one config, ``curves.sweep`` every
+weight; ``dual``'s channel reconstruction steps a stack of one with p' as
+its weight.  A member keeps its steps' four statistics, 32 bytes a step,
+and builds its trace once, when it finishes (``_trace``).
 
 When a context carries no joint mass (its kernel entries underflowed to
 0), the step divides the whole table anyway, puts log2 1 = 0 in that
@@ -397,87 +395,117 @@ def solve(source: BlockSource, distortion: DistortionTensor,
 _STACK_CELLS = 2**14
 
 
+#: Share of the uniform kernel mixed into a warm start.  It keeps the start
+#: strictly positive; without it abandoned branches stay at exact zero and
+#: neighbouring zero-rate points land on the same distortion.  A larger
+#: share only costs iterations (1e-2 cost 19% more than 1e-6 on the
+#: benchmark's sweeps).
+WARM_START_MIX = 1e-6
+
+
+def _warm_start(kernel: CausalKernel) -> np.ndarray:
+    """The context table of ``kernel`` mixed with the uniform kernel by
+    WARM_START_MIX, the start the solver reads: again a causal kernel's
+    table (causal conditioning is a set of linear constraints on it), and
+    strictly positive."""
+    table = kernel.table
+    table *= 1.0 - WARM_START_MIX
+    table += WARM_START_MIX * float(kernel.rec_alphabet_size) ** (-kernel.n)
+    return table
+
+
 def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: list,
                     starts: list) -> list:
-    """Solve one point per config, as :func:`solve` would, stepping as many
-    of them together as fit ``_STACK_CELLS`` table cells, and at least one,
-    as one stack of context tables; nothing is checked.
+    """Solve one point per config, in config order, stepping as many of
+    them together as fit ``_STACK_CELLS`` table cells, and at least one, as
+    one stack of context tables; nothing is checked.
 
-    The configs share the delay and the feed-forward map and may differ in
-    the weight, tolerance and iteration cap.  ``starts`` holds one start per
-    config: a strictly positive kernel context table, or None for the
-    uniform kernel.  The configs enter the stack in order.  A member leaves
-    it when F drops below its tolerance or it reaches its cap; its RatePoint
-    is built then, and the next config takes its slot in place, with its own
-    iteration count from 1.  The stack, and its workspace with it, shrinks
-    only once no config is left to admit.  Every member's iterates, and so
-    its point, are bit for bit those of its own lockstep of one.
+    The configs share the delay and the feed-forward map.  ``starts`` holds
+    a strictly positive kernel context table or None per config.  A member
+    leaves the stack when F drops below its tolerance or at its cap; once
+    every member of the step is checked, the next configs in order take
+    the freed slots in place, each with its own count from 1.  The stack,
+    and its workspace, shrinks only once no config is left to admit.
 
-    The configs are taken in order, as ``sweep`` passes them by descending
-    weight: a member that finishes with a lower bound <= 0 cuts every later
-    config, admitted or not.  The points returned, in config order, end at
-    the first one whose lower bound is <= 0.
+    One rule gives every start.  A point is at rate 0, to its tolerance,
+    when its lower bound is at most epsilon / n, and then so is every
+    smaller weight.  A config enters from its given start, else from
+    ``_warm_start`` of the nearest such point before it (``sweep`` passes
+    descending weights), else uniform (a warm start at positive rate took
+    up to 3.7 times the steps, ``BENCH_32.json``).  When such a point
+    finishes, each later config still running whose start was uniform or
+    came from a config before it restarts in place from its warm start,
+    count reset: it reaches rate 0 in a few steps.  Each point is bit for
+    bit its own lockstep of one from the start the rule gave it, so answers
+    do not depend on the BLAS thread count, but a point without a given
+    start may depend on ``_STACK_CELLS``.
     """
     config = configs[0]
-    n, A = source.n, source.src_alphabet_size
-    B = distortion.rec_alphabet_size
+    n, A, B = source.n, source.src_alphabet_size, distortion.rec_alphabet_size
     s = min(config.delay, n)
     fmap = None if config.feedforward_map is None else config.feedforward_map.table
     ctx = _Contexts.of(n, A, B, s, fmap)
-    p = source.probs
-    dvals = distortion.values
+    p, dvals = source.probs, distortion.values
 
     L = min(len(configs), max(1, _STACK_CELLS // dvals.size))
     q = np.empty((L, ctx.Z ** (n - s), B**n))
-    tilt = np.empty((L,) + dvals.shape)
-    wd = np.empty(tilt.shape)
-    # each config's step statistics, four floats per step (``_trace``)
-    stats: list = [None] * len(configs)
+    tilt, wd = np.empty((L,) + dvals.shape), np.empty((L,) + dvals.shape)
+    # each config's step statistics, four floats per step (``_trace``), and point
+    stats, points = [None] * len(configs), [None] * len(configs)
+    # the config whose warm start each config runs from, -1 for uniform; a
+    # given start counts as after every config, so it never restarts
+    origin = [len(configs)] * len(configs)
+    members = list(range(L))  # config index of each stack member
 
-    def admit(pos: int, j: int) -> None:
-        # config j's start, tilt and tilt * d into row pos of the stack
-        q[pos] = float(B) ** (-n) if starts[j] is None else starts[j]
+    def admit(pos: int, j: int, i: int) -> None:
+        # config j into row pos of the stack, with its count from 1: from its
+        # given start, else from config i's warm start, uniform for i = -1
+        start = starts[j]
+        if start is None:
+            origin[j] = i
+            start = float(B) ** (-n) if i < 0 else _warm_start(points[i].kernel)
+        q[pos], members[pos] = start, j
         tilt[pos] = np.exp2(-configs[j].lam * dvals)
         np.multiply(tilt[pos], dvals, wd[pos])
         stats[j] = array("d")
 
     for j in range(L):
-        admit(j, j)
+        admit(j, j, -1)
     ws = _Workspace(ctx, L)
-    members = list(range(L))  # config index of each stack member
-    points: list = [None] * len(configs)
     queued = L  # the next config to admit
-    end = len(configs)  # configs from this index on are cut
+    last = -1  # the last config that certified rate 0, the nearest before the queue
     while True:
         st = _step_stack(q, tilt, p, ctx, wd, ws)
         q_in, q = q, st.q_next  # admit writes into the stack the next step reads
-        keep = None  # the rows that stay, listed from the first member that finishes
+        done = []  # the configs that finished in this step
         step_stats = zip(st.log_max_c, st.mean_logc, st.D, st.mean_log_rows)
         for pos, (j, new) in enumerate(zip(members, step_stats)):
-            if j >= end:
-                continue  # cut by a member before it in this step
             cfg, taken = configs[j], stats[j]
             taken.extend(new)
             # F = log_max_c - mean_logc, as ``_diagnostics`` takes it
             if new[0] - new[1] < cfg.epsilon or len(taken) == 4 * cfg.max_iters:
-                if keep is None:
-                    keep = list(range(pos))  # every member before it runs on
                 points[j] = _point([f[pos] for f in st.factors], q_in[pos], tilt[pos],
                                    _trace(cfg.lam, n, taken), cfg, ctx, fmap)
                 stats[j] = None  # the trace holds its rows now
-                if points[j].lower_bound <= 0.0:
-                    end = j + 1  # the configs after it are cut
-                    keep = [k for k in keep if members[k] < end]
-                if queued < end:  # the next config takes the slot
-                    admit(pos, queued)
-                    members[pos] = queued
-                    queued += 1
-                    keep.append(pos)
-            elif keep is not None:
-                keep.append(pos)
-        if keep is not None and len(keep) < len(members):
+                done.append(j)
+        if not done:
+            continue
+        # the points that certify rate 0 within their tolerance
+        zero = [j for j in done if points[j].lower_bound <= configs[j].epsilon / n]
+        last = max([last] + zero)
+        for pos, j in enumerate(members):
+            if points[j] is not None and queued < len(configs):  # the next takes the slot
+                admit(pos, queued, last)
+                queued += 1
+        keep = [pos for pos, k in enumerate(members) if points[k] is None]
+        for pos in keep if zero else ():
+            # the nearest config before this one that certified rate 0 now
+            j = max((j for j in zero if j < members[pos]), default=-1)
+            if origin[members[pos]] < j:
+                admit(pos, members[pos], j)
+        if len(keep) < len(members):
             if not keep:
-                return points[:end]
+                return points
             members = [members[pos] for pos in keep]
             q, tilt, wd = q[keep], tilt[keep], wd[keep]
             ws = _Workspace(ctx, len(keep))

@@ -11,7 +11,6 @@ and one tree at a time, with ``Generator.choice`` for every draw.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -514,23 +513,56 @@ def anderson_stacked(g, x, iters, tol, memory=5):
     return x
 
 
-# --- serial sweep -------------------------------------------------------------
+# --- rolling lockstep ---------------------------------------------------------
 
-def sweep_serial(solve, warm_start, source, distortion, lambda_grid, base):
-    """The points of a sweep solved one at a time, from the largest weight
-    down: cold until a point's lower bound reaches 0, then each from the
-    previous point's kernel passed through ``warm_start``.  ``solve(source,
-    distortion, config, start)`` solves from a start table or None, and
-    ``warm_start`` gives that table; both are the package's, passed in.
-    Returns {lam: point}."""
-    solved = {}
-    start = None
-    for lam in sorted({float(lam) for lam in lambda_grid}, reverse=True):
-        point = solve(source, distortion, replace(base, lam=lam), start)
-        solved[lam] = point
-        if start is not None or point.lower_bound <= 0.0:
-            start = warm_start(point.kernel)
-    return solved
+def rolling_lone_solves(solve, warm_start, source, distortion, configs, starts, members):
+    """The points of a rolling stack of ``members`` slots, from lone solves
+    run one at a time as events.  The configs enter in order.  A point is
+    at rate 0 when its lower bound is at most its epsilon / n.  A config
+    with no given start runs from ``warm_start`` of the kernel of the last
+    config in config order that finished at rate 0, or uniform (start None)
+    while none has.  Configs that finish at the same step are all kept;
+    each one at rate 0 restarts every later running config that has no
+    given start and whose start was uniform or came from a config before
+    it, from its own warm start, the nearest one winning; then the next
+    configs take the finished ones' slots.  A config admitted or restarted
+    after step t runs its steps t + 1 to t + its lone solve's iterations.
+    ``solve(source, distortion, config, start)`` and ``warm_start(kernel)``
+    are the package's, passed in.  Returns the points and the starts, in
+    config order, and the number of steps the stack took."""
+    count, n = len(configs), source.n
+    points, used = [None] * count, [None] * count
+    origin = [None] * count  # the config each start came from, -1 for uniform
+    running = {}  # config -> (its last step, its lone point)
+
+    def run(j, i, t):
+        if starts[j] is None:
+            origin[j] = i
+            used[j] = None if i < 0 else warm_start(points[i].kernel)
+        else:
+            used[j] = starts[j]
+        point = solve(source, distortion, configs[j], used[j])
+        running[j] = (t + point.iterations, point)
+
+    queued, last, t = min(count, max(1, members)), -1, 0
+    for j in range(queued):
+        run(j, -1, 0)
+    while running:
+        t = min(end for end, _ in running.values())
+        done = sorted(j for j, (end, _) in running.items() if end == t)
+        for j in done:
+            points[j] = running.pop(j)[1]
+        zero = [j for j in done if points[j].lower_bound <= configs[j].epsilon / n]
+        last = max([last] + zero)
+        for k in sorted(running):
+            j = max((j for j in zero if j < k), default=-1)
+            if origin[k] is not None and origin[k] < j:
+                run(k, j, t)
+        for _ in done:
+            if queued < count:
+                run(queued, last, t)
+                queued += 1
+    return points, used, t
 
 
 # --- per-iteration trace ------------------------------------------------------

@@ -1,19 +1,22 @@
 """Lockstep solves: a stack of kernel context tables steps as each of its
-members would alone, a rolling stack, whose finished members hand their
-slots to the next configs, gives each config's lone point, and ``sweep``,
-which solves its cold points as one rolling stack, gives the serial
-sweep's points bit for bit within a bounded extra memory."""
+members would alone, and a rolling stack, whose finished members hand their
+slots to the next configs and whose zero-rate points restart the configs
+still running below them, gives each config the lone point from the start
+its rule gave it (``oracles.rolling_lone_solves``).  ``sweep``, one rolling
+stack, gives those points bit for bit within a bounded extra memory, and
+each of its Lagrangian windows meets the cold lone solve's."""
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffrd import curves, solver
-from ffrd.curves import _dedup_sorted, _warm_start, default_lambda_grid, sweep
+from ffrd import solver
+from ffrd.curves import _dedup_sorted, default_lambda_grid, sweep
 from ffrd.models import DistortionSpec, FeedForwardMap, SourceSpec, block_pmf, distortion_tensor
 from ffrd.prob import _Contexts
 from ffrd.solver import (
@@ -22,12 +25,13 @@ from ffrd.solver import (
     _diagnostics,
     _solve_lockstep,
     _step_stack,
+    _warm_start,
     _Workspace,
     solve,
 )
 
 from helpers import kernel_from_joint, workspace_bytes
-from oracles import sweep_serial, trace_row_by_row
+from oracles import rolling_lone_solves, trace_row_by_row
 
 SHAPES = [(A, B, n) for A in (2, 3) for B in (2, 3) for n in range(1, 5)]
 MAPS = [None, "identity", "parity"]
@@ -110,10 +114,34 @@ def _solve_from(source, dist, config, start):
     return _solve_lockstep(source, dist, [config], [start])[0]
 
 
-def _serial_curve(source_spec, distortion_spec, n, grid, base, initial_context=None):
-    solved = sweep_serial(_solve_from, _warm_start, block_pmf(source_spec, n),
-                          distortion_tensor(distortion_spec, n, initial_context), grid, base)
-    return _dedup_sorted([solved[float(lam)] for lam in grid])
+def _rolling(source, dist, configs, starts, members):
+    """``oracles.rolling_lone_solves`` of the package's lone solve and warm
+    start: the points, the starts and the steps of a stack of ``members``."""
+    return rolling_lone_solves(_solve_from, _warm_start, source, dist, configs, starts, members)
+
+
+def _serial_curve(source_spec, distortion_spec, n, grid, base, members):
+    """The curve of ``grid`` solved one lone solve at a time by the rolling
+    stack's rule with ``members`` slots, and the steps that stack takes."""
+    configs = [replace(base, lam=lam) for lam in sorted({float(lam) for lam in grid},
+                                                        reverse=True)]
+    points, _, steps = _rolling(block_pmf(source_spec, n), distortion_tensor(distortion_spec, n),
+                                configs, [None] * len(configs), members)
+    solved = {pt.lam: pt for pt in points}
+    return _dedup_sorted([solved[float(lam)] for lam in grid]), steps
+
+
+def _counted_steps(run):
+    """What ``run()`` returns and the ``_step_stack`` calls it made."""
+    calls = []
+
+    def counting(q, *args, **kwargs):
+        calls.append(q.shape[0])
+        return _step_stack(q, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_step_stack", counting)
+        return run(), len(calls)
 
 
 LAMBDA_POOL = [0.0, 0.125, 0.5, 0.9, 1.5, 3.0, 6.0, 16.0, 40.0]
@@ -122,8 +150,9 @@ LAMBDA_POOL = [0.0, 0.125, 0.5, 0.9, 1.5, 3.0, 6.0, 16.0, 40.0]
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(SHAPES), data=st.data())
 def test_sweep_equals_serial_sweep(shape, data):
-    """For every stack width, including chunk edges and a zero-rate cut in
-    the middle of a stack, ``sweep`` returns the serial sweep's points."""
+    """For every stack width, including chunk edges and a zero-rate point
+    in the middle of a stack, ``sweep`` returns the points of its rule
+    solved one lone solve at a time."""
     A, B, n = shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     source = SourceSpec.markov(rng.dirichlet(np.ones(A), size=A))
@@ -138,7 +167,7 @@ def test_sweep_equals_serial_sweep(shape, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
         curve = sweep(source, distortion, n, grid, base)
-    expected = _serial_curve(source, distortion, n, grid, base)
+    expected, _ = _serial_curve(source, distortion, n, grid, base, width)
     assert len(curve.points) == len(expected)
     for a, b in zip(curve.points, expected):
         _assert_same_point(a, b)
@@ -147,50 +176,107 @@ def test_sweep_equals_serial_sweep(shape, data):
 @pytest.mark.parametrize("width", [1, 2, 5, 24])
 def test_default_grid_sweep_equals_serial_sweep(width, monkeypatch):
     """Markov(0.3, 0.2)/Hamming at n = 3: the point at 0.86 certifies rate 0
-    after 461 iterations while 1.77 runs to 2,487, so wide stacks cut in
-    their middle."""
+    after 461 iterations while 1.77 runs to 2,487, so wide stacks restart
+    the members below it in their middle.  The stack takes the steps of
+    the one-at-a-time reference's schedule."""
     monkeypatch.setattr(solver, "_STACK_CELLS", width * 64)
     base = SolverConfig(lam=0.0)
-    curve = sweep(MARKOV, HAMMING, 3, config=base)
-    expected = _serial_curve(MARKOV, HAMMING, 3, default_lambda_grid(), base)
+    curve, steps = _counted_steps(lambda: sweep(MARKOV, HAMMING, 3, config=base))
+    expected, expected_steps = _serial_curve(MARKOV, HAMMING, 3, default_lambda_grid(), base,
+                                             width)
     assert len(curve.points) == len(expected) == 24
+    assert steps == expected_steps
     for a, b in zip(curve.points, expected):
         _assert_same_point(a, b)
 
 
-def test_zero_rate_cut_drops_finished_members_below():
-    """A member that finishes with lower bound <= 0 drops the members after
-    it, also one that has already finished; the ones before it run on."""
+def _window(pt, n):
+    """The point's Lagrangian window [lower + lam D / n, upper + lam D / n],
+    which holds the least Lagrangian at its weight at every iterate."""
+    return pt.lower_bound + pt.lam * pt.D / n, pt.upper_bound + pt.lam * pt.D / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_sweep_windows_meet_the_cold_solves(shape, data):
+    """Whatever start its rule gave it, under budgets of 1 to 5 members,
+    each point of a sweep brackets the least Lagrangian at its weight as
+    the cold lone solve there does: the two windows meet, to 1e-12."""
+    A, B, n = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    source = SourceSpec.markov(rng.dirichlet(np.ones(A), size=A))
+    distortion = DistortionSpec.single_letter(rng.integers(0, 4, size=(A, B)) / 3)
+    base = SolverConfig(lam=0.0, epsilon=data.draw(st.sampled_from([1e-3, 1e-6]), label="eps"),
+                        max_iters=data.draw(st.sampled_from([1, 4, 60, 400]), label="cap"),
+                        delay=data.draw(st.integers(1, n), label="s"),
+                        feedforward_map=_map(data.draw(st.sampled_from(MAPS), label="map"), A))
+    grid = data.draw(st.lists(st.sampled_from(LAMBDA_POOL), min_size=1, max_size=8),
+                     label="grid")
+    width = data.draw(st.integers(1, 5), label="width")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
+        curve = sweep(source, distortion, n, grid, base)
+    src, dist = block_pmf(source, n), distortion_tensor(distortion, n)
+    for pt, cfg in zip(curve.points, curve.configs, strict=True):
+        (a_lo, a_hi), (b_lo, b_hi) = _window(pt, n), _window(solve(src, dist, cfg), n)
+        assert max(a_lo, b_lo) <= min(a_hi, b_hi) + 1e-12
+
+
+def test_zero_rate_restart_keeps_the_flat_end_short():
+    """Markov(0.3, 0.2)/Hamming on the default grid at n = 4, default
+    budget (16 of the 24 weights at once): once the first point in
+    descending weight is at rate 0 (lower bound <= epsilon / n), every
+    smaller weight takes at most 6 iterations, from a restart or from its
+    admission, and the call takes no more steps than the sweep that cut
+    the stack there and solved the rest in a warm chain (1,567).  Without
+    the restart the points below ran on from the uniform start, 465 to
+    2,098 iterations, in 2,098 steps."""
+    curve, steps = _counted_steps(lambda: sweep(MARKOV, HAMMING, 4))
+    assert len(curve.points) == 24
+    points = sorted(curve.points, key=lambda pt: pt.lam, reverse=True)
+    eps = SolverConfig(lam=0.0).epsilon
+    first = next(j for j, pt in enumerate(points) if pt.lower_bound <= eps / 4)
+    assert all(pt.iterations <= 6 for pt in points[first + 1:])
+    assert steps <= 1567
+
+
+def test_zero_rate_point_keeps_finished_members_and_restarts_running_ones():
+    """Markov(0.3, 0.2)/Hamming at n = 3, one stack of five: 0.4 and 0.3
+    stop at their cap of 10 with lower bounds <= 0 (every bound is negative
+    that early) while 0.5 runs on to its cap of 60.  All three keep their
+    cold lone points.  0.2 and 0.1, cold and still running at step 10,
+    restart from the warm start of 0.3, the nearest of the two, with their
+    counts from 1; 0.5 finishing later, also at a bound <= 0, leaves them
+    alone, since their start came from a config after it.  When 0.2
+    finishes, at rate 0, 0.1 restarts once more, from 0.2's warm start,
+    and then takes one step."""
     source, dist = block_pmf(MARKOV, 3), distortion_tensor(HAMMING, 3)
     configs = [SolverConfig(lam=0.5, max_iters=60), SolverConfig(lam=0.4, max_iters=10),
-               SolverConfig(lam=0.3, max_iters=10)]
-    points = _solve_lockstep(source, dist, configs, [None] * 3)
-    assert len(points) == 1
-    lone = solve(source, dist, configs[0])
-    assert lone.lower_bound <= 0.0 and lone.iterations == 60
-    _assert_same_point(points[0], lone)
-
-
-def _lone_points(source, dist, configs, starts):
-    """Each config's point from its own lockstep of one, in config order, up
-    to the first whose lower bound is <= 0."""
-    points = []
-    for cfg, start in zip(configs, starts):
-        points.append(_solve_from(source, dist, cfg, start))
-        if points[-1].lower_bound <= 0.0:
-            break
-    return points
+               SolverConfig(lam=0.3, max_iters=10), SolverConfig(lam=0.2),
+               SolverConfig(lam=0.1)]
+    points = _solve_lockstep(source, dist, configs, [None] * 5)
+    assert len(points) == 5
+    for pt, cfg in zip(points[:3], configs[:3]):
+        lone = solve(source, dist, cfg)
+        assert lone.lower_bound <= 0.0 and lone.iterations == cfg.max_iters
+        _assert_same_point(pt, lone)
+    for j in (3, 4):
+        lone = _solve_from(source, dist, configs[j], _warm_start(points[j - 1].kernel))
+        _assert_same_point(points[j], lone)
+    assert points[3].lower_bound <= 0.0 and points[4].iterations == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(SHAPES), data=st.data())
 def test_rolling_lockstep_equals_lone_solves(shape, data):
     """A stack narrower than its queue (a budget of fewer members' cells
-    than there are configs): each config that takes a finished
-    member's slot runs from its own start with its own iteration count, so
-    every point is that of its own lockstep of one, and the first point in
-    config order that certifies rate 0 (every weight 0 does) cuts the rest
-    of the queue, admitted or not."""
+    than there are configs): each config that takes a finished member's
+    slot runs from its given start, else from the warm start of the last
+    finished config, with its own iteration count, and a point that
+    certifies rate 0 (every weight 0 does) restarts the later members still
+    running from a start before it.  Every point is that of its own
+    lockstep of one from the start this rule gave it, as the one-at-a-time
+    reference finds it."""
     A, B, n = shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     source = block_pmf(SourceSpec.markov(rng.dirichlet(np.ones(A), size=A)), n)
@@ -212,8 +298,8 @@ def test_rolling_lockstep_equals_lone_solves(shape, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
         points = _solve_lockstep(source, dist, configs, starts)
-    expected = _lone_points(source, dist, configs, starts)
-    assert len(points) == len(expected)
+    expected, _, _ = _rolling(source, dist, configs, starts, width)
+    assert len(points) == len(expected) == count
     for a, b in zip(points, expected):
         _assert_same_point(a, b)
 
@@ -222,9 +308,9 @@ def test_rolling_lockstep_equals_lone_solves(shape, data):
 @given(shape=st.sampled_from(SHAPES), data=st.data())
 def test_rolling_lockstep_traces_equal_row_by_row_traces(shape, data):
     """Every point of a rolling lockstep of 1 to 4 members has the trace of
-    its own solve written one row per iteration from a stack of one
-    (``oracles.trace_row_by_row``) bit for bit, and its trace's memory holds
-    its rows alone, 48 bytes each."""
+    its own solve, from the start the rule gave it, written one row per
+    iteration from a stack of one (``oracles.trace_row_by_row``) bit for
+    bit, and its trace's memory holds its rows alone, 48 bytes each."""
     A, B, n = shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     source = block_pmf(SourceSpec.markov(rng.dirichlet(np.ones(A), size=A)), n)
@@ -243,7 +329,8 @@ def test_rolling_lockstep_traces_equal_row_by_row_traces(shape, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_STACK_CELLS", width * A**n * B**n)
         points = _solve_lockstep(source, dist, configs, starts)
-    for pt, cfg, start in zip(points, configs, starts):
+    _, used, _ = _rolling(source, dist, configs, starts, width)
+    for pt, cfg, start in zip(points, configs, used, strict=True):
         q = np.full((1, ctx.Z ** (n - s), B**n), float(B) ** -n) if start is None \
             else start[None]
         tilt = np.exp2(-cfg.lam * dist.values)
@@ -255,7 +342,7 @@ def test_rolling_lockstep_traces_equal_row_by_row_traces(shape, data):
 
 
 #: Markov(0.3, 0.2)/Hamming at n = 3: the weight 0.3 certifies rate 0 in
-#: the middle of the queue and cuts the three after it
+#: the middle of the queue and restarts the members after it still running
 ROLLING_CONFIGS = [SolverConfig(lam=lam, max_iters=cap) for lam, cap in
                    ((24.0, 100), (9.0, 30), (6.0, 100_000), (0.3, 100_000), (3.0, 20),
                     (2.0, 100), (1.0, 100))]
@@ -292,11 +379,11 @@ def test_rolling_lockstep_builds_a_workspace_only_when_it_shrinks(members):
     configs = ROLLING_CONFIGS
     points, builds = _counted_lockstep(None if members is None else members * 64, source,
                                        dist, configs)
-    expected = _lone_points(source, dist, configs, [None] * len(configs))
-    assert len(points) == len(expected) == 4
+    L = len(configs) if members is None else members
+    expected, _, _ = _rolling(source, dist, configs, [None] * len(configs), L)
+    assert len(points) == len(expected) == 7
     for a, b in zip(points, expected):
         _assert_same_point(a, b)
-    L = len(configs) if members is None else members
     assert builds[0] == L and builds == sorted(set(builds), reverse=True)
     assert len(builds) <= 1 + L
 
@@ -307,15 +394,15 @@ def test_lockstep_stack_fits_the_budget(n, budget):
     """``_solve_lockstep`` alone sizes its stack: its first workspace holds
     max(1, ``_STACK_CELLS`` // cells) members, or every config when fewer,
     no later one holds more, and every point is that of its own lockstep of
-    one.  A call of several configs stacked all of them while the budget
-    was its caller's."""
+    one from its rule's start with that many slots.  A call of several
+    configs stacked all of them while the budget was its caller's."""
     source, dist = block_pmf(MARKOV, n), distortion_tensor(HAMMING, n)
     configs = ROLLING_CONFIGS
     points, builds = _counted_lockstep(budget, source, dist, configs)
     fits = max(1, budget // dist.values.size)
     assert builds[0] == min(len(configs), fits) and max(builds) <= fits
-    expected = _lone_points(source, dist, configs, [None] * len(configs))
-    assert len(points) == len(expected)
+    expected, _, _ = _rolling(source, dist, configs, [None] * len(configs), fits)
+    assert len(points) == len(expected) == len(configs)
     for a, b in zip(points, expected):
         _assert_same_point(a, b)
 
@@ -347,9 +434,9 @@ def _traced_peak(fn):
 @pytest.mark.parametrize("cells", [2**10, 2**12])
 def test_lockstep_sweep_memory_is_bounded_by_the_budget(cells, monkeypatch):
     """A lockstep sweep holds at most a few stacks of ``cells`` table cells
-    more than the serial sweep.  Markov(0.3, 0.2)/Hamming at n = 4 has 256
-    cells per point and 15 cold points: a stack of 2^10 cells steps four
-    of them at a time, one of 2^12 all at once."""
+    more than a sweep one weight at a time.  Markov(0.3, 0.2)/Hamming at
+    n = 4 has 256 cells per point and 24 weights: a stack of 2^10 cells
+    steps four of them at a time, one of 2^12 sixteen."""
     run = lambda: sweep(MARKOV, HAMMING, 4, config=SolverConfig(lam=0.0, epsilon=1e-4))
     monkeypatch.setattr(solver, "_STACK_CELLS", 1)
     serial = _traced_peak(run)
@@ -371,7 +458,7 @@ def test_warm_start_is_the_mixed_context_table():
     start = _warm_start(kernel)
     np.testing.assert_array_equal(kernel.table, table)  # the kernel is left as it was
     np.testing.assert_array_equal(
-        start, (1.0 - curves.WARM_START_MIX) * table + curves.WARM_START_MIX * 2.0**-n)
+        start, (1.0 - solver.WARM_START_MIX) * table + solver.WARM_START_MIX * 2.0**-n)
     assert np.all(start > 0.0)
 
 

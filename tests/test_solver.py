@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import ffrd
-from ffrd.curves import _warm_start
 from ffrd.models import (
     DistortionSpec,
     FeedForwardMap,
@@ -23,6 +22,7 @@ from ffrd.solver import (
     SolverConfig,
     _solve_lockstep,
     _step_stack,
+    _warm_start,
     solve,
 )
 

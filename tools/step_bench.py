@@ -4,6 +4,7 @@
     python3 tools/step_bench.py --out step.json
     python3 tools/step_bench.py --answers
     python3 tools/step_bench.py --startup
+    python3 tools/step_bench.py --budgets
     python3 tools/step_bench.py --src OTHER_TREE/src --out other.json
 
 Step mode solves Markov(0.3, 0.2) with Hamming distortion at each block
@@ -52,9 +53,20 @@ change that moves last bits but no iteration count shows as such.
 ``masked_steps`` (the steps on which ``prob._FactorSpace.factorize``
 returned False: some context carried no joint mass, so the step took its
 restricted-support path), so a change in how ``sweep`` batches its points
-shows beside the unchanged iterations.
+shows beside the unchanged iterations.  Each ``sweeps`` entry also has its
+own ``sha256`` over its curve's points, and ``solve_sha256`` covers the
+``certify`` solves alone, so a change that moves only sweep answers shows
+as such.
 It also records ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` it ran under
 ("unset" when not set); no digest should change with it.
+Budgets mode sweeps each curve of ``BUDGET_CURVES`` (Markov(0.3, 0.2)
+with Hamming distortion on the default grid at n = 2..5 and at n = 6
+with delay 2, and the benchmark's ternary parity curve at n = 2 and
+``stock`` delay 2 curve at n = 4, each on its benchmark grid) under the
+default ``solver._STACK_CELLS`` and under budgets of 2 and 4 members'
+table cells, and records for each its ``lockstep_steps``,
+``member_steps``, total ``iterations`` and wall time, so that two trees'
+schedules can be compared curve by curve.
 Startup mode times fresh interpreters: the median wall time of
 ``STARTUP_RUNS`` runs each of ``python -c pass``, ``python -c "import ffrd"``
 and ``python -m ffrd.cli --help``, and lists the top-level packages outside
@@ -86,6 +98,14 @@ PROBE_STEPS = 12  # steps of the fault and tracemalloc solves
 STEADY_FROM = 3  # the first step whose faults and peak are counted
 TARGET_CELL_STEPS = 2e7  # iterations * stack cells per timed solve
 STARTUP_RUNS = 5  # fresh interpreters per startup timing
+#: (key, benchmark curve it is built on, block length, delay or None for
+#: the curve's own, default grid instead of the curve's)
+BUDGET_CURVES = [(f"markov-hamming-n{n}", "markov-hamming-n6", n, None, True)
+                 for n in range(2, 6)] + [
+    ("markov-hamming-n6-delay2", "markov-hamming-n6", 6, 2, True),
+    ("ternary-parity-n2", "ternary-parity-n3", 2, None, False),
+    ("markov-stock-n4-delay2", "markov-stock-n6-delay2", 4, None, False)]
+BUDGET_MEMBERS = (None, 2, 4)  # None: the default budget
 
 
 def _minflt() -> int:
@@ -188,6 +208,16 @@ def answers() -> dict:
     from workloads import _sweep_curves, simulate_workload
 
     points, sweeps = [], []
+
+    def point_digest(pts):
+        # R, D, F_final, channel and kernel of each point
+        digest = hashlib.sha256()
+        for pt in pts:
+            digest.update(np.array([pt.R, pt.D, pt.F_final]).tobytes())
+            digest.update(pt.channel.probs.tobytes())
+            digest.update(pt.kernel.probs.tobytes())
+        return digest
+
     # wrapped to count the sweeps' steps, members and masked steps
     step, factorize = solver._step_stack, prob._FactorSpace.factorize
     widths: list = []
@@ -212,7 +242,8 @@ def answers() -> dict:
             points += curve.points
             sweeps.append({"key": c.key, "iterations": sum(pt.iterations for pt in curve.points),
                            "lockstep_steps": len(widths), "member_steps": sum(widths),
-                           "masked_steps": sum(masked)})
+                           "masked_steps": sum(masked),
+                           "sha256": point_digest(curve.points).hexdigest()})
     finally:
         solver._step_stack = step
         prob._FactorSpace.factorize = factorize
@@ -223,11 +254,8 @@ def answers() -> dict:
         dist = ffrd.distortion_tensor(hamming, n)
         points.append(ffrd.solve(source, dist, ffrd.SolverConfig(lam=lam, epsilon=eps)))
         certs.append(ffrd.certificate_from_solution(points[-1], source, dist))
-    digest, factors, traces = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    factors, traces = hashlib.sha256(), hashlib.sha256()
     for pt in points:
-        digest.update(np.array([pt.R, pt.D, pt.F_final]).tobytes())
-        digest.update(pt.channel.probs.tobytes())
-        digest.update(pt.kernel.probs.tobytes())
         for f in pt.kernel.factors:
             factors.update(f.tobytes())
         traces.update(pt.trace.tobytes())  # the point's own rows only
@@ -248,12 +276,55 @@ def answers() -> dict:
     return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
             "points": len(points), "iterations": sum(pt.iterations for pt in points),
             "sweeps": sweeps,
-            "sha256": digest.hexdigest(),
+            "sha256": point_digest(points).hexdigest(),
+            "solve_sha256": point_digest(points[-len(certs):]).hexdigest(),
             "factors_sha256": factors.hexdigest(), "trace_sha256": traces.hexdigest(),
             "certificates": len(certs),
             "gamma_sha256": gamma.hexdigest(), "p_prime_sha256": p_prime.hexdigest(),
             "reconstruct_sha256": reconstruct.hexdigest(),
             "simulate_sha256": reports.hexdigest()}
+
+
+def budgets() -> list:
+    """Stack steps, member-steps, iterations and seconds of the sweeps of
+    ``BUDGET_CURVES`` under each budget of ``BUDGET_MEMBERS``."""
+    from dataclasses import replace
+
+    import ffrd
+    from ffrd import solver
+
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import _sweep_curves
+
+    curves = {c.key: c for c in _sweep_curves(tiny=False)}
+    step, default = solver._step_stack, solver._STACK_CELLS
+    widths: list = []
+
+    def counting(q, *args, **kwargs):
+        widths.append(q.shape[0])
+        return step(q, *args, **kwargs)
+
+    rows = []
+    try:
+        solver._step_stack = counting
+        for key, base, n, delay, default_grid in BUDGET_CURVES:
+            c = curves[base]
+            config = c.config if delay is None else replace(c.config, delay=delay)
+            grid = ffrd.default_lambda_grid() if default_grid else c.grid
+            cells = ffrd.distortion_tensor(c.dist, n, c.initial_context).values.size
+            for members in BUDGET_MEMBERS:
+                solver._STACK_CELLS = default if members is None else members * cells
+                widths.clear()
+                t0 = time.perf_counter()
+                curve = ffrd.sweep(c.source, c.dist, n, grid, config, c.initial_context)
+                rows.append({"key": key, "members": members or max(1, default // cells),
+                             "lockstep_steps": len(widths), "member_steps": sum(widths),
+                             "iterations": sum(pt.iterations for pt in curve.points),
+                             "seconds": time.perf_counter() - t0})
+                print(rows[-1], file=sys.stderr)
+    finally:
+        solver._step_stack, solver._STACK_CELLS = step, default
+    return rows
 
 
 def startup(src: Path) -> dict:
@@ -289,6 +360,8 @@ def main(argv=None) -> None:
     ap.add_argument("--answers", action="store_true", help="print the answer hash and exit")
     ap.add_argument("--startup", action="store_true",
                     help="time fresh interpreters that import ffrd, and exit")
+    ap.add_argument("--budgets", action="store_true",
+                    help="count the steps of sweeps under several stack budgets, and exit")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="tree to import ffrd from")
     ap.add_argument("--out", type=Path, help="write the JSON here as well as to stdout")
     args = ap.parse_args(argv)
@@ -304,6 +377,8 @@ def main(argv=None) -> None:
         result["startup"] = startup(args.src.resolve())
     elif args.answers:
         result["answers"] = answers()
+    elif args.budgets:
+        result["budgets"] = budgets()
     else:
         result["cases"] = step_cases()
     text = json.dumps(result, indent=1)

@@ -11,9 +11,17 @@ import numpy as np
 from .prob import binary_entropy
 
 
+def _check_probabilities(**values: float) -> None:
+    for name, value in values.items():
+        # every comparison with NaN is false, so NaN is refused too
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def iid_binary_rd(p: float, D: float) -> float:
     """R(D) = H_b(p) - H_b(D) for a Bernoulli(p) source under Hamming
     distortion, valid (and clamped at) 0 <= D <= min(p, 1-p)."""
+    _check_probabilities(bias=p)
     if D < 0:
         raise ValueError("distortion must be >= 0")
     if D >= min(p, 1.0 - p):
@@ -37,6 +45,9 @@ def markov_rn(p: float, q: float, n: int, D: float) -> float:
     lam=4.26 the certified lower bound is 0.25261 against 0.24955 here.
     ``n`` is a whole number >= 1, or np.inf for the limiting curve.
     """
+    _check_probabilities(p=p, q=q)
+    if p + q == 0.0:
+        raise ValueError("p + q must be > 0: a chain that never moves has no stationary pi")
     if not (n == np.inf or (float(n).is_integer() and n >= 1)):
         raise ValueError(f"block length must be a whole number >= 1 or inf, got {n!r}")
     if D < 0:
@@ -58,10 +69,14 @@ def stock_market_rd(q: float, pi0: float, D: float) -> float:
 
     (1 - pi0)(H_b(q) - H_b(D / (1 - pi0))) for D <= (1 - pi0) * min(q, 1-q),
     zero otherwise; ``q`` is the drop probability and ``pi0`` the stationary
-    mass of the state from which no drop can occur.
+    mass of the state from which no drop can occur.  At pi0 = 1 there is no
+    active state and the rate is 0.
     """
+    _check_probabilities(q=q, pi0=pi0)
     if D < 0:
         raise ValueError("distortion must be >= 0")
+    if pi0 == 1.0:
+        return 0.0
     active = 1.0 - pi0
     eps = D / active
     if eps >= min(q, 1.0 - q):

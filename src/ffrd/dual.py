@@ -211,16 +211,16 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
                               distortion: DistortionTensor) -> DualCertificate:
     """Assemble a feasible certificate from a converged solver state.
 
-    p' is the reverse causal factorization of the joint p * r, with r the
-    channel of one more step from the returned kernel (``solver._channel``),
-    and gamma is the closed form's largest feasible
-    value for that p' (1 on blocks with p = 0), so the certificate is
-    feasible by construction.  The resulting dual objective sits within F/n
-    below the primal rate unless kernel entries underflowed, which can leave
-    it looser.  Where the solve's joint underflowed p' can vanish on a pair
-    whose source block has mass; no positive gamma is feasible there and
-    ``ValueError`` says so.  The source and the distortion tensor must have
-    the block length and alphabets of the point's kernel.
+    p' is the reverse causal factorization of the point's joint p * r, r
+    its channel, and gamma the closed form's largest feasible value for
+    that p' (1 on blocks with p = 0), so the certificate is feasible by
+    construction.  The point's kernel q* factors that joint, so with every
+    context live gamma = 1 / (rows max_x̂ c), c = q* / q, and in exact
+    arithmetic the objective lies in [R - F/n, R]; underflowed kernel
+    entries can leave it looser.  Where the solve's joint underflowed p'
+    can vanish on a pair whose source block has mass; no positive gamma is
+    feasible there and ``ValueError`` says so.  The source and the
+    distortion tensor must have the point kernel's n and alphabets.
     """
     q_star = point.kernel
     _check_dims("solution kernel", q_star, source, "the source has")
@@ -229,9 +229,7 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
         raise ValueError("certificates require a delay-1 solve without a feed-forward map")
     n, A = source.n, source.src_alphabet_size
     B = q_star.rec_alphabet_size
-    ctx = _Contexts.of(n, A, B, 1, None)
-    joint, _ = _channel(q_star.table, np.exp2(-point.lam * distortion.values), ctx)
-    joint *= source.probs[:, None]
+    joint = point.channel.probs * source.probs[:, None]
     factors = tuple(reverse_causal_factors(joint, n, A, B))
     log_gamma = _log2_gamma_bound(_p_prime_table(factors, n, A, B), point.lam, source,
                                   distortion)
@@ -321,7 +319,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     # slow modes and converges in a handful of extra steps.
     warmup = 200
     for _ in range(warmup):
-        q = _step_stack(q, weight, p, ctx, ws=ws).q_next
+        q = _step_stack(q, weight, p, ctx, ws)
 
     # Anderson acceleration on y = 1 - log2 q.  On q its proposals for the
     # entries that head to 0 turn negative and are refused; on y every
@@ -334,7 +332,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     def to_q(y):
         return np.exp2(1.0 - y).reshape(q.shape)
 
-    y = _anderson(lambda y: to_y(_step_stack(to_q(y), weight, p, ctx, ws=ws).q_next),
+    y = _anderson(lambda y: to_y(_step_stack(to_q(y), weight, p, ctx, ws)),
                   to_y(q), RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
     channel, rows = _channel(to_q(y)[0], weight, ctx)
     channel[~support] = float(B) ** (-n)

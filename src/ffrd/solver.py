@@ -15,8 +15,9 @@ which alone decides how many solves step together, in a rolling stack
 whose finished members hand their slots to the next configs, and where
 each starts from.  ``solve`` passes it one config, ``curves.sweep`` every
 weight; ``dual``'s channel reconstruction steps a stack of one with p' as
-its weight.  A member keeps its steps' four statistics, 32 bytes a step,
-and builds its trace once, when it finishes (``_trace``).
+its weight.  The step returns the next kernel and leaves its factors and
+statistics in its workspace.  A member keeps its steps' four statistics,
+32 bytes a step, and builds its trace once, when it finishes (``_trace``).
 
 When a context carries no joint mass (its kernel entries underflowed to
 0), the step divides the whole table anyway, puts log2 1 = 0 in that
@@ -118,7 +119,7 @@ _TRACE_DTYPE = np.dtype([(name, np.int64 if name == "k" else np.float64)
 
 def _trace(lam: float, n: int, stats: array) -> np.recarray:
     """The read-only trace of a solve from its steps' statistics, four per
-    step in ``_Step`` order (log_max_c, mean_logc, D, mean_log_rows): each
+    step in ``_Workspace.stats`` order (log_max_c, mean_logc, D, mean_log_rows): each
     row is ``_diagnostics`` of its step, taken on the columns at once."""
     log_max_c, mean_logc, D, mean_log_rows = np.frombuffer(stats).reshape(-1, 4).T
     rows = np.empty(D.size, dtype=_TRACE_DTYPE)
@@ -161,25 +162,6 @@ class RatePoint:
             raise ValueError("rate and distortion must be nonnegative")
 
 
-class _Step(NamedTuple):
-    """One alternating-minimization step taken from a stack of kernel context
-    tables q, member axis first; a lone solve is a stack of one.
-
-    Its arrays keep the member axis, and its statistics are lists of one
-    Python float per member.  The step holds no channel and no joint;
-    ``_channel`` builds the channel from q and the weight, and p times it
-    is the joint.
-    """
-
-    q_next: np.ndarray  # causal kernel of the joint, as a context table
-    factors: list
-    # the rest only when the step is given the weighted distortion
-    log_max_c: list | None = None  # max log2 c over contexts carrying joint mass
-    mean_logc: list | None = None  # E[log2 c] under the joint
-    D: list | None = None
-    mean_log_rows: list | None = None  # E_p[log2 rows]
-
-
 #: Entries of the pieces ``_dot`` takes its dots in: OpenBLAS splits a
 #: longer dot across threads, which changes the order of its sum.
 _DOT_PIECE = 10_000
@@ -202,13 +184,13 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return total
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> list:
-    """Each member's sum of a * b, for a stack ``a`` of L members, member
-    axis first, and ``b`` of a's shape or of one member's: ``_dot`` over the
-    flattened members.  A dot, as ``np.add.reduce`` gave R = 2.96e-16, not
-    0, on a one-letter |X̂| at n = 3."""
+def _dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Each member's sum of a * b into ``out``, for a stack ``a`` of L
+    members, member axis first, and ``b`` of a's shape or of one member's:
+    ``_dot`` over the flattened members.  A dot, as ``np.add.reduce`` gave
+    R = 2.96e-16, not 0, on a one-letter |X̂| at n = 3."""
     a = a.reshape(a.shape[0], -1)
-    return _dot(a, b.reshape(-1, a.shape[1])).tolist()  # b: (L, M) or (1, M)
+    _dot(a, b.reshape(-1, a.shape[1]), out)  # b: (L, M) or (1, M)
 
 
 def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: float,
@@ -238,10 +220,12 @@ def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> tuple:
 
 class _Workspace:
     """The solver step for a stack of L kernel context tables on ``ctx``,
-    built once: a buffer for every table ``_step_stack`` writes, overwritten
+    built once: a buffer for every array ``_step_stack`` writes, overwritten
     by each step given them, and the step's lists of calls.  ``factors`` is
     the factorization's space (``prob._FactorSpace``), whose ``prefix`` the
-    step writes the prefix mass into.  No buffer is a full table.
+    step writes the prefix mass into and whose ``factors`` the kernel's
+    factors; ``stats`` the step's four statistics, a row each, one column
+    per member.  No buffer is a full table.
 
     The next kernel goes to one of the two ``tables``: the one that does not
     hold the kernel the step started from, so a step may read its input
@@ -251,12 +235,13 @@ class _Workspace:
     """
 
     __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "logc", "dead", "factors",
-                 "tables", "products")
+                 "stats", "tables", "products")
 
     def __init__(self, ctx: _Contexts, L: int):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
         self.src = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
         self.factors = _FactorSpace(ctx, L)
+        self.stats = np.empty((4, L))
         # (L, |X|^{n-s}, |X|^s): row sums, p / rows, the rows' sums of
         # q * weight * d, and log2 rows
         self.row_sums, self.scale, self.row_d, self.log_rows = (
@@ -270,7 +255,7 @@ class _Workspace:
 
 
 def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-                wd: np.ndarray | None = None, ws: _Workspace | None = None) -> _Step:
+                ws: _Workspace, wd: np.ndarray | None = None) -> np.ndarray:
     """The causal kernel of the joint p * r of the channel r = q * weight /
     rows, for a stack of L kernels at once.
 
@@ -290,24 +275,22 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     one-member stack, and its sums run over its own entries, so its results
     are those of its own one-member stack bit for bit.
 
-    The step's tables are written into ``ws`` (a fresh ``_Workspace`` when
-    None) and are valid until the next step given it; q may be the previous
-    step's ``q_next``.
+    It returns the kernels' context tables, one of ``ws.tables`` of an
+    L-member ``_Workspace``, and leaves their factors in ``ws.factors``,
+    all valid until the next step given ``ws``; q may be the previous step's.
 
     Given ``wd``, the weight times the distortion values in the weight's
-    shape, the step also returns, per member and for c = q_next / q on the
-    context table, the max of log2 c over contexts with positive joint mass
-    N_n, the mean of log2 c under the joint, sum N_n log2 c, D = sum
-    (p / rows) ``_dot``(q', wd) and E_p[log2 rows], the last three sums by
-    ``_dots``.  Kernel entries on abandoned branches can underflow to exact
-    zero; their contexts carry no joint mass and are left out of both the
-    max and the mean (restricted-support convention): their cells of log2 c
-    are set to 0 in place, and a member whose max over the whole table is
-    not positive, so may be such a 0, has it retaken over the live cells.
+    shape, the step also writes into the rows of ``ws.stats``, per member
+    and for c = q_next / q on the context table, the max of log2 c over
+    contexts with positive joint mass N_n, the mean of log2 c under the
+    joint, sum N_n log2 c, D = sum (p / rows) ``_dot``(q', wd) and
+    E_p[log2 rows], the last three sums by ``_dots``.  Kernel entries on
+    abandoned branches can underflow to exact zero; their contexts carry no
+    joint mass and are left out of both the max and the mean
+    (restricted-support convention): their cells of log2 c are set to 0 in
+    place, and a member whose max over the whole table is not positive, so
+    may be such a 0, has it retaken over the live cells.
     """
-    L = q.shape[0]
-    if ws is None:
-        ws = _Workspace(ctx, L)
     src = q if ctx.rows is None else np.take(q, ctx.rows, axis=1, out=ws.src, mode="clip")
     shape = ws.row_sums.shape[1:] + (src.shape[-1],)
     w4 = weight.reshape((-1,) + shape)
@@ -322,10 +305,10 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     k = 1 if q is ws.tables[0] or q.base is ws.tables[0] else 0
     for call in ws.products[k]:
         call()
-    q_next, factors = ws.tables[k], ws.factors.factors
+    q_next = ws.tables[k]
     if wd is None:
-        return _Step(q_next, factors)
-    mass, logc = ws.factors.mass, ws.logc
+        return q_next
+    mass, logc, stats = ws.factors.mass, ws.logc, ws.stats
     if live:
         np.divide(q_next, q, logc)
     else:  # a dead cell, of a context without joint mass, may divide by 0; it gets 1
@@ -335,16 +318,15 @@ def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts
     np.log2(logc, logc)
     # dead cells hold log2 1 = 0, so the mass-weighted log c sums to E[log2 c],
     # and a positive max is a live cell's; a max <= 0 is retaken over live cells
-    log_max_c = np.maximum.reduce(logc, axis=(1, 2)).tolist()
-    if not live:
-        for j, top in enumerate(log_max_c):
-            if not top > 0.0:
-                log_max_c[j] = float(np.maximum.reduce(logc[j], axis=None, initial=-np.inf,
-                                                       where=mass[j] > 0.0))
-    mean_logc = _dots(logc, mass)
-    D = _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d))
-    mean_log_rows = _dots(np.log2(rows, ws.log_rows), p)
-    return _Step(q_next, factors, log_max_c, mean_logc, D, mean_log_rows)
+    np.maximum.reduce(logc, axis=(1, 2), out=stats[0])
+    if not live:  # ~(max > 0) holds for a NaN max too, so NaN is retaken
+        for j in np.flatnonzero(~(stats[0] > 0.0)):
+            stats[0, j] = np.maximum.reduce(logc[j], axis=None, initial=-np.inf,
+                                            where=mass[j] > 0.0)
+    _dots(logc, mass, stats[1])
+    _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d), stats[2])
+    _dots(np.log2(rows, ws.log_rows), p, stats[3])
+    return q_next
 
 
 def _check_inputs(source: BlockSource, distortion: DistortionTensor,
@@ -475,16 +457,15 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     queued = L  # the next config to admit
     last = -1  # the last config that certified rate 0, the nearest before the queue
     while True:
-        st = _step_stack(q, tilt, p, ctx, wd, ws)
-        q_in, q = q, st.q_next  # admit writes into the stack the next step reads
+        # admit writes into the stack the next step reads
+        q_in, q = q, _step_stack(q, tilt, p, ctx, ws, wd)
         done = []  # the configs that finished in this step
-        step_stats = zip(st.log_max_c, st.mean_logc, st.D, st.mean_log_rows)
-        for pos, (j, new) in enumerate(zip(members, step_stats)):
+        for pos, (j, new) in enumerate(zip(members, ws.stats.T.tolist())):
             cfg, taken = configs[j], stats[j]
             taken.extend(new)
             # F = log_max_c - mean_logc, as ``_diagnostics`` takes it
             if new[0] - new[1] < cfg.epsilon or len(taken) == 4 * cfg.max_iters:
-                points[j] = _point([f[pos] for f in st.factors], q_in[pos], tilt[pos],
+                points[j] = _point([f[pos] for f in ws.factors.factors], q_in[pos], tilt[pos],
                                    _trace(cfg.lam, n, taken), cfg, ctx, fmap)
                 stats[j] = None  # the trace holds its rows now
                 done.append(j)

@@ -567,19 +567,23 @@ def rolling_lone_solves(solve, warm_start, source, distortion, configs, starts, 
 
 # --- per-iteration trace ------------------------------------------------------
 
-def trace_row_by_row(step, diagnostics, dtype, q, weight, wd, p, ctx, lam, epsilon, max_iters):
+def trace_row_by_row(step, workspace, diagnostics, dtype, q, weight, wd, p, ctx, lam, epsilon,
+                     max_iters):
     """The trace of a lone solve from the stack of one ``q``, written one row
     per iteration: each iteration steps the stack with ``step(q, weight, p,
-    ctx, wd)`` and writes ``diagnostics(lam, n, k, mean_log_rows, log_max_c,
-    mean_logc, D)`` of it as row k - 1, until F < epsilon or k = max_iters.
-    ``step``, ``diagnostics`` and the row type ``dtype`` are the package's,
-    passed in.  Returns the rows as an array of ``dtype``."""
+    ctx, ws, wd)`` in a fresh workspace ``ws = workspace(ctx, 1)``, reads
+    the step's statistics log_max_c, mean_logc, D and mean_log_rows from
+    ``ws.stats`` and writes ``diagnostics(lam, n, k, mean_log_rows,
+    log_max_c, mean_logc, D)`` of them as row k - 1, until F < epsilon or
+    k = max_iters.  ``step``, ``workspace``, ``diagnostics`` and the row
+    type ``dtype`` are the package's, passed in.  Returns the rows as an
+    array of ``dtype``."""
     rows = np.empty(max_iters, dtype=dtype)
     for k in range(1, max_iters + 1):
-        st = step(q, weight, p, ctx, wd)
-        rows[k - 1] = diag = diagnostics(lam, ctx.n, k, st.mean_log_rows[0], st.log_max_c[0],
-                                         st.mean_logc[0], st.D[0])
+        ws = workspace(ctx, 1)
+        q = step(q, weight, p, ctx, ws, wd)
+        log_max_c, mean_logc, D, mean_log_rows = ws.stats[:, 0].tolist()
+        rows[k - 1] = diag = diagnostics(lam, ctx.n, k, mean_log_rows, log_max_c, mean_logc, D)
         if diag.F < epsilon:
             break
-        q = st.q_next
     return rows[:k].copy()

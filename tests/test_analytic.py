@@ -32,6 +32,12 @@ class TestIidBinary:
         with pytest.raises(ValueError):
             iid_binary_rd(0.5, -0.1)
 
+    @pytest.mark.parametrize("bias", [1.5, -0.1, np.nan])
+    def test_bias_outside_unit_interval_rejected(self, bias):
+        # 1.5 and -0.1 gave a rate of 0.0
+        with pytest.raises(ValueError, match="bias must lie in"):
+            iid_binary_rd(bias, 0.1)
+
 
 class TestMarkov:
     def test_reference_pair(self):
@@ -61,6 +67,17 @@ class TestMarkov:
         with pytest.raises(ValueError, match="block length"):
             markov_rn(0.3, 0.2, n, 0.1)
 
+    @pytest.mark.parametrize("p, q", [(1.5, 0.2), (0.3, -0.2), (np.nan, 0.2)])
+    def test_transition_outside_unit_interval_rejected(self, p, q):
+        # beyond D = 0.5 they gave a rate of 0.0
+        with pytest.raises(ValueError, match="must lie in"):
+            markov_rn(p, q, 3, 0.7)
+
+    def test_chain_that_never_moves_rejected(self):
+        # p + q = 0 divided by zero
+        with pytest.raises(ValueError, match="p \\+ q must be > 0"):
+            markov_rn(0.0, 0.0, 2, 0.1)
+
 
 class TestStockMarket:
     def test_zero_rate_threshold(self):
@@ -72,6 +89,18 @@ class TestStockMarket:
     def test_beyond_threshold(self):
         for D in (0.13, 0.2, 0.5):
             assert stock_market_rd(0.2, 0.4, D) == 0.0
+
+    @pytest.mark.parametrize("q, pi0, name", [(1.3, 0.4, "q"), (np.nan, 0.4, "q"),
+                                              (0.2, 1.2, "pi0"), (0.2, np.nan, "pi0")])
+    def test_parameter_outside_unit_interval_rejected(self, q, pi0, name):
+        # q = 1.3 gave a rate of 0.0
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            stock_market_rd(q, pi0, 0.01)
+
+    def test_no_active_state_has_rate_zero(self):
+        # pi0 = 1 divided by zero
+        for D in (0.0, 0.1):
+            assert stock_market_rd(0.2, 1.0, D) == 0.0
 
 
 class TestShapes:

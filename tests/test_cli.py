@@ -274,6 +274,27 @@ class TestAnalyticCommand:
         assert "Traceback" not in captured.err
         assert "D,R" not in captured.out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--curve", "iid", "--bias", "1.5"], "bias must lie in [0, 1]"),
+        (["--curve", "stock", "--q", "1.3"], "q must lie in [0, 1]"),
+        (["--curve", "markov", "--p", "0", "--q", "0"], "p + q must be > 0"),
+    ])
+    def test_parameter_outside_domain_named(self, argv, message, capsys):
+        # a bias of 1.5 printed a curve of zeros, and p = q = 0 a traceback
+        assert run(["analytic", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "D,R" not in captured.out
+
+    def test_stock_without_active_state_is_zero(self, tmp_path):
+        # pi0 = 1 ended in a ZeroDivisionError traceback
+        out = tmp_path / "stock.csv"
+        assert run(["analytic", "--curve", "stock", "--pi0", "1", "--D-grid", "0:0.1:0.05",
+                    "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "D,R" and len(rows) == 4
+        assert all(float(line.split(",")[1]) == 0.0 for line in rows[1:])
+
     def test_module_entry_point_runs_the_command(self):
         # python -m ffrd.cli runs the command, exit code and message included
         src = str(Path(ffrd.__file__).resolve().parent.parent)

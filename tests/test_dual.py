@@ -331,6 +331,15 @@ class TestReconstructionOnTightSupport:
         ch = reconstruct_channel(cert, src)
         np.testing.assert_allclose(ch.probs, pt.channel.probs, rtol=0, atol=1e-6)
 
+    def test_certificate_of_the_point_rebuilds_its_channel(self, tight_certificate):
+        """The certificate is that of the point's own channel, so on the
+        benchmark's Markov n = 5, lam = 9 case reconstruction returns that
+        channel to 2.7e-13.  It was 7.0e-11 off while the certificate came
+        from the channel of one more step from the point's kernel."""
+        src, pt, cert = tight_certificate("markov", 5, 9.0)
+        ch = reconstruct_channel(cert, src)
+        assert np.max(np.abs(ch.probs - pt.channel.probs)) <= 1e-12
+
 
 class TestTightness:
     def test_early_iterate_certificate_refused(self):

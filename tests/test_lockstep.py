@@ -55,17 +55,27 @@ def _random_kernel_table(rng, ctx, ff_map, cell_zeros):
     return kernel.table
 
 
+def _step(q, weight, p, ctx, wd=None):
+    """One step of the stack q in a workspace of its own: the next kernel
+    tables, the kernel's factors and, given ``wd``, the statistics."""
+    ws = _Workspace(ctx, len(q))
+    q_next = _step_stack(q, weight, p, ctx, ws, wd)
+    return q_next, ws.factors.factors, None if wd is None else ws.stats
+
+
 def _assert_same_member(stack, j, lone):
-    """Member j of the stacked step ``stack`` is the one-member step ``lone``."""
-    assert stack.q_next[j].shape == lone.q_next[0].shape
-    np.testing.assert_array_equal(stack.q_next[j], lone.q_next[0])
-    assert len(stack.factors) == len(lone.factors)
-    for a, b in zip(stack.factors, lone.factors):
+    """Member j of the stacked step ``stack`` is the one-member step ``lone``
+    (each a ``_step``)."""
+    (q_next, factors, stats), (lone_q, lone_factors, lone_stats) = stack, lone
+    assert q_next[j].shape == lone_q[0].shape
+    np.testing.assert_array_equal(q_next[j], lone_q[0])
+    assert len(factors) == len(lone_factors)
+    for a, b in zip(factors, lone_factors):
         assert a[j].shape == b[0].shape
         np.testing.assert_array_equal(a[j], b[0])
-    # log_max_c, mean_logc, D, mean_log_rows: lists of one float per member, or None
-    assert [x if x is None else x[j] for x in stack[2:]] == \
-        [x if x is None else x[0] for x in lone[2:]]
+    # log_max_c, mean_logc, D, mean_log_rows of the member, or None
+    assert (None if stats is None else stats[:, j].tolist()) == \
+        (None if lone_stats is None else lone_stats[:, 0].tolist())
 
 
 @settings(max_examples=80, deadline=None)
@@ -87,14 +97,13 @@ def test_stacked_step_equals_lone_steps(shape, data):
     dvals = rng.integers(0, 9, size=(A**n, B**n)) / 8
     tilt = np.stack([np.exp2(-lam * dvals) for lam in lams])
 
-    stack = _step_stack(q, tilt, p, ctx, tilt * dvals)
+    stack = _step(q, tilt, p, ctx, tilt * dvals)
     for j in range(L):
-        _assert_same_member(stack, j, _step_stack(q[j][None], tilt[j], p, ctx,
-                                                  tilt[j] * dvals))
+        _assert_same_member(stack, j, _step(q[j][None], tilt[j], p, ctx, tilt[j] * dvals))
     weight = rng.random((A**n, B**n)) + 0.1  # one weight for all, no statistics
-    stack = _step_stack(q, weight, p, ctx)
+    stack = _step(q, weight, p, ctx)
     for j in range(L):
-        _assert_same_member(stack, j, _step_stack(q[j][None], weight, p, ctx))
+        _assert_same_member(stack, j, _step(q[j][None], weight, p, ctx))
 
 
 def _assert_same_point(a, b):
@@ -334,7 +343,7 @@ def test_rolling_lockstep_traces_equal_row_by_row_traces(shape, data):
         q = np.full((1, ctx.Z ** (n - s), B**n), float(B) ** -n) if start is None \
             else start[None]
         tilt = np.exp2(-cfg.lam * dist.values)
-        rows = trace_row_by_row(_step_stack, _diagnostics, _TRACE_DTYPE, q, tilt,
+        rows = trace_row_by_row(_step_stack, _Workspace, _diagnostics, _TRACE_DTYPE, q, tilt,
                                 tilt * dist.values, source.probs, ctx, cfg.lam, cfg.epsilon,
                                 cfg.max_iters)
         assert pt.trace.dtype == rows.dtype and pt.trace.tobytes() == rows.tobytes()
@@ -531,11 +540,11 @@ def test_steady_step_allocates_no_table():
         if masked:
             q[..., 0] = 0.0
         for _ in range(3):
-            q = _step_stack(q, tilt, source.probs, ctx, wd, ws).q_next
+            q = _step_stack(q, tilt, source.probs, ctx, ws, wd)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            _step_stack(q, tilt, source.probs, ctx, wd, ws)
+            _step_stack(q, tilt, source.probs, ctx, ws, wd)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

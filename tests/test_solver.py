@@ -23,6 +23,7 @@ from ffrd.solver import (
     _solve_lockstep,
     _step_stack,
     _warm_start,
+    _Workspace,
     solve,
 )
 
@@ -53,7 +54,8 @@ def kernel_update(source, channel, s, ff_map=None):
     n, A, B = channel.n, channel.src_alphabet_size, channel.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
     uniform = np.full((1, ctx.Z ** (n - s), B**n), float(B) ** (-n))
-    return ctx.full(_step_stack(uniform, channel.probs, source.probs, ctx).q_next[0])
+    return ctx.full(_step_stack(uniform, channel.probs, source.probs, ctx,
+                                _Workspace(ctx, 1))[0])
 
 
 class TestUpdateR:

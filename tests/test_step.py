@@ -112,19 +112,20 @@ def test_step_matches_full_table_reference(shape, data):
     ref_q, ref_factors, ref_diag = solver_step_full_table(
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
-    step = _step_stack(kernel.table[None], tilt, p, ctx, tilt * dvals)
-    diag = _diagnostics(lam, n, 1, step.mean_log_rows[0], step.log_max_c[0],
-                        step.mean_logc[0], step.D[0])
+    ws = _Workspace(ctx, 1)
+    q_next = _step_stack(kernel.table[None], tilt, p, ctx, ws, tilt * dvals)
+    log_max_c, mean_logc, D, mean_log_rows = ws.stats[:, 0].tolist()
+    diag = _diagnostics(lam, n, 1, mean_log_rows, log_max_c, mean_logc, D)
 
     np.testing.assert_allclose(diag[1:], ref_diag, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(ctx.full(step.q_next[0]), ref_q)
-    for f, ref_f in zip(step.factors, ref_factors):
+    np.testing.assert_array_equal(ctx.full(q_next[0]), ref_q)
+    for f, ref_f in zip(ws.factors.factors, ref_factors):
         np.testing.assert_array_equal(f[0], ref_f)
 
 
 def _masked_step(q, lam, n):
     """One step of the stack of context tables q of Markov(0.3, 0.2)/Hamming
-    at delay 1, and its workspace; the step must not warn."""
+    at delay 1 in a workspace of its own, returned; the step must not warn."""
     source = block_pmf(SourceSpec.binary_markov(0.3, 0.2), n)
     dvals = distortion_tensor(DistortionSpec.hamming(), n).values
     tilt = np.exp2(-lam * dvals)
@@ -132,20 +133,23 @@ def _masked_step(q, lam, n):
     ws = _Workspace(ctx, len(q))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step = _step_stack(q, tilt, source.probs, ctx, tilt * dvals, ws)
+        q_next = _step_stack(q, tilt, source.probs, ctx, ws, tilt * dvals)
     assert np.any(ws.factors.mass == 0.0)  # the step took the restricted-support path
     for j in range(len(q)):
         ref_q, ref_factors, ref_mass = causal_factors_of_prefix_mass(
             ws.factors.prefix[j], n, 2, 2, 1)
-        np.testing.assert_array_equal(ctx.full(step.q_next[j]), ref_q)
+        np.testing.assert_array_equal(ctx.full(q_next[j]), ref_q)
         np.testing.assert_array_equal(ws.factors.mass[j], ref_mass)
-        for f, ref_f in zip(step.factors, ref_factors, strict=True):
+        for f, ref_f in zip(ws.factors.factors, ref_factors, strict=True):
             np.testing.assert_array_equal(f[j], ref_f)
-        lone = _step_stack(q[j][None], tilt, source.probs, ctx, tilt * dvals)
-        assert (step.D[j], step.mean_log_rows[j]) == (lone.D[0], lone.mean_log_rows[0])
-    assert (step.log_max_c, step.mean_logc) == \
-        restricted_log_ratio_stats(q, step.q_next, ws.factors.mass)
-    return step, ws
+        lone = _Workspace(ctx, 1)
+        _step_stack(q[j][None], tilt, source.probs, ctx, lone, tilt * dvals)
+        # D and mean_log_rows
+        assert ws.stats[2:, j].tolist() == lone.stats[2:, 0].tolist()
+    # log_max_c and mean_logc
+    assert tuple(ws.stats[:2].tolist()) == \
+        restricted_log_ratio_stats(q, q_next, ws.factors.mass)
+    return ws
 
 
 def test_masked_step_matches_where_reference_in_a_mixed_stack():
@@ -158,9 +162,9 @@ def test_masked_step_matches_where_reference_in_a_mixed_stack():
     rng = np.random.default_rng(3)
     q = np.stack([kernel_from_joint(_joint_with_zeros(rng, 2, 2, 3, zeros), 3, 2, 2, 1).table
                   for zeros in (0.5, 0.0)])
-    step, ws = _masked_step(q, 4.0, 3)
+    ws = _masked_step(q, 4.0, 3)
     assert np.any(ws.factors.mass[0] == 0.0) and np.all(ws.factors.mass[1] > 0.0)
-    assert step.log_max_c[0] > 0.0
+    assert ws.stats[0, 0] > 0.0  # log_max_c
 
 
 @pytest.mark.parametrize("seed", [4, 553])
@@ -174,9 +178,9 @@ def test_masked_step_retakes_a_max_of_zero_over_live_cells(seed):
     where every live log2 c is negative."""
     rng = np.random.default_rng(seed)
     q = kernel_from_joint(_joint_with_zeros(rng, 2, 2, 3, 0.5), 3, 2, 2, 1).table[None]
-    step, ws = _masked_step(q, 0.0, 3)
+    ws = _masked_step(q, 0.0, 3)
     assert ws.logc.max() == 0.0  # the plain max did not settle it
-    assert step.log_max_c[0] == (0.0 if seed == 4 else np.log2(1.0 - 2.0**-53))
+    assert ws.stats[0, 0] == (0.0 if seed == 4 else np.log2(1.0 - 2.0**-53))  # log_max_c
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,10 +216,11 @@ def _certificate_map(n, lam):
     cert = certificate_from_solution(solve(source, dist, SolverConfig(lam=lam, epsilon=1e-9)),
                                      source, dist)
     ctx = _Contexts.of(n, 2, 2, 1, None)
+    ws = _Workspace(ctx, 1)
 
     def g(x):
         return ctx.full(_step_stack(x.reshape(2**n, 2**n)[None, ::2], cert.p_prime_table,
-                                    source.probs, ctx).q_next[0]).ravel()
+                                    source.probs, ctx, ws)[0]).ravel()
     return g, np.full(4**n, 2.0**-n)
 
 

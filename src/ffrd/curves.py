@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
-from .solver import RatePoint, SolverConfig, _check_inputs, _solve_lockstep
+from .solver import RatePoint, SolverConfig, _solve_lockstep
 
 
 def default_lambda_grid(count: int = 24, low: float = 2.0**-3, high: float = 2.0**5) -> np.ndarray:
@@ -42,12 +42,11 @@ class RdCurve:
 
 
 def _dedup_sorted(points: list[RatePoint]) -> list[RatePoint]:
-    points = sorted(points, key=lambda pt: (pt.D, pt.R))
     out: list[RatePoint] = []
-    for pt in points:
-        if out and abs(pt.D - out[-1].D) < 1e-9:
-            continue  # sorted order guarantees the kept point has the lower R
-        out.append(pt)
+    for pt in sorted(points, key=lambda pt: (pt.D, pt.R)):
+        # sorted order guarantees the kept point has the lower R
+        if not (out and abs(pt.D - out[-1].D) < 1e-9):
+            out.append(pt)
     return out
 
 
@@ -62,6 +61,8 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     its warm start and the rest start from the nearest such point's, which
     needs far fewer iterations on the flat part of the curve than the
     uniform start of the others.  A weight listed twice is solved once.
+    The curve keeps one point per distortion (``_dedup_sorted``); of points
+    with exactly equal distortion and rate, the larger weight's is kept.
 
     ``config`` supplies everything but the weight (tolerance, iteration cap,
     delay, feed-forward map); ``initial_context`` is passed to the
@@ -78,10 +79,7 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     configs = [replace(base, lam=lam) for lam in sorted(set(lams), reverse=True)]
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
-    _check_inputs(source, dist, base.feedforward_map)
-    points = _solve_lockstep(source, dist, configs, [None] * len(configs))
-    solved = {pt.lam: pt for pt in points}
-    deduped = _dedup_sorted([solved[lam] for lam in lams])
+    deduped = _dedup_sorted(_solve_lockstep(source, dist, configs, [None] * len(configs)))
     return RdCurve(n=n, points=tuple(deduped),
                    configs=tuple(replace(base, lam=pt.lam) for pt in deduped))
 

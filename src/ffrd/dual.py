@@ -284,14 +284,17 @@ def _anderson(g, x: np.ndarray, iters: int, tol: float) -> np.ndarray:
 
 
 def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardChannel:
-    """Recover the optimal forward channel from a tight certificate.
+    """A forward channel that a tight certificate's p' reproduces.
 
     The pair (r*, q*) at the optimum satisfies r* = p' q* / p row-wise, and
-    q* is the causal kernel of p * r*; the channel is found as the fixed point
-    of that pair of relations, iterated from the uniform kernel.  Kernel
-    entries off the optimal support head to 0, where the plain map's tail is
-    slow, so the accelerated iteration runs in the log domain, on
-    y = 1 - log2 q of the kernel's context table (y >= 1 while q <= 1).
+    q* is the causal kernel of p * r*; the channel is found as a fixed point
+    of that pair of relations, iterated from the uniform kernel.  Where the
+    joint gives a context no mass, p' is the reverse factorization's
+    uniform fill, so the map can have another fixed point, which the checks
+    below, blind to d, pass (ROADMAP defect (g)).  Kernel entries off the
+    optimal support head to 0, where the plain map's tail is slow, so the
+    accelerated iteration runs in the log domain, on y = 1 - log2 q of the
+    kernel's context table (y >= 1 while q <= 1).
 
     The certificate must be tight for this source, which two checks test
     (``NonTightCertificateError`` otherwise).  The rows of p' q / p must sum

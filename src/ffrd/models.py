@@ -36,8 +36,8 @@ class SourceSpec:
         """Markov source from a row-stochastic transition matrix.  ``initial``
         defaults to the stationary distribution."""
         P = np.asarray(transition, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("transition matrix must be square")
+        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+            raise ValueError("transition matrix must be square, with at least one state")
         _check_pmf(P, "transition matrix")  # before the stationary solve sees a NaN
         pi = stationary_distribution(P) if initial is None else np.asarray(initial, dtype=float)
         if pi.shape != (P.shape[0],):
@@ -147,6 +147,9 @@ class DistortionSpec:
         if not (float(self.m).is_integer() and self.m >= 0):
             raise ValueError(f"window m must be a whole number >= 0, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
+        if min(self.src_alphabet_size, self.rec_alphabet_size) < 1:
+            raise ValueError(f"distortion alphabets must be nonempty, got |X|="
+                             f"{self.src_alphabet_size}, |X̂|={self.rec_alphabet_size}")
         t = np.asarray(self.table, dtype=float)
         _check_distortion_values(t)
         if t.shape != (self.src_alphabet_size,) * (self.m + 1) + (self.rec_alphabet_size,):

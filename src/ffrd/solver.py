@@ -11,11 +11,11 @@ statistic F (which bounds the gap between the per-iteration lower and upper
 bounds on the rate by exactly F/n).  The step is written once, in
 ``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
 stack of solves.  Every solve is a member of a ``_solve_lockstep`` call,
-which alone decides how many solves step together, in a rolling stack
-whose finished members hand their slots to the next configs, and where
-each starts from.  ``solve`` passes it one config, ``curves.sweep`` every
-weight; ``dual``'s channel reconstruction steps a stack of one with p' as
-its weight.  The step returns the next kernel and leaves its factors and
+which alone checks the inputs and decides how many solves step together,
+in a rolling stack whose finished members hand their slots to the next
+configs, where each starts from (its ``start``) and whether a member
+converged.  ``solve`` passes it one config, ``curves.sweep`` every weight;
+``dual``'s channel reconstruction steps a stack of one with p' as its weight.  The step returns the next kernel and leaves its factors and
 statistics in its workspace.  A member keeps its steps' four statistics,
 32 bytes a step, and builds its trace once, when it finishes (``_trace``).
 
@@ -81,8 +81,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_lam(self.lam)
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         # a whole float, as a JSON config file may give, is stored as an int;
         # a fractional cap would never equal the iteration count
         for name in ("max_iters", "delay"):
@@ -151,11 +151,10 @@ class RatePoint:
     converged: bool
     channel: ForwardChannel = field(repr=False)
     kernel: CausalKernel = field(repr=False)
-    F_final: float = 0.0
-    lower_bound: float = 0.0
-    upper_bound: float = 0.0
-    trace: np.recarray = field(default_factory=lambda: _trace(0.0, 1, array("d")),
-                               repr=False)
+    F_final: float
+    lower_bound: float
+    upper_bound: float
+    trace: np.recarray = field(repr=False)
 
     def __post_init__(self):
         if self.R < -1e-12 or self.D < -1e-12:
@@ -347,12 +346,11 @@ def solve(source: BlockSource, distortion: DistortionTensor,
     true optimum at the realized distortion) or the iteration cap is hit.
     Every iteration appends its scalar IterationDiagnostics record to
     ``RatePoint.trace``.  The distortion tensor and the feed-forward map must
-    be defined on the source's block length and alphabet, and an initial
-    kernel must match the solve's block length, delay, alphabets and
-    feed-forward map and be strictly positive, so that the bounds hold from
-    the first iterate (``ValueError`` otherwise).
+    be defined on the source's block length and alphabet (the lockstep
+    checks them), and an initial kernel must match the solve's block
+    length, delay, alphabets and feed-forward map and be strictly positive,
+    so that the bounds hold from the first iterate (``ValueError`` otherwise).
     """
-    _check_inputs(source, distortion, config.feedforward_map)
     start = None
     if initial_kernel is not None:
         _check_dims("initial kernel", initial_kernel, distortion, "expected")
@@ -400,29 +398,28 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
                     starts: list) -> list:
     """Solve one point per config, in config order, stepping as many of
     them together as fit ``_STACK_CELLS`` table cells, and at least one, as
-    one stack of context tables; nothing is checked.
+    one stack of context tables.  The distortion tensor and the configs'
+    shared feed-forward map must be defined on the source's block length
+    and alphabet (``ValueError``); ``starts``, a strictly positive kernel
+    context table or None per config, is not checked.
 
-    The configs share the delay and the feed-forward map.  ``starts`` holds
-    a strictly positive kernel context table or None per config.  A member
-    leaves the stack when F drops below its tolerance or at its cap; once
-    every member of the step is checked, the next configs in order take
-    the freed slots in place, each with its own count from 1.  The stack,
-    and its workspace, shrinks only once no config is left to admit.
-
-    One rule gives every start.  A point is at rate 0, to its tolerance,
-    when its lower bound is at most epsilon / n, and then so is every
-    smaller weight.  A config enters from its given start, else from
-    ``_warm_start`` of the nearest such point before it (``sweep`` passes
-    descending weights), else uniform (a warm start at positive rate took
-    up to 3.7 times the steps, ``BENCH_32.json``).  When such a point
-    finishes, each later config still running whose start was uniform or
-    came from a config before it restarts in place from its warm start,
-    count reset: it reaches rate 0 in a few steps.  Each point is bit for
-    bit its own lockstep of one from the start the rule gave it, so answers
-    do not depend on the BLAS thread count, but a point without a given
-    start may depend on ``_STACK_CELLS``.
+    A member leaves the stack when F drops below its tolerance, which alone
+    makes its point converged, or at its cap.  Then one pass over the slots
+    calls ``start``, the one rule of every start: a freed slot takes the
+    next config, count from 1, and a running member restarts in place,
+    count reset, once its donor is newer than the one it started from.  A
+    config's donor is the nearest finished config before it whose lower
+    bound is at most epsilon / n, at rate 0 as every smaller weight then is
+    (``sweep`` passes descending weights).  A config starts from its given
+    start, else from ``_warm_start`` of its donor, else uniform (a warm
+    start at positive rate took up to 3.7 times the steps,
+    ``BENCH_32.json``).  The stack, and its workspace, shrinks only once no
+    config is left.  Each point is bit for bit its own lockstep of one from
+    the start the rule gave it, so answers do not depend on the BLAS thread
+    count, but a point without a given start may depend on ``_STACK_CELLS``.
     """
     config = configs[0]
+    _check_inputs(source, distortion, config.feedforward_map)
     n, A, B = source.n, source.src_alphabet_size, distortion.rec_alphabet_size
     s = min(config.delay, n)
     fmap = None if config.feedforward_map is None else config.feedforward_map.table
@@ -434,56 +431,53 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     tilt, wd = np.empty((L,) + dvals.shape), np.empty((L,) + dvals.shape)
     # each config's step statistics, four floats per step (``_trace``), and point
     stats, points = [None] * len(configs), [None] * len(configs)
-    # the config whose warm start each config runs from, -1 for uniform; a
-    # given start counts as after every config, so it never restarts
-    origin = [len(configs)] * len(configs)
-    members = list(range(L))  # config index of each stack member
+    # the donor each config started from, -1 for uniform; a given start
+    # counts as the config's own, later than any donor, so it never restarts
+    origin = [-1] * len(configs)
+    members = [-1] * L  # config index of each stack member, -1 before the first
 
-    def admit(pos: int, j: int, i: int) -> None:
-        # config j into row pos of the stack, with its count from 1: from its
-        # given start, else from config i's warm start, uniform for i = -1
-        start = starts[j]
-        if start is None:
-            origin[j] = i
-            start = float(B) ** (-n) if i < 0 else _warm_start(points[i].kernel)
-        q[pos], members[pos] = start, j
-        tilt[pos] = np.exp2(-configs[j].lam * dvals)
+    def start(pos: int, j: int) -> None:
+        # config j into row pos of the stack, with its count from 1, unless it
+        # runs there already and its donor is no newer than its origin
+        i = next((i for i in range(j - 1, -1, -1) if points[i] is not None
+                  and points[i].lower_bound <= configs[i].epsilon / n), -1)
+        if members[pos] == j and i <= origin[j]:
+            return
+        if starts[j] is not None:
+            origin[j], q[pos] = j, starts[j]
+        else:
+            origin[j], q[pos] = i, float(B) ** (-n) if i < 0 else _warm_start(points[i].kernel)
+        members[pos], tilt[pos] = j, np.exp2(-configs[j].lam * dvals)
         np.multiply(tilt[pos], dvals, wd[pos])
         stats[j] = array("d")
 
     for j in range(L):
-        admit(j, j, -1)
+        start(j, j)
     ws = _Workspace(ctx, L)
     queued = L  # the next config to admit
-    last = -1  # the last config that certified rate 0, the nearest before the queue
     while True:
-        # admit writes into the stack the next step reads
+        # start writes into the stack the next step reads
         q_in, q = q, _step_stack(q, tilt, p, ctx, ws, wd)
-        done = []  # the configs that finished in this step
+        finished = False
         for pos, (j, new) in enumerate(zip(members, ws.stats.T.tolist())):
             cfg, taken = configs[j], stats[j]
             taken.extend(new)
             # F = log_max_c - mean_logc, as ``_diagnostics`` takes it
-            if new[0] - new[1] < cfg.epsilon or len(taken) == 4 * cfg.max_iters:
+            converged = new[0] - new[1] < cfg.epsilon
+            if converged or len(taken) == 4 * cfg.max_iters:
                 points[j] = _point([f[pos] for f in ws.factors.factors], q_in[pos], tilt[pos],
-                                   _trace(cfg.lam, n, taken), cfg, ctx, fmap)
+                                   _trace(cfg.lam, n, taken), converged, cfg, ctx, fmap)
                 stats[j] = None  # the trace holds its rows now
-                done.append(j)
-        if not done:
+                finished = True
+        if not finished:
             continue
-        # the points that certify rate 0 within their tolerance
-        zero = [j for j in done if points[j].lower_bound <= configs[j].epsilon / n]
-        last = max([last] + zero)
         for pos, j in enumerate(members):
-            if points[j] is not None and queued < len(configs):  # the next takes the slot
-                admit(pos, queued, last)
+            if points[j] is None:
+                start(pos, j)
+            elif queued < len(configs):  # the next takes the slot
+                start(pos, queued)
                 queued += 1
-        keep = [pos for pos, k in enumerate(members) if points[k] is None]
-        for pos in keep if zero else ():
-            # the nearest config before this one that certified rate 0 now
-            j = max((j for j in zero if j < members[pos]), default=-1)
-            if origin[members[pos]] < j:
-                admit(pos, members[pos], j)
+        keep = [pos for pos, j in enumerate(members) if points[j] is None]
         if len(keep) < len(members):
             if not keep:
                 return points
@@ -493,12 +487,13 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
 
 
 def _point(factors: list, q: np.ndarray, weight: np.ndarray, trace: np.recarray,
-           config: SolverConfig, ctx: _Contexts, fmap: np.ndarray | None) -> RatePoint:
+           converged: bool, config: SolverConfig, ctx: _Contexts,
+           fmap: np.ndarray | None) -> RatePoint:
     """The RatePoint of a solve whose last step, from the context table q
-    with ``weight``, gave the kernel ``factors`` and the last row of ``trace``.
-
-    The factors live in the solve's workspace, so the point copies them; its
-    channel is built afresh from q (``_channel``).
+    with ``weight``, gave the kernel ``factors``, the last row of ``trace``
+    and the lockstep's verdict ``converged``.  The factors live in the
+    solve's workspace, so the point copies them; its channel is built
+    afresh from q (``_channel``).
     """
     channel = ForwardChannel(n=ctx.n, src_alphabet_size=ctx.A, rec_alphabet_size=ctx.B,
                              probs=_channel(q, weight, ctx)[0])
@@ -508,6 +503,6 @@ def _point(factors: list, q: np.ndarray, weight: np.ndarray, trace: np.recarray,
     # bound exactly (algebraic identity), and the bound form stays finite
     # when abandoned branches have underflowed.
     return RatePoint(lam=config.lam, D=diag.D, R=max(diag.upper_bound, 0.0),
-                     iterations=diag.k, converged=diag.F < config.epsilon, channel=channel,
+                     iterations=diag.k, converged=converged, channel=channel,
                      kernel=kernel, F_final=diag.F, lower_bound=diag.lower_bound,
                      upper_bound=diag.upper_bound, trace=trace)

@@ -54,6 +54,12 @@ class TestSolveCommand:
     def test_missing_required_flag(self, capsys):
         assert run(["solve", "--source", "iid:0.5"]) == 1
 
+    def test_infinite_tolerance_named(self, capsys):
+        # it exited 0 with converged=1 and a 0.234-bit gap
+        assert run(["solve", "--source", "markov:0.3,0.2", "--n", "3", "--lambda", "4",
+                    "--eps", "inf"]) == 1
+        assert "epsilon must be finite and > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_named(self, lam, capsys):
         # it used to take a step and fail on NaN channel rows

@@ -73,6 +73,14 @@ class TestSweep:
         curve = sweep(SourceSpec.iid(0.5), HAMMING, 1, [2.0, 2.0, 4.0])
         assert len(curve.points) == 2
 
+    def test_equal_points_keep_the_larger_weight(self):
+        # a constant distortion puts every weight on the same (D, R); the
+        # points reach the curve in solve order, largest weight first
+        constant = DistortionSpec.single_letter([[1.0, 1.0], [1.0, 1.0]])
+        curve = sweep(SourceSpec.iid(0.3), constant, 2, [0.0, 0.5, 2.0])
+        assert [pt.lam for pt in curve.points] == [2.0]
+        assert [cfg.lam for cfg in curve.configs] == [2.0]
+
 
 class TestInterpolation:
     def test_exact_point(self, iid_curve_n2):

@@ -315,6 +315,24 @@ class TestReconstruction:
             reconstruct_channel(cert2, src)
 
 
+class TestReconstructionOffTheJoint:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP defect (g): p' on a context the joint "
+                                           "does not reach has a second fixed point")
+    def test_unused_symbol_gives_the_points_channel_or_raises(self):
+        """The point's channel gives the third symbol no mass, so p' there is
+        the reverse factorization's uniform fill.  Reconstruction returned
+        [[0.533, 0.133, 0.333], ...], D = 0.3 against the point's 0.2, and
+        both tightness checks passed."""
+        src = block_pmf(SourceSpec.iid(0.5), 1)
+        dist = distortion_tensor(DistortionSpec.single_letter([[0, 1, 0.5], [1, 0, 0.5]]), 1)
+        pt = solve(src, dist, SolverConfig(lam=2.0, epsilon=1e-10))
+        try:
+            ch = reconstruct_channel(certificate_from_solution(pt, src, dist), src)
+        except NonTightCertificateError:
+            return
+        np.testing.assert_allclose(ch.probs, pt.channel.probs, rtol=0, atol=1e-6)
+
+
 class TestReconstructionOnTightSupport:
     """ROADMAP defect (a): tight certificates whose channels have entries
     heading to 0 ran all 10,000 steps and raised.  Among them were the

@@ -131,13 +131,15 @@ def _rolling(source, dist, configs, starts, members):
 
 def _serial_curve(source_spec, distortion_spec, n, grid, base, members):
     """The curve of ``grid`` solved one lone solve at a time by the rolling
-    stack's rule with ``members`` slots, and the steps that stack takes."""
+    stack's rule with ``members`` slots, and the steps that stack takes.
+    The points go to ``_dedup_sorted`` in config order, largest weight
+    first, as ``sweep`` passes them: of two points with equal (D, R) the
+    larger weight's is kept."""
     configs = [replace(base, lam=lam) for lam in sorted({float(lam) for lam in grid},
                                                         reverse=True)]
     points, _, steps = _rolling(block_pmf(source_spec, n), distortion_tensor(distortion_spec, n),
                                 configs, [None] * len(configs), members)
-    solved = {pt.lam: pt for pt in points}
-    return _dedup_sorted([solved[float(lam)] for lam in grid]), steps
+    return _dedup_sorted(points), steps
 
 
 def _counted_steps(run):

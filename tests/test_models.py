@@ -48,6 +48,11 @@ class TestSourceSpec:
         with pytest.raises(ValueError, match="non-finite"):
             SourceSpec.iid(float("nan"))
 
+    def test_markov_without_state_rejected(self):
+        # numpy's "zero-size array to reduction operation maximum" came first
+        with pytest.raises(ValueError, match="square, with at least one state"):
+            SourceSpec.markov(np.zeros((0, 0)))
+
     def test_markov_nan_rejected(self, capfd):
         # LAPACK used to print to stderr, then raise LinAlgError
         with pytest.raises(ValueError, match="non-finite"):
@@ -190,6 +195,15 @@ class TestDistortionTensor:
     def test_negative_distortion_rejected(self):
         with pytest.raises(ValueError):
             DistortionSpec.single_letter([[0.0, -1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("shape, sizes", [((2, 0), "|X|=2, |X̂|=0"),
+                                              ((0, 2), "|X|=0, |X̂|=2")],
+                             ids=["reconstruction", "source"])
+    def test_empty_alphabet_rejected(self, shape, sizes):
+        # a (2, 0) matrix was accepted, and solve divided by its zero cells
+        with pytest.raises(ValueError) as err:
+            DistortionSpec.single_letter(np.zeros(shape))
+        assert str(err.value) == f"distortion alphabets must be nonempty, got {sizes}"
 
     def test_single_letter_vector_rejected(self):
         with pytest.raises(ValueError, match="2-D matrix"):

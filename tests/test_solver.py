@@ -326,6 +326,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, max_iters=0)
 
+    def test_infinite_epsilon_rejected(self):
+        # every first step passed F < inf, so a point 0.234 bits from its
+        # bound reported converged
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            SolverConfig(lam=1.0, epsilon=np.inf)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lam_rejected(self, lam):
         # NaN passed "lam < 0" and took a step; inf gave NaN channel rows
@@ -366,6 +372,19 @@ class TestInputValidation:
         dist = distortion_tensor(DistortionSpec.hamming(A_dist), n_dist)
         with pytest.raises(ValueError, match=message):
             solve(block_pmf(source, 2), dist, SolverConfig(lam=1.0, feedforward_map=ff_map))
+
+    @pytest.mark.parametrize("n_dist, ff_map", [(3, None), (2, FeedForwardMap.parity(3))],
+                             ids=["distortion", "map"])
+    def test_lockstep_checks_its_inputs(self, n_dist, ff_map):
+        # solve and sweep leave the check to the lockstep they call
+        src = block_pmf(SourceSpec.iid(0.3), 2)
+        dist = distortion_tensor(DistortionSpec.hamming(), n_dist)
+        config = SolverConfig(lam=1.0, feedforward_map=ff_map)
+        with pytest.raises(ValueError) as from_solve:
+            solve(src, dist, config)
+        with pytest.raises(ValueError) as from_lockstep:
+            _solve_lockstep(src, dist, [config], [None])
+        assert str(from_lockstep.value) == str(from_solve.value)
 
 
 class TestTrace:

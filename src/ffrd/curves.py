@@ -80,7 +80,7 @@ def sweep(source_spec: SourceSpec, distortion_spec: DistortionSpec, n: int,
     source = block_pmf(source_spec, n)
     dist = distortion_tensor(distortion_spec, n, initial_context)
     deduped = _dedup_sorted(_solve_lockstep(source, dist, configs, [None] * len(configs)))
-    return RdCurve(n=n, points=tuple(deduped),
+    return RdCurve(n=source.n, points=tuple(deduped),
                    configs=tuple(replace(base, lam=pt.lam) for pt in deduped))
 
 

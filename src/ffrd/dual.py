@@ -1,8 +1,9 @@
 """Lower-bound certificates for the block rate-distortion value.
 
 A certificate is a triple (lam, gamma, p') with gamma a positive weight per
-source block and p' a reverse-direction causal kernel (factors
-p'(x_i | x^{i-1}, x̂^i)).  Whenever the feasibility constraint
+source block and p' a reverse-direction causal kernel, the delay-0
+``CausalKernel`` p'(x^n || x̂^n) with factors p'(x_i | x^{i-1}, x̂^i).
+Whenever the feasibility constraint
 
     p(x^n) * gamma(x^n) * 2^{-lam d(x^n, x̂^n)}  <=  p'(x^n || x̂^n)
 
@@ -27,11 +28,11 @@ import numpy as np
 from .models import DistortionTensor
 from .prob import (
     BlockSource,
+    CausalKernel,
     ForwardChannel,
     NORM_TOL,
     _check_dims,
     _Contexts,
-    _factor_product,
     reverse_causal_factors,
 )
 from .solver import RatePoint, _channel, _check_lam, _step_stack, _Workspace
@@ -68,11 +69,11 @@ class NonTightCertificateError(ValueError):
 class DualCertificate:
     """Lower-bound certificate (lam, gamma, p').
 
-    ``p_prime_factors[i-1]``, one for each i = 1..n, has axes
-    (x_1..x_i, x̂_1..x̂_i) and rows over x_i (axis i-1) summing to one for
-    every context.  gamma must be finite and positive and p' finite and
-    nonnegative (``ValueError`` otherwise): a NaN passes every comparison
-    of ``check_feasibility`` unseen.
+    ``p_prime`` is p'(x^n || x̂^n): a delay-0 ``CausalKernel`` without a map,
+    conditioned on the |X̂| letters and emitting the |X| ones, so factor i
+    has axes (x̂^i, x^i) and is checked finite, nonnegative and normalized.
+    gamma must be finite and positive (``ValueError`` otherwise): a NaN
+    passes every comparison of ``check_feasibility`` unseen.
     """
 
     lam: float
@@ -80,30 +81,22 @@ class DualCertificate:
     src_alphabet_size: int
     rec_alphabet_size: int
     gamma: np.ndarray
-    p_prime_factors: tuple = field(repr=False)
+    p_prime: CausalKernel = field(repr=False)
 
     def __post_init__(self):
         _check_lam(self.lam)
         object.__setattr__(self, "gamma",
                            _check_gamma(self.gamma, (self.src_alphabet_size**self.n,)))
-        facs = tuple(np.asarray(f, dtype=float) for f in self.p_prime_factors)
-        if len(facs) != self.n:
-            raise ValueError(f"a certificate for n={self.n} needs {self.n} p' factors, "
-                             f"got {len(facs)}")
-        A, B = self.src_alphabet_size, self.rec_alphabet_size
-        for i, f in enumerate(facs, start=1):
-            if f.shape != (A,) * i + (B,) * i:
-                raise ValueError(f"factor {i} has wrong shape {f.shape}")
-            # min and max are NaN when an entry is, and NaN fails every comparison
-            if not 0.0 <= f.min() <= f.max() < np.inf:
-                raise ValueError(f"p' factor {i} must be finite and nonnegative")
-        object.__setattr__(self, "p_prime_factors", facs)
+        pp, A, B = self.p_prime, self.src_alphabet_size, self.rec_alphabet_size
+        if (pp.delay, pp.n, pp.src_alphabet_size, pp.rec_alphabet_size) != (0, self.n, B, A) \
+                or pp.ff_map is not None:
+            raise ValueError(f"p' must be a delay-0 kernel without a map, for n={self.n}, "
+                             f"conditioned on |X̂|={B} and emitting |X|={A}; got {pp!r}")
 
     @property
     def p_prime_table(self) -> np.ndarray:
-        """Dense p'(x^n || x̂^n) over (x^n, x̂^n) (``_p_prime_table``)."""
-        return _p_prime_table(self.p_prime_factors, self.n, self.src_alphabet_size,
-                              self.rec_alphabet_size)
+        """Dense p'(x^n || x̂^n) over (x^n, x̂^n), the kernel's table transposed."""
+        return self.p_prime.table.T
 
     def to_json(self) -> str:
         return json.dumps({
@@ -112,34 +105,30 @@ class DualCertificate:
             "src_alphabet_size": self.src_alphabet_size,
             "rec_alphabet_size": self.rec_alphabet_size,
             "gamma": self.gamma.tolist(),
-            "p_prime_factors": [f.tolist() for f in self.p_prime_factors],
+            "p_prime": [f.tolist() for f in self.p_prime.factors],
         })
 
     @staticmethod
     def from_json(text: str) -> "DualCertificate":
+        """The certificate of ``to_json``'s text.  The factors under ``p_prime`` build
+        the kernel with the certificate's n and alphabets; its errors name p'."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("certificate JSON must be an object")
-        return DualCertificate(**{key: _json_field(d, key, read)
-                                  for key, read in _JSON_FIELDS.items()})
+        fields = {key: _json_field(d, key, read) for key, read in _JSON_FIELDS.items()}
+        factors = _json_field(d, "p_prime", lambda v: [np.asarray(f, dtype=float) for f in v])
+        try:
+            p_prime = CausalKernel(fields["n"], 0, fields["rec_alphabet_size"],
+                                   fields["src_alphabet_size"], factors)
+        except ValueError as exc:
+            raise ValueError(f"p': {exc}") from None
+        return DualCertificate(**fields, p_prime=p_prime)
 
 
-def _p_prime_table(factors, n: int, A: int, B: int) -> np.ndarray:
-    """Dense p'(x^n || x̂^n) over (x^n, x̂^n) from its (x^i, x̂^i) factors.
-
-    The factors are those of a delay-0 kernel of x^n given x̂^n
-    (``reverse_causal_factors``), so ``_factor_product`` multiplies them
-    out with x̂^i first, and the (x̂^n, x^n) table is transposed."""
-    factors = [np.moveaxis(f, range(i), range(i, 2 * i))[None]
-               for i, f in enumerate(factors, start=1)]
-    return _factor_product(factors, _Contexts.of(n, B, A, 0, None))[0].T
-
-
-#: each key of a certificate's JSON, with what reads its value
+#: each key of a certificate's JSON but ``p_prime``, with what reads its value
 _JSON_FIELDS = {"lam": float, "n": operator.index, "src_alphabet_size": operator.index,
                 "rec_alphabet_size": operator.index,
-                "gamma": lambda v: np.asarray(v, dtype=float),
-                "p_prime_factors": lambda v: tuple(np.asarray(f, dtype=float) for f in v)}
+                "gamma": lambda v: np.asarray(v, dtype=float)}
 
 
 def _json_field(d: dict, key: str, read):
@@ -186,7 +175,7 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
                       distortion: DistortionTensor) -> FeasibilityReport:
     """Verify the certificate's constraint in the log domain.
 
-    Checks every factor's per-context normalization and, on every source
+    Checks every p' factor's per-context normalization and, on every source
     block with p > 0, that log2 gamma stays within the closed form's
     largest feasible value (``_log2_gamma_bound``).  The largest excess (in
     bits, and 0 when there is none) is ``max_violation``, at most
@@ -196,10 +185,8 @@ def check_feasibility(cert: DualCertificate, source: BlockSource,
     """
     _check_dims("certificate", cert, source, "the source has")
     _check_dims("certificate", cert, distortion, "the distortion tensor is for")
-    norm_err = 0.0
-    for i, f in enumerate(cert.p_prime_factors, start=1):
-        sums = f.sum(axis=i - 1)
-        norm_err = max(norm_err, float(np.max(np.abs(sums - 1.0))))
+    # the kernel's factors are mutable, so checked again; np.max, unlike max, keeps a NaN
+    norm_err = float(np.max([np.max(np.abs(f.sum(axis=-1) - 1.0)) for f in cert.p_prime.factors]))
     excess = np.log2(cert.gamma[source.probs > 0.0]) - \
         _log2_gamma_bound(cert.p_prime_table, cert.lam, source, distortion)
     viol = float(np.max(excess, initial=0.0))
@@ -211,10 +198,10 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
                               distortion: DistortionTensor) -> DualCertificate:
     """Assemble a feasible certificate from a converged solver state.
 
-    p' is the reverse causal factorization of the point's joint p * r, r
-    its channel, and gamma the closed form's largest feasible value for
-    that p' (1 on blocks with p = 0), so the certificate is feasible by
-    construction.  The point's kernel q* factors that joint, so with every
+    p' is the delay-0 kernel of the reverse causal factorization of the
+    point's joint p * r, r its channel, and gamma the closed form's largest
+    feasible value for that p' (1 on blocks with p = 0), so the certificate
+    is feasible by construction.  The point's kernel q* factors that joint, so with every
     context live gamma = 1 / (rows max_x̂ c), c = q* / q, and in exact
     arithmetic the objective lies in [R - F/n, R]; underflowed kernel
     entries can leave it looser.  Where the solve's joint underflowed p'
@@ -230,16 +217,15 @@ def certificate_from_solution(point: RatePoint, source: BlockSource,
     n, A = source.n, source.src_alphabet_size
     B = q_star.rec_alphabet_size
     joint = point.channel.probs * source.probs[:, None]
-    factors = tuple(reverse_causal_factors(joint, n, A, B))
-    log_gamma = _log2_gamma_bound(_p_prime_table(factors, n, A, B), point.lam, source,
-                                  distortion)
+    p_prime = CausalKernel(n, 0, B, A, reverse_causal_factors(joint, n, A, B))
+    log_gamma = _log2_gamma_bound(p_prime.table.T, point.lam, source, distortion)
     if np.isneginf(log_gamma).any():
         raise ValueError("p' vanished where the source has mass: the solve's joint "
                          "underflowed, and no positive gamma is feasible")
     gamma = np.ones(A**n)
     gamma[source.probs > 0.0] = np.exp2(log_gamma)
     return DualCertificate(lam=point.lam, n=n, src_alphabet_size=A, rec_alphabet_size=B,
-                           gamma=gamma, p_prime_factors=factors)
+                           gamma=gamma, p_prime=p_prime)
 
 
 def _anderson(g, x: np.ndarray, iters: int, tol: float) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import BlockSource, _check_pmf, _context_alphabet, sequence_digits
+from .prob import BlockSource, _check_pmf, _context_alphabet, _map_table, _whole, sequence_digits
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def block_pmf(spec: SourceSpec, n: int) -> BlockSource:
 
     i.i.d.: product of marginals.  Markov: p(x^n) = pi(x_1) * prod P(x_i|x_{i-1}).
     """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
+    n = _whole("block length", n, 1)
     A = spec.alphabet_size
     d = sequence_digits(A, n)
     if spec.kind == "iid":
@@ -144,9 +143,7 @@ class DistortionSpec:
 
     def __post_init__(self):
         # _position_costs writes every position only for a window m >= 0
-        if not (float(self.m).is_integer() and self.m >= 0):
-            raise ValueError(f"window m must be a whole number >= 0, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _whole("window m", self.m, 0))
         if min(self.src_alphabet_size, self.rec_alphabet_size) < 1:
             raise ValueError(f"distortion alphabets must be nonempty, got |X|="
                              f"{self.src_alphabet_size}, |X̂|={self.rec_alphabet_size}")
@@ -226,6 +223,7 @@ def distortion_tensor(spec: DistortionSpec, n: int, initial_context=None) -> Dis
     fixes the missing history, a PMF averages over it, and None truncates
     (uniform average over the missing symbols).
     """
+    n = _whole("block length", n, 1)
     A, B = spec.src_alphabet_size, spec.rec_alphabet_size
     costs = _position_costs(spec, sequence_digits(A, n), initial_context)
     vals = np.zeros((A**n, B**n))
@@ -239,15 +237,12 @@ def distortion_tensor(spec: DistortionSpec, n: int, initial_context=None) -> Dis
 
 @dataclass(frozen=True)
 class FeedForwardMap:
-    """Deterministic symbol map f: X -> Z applied to fed-forward source symbols."""
+    """Deterministic symbol map f: X -> Z on fed-forward symbols (``prob._map_table``)."""
 
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int64)
-        if t.ndim != 1 or np.any(t < 0):
-            raise ValueError("map table must be a 1-D array of symbol indices")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", _map_table(self.table))
 
     @property
     def domain_size(self) -> int:

@@ -19,12 +19,13 @@ its results are valid until the next factorization in that space, and a
 caller that keeps them copies them.  The kernel product
 (``_product_calls``) is built the same way; ``_factor_product`` builds it
 on fresh buffers.  Run at delay 0 on the transposed joint, the
-factorization also gives the certificates' reverse factors p'.
+factorization also gives the certificates' p' (a delay-0 ``CausalKernel``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -82,6 +83,25 @@ def _check_dims(what: str, table, ref, ref_what: str) -> None:
         raise ValueError(f"{what} is for {text[0]}; {ref_what} {text[1]}")
 
 
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int, given as one or as a whole float (as JSON may give
+    it); else ``ValueError`` "{name} must be a whole number >= {least}, got …"."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
+def _map_table(table) -> np.ndarray:
+    """A feed-forward map's table as a 1-D int array of symbol indices: nonempty,
+    whole numbers >= 0, a whole float or bool stored as an int (else ``ValueError``)."""
+    t = np.asarray(table)
+    if t.ndim == 1 and t.size and t.dtype.kind in "biuf" and np.isfinite(t).all():
+        ints = t.astype(np.int64)
+        if ints.min() >= 0 and np.array_equal(ints, t):
+            return ints
+    raise ValueError("map table must be a 1-D array of symbol indices")
+
+
 def _context_alphabet(A: int, fmap) -> int:
     """Z, the alphabet of a kernel's conditioning symbols: the source's
     without a feed-forward map, the map's codomain max(map) + 1 with one."""
@@ -126,11 +146,13 @@ class CausalKernel:
     """Causally conditioned PMF q(x̂^n || c^{n-s}), held as its factors.
 
     The conditioning sequence ``c`` is the source block itself, or its image
-    under a deterministic feed-forward symbol map when ``ff_map`` is given.
-    ``factors[i-1]`` is q(x̂_i | x̂^{i-1}, c^{i-s}), of shape
-    ``(Z,)*max(i-s, 0) + (B,)*i`` with the conditioning-symbol axes first,
-    then x̂_1..x̂_i (last axis is x̂_i).  A factor has no axis for a symbol
-    its context does not see, so every kernel is causal.  ``table`` and
+    under a deterministic feed-forward symbol map when ``ff_map`` is given
+    (``_map_table``).  ``factors[i-1]`` is q(x̂_i | x̂^{i-1}, c^{i-s}), of
+    shape ``(Z,)*max(i-s, 0) + (B,)*i`` with the conditioning-symbol axes
+    first, then x̂_1..x̂_i (last axis is x̂_i).  A factor has no axis for a
+    symbol its context does not see, so every kernel is causal.  The solver's
+    kernels have delay s >= 1; s = 0 is standard causal conditioning, factor
+    i seeing c^i, as in a certificate's p' (x given x̂).  ``table`` and
     ``probs`` multiply the factors out on every access.
     """
 
@@ -143,11 +165,11 @@ class CausalKernel:
 
     def __post_init__(self):
         n, s, A, B = self.n, self.delay, self.src_alphabet_size, self.rec_alphabet_size
-        if not 1 <= s <= n:
-            raise ValueError("delay must satisfy 1 <= s <= n")
+        if not 0 <= s <= n or n < 1:
+            raise ValueError(f"a kernel needs n >= 1 and 0 <= delay <= n, got n={n}, delay={s}")
         if len(self.factors) != n:
             raise ValueError(f"kernel needs n={n} factors, got {len(self.factors)}")
-        fmap = None if self.ff_map is None else np.asarray(self.ff_map)
+        fmap = None if self.ff_map is None else _map_table(self.ff_map)
         if fmap is not None and fmap.shape != (A,):
             raise ValueError(f"ff_map must give one symbol to each of the {A} source letters")
         Z = _context_alphabet(A, fmap)
@@ -178,6 +200,7 @@ class CausalKernel:
     def uniform(n: int, src_alphabet_size: int, rec_alphabet_size: int, delay: int = 1,
                 ff_map: np.ndarray | None = None) -> "CausalKernel":
         """The all-uniform kernel |X̂|^{-n}, the solver's starting point."""
+        ff_map = None if ff_map is None else _map_table(ff_map)
         Z, B = _context_alphabet(src_alphabet_size, ff_map), rec_alphabet_size
         factors = tuple(np.full((Z,) * max(i - delay, 0) + (B,) * i, 1.0 / B)
                         for i in range(1, n + 1))
@@ -478,13 +501,13 @@ def directed_information(source: BlockSource, channel: ForwardChannel,
     return float(val)
 
 
-def reverse_causal_factors(joint_table: np.ndarray, n: int, A: int, B: int) -> list:
+def reverse_causal_factors(joint_table: np.ndarray, n: int, A: int, B: int) -> tuple:
     """Factors p'(x_i | x^{i-1}, x̂^i) of the reverse causal conditioning.
 
-    The causal factorization of the transposed joint at delay 0; with the
-    forward kernel they reassemble the joint by the causal chain rule.  Factor
-    ``i`` has axes (x_1..x_i, x̂_1..x̂_i); zero-mass contexts are uniform over x_i.
+    The causal factorization of the transposed joint at delay 0: the factors
+    of a delay-0 ``CausalKernel`` of x given x̂, factor ``i`` with axes
+    (x̂_1..x̂_i, x_1..x_i), zero-mass contexts uniform over x_i.  With the
+    forward kernel they reassemble the joint by the causal chain rule.
     """
     factors, _ = _context_factors(joint_table.T[None], _Contexts.of(n, B, A, 0, None))
-    return [np.moveaxis(f[0], range(i, 2 * i), range(i))
-            for i, f in enumerate(factors, start=1)]
+    return tuple(f[0] for f in factors)

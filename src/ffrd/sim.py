@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .models import DistortionSpec, SourceSpec, _position_costs, block_pmf, distortion_tensor
-from .prob import CausalKernel, sequence_digits
+from .prob import CausalKernel, _whole, sequence_digits
 from .solver import RatePoint, SolverConfig, solve
 
 
@@ -230,9 +230,10 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     decision array, 8 bytes each; a larger codebook raises ``MemoryError``
     before any tree is drawn.  Drawing the array also holds its uniforms and
     one level's pmfs, |X̂| floats per branch, at a time: at |X| = |X̂| = 2
-    and n = 2 the draw peaks at about 3.5 times the array.  ``trials < 1``,
-    ``L < n``, an ``L`` that is not a multiple of ``n``, a negative
-    ``seed``, a non-finite ``delta`` and a NaN or negative ``target_D`` raise
+    and n = 2 the draw peaks at about 3.5 times the array.  A count (n, L or
+    trials) that is neither an int nor a whole float, ``trials < 1``,
+    ``L < n``, an ``L`` that is not a multiple of ``n``, a negative ``seed``,
+    a non-finite ``delta`` and a NaN or negative ``target_D`` raise
     ``ValueError``, and a ``seed`` that is not an integer ``TypeError``,
     before any solve; a tree count past the floats exceeds every cap.
     """
@@ -244,8 +245,7 @@ def monte_carlo(source_spec: SourceSpec, distortion_spec: DistortionSpec,
     if not target_D >= 0.0:  # NaN too
         raise ValueError(f"target_D must be >= 0, got {target_D!r}")
     source = block_pmf(source_spec, n)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, trials, L = source.n, _whole("trials", trials, 1), _whole("tree depth L", L, 0)
     if L < n or L % n != 0:
         raise ValueError(f"tree depth L = {L} must be a positive multiple of n = {n}")
     dist = distortion_tensor(distortion_spec, n)

@@ -11,13 +11,14 @@ statistic F (which bounds the gap between the per-iteration lower and upper
 bounds on the rate by exactly F/n).  The step is written once, in
 ``_step_stack``, on the kernels' context tables (``prob._Contexts``) of a
 stack of solves.  Every solve is a member of a ``_solve_lockstep`` call,
-which alone checks the inputs and decides how many solves step together,
-in a rolling stack whose finished members hand their slots to the next
-configs, where each starts from (its ``start``) and whether a member
-converged.  ``solve`` passes it one config, ``curves.sweep`` every weight;
-``dual``'s channel reconstruction steps a stack of one with p' as its weight.  The step returns the next kernel and leaves its factors and
-statistics in its workspace.  A member keeps its steps' four statistics,
-32 bytes a step, and builds its trace once, when it finishes (``_trace``).
+which alone checks the inputs and decides which solves step together (a
+rolling stack, whose finished members hand their slots to the next
+configs), where each starts from (``start``) and when one has converged.
+``solve`` passes it one config and ``curves.sweep`` every weight; ``dual``
+steps a stack of one with p' as its weight to rebuild a channel.  The step
+returns the next kernel and leaves its factors and statistics in its
+workspace.  A member keeps its steps' four statistics, 32 bytes a step,
+and builds its trace once, when it finishes (``_trace``).
 
 When a context carries no joint mass (its kernel entries underflowed to
 0), the step divides the whole table anyway, puts log2 1 = 0 in that
@@ -28,9 +29,10 @@ contexts only when its least sum is 0.
 The step writes every table into a workspace (``_Workspace``) that a stack
 builds once, and again only when it shrinks, so a step allocates no table,
 and its arrays are valid until the next step given the same workspace; a
-finished point copies what it keeps.  No buffer is a full (|X|^n, |X̂|^n) table: the row sums, the
-prefix mass the factorization reads and D are contractions of the weight
-against q and p / rows, and a point builds its channel once (``_channel``).
+finished point copies what it keeps.  No buffer is a full (|X|^n, |X̂|^n)
+table: the row sums, the prefix mass the factorization reads and D are
+contractions of the weight against q and p / rows, and a point builds its
+channel once (``_channel``).
 The step reduces with ufunc reductions (``np.add.reduce(x, axis=...,
 out=...)``), which give the bits of ``x.sum`` without its Python-level
 dispatch, and takes its dots in fixed pieces (``_dot``).  Every sum of the
@@ -56,6 +58,7 @@ from .prob import (
     _FactorSpace,
     _product_buffers,
     _product_calls,
+    _whole,
 )
 
 
@@ -83,17 +86,9 @@ class SolverConfig:
         _check_lam(self.lam)
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        # a whole float, as a JSON config file may give, is stored as an int;
         # a fractional cap would never equal the iteration count
         for name in ("max_iters", "delay"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.delay < 1:
-            raise ValueError("delay must be >= 1")
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
 
 
 class IterationDiagnostics(NamedTuple):

@@ -88,7 +88,7 @@ class TestSolveCommand:
         last = rows[-1].split(",")
         assert (last[4], last[5]) == (summary["lower_bound"], summary["upper_bound"])
         payload = json.loads(cert.read_text())
-        assert set(payload) >= {"lam", "gamma", "p_prime_factors", "D", "R"}
+        assert set(payload) >= {"lam", "gamma", "p_prime", "D", "R"}
 
 
 class TestSweepCommand:
@@ -146,14 +146,14 @@ class TestDualCheckCommand:
                     "--lambda", "4", "--emit-certificate", str(cert),
                     "--output", str(tmp_path / "pt.txt")]) == 0
         payload = json.loads(cert.read_text())
-        payload["p_prime_factors"][1] = [[[[float("nan")] * 2] * 2] * 2] * 2
+        payload["p_prime"][1] = [[[[float("nan")] * 2] * 2] * 2] * 2
         cert.write_text(json.dumps(payload))
         capsys.readouterr()
         code = run(["dual-check", "--certificate", str(cert),
                     "--source", "markov:0.3,0.2", "--dist", "hamming"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "error: p' factor 2 must be finite and nonnegative" in captured.err
+        assert "error: p': kernel factor 2 has non-finite entries" in captured.err
         assert "feasible=" not in captured.out
 
     def test_missing_key_named(self, tmp_path, capsys):
@@ -183,18 +183,35 @@ class TestDualCheckCommand:
                     "--lambda", "4", "--emit-certificate", str(cert),
                     "--output", str(tmp_path / "pt.txt")]) == 0
         payload = json.loads(cert.read_text())
-        payload["p_prime_factors"].pop()
+        payload["p_prime"].pop()
         cert.write_text(json.dumps(payload))
         capsys.readouterr()
         code = run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "error: a certificate for n=2 needs 2 p' factors, got 1" in captured.err
+        assert "error: p': kernel needs n=2 factors, got 1" in captured.err
         assert "Traceback" not in captured.err
         assert "feasible=" not in captured.out
 
+    def test_old_factor_key_refused(self, tmp_path, capsys):
+        # factors under "p_prime_factors" have the (x^i, x̂^i) axis order,
+        # which the shapes cannot tell from the kernel's at |X| = |X̂|
+        cert = tmp_path / "cert.json"
+        assert run(["solve", "--source", "markov:0.3,0.2", "--n", "2",
+                    "--lambda", "4", "--emit-certificate", str(cert),
+                    "--output", str(tmp_path / "pt.txt")]) == 0
+        payload = json.loads(cert.read_text())
+        payload["p_prime_factors"] = payload.pop("p_prime")
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["dual-check", "--certificate", str(cert), "--source", "markov:0.3,0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: certificate JSON has no key 'p_prime'" in captured.err
+        assert "feasible=" not in captured.out
+
     @pytest.mark.parametrize("key, value", [("lam", None), ("n", [2]), ("n", 2.7),
-                                            ("p_prime_factors", 5), ("D", None)])
+                                            ("p_prime", 5), ("D", None)])
     def test_wrongly_typed_key_named(self, key, value, tmp_path, capsys):
         # each raised a TypeError out of run(), but n = 2.7, which was read as 2
         cert = tmp_path / "cert.json"

@@ -52,6 +52,13 @@ class TestSweep:
         assert grid[0] == pytest.approx(0.125)
         assert grid[-1] == pytest.approx(32.0)
 
+    def test_whole_float_block_length(self):
+        # 2.0 raised a TypeError from numpy
+        curve = sweep(SourceSpec.iid(0.3), HAMMING, 2.0, [4.0, 1.0])
+        assert type(curve.n) is int
+        ref = sweep(SourceSpec.iid(0.3), HAMMING, 2, [4.0, 1.0])
+        assert [(pt.R, pt.D) for pt in curve.points] == [(pt.R, pt.D) for pt in ref.points]
+
     def test_empty_grid_refused(self):
         # it returned a curve with no points
         with pytest.raises(ValueError, match="lambda_grid must hold at least one weight"):

@@ -16,7 +16,7 @@ from ffrd.dual import (
     reconstruct_channel,
 )
 from ffrd.models import DistortionSpec, SourceSpec, block_pmf, distortion_tensor
-from ffrd.prob import reverse_causal_factors
+from ffrd.prob import CausalKernel, reverse_causal_factors
 from ffrd.solver import SolverConfig, solve
 
 from helpers import kernel_from_joint
@@ -173,30 +173,32 @@ class TestFeasibility:
         bad = DualCertificate(lam=cert.lam, n=cert.n,
                               src_alphabet_size=2, rec_alphabet_size=2,
                               gamma=cert.gamma * 2.0,
-                              p_prime_factors=cert.p_prime_factors)
+                              p_prime=cert.p_prime)
         report = check_feasibility(bad, src, dist)
         assert not report.feasible
         assert report.max_violation == pytest.approx(1.0, abs=1e-7)
 
     # max(0.0, nan) is 0.0, so a NaN p' was reported feasible with
-    # max_violation 0; the certificate refuses it, and any non-finite or
-    # negative p' entry, when built
+    # max_violation 0; the p' kernel refuses it, and any non-finite or
+    # negative entry, when a certificate is read, and names p'.  The indices
+    # are in the kernel's (x̂^i, x^i) axis order.
     @pytest.mark.parametrize("i, index, value", [
-        (2, ..., np.nan), (1, (0, 0), np.nan), (1, (1, 0), np.inf), (2, (0, 1, 1, 0), -0.25)])
+        (2, ..., np.nan), (1, (0, 0), np.nan), (1, (0, 1), np.inf), (2, (1, 0, 0, 1), -0.25)])
     def test_bad_p_prime_rejected(self, markov_converged, i, index, value):
         src, dist, pt = markov_converged
-        cert = certificate_from_solution(pt, src, dist)
-        factors = [f.copy() for f in cert.p_prime_factors]
-        factors[i - 1][index] = value
-        with pytest.raises(ValueError, match=f"p' factor {i} must be finite and nonnegative"):
-            DualCertificate(lam=cert.lam, n=cert.n, src_alphabet_size=2, rec_alphabet_size=2,
-                            gamma=cert.gamma, p_prime_factors=tuple(factors))
+        payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
+        factor = np.array(payload["p_prime"][i - 1])
+        factor[index] = value
+        payload["p_prime"][i - 1] = factor.tolist()
+        what = "negative" if value < 0 else "non-finite"
+        with pytest.raises(ValueError, match=f"p': kernel factor {i} has {what} entries"):
+            DualCertificate.from_json(json.dumps(payload))
 
     def test_nan_p_prime_from_json_rejected(self, markov_converged):
         src, dist, pt = markov_converged
         payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
-        payload["p_prime_factors"][0][0][0] = float("nan")
-        with pytest.raises(ValueError, match="p' factor 1 must be finite and nonnegative"):
+        payload["p_prime"][0][0][0] = float("nan")
+        with pytest.raises(ValueError, match="p': kernel factor 1 has non-finite entries"):
             DualCertificate.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-over"])
@@ -205,11 +207,49 @@ class TestFeasibility:
         # factor over was ignored and the certificate reported feasible
         src, dist, pt = markov_converged
         payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
-        factors = payload["p_prime_factors"]
-        payload["p_prime_factors"] = (factors[:-1] if extra < 0
-                                      else factors + [np.full((2,) * 6, 0.5).tolist()])
-        with pytest.raises(ValueError, match=f"n=2 needs 2 p' factors, got {2 + extra}"):
+        factors = payload["p_prime"]
+        payload["p_prime"] = (factors[:-1] if extra < 0
+                              else factors + [np.full((2,) * 6, 0.5).tolist()])
+        with pytest.raises(ValueError, match=f"p': kernel needs n=2 factors, got {2 + extra}"):
             DualCertificate.from_json(json.dumps(payload))
+
+    def test_factor_changed_in_place_is_reported(self, markov_converged):
+        # a NaN written into factor 2 read max_normalization_error ~1e-16,
+        # factor 1's, since max(x, nan) is x
+        src, dist, pt = markov_converged
+        cert = certificate_from_solution(pt, src, dist)
+        cert.p_prime.factors[1][0, 0, 0, 0] = np.nan
+        report = check_feasibility(cert, src, dist)
+        assert not report.feasible and np.isnan(report.max_normalization_error)
+
+    def test_empty_block_refused(self):
+        # n = 0 with no factors was accepted, and p_prime_table raised an IndexError
+        text = json.dumps({"lam": 1.0, "n": 0, "src_alphabet_size": 2, "rec_alphabet_size": 2,
+                           "gamma": [1.0], "p_prime": []})
+        with pytest.raises(ValueError, match="p': a kernel needs n >= 1 and 0 <= delay <= n"):
+            DualCertificate.from_json(text)
+
+    def test_old_factor_key_refused(self, markov_converged):
+        # the factors under "p_prime_factors" have (x^i, x̂^i) axes; at
+        # |X| = |X̂| their shapes cannot tell that order from the kernel's
+        src, dist, pt = markov_converged
+        payload = json.loads(certificate_from_solution(pt, src, dist).to_json())
+        payload["p_prime_factors"] = payload.pop("p_prime")
+        with pytest.raises(ValueError, match="certificate JSON has no key 'p_prime'"):
+            DualCertificate.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("kernel", [
+        CausalKernel.uniform(2, 3, 2, delay=1), CausalKernel.uniform(2, 2, 3, delay=0),
+        CausalKernel.uniform(3, 3, 2, delay=0),
+        CausalKernel.uniform(2, 3, 2, delay=0, ff_map=np.array([0, 1, 1]))],
+        ids=["delay", "swapped-alphabets", "n", "map"])
+    def test_p_prime_of_another_kind_refused(self, kernel):
+        # |X| = 2 and |X̂| = 3: p' conditions on 3 letters and emits 2
+        fields = dict(lam=1.0, n=2, src_alphabet_size=2, rec_alphabet_size=3,
+                      gamma=np.ones(4))
+        DualCertificate(**fields, p_prime=CausalKernel.uniform(2, 3, 2, delay=0))
+        with pytest.raises(ValueError, match="p' must be a delay-0 kernel without a map"):
+            DualCertificate(**fields, p_prime=kernel)
 
     def test_zero_weight_trivial_certificate(self):
         # gamma = 1 with p' built from an arbitrary product joint is feasible
@@ -220,7 +260,7 @@ class TestFeasibility:
         factors = reverse_causal_factors(joint, 2, 2, 2)
         cert = DualCertificate(lam=0.0, n=2, src_alphabet_size=2,
                                rec_alphabet_size=2, gamma=np.ones(4),
-                               p_prime_factors=tuple(factors))
+                               p_prime=CausalKernel(2, 0, 2, 2, factors))
         report = check_feasibility(cert, src, dist)
         assert report.feasible
         assert report.max_violation == pytest.approx(0.0, abs=1e-12)
@@ -253,13 +293,19 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             DualCertificate.from_json(json.dumps(payload))
 
-    def test_json_round_trip(self, markov_converged):
-        src, dist, pt = markov_converged
+    @pytest.mark.parametrize("A, B", [(2, 2), (2, 3), (3, 2)])
+    def test_json_round_trip(self, A, B):
+        # unequal alphabets would catch |X| and |X̂| swapped in the JSON layout
+        rng = np.random.default_rng(10 * A + B)
+        src = block_pmf(SourceSpec.markov(rng.dirichlet(np.ones(A), size=A)), 2)
+        dist = distortion_tensor(DistortionSpec.single_letter(rng.uniform(size=(A, B))), 2)
+        pt = solve(src, dist, SolverConfig(lam=4.0))
         cert = certificate_from_solution(pt, src, dist)
         back = DualCertificate.from_json(cert.to_json())
-        np.testing.assert_allclose(back.gamma, cert.gamma)
-        np.testing.assert_allclose(back.p_prime_table, cert.p_prime_table)
+        np.testing.assert_array_equal(back.gamma, cert.gamma)
+        np.testing.assert_array_equal(back.p_prime_table, cert.p_prime_table)
         assert back.lam == cert.lam
+        assert check_feasibility(back, src, dist).feasible
 
 
 class TestReconstruction:

@@ -103,6 +103,18 @@ class TestBlockPmf:
         with pytest.raises(ValueError):
             block_pmf(SourceSpec.iid(0.5), 0)
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_length_must_be_whole(self, n):
+        # 2.5 raised a TypeError from numpy
+        with pytest.raises(ValueError, match=f"block length must be a whole number >= 1, "
+                                             f"got {n}"):
+            block_pmf(SourceSpec.iid(0.3), n)
+
+    def test_whole_float_length(self):
+        src = block_pmf(SourceSpec.iid(0.3), 2.0)
+        assert type(src.n) is int
+        np.testing.assert_array_equal(src.probs, block_pmf(SourceSpec.iid(0.3), 2).probs)
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.integers(2, 6))
     def test_markov_shift_consistency(self, p01, p10, n):
@@ -205,6 +217,20 @@ class TestDistortionTensor:
             DistortionSpec.single_letter(np.zeros(shape))
         assert str(err.value) == f"distortion alphabets must be nonempty, got {sizes}"
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_block_length_must_be_whole(self, n):
+        # 0 divided 0 by 0 and was refused for non-finite distortion values,
+        # and 2.5 raised a TypeError from numpy
+        with pytest.raises(ValueError, match=f"block length must be a whole number >= 1, "
+                                             f"got {n}"):
+            distortion_tensor(DistortionSpec.hamming(), n)
+
+    def test_whole_float_block_length(self):
+        dist = distortion_tensor(DistortionSpec.stock(), 2.0)
+        assert type(dist.n) is int
+        np.testing.assert_array_equal(dist.values,
+                                      distortion_tensor(DistortionSpec.stock(), 2).values)
+
     def test_single_letter_vector_rejected(self):
         with pytest.raises(ValueError, match="2-D matrix"):
             DistortionSpec.single_letter([1.0, 2.0])
@@ -239,3 +265,17 @@ class TestFeedForwardMap:
     def test_codomain_size(self):
         assert FeedForwardMap.parity(4).codomain_size == 2
         assert FeedForwardMap.constant(5).codomain_size == 1
+
+    @pytest.mark.parametrize("table", [[0.7, 0.2], [], [-1, 0], [[0, 1]], [np.nan, 0]],
+                             ids=["fractional", "empty", "negative", "2-D", "nan"])
+    def test_bad_table_refused(self, table):
+        # [0.7, 0.2] was truncated to the constant map [0, 0], and [] was
+        # accepted and failed in codomain_size with numpy's reduction error
+        with pytest.raises(ValueError, match="map table must be a 1-D array of symbol indices"):
+            FeedForwardMap(table)
+
+    @pytest.mark.parametrize("table", [[1.0, 0.0], [True, False]], ids=["float", "bool"])
+    def test_whole_table_stored_as_int(self, table):
+        fm = FeedForwardMap(table)
+        assert fm.table.dtype == np.int64
+        np.testing.assert_array_equal(fm.table, [1, 0])

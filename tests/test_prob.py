@@ -39,7 +39,8 @@ def p_prime_table(factors, n, A, B):
     """The (|X|^n, |X̂|^n) product of reverse factors, as a certificate
     holding them multiplies them."""
     return DualCertificate(lam=0.0, n=n, src_alphabet_size=A, rec_alphabet_size=B,
-                           gamma=np.ones(A**n), p_prime_factors=factors).p_prime_table
+                           gamma=np.ones(A**n),
+                           p_prime=CausalKernel(n, 0, B, A, factors)).p_prime_table
 
 
 def assert_causal(kern):
@@ -173,10 +174,32 @@ class TestCausalKernel:
         ((np.array([0.5 + 1e-9, 0.5]), np.full((2, 2, 2), 0.5)), None, "not normalized"),
         ((np.full(2, 0.5), np.full((2, 2, 2), np.nan)), None, "non-finite"),
         ((np.full(2, 0.5), np.full((2, 2, 2), 0.5)), np.array([0, 1, 1]), "ff_map"),
-    ], ids=["factor-count", "sees-newest", "rows-off", "nan", "map-length"])
+        # [0.7, 0.2] was truncated to the constant map
+        ((np.full(2, 0.5), np.full((2, 2, 2), 0.5)), np.array([0.7, 0.2]), "map table"),
+        ((np.full(2, 0.5), np.full((2, 2, 2), 0.5)), np.array([], dtype=int), "map table"),
+    ], ids=["factor-count", "sees-newest", "rows-off", "nan", "map-length", "fractional-map",
+            "empty-map"])
     def test_malformed_factors_rejected(self, factors, ff_map, message):
         with pytest.raises(ValueError, match=message):
             CausalKernel(2, 1, 2, 2, factors, ff_map)
+
+    def test_delay_zero_is_standard_causal_conditioning(self):
+        # factor i sees c^i: at n = 1 the kernel is the joint's conditional
+        rng = np.random.default_rng(12)
+        joint = rng.dirichlet(np.ones(6)).reshape(2, 3)
+        kern = kernel_from_joint(joint, 1, 2, 3, 0)
+        np.testing.assert_allclose(kern.probs, joint / joint.sum(axis=1, keepdims=True),
+                                   rtol=0, atol=1e-15)
+        kern = kernel_from_joint(random_joint(rng, A=2, B=3), 2, 2, 3, 0)
+        assert [f.shape for f in kern.factors] == [(2, 3), (2, 2, 3, 3)]
+        assert_causal(kern)
+
+    @pytest.mark.parametrize("ff_map", [[-1, 0], []], ids=["negative", "empty"])
+    def test_bad_map_refused_by_uniform(self, ff_map):
+        # [-1, 0] was accepted with Z = 1, its row -1 wrapping to row 0, and []
+        # raised numpy's zero-size reduction error
+        with pytest.raises(ValueError, match="map table must be a 1-D array of symbol indices"):
+            CausalKernel.uniform(2, 2, 2, ff_map=np.array(ff_map, dtype=int))
 
     def test_feedforward_map_aggregates_classes(self):
         # constant map: kernel cannot depend on x at all, even at delay 1
@@ -274,8 +297,8 @@ class TestReverseFactors:
     def test_factor_normalization(self):
         rng = np.random.default_rng(11)
         factors = reverse_causal_factors(random_joint(rng), 2, 2, 2)
-        for i, f in enumerate(factors, start=1):
-            np.testing.assert_allclose(f.sum(axis=i - 1), 1.0, atol=1e-12)
+        for f in factors:
+            np.testing.assert_allclose(f.sum(axis=-1), 1.0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -449,9 +472,11 @@ def test_reverse_factors_match_reference(shape, data):
     joint = draw_joint(data, A, B, n)
     factors = reverse_causal_factors(joint, n, A, B)
     _, expected = reverse_factors_reference(joint, n, A, B)
-    assert [f.shape for f in factors] == [(A,) * i + (B,) * i for i in range(1, n + 1)]
-    for f, e in zip(factors, expected):
-        np.testing.assert_allclose(f, e, rtol=0, atol=1e-12)
+    assert [f.shape for f in factors] == [(B,) * i + (A,) * i for i in range(1, n + 1)]
+    for i, (f, e) in enumerate(zip(factors, expected), start=1):
+        # the reference's (x^i, x̂^i) axes in the kernel's (x̂^i, x^i) order
+        np.testing.assert_allclose(f, np.moveaxis(e, range(i), range(i, 2 * i)),
+                                   rtol=0, atol=1e-12)
     kern = kernel_from_joint(joint, n, A, B, s=1)
     np.testing.assert_allclose(p_prime_table(factors, n, A, B) * kern.probs, joint,
                                rtol=0, atol=1e-12)

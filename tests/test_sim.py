@@ -367,6 +367,26 @@ def test_monte_carlo_rejects_unworkable_inputs_before_solving(n, L, trials, seed
         monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, delta, trials, seed, target_D)
 
 
+@pytest.mark.parametrize("n, L, trials, name", [
+    (2.5, 8, 10, "block length"), (2, 8.5, 10, "tree depth L"), (2, 8, 2.5, "trials")])
+def test_monte_carlo_refuses_fractional_counts(n, L, trials, name, monkeypatch):
+    # each raised a TypeError from numpy
+    def no_solve(*_, **__):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(sim, "solve", no_solve)
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        monte_carlo(SourceSpec.iid(0.5), HAMMING, n, L, 0.15, trials, 1, 0.25)
+
+
+def test_monte_carlo_whole_float_counts():
+    # n = 2.0 and L = 8.0 raised a TypeError from numpy
+    args = (0.15, 20, 1, 0.25)
+    report = monte_carlo(SourceSpec.iid(0.5), HAMMING, 2.0, 8.0, *args, lam=3.0)
+    assert report == monte_carlo(SourceSpec.iid(0.5), HAMMING, 2, 8, *args, lam=3.0)
+    assert type(report.n) is int and type(report.L) is int
+
+
 @pytest.mark.parametrize("delta", [1e6, 1e300])
 def test_monte_carlo_tree_count_past_a_float_meets_the_cap(delta, monkeypatch):
     # 2^{L(R + delta)} overflows a float; it used to raise OverflowError

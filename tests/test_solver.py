@@ -242,6 +242,12 @@ class TestInitialKernel:
         with pytest.raises(ValueError, match="initial kernel"):
             solve(self.SRC, hamming_tensor(2), config, initial_kernel=kernel)
 
+    def test_delay_zero_kernel_rejected(self):
+        # delay 0 is a kernel the solver never steps, such as a certificate's p'
+        with pytest.raises(ValueError, match="initial kernel has delay 0; the solve has delay 1"):
+            solve(self.SRC, hamming_tensor(2), SolverConfig(lam=4.0),
+                  initial_kernel=CausalKernel.uniform(2, 2, 2, delay=0))
+
     def test_zero_entry_rejected(self):
         # every channel point on reconstruction word 00: the other branches
         # of factor 1 get no mass
@@ -346,6 +352,12 @@ class TestConfigValidation:
         # TypeError from numpy
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             SolverConfig(lam=1.0, **{name: value})
+
+    def test_fractional_map_refused(self):
+        # the map was truncated to [0, 0], and the solve ran the constant map
+        with pytest.raises(ValueError, match="map table must be a 1-D array of symbol indices"):
+            solve(block_pmf(SourceSpec.iid(0.5), 2), hamming_tensor(2),
+                  SolverConfig(lam=2.0, feedforward_map=FeedForwardMap([0.7, 0.2])))
 
     def test_whole_float_counts_stored_as_int(self):
         # as a JSON config file gives them

@@ -35,9 +35,10 @@ over R, D, F_final, channel and kernel of every point of the benchmark's
 three ``sweep`` curves and of its ``certify`` solves, one over the factors
 of every point's kernel, and two more over the certificates
 (``certificate_from_solution``) of the ``certify`` solves: one over their
-gamma and one over their p' factors, so two trees can be checked to give
-the same answers bit for bit, and a change to one part of the certificate
-told from a change to the other.  ``trace_sha256`` covers the trace rows
+gamma and one over their dense p' tables (``p_prime_table`` in C order,
+which does not depend on how a certificate stores p'), so two trees can be
+checked to give the same answers bit for bit, and a change to one part of
+the certificate told from a change to the other.  ``trace_sha256`` covers the trace rows
 (``RatePoint.trace``) of every one of those points, so a change to how a
 solve records its iterations shows even where no answer moves.
 ``reconstruct_sha256`` covers the channel ``reconstruct_channel`` rebuilds
@@ -262,8 +263,7 @@ def answers() -> dict:
     gamma, p_prime = hashlib.sha256(), hashlib.sha256()
     for cert in certs:
         gamma.update(cert.gamma.tobytes())
-        for f in cert.p_prime_factors:
-            p_prime.update(f.tobytes())  # C order, whatever the strides
+        p_prime.update(np.ascontiguousarray(cert.p_prime_table).tobytes())
     # the last certificate is the n=5 one, and ``source`` is still its source
     reconstruct = hashlib.sha256(ffrd.reconstruct_channel(certs[-1], source).probs.tobytes())
     simulate, reports = simulate_workload(), hashlib.sha256()

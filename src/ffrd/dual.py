@@ -299,8 +299,8 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     # rows off the source support carry no joint mass: keep them finite
     weight = np.where(support[:, None], cert.p_prime_table, 1.0)
 
-    q = np.full((1, A ** (n - 1), B**n), float(B) ** (-n))  # a stack of one
-    ws = _Workspace(ctx, 1)  # every step below writes into it
+    ws = _Workspace(ctx, 1, weight, p)  # a stack of one; every step below runs in it
+    ws.q[...] = float(B) ** (-n)
     # Plain iteration first: the map contracts toward the fixed point but its
     # linearization has unit eigenvalues along a manifold of equal-objective
     # kernels, so the tail is far too slow on its own.  A short warm start
@@ -308,7 +308,7 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     # slow modes and converges in a handful of extra steps.
     warmup = 200
     for _ in range(warmup):
-        q = _step_stack(q, weight, p, ctx, ws)
+        q = _step_stack(ws)
 
     # Anderson acceleration on y = 1 - log2 q.  On q its proposals for the
     # entries that head to 0 turn negative and are refused; on y every
@@ -321,8 +321,11 @@ def reconstruct_channel(cert: DualCertificate, source: BlockSource) -> ForwardCh
     def to_q(y):
         return np.exp2(1.0 - y).reshape(q.shape)
 
-    y = _anderson(lambda y: to_y(_step_stack(to_q(y), weight, p, ctx, ws)),
-                  to_y(q), RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
+    def g(y):  # the step from the proposal, copied into the step's input
+        ws.q[...] = to_q(y)
+        return to_y(_step_stack(ws))
+
+    y = _anderson(g, to_y(q), RECONSTRUCT_MAX_ITERS - warmup, RECONSTRUCT_TOL)
     channel, rows = _channel(to_q(y)[0], weight, ctx)
     channel[~support] = float(B) ** (-n)
     # "not <=" so that a NaN channel is refused too

@@ -330,15 +330,15 @@ class _FactorSpace:
         self.prefix = self.mass = np.empty((L, A**c_n, B**n))
         self._classes = []
         if bins is not None:
-            # each class sums its prefixes in prefix order; members use
-            # disjoint ranges of the bins
+            # each class sums its prefixes in prefix order from 0, the bits of
+            # np.bincount, into the zeroed classes without a fresh table;
+            # members use disjoint ranges of the bins
             size = Z**c_n * B**n
             bins = (np.arange(0, L * size, size)[:, None] + bins).ravel()
-            prefixes = self.prefix.reshape(-1)
             self.mass = np.empty((L, Z**c_n, B**n))
             classes = self.mass.reshape(-1)
-            self._classes.append(
-                lambda: np.copyto(classes, np.bincount(bins, prefixes, L * size)))
+            self._classes += [partial(classes.fill, 0.0),
+                              partial(np.add.at, classes, bins, self.prefix.reshape(-1))]
         # N_i keeps the factor's axes (Z,)*c + (B,)*i, so summing an axis out
         # gives the next level's numerator in its factor's axes
         N = self.mass.reshape((L,) + (Z,) * c_n + (B,) * n)

@@ -26,24 +26,29 @@ context's cells (``np.putmask``) and takes a masked max only for a member
 whose plain max is not positive; the factorization scans a level for such
 contexts only when its least sum is 0.
 
-The step writes every table into a workspace (``_Workspace``) that a stack
-builds once, and again only when it shrinks, so a step allocates no table,
-and its arrays are valid until the next step given the same workspace; a
-finished point copies what it keeps.  No buffer is a full (|X|^n, |X̂|^n)
-table: the row sums, the prefix mass the factorization reads and D are
-contractions of the weight against q and p / rows, and a point builds its
-channel once (``_channel``).
-The step reduces with ufunc reductions (``np.add.reduce(x, axis=...,
-out=...)``), which give the bits of ``x.sum`` without its Python-level
-dispatch, and takes its dots in fixed pieces (``_dot``).  Every sum of the
-step is taken in an order fixed by the array's shape alone, for a stack of
-one as for a larger one, so no answer depends on the BLAS thread count.
+The whole step is built once per stack as a workspace (``_Workspace``):
+a buffer for every table it writes and its lists of calls, each a numpy
+call with its operand views made, bound to the stack's weight, source and
+tilt times distortion.  A stack builds it once, and again only when it
+shrinks; a step (``_step_stack(ws)``) runs the prebuilt calls from the
+workspace's input table ``ws.q`` into its other table, so it builds no
+view and allocates no table.  A caller writes starts, restarts and
+weights into the bound arrays in place.  The step's arrays are valid until
+the next step in the same workspace; a finished point copies what it
+keeps.  No buffer is a full (|X|^n, |X̂|^n) table: the row sums, the prefix
+mass the factorization reads and D are contractions of the weight against
+q and p / rows, and a point builds its channel once (``_channel``).
+The step takes its dots in fixed pieces (``_dot_calls``).  Every sum of
+the step is taken in an order fixed by the array's shape alone, for a
+stack of one as for a larger one, so no answer depends on the BLAS thread
+count.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -156,35 +161,42 @@ class RatePoint:
             raise ValueError("rate and distortion must be nonnegative")
 
 
-#: Entries of the pieces ``_dot`` takes its dots in: OpenBLAS splits a
-#: longer dot across threads, which changes the order of its sum.
+#: Entries of the pieces a dot of the step is taken in (``_dot_calls``):
+#: OpenBLAS splits a longer dot across threads, which changes the order of
+#: its sum.
 _DOT_PIECE = 10_000
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The sum of a * b over the last axis, broadcast over the others.
+def _dot_calls(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """Calls that write the sum of a * b over the last axis, broadcast over
+    the others, into ``out``.
 
-    ``np.vecdot`` takes it in pieces of at most ``_DOT_PIECE`` entries,
-    added in order, so its bits depend on neither the broadcast shape nor
-    the BLAS thread count.  It writes no table.  A dot of one piece takes
-    no slices, whose views cost more than a small dot.
+    ``np.vecdot`` takes it in pieces of at most ``_DOT_PIECE`` entries: the
+    first into ``out``, each later one into a buffer of out's shape, made
+    here, and added to ``out`` in order.  So its bits depend on neither the
+    broadcast shape nor the BLAS thread count, and the calls write no
+    table.  A dot of one piece takes no slices.
     """
-    if a.shape[-1] <= _DOT_PIECE:
-        return np.vecdot(a, b, out=out)
-    total = np.vecdot(a[..., :_DOT_PIECE], b[..., :_DOT_PIECE], out=out)
-    for start in range(_DOT_PIECE, a.shape[-1], _DOT_PIECE):
-        piece = slice(start, start + _DOT_PIECE)
-        total += np.vecdot(a[..., piece], b[..., piece])
-    return total
+    k = a.shape[-1]
+    if k <= _DOT_PIECE:
+        return [partial(np.vecdot, a, b, out)]
+    piece = np.empty(out.shape)
+    calls = [partial(np.vecdot, a[..., :_DOT_PIECE], b[..., :_DOT_PIECE], out)]
+    for start in range(_DOT_PIECE, k, _DOT_PIECE):
+        part = slice(start, start + _DOT_PIECE)
+        calls += [partial(np.vecdot, a[..., part], b[..., part], piece),
+                  partial(np.add, out, piece, out)]
+    return calls
 
 
-def _dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Each member's sum of a * b into ``out``, for a stack ``a`` of L
-    members, member axis first, and ``b`` of a's shape or of one member's:
-    ``_dot`` over the flattened members.  A dot, as ``np.add.reduce`` gave
-    R = 2.96e-16, not 0, on a one-letter |X̂| at n = 3."""
+def _dots_calls(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """Calls that write each member's sum of a * b into ``out``, for a
+    stack ``a`` of L members, member axis first, and ``b`` of a's shape or
+    of one member's: ``_dot_calls`` over the flattened members.  A dot, as
+    ``np.add.reduce`` gave R = 2.96e-16, not 0, on a one-letter |X̂| at
+    n = 3."""
     a = a.reshape(a.shape[0], -1)
-    _dot(a, b.reshape(-1, a.shape[1]), out)  # b: (L, M) or (1, M)
+    return _dot_calls(a, b.reshape(-1, a.shape[1]), out)  # b: (L, M) or (1, M)
 
 
 def _diagnostics(lam: float, n: int, k: int, mean_log_rows: float, log_max_c: float,
@@ -213,113 +225,146 @@ def _channel(q: np.ndarray, weight: np.ndarray, ctx: _Contexts) -> tuple:
 
 
 class _Workspace:
-    """The solver step for a stack of L kernel context tables on ``ctx``,
-    built once: a buffer for every array ``_step_stack`` writes, overwritten
-    by each step given them, and the step's lists of calls.  ``factors`` is
+    """The solver step for a stack of L kernel context tables on ``ctx``
+    with its weight, source and, when given, ``wd`` bound, built once: a
+    buffer for every array ``_step_stack`` writes, overwritten by each step,
+    and the lists of calls of the whole step, with every view made and
+    every dot's pieces given their buffers when it is built.  A step runs
+    the lists and builds no view and allocates no table.
+
+    The weight is one (|X|^n, |X̂|^n) table for every member or an (L,
+    |X|^n, |X̂|^n) stack: the tilt 2^{-lam d} in the solver, p' in
+    certificate reconstruction; ``wd`` is the weight times the distortion
+    values, in the weight's shape.  The workspace keeps views of the three
+    arrays, not copies, so a caller changes a member's weight by writing
+    into them in place.
+
+    ``q`` is the input of the next step, one of the two ``tables``: a step
+    reads it and writes the next kernel into the other, which becomes
+    ``q``, so a caller writes a start into ``q`` in place.  ``factors`` is
     the factorization's space (``prob._FactorSpace``), whose ``prefix`` the
     step writes the prefix mass into and whose ``factors`` the kernel's
     factors; ``stats`` the step's four statistics, a row each, one column
-    per member.  No buffer is a full table.
-
-    The next kernel goes to one of the two ``tables``: the one that does not
-    hold the kernel the step started from, so a step may read its input
-    kernel while writing the next.  ``products[k]`` multiplies the new
-    factors out into ``tables[k]``, with its partial products in views of
-    ``logc``, which the step writes only after them.
+    per member.  No buffer is a full table; the kernel product's partial
+    products are views of ``logc``, which the step writes only after them.
     """
 
-    __slots__ = ("src", "row_sums", "scale", "row_d", "log_rows", "logc", "dead", "factors",
-                 "stats", "tables", "products")
+    __slots__ = ("k", "tables", "factors", "stats", "logc", "steps")
 
-    def __init__(self, ctx: _Contexts, L: int):
+    def __init__(self, ctx: _Contexts, L: int, weight: np.ndarray, p: np.ndarray,
+                 wd: np.ndarray | None = None):
         n, A, B, s, Z = ctx.n, ctx.A, ctx.B, ctx.s, ctx.Z
-        self.src = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
+        self.k = 0  # the index of ``q`` in ``tables``
         self.factors = _FactorSpace(ctx, L)
         self.stats = np.empty((4, L))
         # (L, |X|^{n-s}, |X|^s): row sums, p / rows, the rows' sums of
         # q * weight * d, and log2 rows
-        self.row_sums, self.scale, self.row_d, self.log_rows = (
-            np.empty((L, A ** (n - s), A**s)) for _ in range(4))
+        row_sums, scale, row_d, log_rows = (np.empty((L, A ** (n - s), A**s)) for _ in range(4))
         self.logc = np.empty((L, Z ** (n - s), B**n))
-        self.dead = np.empty(self.logc.shape, dtype=bool)
+        dead = np.empty(self.logc.shape, dtype=bool)
         self.tables = (np.empty(self.logc.shape), np.empty(self.logc.shape))
+        gathered = None if ctx.rows is None else np.empty((L, A ** (n - s), B**n))
         products = _product_buffers(ctx, L, self.logc)
-        self.products = tuple(_product_calls(self.factors.factors, ctx, table, products)
-                              for table in self.tables)
+        shape = row_sums.shape[1:] + (B**n,)
+        w4 = weight.reshape((-1,) + shape)
+        p2, prefix, mass = p.reshape(shape[:2]), self.factors.prefix, self.factors.mass
+        logc, stats = self.logc, self.stats
+        self.steps = []
+        # steps[k]: from tables[k] into tables[1 - k]
+        for q, q_next in (self.tables, self.tables[::-1]):
+            # q', the row of q each source prefix reads: its class's with a map
+            src = q if gathered is None else gathered
+            src4 = src[:, :, None, :]
+            channel = [] if gathered is None else [
+                partial(np.take, q, ctx.rows, 1, gathered, "clip")]
+            # the row sums, p / rows and the prefix mass
+            channel += _dot_calls(src4, w4, row_sums)
+            channel += [partial(np.divide, p2, row_sums, scale),
+                        partial(np.einsum, "lcsb,lcs->lcb", w4, scale, out=prefix),
+                        partial(np.multiply, prefix, src, prefix)]
+            calls = (channel, _product_calls(self.factors.factors, ctx, q_next, products))
+            if wd is None:
+                calls += (None, None)
+            else:
+                # log2 c, whose dead cells the masked list sets to 1 first,
+                # then the statistics; a masked max is retaken by the step
+                divide = [partial(np.divide, q_next, q, logc)]
+                masked = divide + [partial(np.equal, mass, 0.0, dead),
+                                   partial(np.putmask, logc, dead, 1.0)]
+                stat = [partial(np.log2, logc, logc),
+                        partial(np.maximum.reduce, logc, (1, 2), None, stats[0])]
+                stat += _dots_calls(logc, mass, stats[1])
+                stat += _dot_calls(src4, wd.reshape(w4.shape), row_d)
+                stat += _dots_calls(scale, row_d, stats[2])
+                stat += [partial(np.log2, row_sums, log_rows)] + _dots_calls(log_rows, p, stats[3])
+                calls += (divide + stat, masked + stat)
+            self.steps.append(calls)
+
+    @property
+    def q(self) -> np.ndarray:
+        """The (L, Z^{n-s}, |X̂|^n) kernel tables the next step reads."""
+        return self.tables[self.k]
 
 
-def _step_stack(q: np.ndarray, weight: np.ndarray, p: np.ndarray, ctx: _Contexts,
-                ws: _Workspace, wd: np.ndarray | None = None) -> np.ndarray:
+def _step_stack(ws: _Workspace) -> np.ndarray:
     """The causal kernel of the joint p * r of the channel r = q * weight /
-    rows, for a stack of L kernels at once.
+    rows, for the stack of L kernels ``ws.q`` at once, with the weight and
+    p bound in ``ws``; it returns the new ``ws.q``.
 
     q holds the kernels' (Z^{n-s}, |X̂|^n) context tables (see
-    ``prob._Contexts``) as an (L, Z^{n-s}, |X̂|^n) array, broadcast over the
-    s newest source symbols as the full table is.  The weight is one
-    (|X|^n, |X̂|^n) table for every member or an (L, |X|^n, |X̂|^n) stack:
-    the tilt 2^{-lam d} in the solver, p' in certificate reconstruction.
-    With w the weight as (|X|^{n-s}, |X|^s, |X̂|^n) and q' the context table
-    of each source prefix, the step contracts w and never writes the joint:
+    ``prob._Contexts``), broadcast over the s newest source symbols as the
+    full table is.  With w the weight as (|X|^{n-s}, |X|^s, |X̂|^n) and q'
+    the context table of each source prefix, the step contracts w and never
+    writes the joint:
 
-        rows[c, t] = sum_x̂ q'[c, x̂] w[c, t, x̂]  (a ``_dot``),
+        rows[c, t] = sum_x̂ q'[c, x̂] w[c, t, x̂]  (a dot),
         prefix[c, x̂] = q'[c, x̂] sum_t w[c, t, x̂] p[c, t] / rows[c, t],
 
     the prefix mass, the joint summed over the s newest symbols, which the
     factorization reads.  Each member goes through the operations of a
     one-member stack, and its sums run over its own entries, so its results
-    are those of its own one-member stack bit for bit.
+    are those of its own one-member stack bit for bit.  The step runs the
+    workspace's prebuilt lists of calls: it builds no view and allocates no
+    table.  The next kernel's factors stay in ``ws.factors``; everything is
+    valid until the next step given ``ws``.
 
-    It returns the kernels' context tables, one of ``ws.tables`` of an
-    L-member ``_Workspace``, and leaves their factors in ``ws.factors``,
-    all valid until the next step given ``ws``; q may be the previous step's.
-
-    Given ``wd``, the weight times the distortion values in the weight's
-    shape, the step also writes into the rows of ``ws.stats``, per member
-    and for c = q_next / q on the context table, the max of log2 c over
-    contexts with positive joint mass N_n, the mean of log2 c under the
-    joint, sum N_n log2 c, D = sum (p / rows) ``_dot``(q', wd) and
-    E_p[log2 rows], the last three sums by ``_dots``.  Kernel entries on
+    With ``wd`` bound, the step also writes into the rows of ``ws.stats``,
+    per member and for c = q_next / q on the context table, the max of
+    log2 c over contexts with positive joint mass N_n, the mean of log2 c
+    under the joint, sum N_n log2 c, D = sum (p / rows) dot(q', wd) and
+    E_p[log2 rows], the last three sums as dots.  Kernel entries on
     abandoned branches can underflow to exact zero; their contexts carry no
     joint mass and are left out of both the max and the mean
     (restricted-support convention): their cells of log2 c are set to 0 in
     place, and a member whose max over the whole table is not positive, so
     may be such a 0, has it retaken over the live cells.
     """
-    src = q if ctx.rows is None else np.take(q, ctx.rows, axis=1, out=ws.src, mode="clip")
-    shape = ws.row_sums.shape[1:] + (src.shape[-1],)
-    w4 = weight.reshape((-1,) + shape)
-    src4 = src[:, :, None, :]
-    rows = _dot(src4, w4, ws.row_sums)
-    scale = np.divide(p.reshape(shape[:2]), rows, ws.scale)
-    prefix = np.einsum("lcsb,lcs->lcb", w4, scale, out=ws.factors.prefix)
-    np.multiply(prefix, src, prefix)
+    k = ws.k
+    channel, products, live_stats, masked_stats = ws.steps[k]
+    ws.k = 1 - k
+    for call in channel:
+        call()
     # the factorization's one test on N_n: True when every context is live
     live = ws.factors.factorize()
-    # a view's base is the array that owns its memory
-    k = 1 if q is ws.tables[0] or q.base is ws.tables[0] else 0
-    for call in ws.products[k]:
+    for call in products:
         call()
-    q_next = ws.tables[k]
-    if wd is None:
+    q_next = ws.tables[1 - k]
+    if live_stats is None:
         return q_next
-    mass, logc, stats = ws.factors.mass, ws.logc, ws.stats
     if live:
-        np.divide(q_next, q, logc)
+        for call in live_stats:
+            call()
     else:  # a dead cell, of a context without joint mass, may divide by 0; it gets 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(q_next, q, logc)
-        np.putmask(logc, np.equal(mass, 0.0, out=ws.dead), 1.0)
-    np.log2(logc, logc)
-    # dead cells hold log2 1 = 0, so the mass-weighted log c sums to E[log2 c],
-    # and a positive max is a live cell's; a max <= 0 is retaken over live cells
-    np.maximum.reduce(logc, axis=(1, 2), out=stats[0])
-    if not live:  # ~(max > 0) holds for a NaN max too, so NaN is retaken
+            for call in masked_stats:
+                call()
+        # dead cells hold log2 1 = 0, so the mass-weighted log c sums to
+        # E[log2 c], and a positive max is a live cell's; a max <= 0 is
+        # retaken over live cells (~(max > 0) holds for a NaN max too)
+        logc, mass, stats = ws.logc, ws.factors.mass, ws.stats
         for j in np.flatnonzero(~(stats[0] > 0.0)):
             stats[0, j] = np.maximum.reduce(logc[j], axis=None, initial=-np.inf,
                                             where=mass[j] > 0.0)
-    _dots(logc, mass, stats[1])
-    _dots(scale, _dot(src4, wd.reshape(w4.shape), ws.row_d), stats[2])
-    _dots(np.log2(rows, ws.log_rows), p, stats[3])
     return q_next
 
 
@@ -422,8 +467,8 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     p, dvals = source.probs, distortion.values
 
     L = min(len(configs), max(1, _STACK_CELLS // dvals.size))
-    q = np.empty((L, ctx.Z ** (n - s), B**n))
     tilt, wd = np.empty((L,) + dvals.shape), np.empty((L,) + dvals.shape)
+    ws = _Workspace(ctx, L, tilt, p, wd)
     # each config's step statistics, four floats per step (``_trace``), and point
     stats, points = [None] * len(configs), [None] * len(configs)
     # the donor each config started from, -1 for uniform; a given start
@@ -432,27 +477,27 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
     members = [-1] * L  # config index of each stack member, -1 before the first
 
     def start(pos: int, j: int) -> None:
-        # config j into row pos of the stack, with its count from 1, unless it
+        # config j into row pos of the stack the next step reads and of the
+        # weights bound in its workspace, with its count from 1, unless it
         # runs there already and its donor is no newer than its origin
         i = next((i for i in range(j - 1, -1, -1) if points[i] is not None
                   and points[i].lower_bound <= configs[i].epsilon / n), -1)
         if members[pos] == j and i <= origin[j]:
             return
         if starts[j] is not None:
-            origin[j], q[pos] = j, starts[j]
+            origin[j], ws.q[pos] = j, starts[j]
         else:
-            origin[j], q[pos] = i, float(B) ** (-n) if i < 0 else _warm_start(points[i].kernel)
+            origin[j], ws.q[pos] = i, float(B) ** (-n) if i < 0 else _warm_start(points[i].kernel)
         members[pos], tilt[pos] = j, np.exp2(-configs[j].lam * dvals)
         np.multiply(tilt[pos], dvals, wd[pos])
         stats[j] = array("d")
 
     for j in range(L):
         start(j, j)
-    ws = _Workspace(ctx, L)
     queued = L  # the next config to admit
     while True:
-        # start writes into the stack the next step reads
-        q_in, q = q, _step_stack(q, tilt, p, ctx, ws, wd)
+        q_in = ws.q
+        _step_stack(ws)
         finished = False
         for pos, (j, new) in enumerate(zip(members, ws.stats.T.tolist())):
             cfg, taken = configs[j], stats[j]
@@ -477,8 +522,10 @@ def _solve_lockstep(source: BlockSource, distortion: DistortionTensor, configs: 
             if not keep:
                 return points
             members = [members[pos] for pos in keep]
-            q, tilt, wd = q[keep], tilt[keep], wd[keep]
-            ws = _Workspace(ctx, len(keep))
+            q, tilt, wd = ws.q[keep], tilt[keep], wd[keep]
+            del ws  # its lists hold the old weights; free them before the new build
+            ws = _Workspace(ctx, len(keep), tilt, p, wd)
+            ws.q[...] = q
 
 
 def _point(factors: list, q: np.ndarray, weight: np.ndarray, trace: np.recarray,

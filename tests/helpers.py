@@ -56,14 +56,17 @@ def assert_same_iterates(source, distortion, config, block):
 
 
 def workspace_bytes(ctx, L):
-    """Bytes of the arrays a fresh ``solver._Workspace(ctx, L)`` owns: the
-    numpy data buffers allocated while it is built that are still live once
-    it is, as ``tracemalloc`` traces them in numpy's domain.  Each buffer
-    counts once and a view, which allocates none, not at all; the buffers
-    only its lists of calls hold count too."""
+    """Bytes of the arrays a fresh ``solver._Workspace`` of L members on
+    ``ctx``, with a weight and ``wd`` stack bound, owns: the numpy data
+    buffers allocated while it is built that are still live once it is, as
+    ``tracemalloc`` traces them in numpy's domain.  Each buffer counts once
+    and a view, which allocates none, not at all; the buffers only its
+    lists of calls hold count too, and the bound arrays, its caller's, not."""
+    full = np.ones((L, ctx.A**ctx.n, ctx.B**ctx.n))
+    p = np.full(ctx.A**ctx.n, float(ctx.A) ** -ctx.n)
     tracemalloc.start()
     try:
-        ws = _Workspace(ctx, L)
+        ws = _Workspace(ctx, L, full, p, full)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

@@ -570,8 +570,8 @@ def rolling_lone_solves(solve, warm_start, source, distortion, configs, starts, 
 def trace_row_by_row(step, workspace, diagnostics, dtype, q, weight, wd, p, ctx, lam, epsilon,
                      max_iters):
     """The trace of a lone solve from the stack of one ``q``, written one row
-    per iteration: each iteration steps the stack with ``step(q, weight, p,
-    ctx, ws, wd)`` in a fresh workspace ``ws = workspace(ctx, 1)``, reads
+    per iteration: each iteration copies q into a fresh workspace ``ws =
+    workspace(ctx, 1, weight, p, wd)`` and steps it with ``q = step(ws)``, reads
     the step's statistics log_max_c, mean_logc, D and mean_log_rows from
     ``ws.stats`` and writes ``diagnostics(lam, n, k, mean_log_rows,
     log_max_c, mean_logc, D)`` of them as row k - 1, until F < epsilon or
@@ -580,8 +580,9 @@ def trace_row_by_row(step, workspace, diagnostics, dtype, q, weight, wd, p, ctx,
     array of ``dtype``."""
     rows = np.empty(max_iters, dtype=dtype)
     for k in range(1, max_iters + 1):
-        ws = workspace(ctx, 1)
-        q = step(q, weight, p, ctx, ws, wd)
+        ws = workspace(ctx, 1, weight, p, wd)
+        ws.q[...] = q
+        q = step(ws)
         log_max_c, mean_logc, D, mean_log_rows = ws.stats[:, 0].tolist()
         rows[k - 1] = diag = diagnostics(lam, ctx.n, k, mean_log_rows, log_max_c, mean_logc, D)
         if diag.F < epsilon:

@@ -6,9 +6,11 @@ its rule gave it (``oracles.rolling_lone_solves``).  ``sweep``, one rolling
 stack, gives those points bit for bit within a bounded extra memory, and
 each of its Lagrangian windows meets the cold lone solve's."""
 
+import importlib.util
 import itertools
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,8 +60,9 @@ def _random_kernel_table(rng, ctx, ff_map, cell_zeros):
 def _step(q, weight, p, ctx, wd=None):
     """One step of the stack q in a workspace of its own: the next kernel
     tables, the kernel's factors and, given ``wd``, the statistics."""
-    ws = _Workspace(ctx, len(q))
-    q_next = _step_stack(q, weight, p, ctx, ws, wd)
+    ws = _Workspace(ctx, len(q), weight, p, wd)
+    ws.q[...] = q
+    q_next = _step_stack(ws)
     return q_next, ws.factors.factors, None if wd is None else ws.stats
 
 
@@ -146,13 +149,55 @@ def _counted_steps(run):
     """What ``run()`` returns and the ``_step_stack`` calls it made."""
     calls = []
 
-    def counting(q, *args, **kwargs):
-        calls.append(q.shape[0])
-        return _step_stack(q, *args, **kwargs)
+    def counting(ws):
+        calls.append(ws.q.shape[0])
+        return _step_stack(ws)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_step_stack", counting)
         return run(), len(calls)
+
+
+def _step_bench():
+    """``tools/step_bench.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "step_bench", Path(__file__).resolve().parents[1] / "tools" / "step_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_step_bench_hooks_count_every_lockstep_step():
+    """``tools/step_bench.py``'s hooks (``counted_steps``), which its
+    ``--answers`` counts of lockstep, member and masked steps read, count
+    every step of a tiny sweep: Markov(0.3, 0.2) at n = 2 with a third
+    letter x̂ = 2 that costs 40, at weights 4, 1 and 0.25, one stack of
+    three.  The third letter's kernel entries underflow to 0 within a few
+    steps, so the first steps are live and the rest masked.  The hooks see
+    the steps the one-at-a-time reference's schedule takes, each step's
+    width, and each step's factorization, masked as the step's own joint
+    mass says; a renamed step entry or factorization would leave them
+    counting nothing."""
+    bench = _step_bench()
+    dist = DistortionSpec.single_letter(np.array([[0.0, 1.0, 40.0], [1.0, 0.0, 40.0]]))
+    grid, base = (4.0, 1.0, 0.25), SolverConfig(lam=0.0)
+    seen = []  # (width, some context without joint mass) of each step
+    with bench.counted_steps() as (widths, masked), pytest.MonkeyPatch.context() as mp:
+        hooked = solver._step_stack
+
+        def checking(ws):
+            q = hooked(ws)
+            seen.append((ws.q.shape[0], bool(np.any(ws.factors.mass == 0.0))))
+            return q
+
+        mp.setattr(solver, "_step_stack", checking)
+        curve = sweep(MARKOV, dist, 2, grid, base)
+    _, steps = _serial_curve(MARKOV, dist, 2, grid, base, len(grid))
+    assert len(widths) == len(masked) == len(seen) == steps
+    assert widths == [width for width, _ in seen]
+    assert masked == [dead for _, dead in seen]
+    assert 0 < sum(masked) < steps
+    assert widths[0] == 3 and sum(widths) == sum(pt.iterations for pt in curve.points)
 
 
 LAMBDA_POOL = [0.0, 0.125, 0.5, 0.9, 1.5, 3.0, 6.0, 16.0, 40.0]
@@ -352,11 +397,15 @@ def test_rolling_lockstep_traces_equal_row_by_row_traces(shape, data):
         assert pt.trace.base.nbytes == 48 * pt.iterations
 
 
-#: Markov(0.3, 0.2)/Hamming at n = 3: the weight 0.3 certifies rate 0 in
-#: the middle of the queue and restarts the members after it still running
+#: Markov(0.3, 0.2)/Hamming: the weight 0.3 certifies rate 0 in the middle
+#: of the queue.  At n = 2, in a stack of two or more, 1.0 is still running
+#: then: it restarts from 0.3's warm start in the pass that shrinks the
+#: stack to it alone, so its restart is copied into the new workspace, and
+#: takes one step there; at n = 1 and 3 it finishes first, and nothing
+#: restarts.
 ROLLING_CONFIGS = [SolverConfig(lam=lam, max_iters=cap) for lam, cap in
                    ((24.0, 100), (9.0, 30), (6.0, 100_000), (0.3, 100_000), (3.0, 20),
-                    (2.0, 100), (1.0, 100))]
+                    (2.0, 100), (1.0, 100_000))]
 
 
 def _counted_lockstep(budget, source, dist, configs):
@@ -366,9 +415,9 @@ def _counted_lockstep(budget, source, dist, configs):
     builds = []
 
     class Counting(_Workspace):
-        def __init__(self, ctx, L):
+        def __init__(self, ctx, L, *bound):
             builds.append(L)
-            super().__init__(ctx, L)
+            super().__init__(ctx, L, *bound)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_Workspace", Counting)
@@ -523,35 +572,46 @@ def test_points_own_their_tables(case):
         np.testing.assert_array_equal(t, k)
 
 
+TERNARY = SourceSpec.markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+
+#: (source, distortion, n, delay, feed-forward map) of the steady steps
+STEADY_CASES = [(MARKOV, HAMMING, 8, 1, None), (MARKOV, HAMMING, 8, 2, None),
+                (TERNARY, DistortionSpec.hamming(3), 6, 1, FeedForwardMap.parity(3))]
+
+
 def test_steady_step_allocates_no_table():
-    """With a prebuilt workspace, a steady-state step of Markov(0.3, 0.2)/
-    Hamming at n = 8, delay 1, traces a peak below one kernel context table
-    (256 KiB): small per-call objects and numpy's ufunc buffers (at most
-    8192 elements each, whatever the table size), no table-sized temporary.
-    So does a masked step: with the kernel's column x̂^n = 0 set to 0, every
-    context of that column carries no joint mass at every step, and the step
-    fills those cells in place."""
-    n = 8
-    source, dist = block_pmf(MARKOV, n), distortion_tensor(HAMMING, n)
-    ctx = _Contexts.of(n, 2, 2, 1, None)
-    tilt = np.exp2(-4.0 * dist.values)[None]
-    wd = tilt * dist.values
-    for masked in (False, True):
-        ws = _Workspace(ctx, 1)
-        q = np.full((1, 2 ** (n - 1), 2**n), 2.0**-n)
-        if masked:
-            q[..., 0] = 0.0
-        for _ in range(3):
-            q = _step_stack(q, tilt, source.probs, ctx, ws, wd)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _step_stack(q, tilt, source.probs, ctx, ws, wd)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert np.any(ws.factors.mass == 0.0) == masked
-        assert peak < q[0].nbytes
+    """With a prebuilt workspace, a steady-state step traces a peak below
+    one kernel context table: small per-call objects and numpy's ufunc
+    buffers (at most 8192 elements each, whatever the table size), no
+    table-sized temporary.  The cases: Markov(0.3, 0.2)/Hamming at n = 8,
+    delay 1 (256 KiB) and delay 2 (128 KiB), and the ternary Markov source
+    with the parity map at n = 6 (186,624 B), whose map classes a
+    ``np.bincount`` summed into a fresh 186,624 B table.  So does a masked
+    step: with the kernel's column x̂^n = 0 set to 0, every context of
+    that column carries no joint mass at every step, and the step fills
+    those cells in place."""
+    for spec, dspec, n, delay, ff_map in STEADY_CASES:
+        source, dist = block_pmf(spec, n), distortion_tensor(dspec, n)
+        A, B = source.src_alphabet_size, dist.rec_alphabet_size
+        ctx = _Contexts.of(n, A, B, delay, None if ff_map is None else ff_map.table)
+        tilt = np.exp2(-4.0 * dist.values)[None]
+        wd = tilt * dist.values
+        for masked in (False, True):
+            ws = _Workspace(ctx, 1, tilt, source.probs, wd)
+            ws.q[...] = float(B) ** -n
+            if masked:
+                ws.q[..., 0] = 0.0
+            for _ in range(3):
+                q = _step_stack(ws)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                _step_stack(ws)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert np.any(ws.factors.mass == 0.0) == masked
+            assert peak < q[0].nbytes, (n, delay, ff_map, masked, peak)
 
 
 def test_workspace_owns_under_three_and_a_half_tables():

@@ -53,9 +53,9 @@ def kernel_update(source, channel, s, ff_map=None):
     kernel with the channel as its weight, as reconstruction takes it."""
     n, A, B = channel.n, channel.src_alphabet_size, channel.rec_alphabet_size
     ctx = _Contexts.of(n, A, B, s, None if ff_map is None else ff_map.table)
-    uniform = np.full((1, ctx.Z ** (n - s), B**n), float(B) ** (-n))
-    return ctx.full(_step_stack(uniform, channel.probs, source.probs, ctx,
-                                _Workspace(ctx, 1))[0])
+    ws = _Workspace(ctx, 1, channel.probs, source.probs)
+    ws.q[...] = float(B) ** (-n)
+    return ctx.full(_step_stack(ws)[0])
 
 
 class TestUpdateR:

@@ -112,8 +112,9 @@ def test_step_matches_full_table_reference(shape, data):
     ref_q, ref_factors, ref_diag = solver_step_full_table(
         kernel.probs, tilt, p, n, A, B, s, fmap, dvals, lam)
     ctx = _Contexts.of(n, A, B, s, fmap)
-    ws = _Workspace(ctx, 1)
-    q_next = _step_stack(kernel.table[None], tilt, p, ctx, ws, tilt * dvals)
+    ws = _Workspace(ctx, 1, tilt, p, tilt * dvals)
+    ws.q[...] = kernel.table
+    q_next = _step_stack(ws)
     log_max_c, mean_logc, D, mean_log_rows = ws.stats[:, 0].tolist()
     diag = _diagnostics(lam, n, 1, mean_log_rows, log_max_c, mean_logc, D)
 
@@ -130,10 +131,11 @@ def _masked_step(q, lam, n):
     dvals = distortion_tensor(DistortionSpec.hamming(), n).values
     tilt = np.exp2(-lam * dvals)
     ctx = _Contexts.of(n, 2, 2, 1, None)
-    ws = _Workspace(ctx, len(q))
+    ws = _Workspace(ctx, len(q), tilt, source.probs, tilt * dvals)
+    ws.q[...] = q
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q_next = _step_stack(q, tilt, source.probs, ctx, ws, tilt * dvals)
+        q_next = _step_stack(ws)
     assert np.any(ws.factors.mass == 0.0)  # the step took the restricted-support path
     for j in range(len(q)):
         ref_q, ref_factors, ref_mass = causal_factors_of_prefix_mass(
@@ -142,8 +144,9 @@ def _masked_step(q, lam, n):
         np.testing.assert_array_equal(ws.factors.mass[j], ref_mass)
         for f, ref_f in zip(ws.factors.factors, ref_factors, strict=True):
             np.testing.assert_array_equal(f[j], ref_f)
-        lone = _Workspace(ctx, 1)
-        _step_stack(q[j][None], tilt, source.probs, ctx, lone, tilt * dvals)
+        lone = _Workspace(ctx, 1, tilt, source.probs, tilt * dvals)
+        lone.q[...] = q[j]
+        _step_stack(lone)
         # D and mean_log_rows
         assert ws.stats[2:, j].tolist() == lone.stats[2:, 0].tolist()
     # log_max_c and mean_logc
@@ -216,11 +219,11 @@ def _certificate_map(n, lam):
     cert = certificate_from_solution(solve(source, dist, SolverConfig(lam=lam, epsilon=1e-9)),
                                      source, dist)
     ctx = _Contexts.of(n, 2, 2, 1, None)
-    ws = _Workspace(ctx, 1)
+    ws = _Workspace(ctx, 1, cert.p_prime_table, source.probs)
 
     def g(x):
-        return ctx.full(_step_stack(x.reshape(2**n, 2**n)[None, ::2], cert.p_prime_table,
-                                    source.probs, ctx, ws)[0]).ravel()
+        ws.q[...] = x.reshape(2**n, 2**n)[::2]
+        return ctx.full(_step_stack(ws)[0]).ravel()
     return g, np.full(4**n, 2.0**-n)
 
 

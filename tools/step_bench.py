@@ -5,6 +5,7 @@
     python3 tools/step_bench.py --answers
     python3 tools/step_bench.py --startup
     python3 tools/step_bench.py --budgets
+    python3 tools/step_bench.py --overhead
     python3 tools/step_bench.py --src OTHER_TREE/src --out other.json
 
 Step mode solves Markov(0.3, 0.2) with Hamming distortion at each block
@@ -30,7 +31,9 @@ every member runs exactly ``iterations`` steps.  Each case records:
   for scale.
 
 Faults and peaks come from separate solves with ``solver._step_stack``
-wrapped, so they do not slow the timed ones.  Answers mode prints a SHA-256
+wrapped, so they do not slow the timed ones.  Its hooks, and those of
+answers and budgets mode (``counted_steps``), wrap the step entry
+``_step_stack(ws)``, which takes the stack's ``solver._Workspace`` alone.  Answers mode prints a SHA-256
 over R, D, F_final, channel and kernel of every point of the benchmark's
 three ``sweep`` curves and of its ``certify`` solves, one over the factors
 of every point's kernel, and two more over the certificates
@@ -68,6 +71,27 @@ default ``solver._STACK_CELLS`` and under budgets of 2 and 4 members'
 table cells, and records for each its ``lockstep_steps``,
 ``member_steps``, total ``iterations`` and wall time, so that two trees'
 schedules can be compared curve by curve.
+Overhead mode splits the cost of a lockstep step into a part fixed per
+step and a part per member: on each of ``OVERHEAD_CURVES`` (the tables of
+the benchmark's three ``sweep`` curves and the n=8 table of its
+``certify`` solves) it times a ``solver._solve_lockstep`` of each width
+of ``OVERHEAD_WIDTHS`` whose members all run ``steps`` steps (their
+tolerance is out of reach), takes the least µs per step of
+``OVERHEAD_REPEATS`` calls (the box's noise only adds time), and fits
+``fixed_us + per_member_us * width`` by least squares.  The n=8 table
+is past the stack budget, so a solve steps it alone, and wider stacks of
+it cost more than linearly per member (407 µs at width 1, 4,950 µs at
+width 8 on 2 shared CPUs): its fit, with a negative fixed part, shows
+only that; read its width-1 time.  It also counts
+the numpy calls per step at each width (``numpy_calls``): the calls of
+numpy's functions, ufuncs and ufunc methods, wrapped in the ``numpy``
+namespace while the call runs, and of array methods called from the
+package's own code, seen by ``sys.setprofile`` (which does not see an
+array method bound in a prebuilt ``functools.partial``, such as the map
+class sum's ``fill``); the count of a lockstep
+of 2 * ``CALL_STEPS`` steps less that of one of ``CALL_STEPS``, over
+``CALL_STEPS``.  It drives only ``_solve_lockstep``, so ``--src`` can
+point it at a tree whose step has another signature.
 Startup mode times fresh interpreters: the median wall time of
 ``STARTUP_RUNS`` runs each of ``python -c pass``, ``python -c "import ffrd"``
 and ``python -m ffrd.cli --help``, and lists the top-level packages outside
@@ -89,6 +113,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import wraps
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +134,44 @@ BUDGET_CURVES = [(f"markov-hamming-n{n}", "markov-hamming-n6", n, None, True)
     ("ternary-parity-n2", "ternary-parity-n3", 2, None, False),
     ("markov-stock-n4-delay2", "markov-stock-n6-delay2", 4, None, False)]
 BUDGET_MEMBERS = (None, 2, 4)  # None: the default budget
+#: (key, benchmark curve whose table it steps, block length or None for
+#: the curve's own); the certify table is Markov(0.3, 0.2)/Hamming at n=8
+OVERHEAD_CURVES = [("markov-hamming-n6", "markov-hamming-n6", None),
+                   ("markov-stock-n6-delay2", "markov-stock-n6-delay2", None),
+                   ("ternary-parity-n3", "ternary-parity-n3", None),
+                   ("certify-n8", "markov-hamming-n6", 8)]
+OVERHEAD_WIDTHS = (1, 2, 4, 8)
+OVERHEAD_REPEATS = 5  # timed calls per width
+OVERHEAD_MAX_STEPS = 2000  # steps of a timed call
+CALL_STEPS = 10  # steps whose numpy calls are counted
+
+
+@contextmanager
+def counted_steps():
+    """While open, ``solver._step_stack`` and ``prob._FactorSpace.factorize``
+    are wrapped: the yielded lists get, for each lockstep step, its stack
+    width, and for each factorization whether some context carried no joint
+    mass (the step's restricted-support path)."""
+    from ffrd import prob, solver
+
+    step, factorize = solver._step_stack, prob._FactorSpace.factorize
+    widths: list = []
+    masked: list = []
+
+    def counting(ws):
+        widths.append(ws.q.shape[0])
+        return step(ws)
+
+    def counting_factorize(space):
+        live = factorize(space)
+        masked.append(not live)
+        return live
+
+    solver._step_stack, prob._FactorSpace.factorize = counting, counting_factorize
+    try:
+        yield widths, masked
+    finally:
+        solver._step_stack, prob._FactorSpace.factorize = step, factorize
 
 
 def _minflt() -> int:
@@ -141,18 +206,18 @@ def _case(n: int, width: int) -> dict:
     step = solver._step_stack
     faults, peaks = [], []
 
-    def counting(*args, **kwargs):
+    def counting(ws):
         before = _minflt()
-        st = step(*args, **kwargs)
+        q = step(ws)
         faults.append(_minflt() - before)
-        return st
+        return q
 
-    def tracing(*args, **kwargs):
+    def tracing(ws):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        st = step(*args, **kwargs)
+        q = step(ws)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        return st
+        return q
 
     try:
         solver._step_stack = counting
@@ -203,7 +268,6 @@ def answers() -> dict:
     import numpy as np
 
     import ffrd
-    from ffrd import prob, solver
 
     sys.path.insert(0, str(ROOT / "benchmarks"))
     from workloads import _sweep_curves, simulate_workload
@@ -219,23 +283,8 @@ def answers() -> dict:
             digest.update(pt.kernel.probs.tobytes())
         return digest
 
-    # wrapped to count the sweeps' steps, members and masked steps
-    step, factorize = solver._step_stack, prob._FactorSpace.factorize
-    widths: list = []
-    masked: list = []
-
-    def counting(q, *args, **kwargs):
-        widths.append(q.shape[0])
-        return step(q, *args, **kwargs)
-
-    def counting_factorize(space):
-        live = factorize(space)
-        masked.append(not live)
-        return live
-
-    try:
-        solver._step_stack = counting
-        prob._FactorSpace.factorize = counting_factorize
+    # the sweeps' steps, members and masked steps are counted
+    with counted_steps() as (widths, masked):
         for c in _sweep_curves(tiny=False):
             widths.clear()
             masked.clear()
@@ -245,9 +294,6 @@ def answers() -> dict:
                            "lockstep_steps": len(widths), "member_steps": sum(widths),
                            "masked_steps": sum(masked),
                            "sha256": point_digest(curve.points).hexdigest()})
-    finally:
-        solver._step_stack = step
-        prob._FactorSpace.factorize = factorize
     hamming = ffrd.DistortionSpec.hamming()
     certs = []
     for n, lam, eps in ((8, 4.0, 1e-6), (8, 9.216, 1e-6), (8, 24.0, 1e-6), (5, 9.0, 1e-10)):
@@ -288,7 +334,96 @@ def answers() -> dict:
 def budgets() -> list:
     """Stack steps, member-steps, iterations and seconds of the sweeps of
     ``BUDGET_CURVES`` under each budget of ``BUDGET_MEMBERS``."""
-    from dataclasses import replace
+    import ffrd
+    from ffrd import solver
+
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import _sweep_curves
+
+    curves = {c.key: c for c in _sweep_curves(tiny=False)}
+    default = solver._STACK_CELLS
+    rows = []
+    try:
+        with counted_steps() as (widths, _):
+            for key, base, n, delay, default_grid in BUDGET_CURVES:
+                c = curves[base]
+                config = c.config if delay is None else replace(c.config, delay=delay)
+                grid = ffrd.default_lambda_grid() if default_grid else c.grid
+                cells = ffrd.distortion_tensor(c.dist, n, c.initial_context).values.size
+                for members in BUDGET_MEMBERS:
+                    solver._STACK_CELLS = default if members is None else members * cells
+                    widths.clear()
+                    t0 = time.perf_counter()
+                    curve = ffrd.sweep(c.source, c.dist, n, grid, config, c.initial_context)
+                    rows.append({"key": key, "members": members or max(1, default // cells),
+                                 "lockstep_steps": len(widths), "member_steps": sum(widths),
+                                 "iterations": sum(pt.iterations for pt in curve.points),
+                                 "seconds": time.perf_counter() - t0})
+                    print(rows[-1], file=sys.stderr)
+    finally:
+        solver._STACK_CELLS = default
+    return rows
+
+
+@contextmanager
+def counted_numpy_calls():
+    """While open, every function, ufunc and ufunc method in the ``numpy``
+    namespace is wrapped to count its calls, and ``sys.setprofile`` counts
+    the array methods the package's own code calls; the yielded list's one
+    entry is the count.  Lists of calls built while it is open capture the
+    wrappers, so build and run inside it."""
+    import numpy as np
+
+    import ffrd
+
+    count = [0]
+    package = str(Path(ffrd.__file__).parent)
+
+    def counting(fn):
+        @wraps(fn)
+        def call(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    class CountingUfunc:
+        def __init__(self, ufunc):
+            self._ufunc, self._call = ufunc, counting(ufunc)
+
+        def __call__(self, *args, **kwargs):
+            return self._call(*args, **kwargs)
+
+        def __getattr__(self, name):
+            attr = getattr(self._ufunc, name)
+            return counting(attr) if callable(attr) else attr
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray) \
+                and frame.f_code.co_filename.startswith(package):
+            count[0] += 1
+
+    saved = {}
+    for name, obj in list(vars(np).items()):  # not dir(): it imports numpy's lazy modules
+        if isinstance(obj, np.ufunc):
+            saved[name] = obj
+            setattr(np, name, CountingUfunc(obj))
+        elif callable(obj) and not isinstance(obj, type) and name != "errstate":
+            saved[name] = obj
+            setattr(np, name, counting(obj))
+    sys.setprofile(profile)
+    try:
+        yield count
+    finally:
+        sys.setprofile(None)
+        for name, obj in saved.items():
+            setattr(np, name, obj)
+
+
+def overhead() -> list:
+    """Least µs per lockstep step at each width of ``OVERHEAD_WIDTHS`` on
+    each table of ``OVERHEAD_CURVES``, the fit of fixed plus per-member µs,
+    and the numpy calls per step."""
+    import numpy as np
 
     import ffrd
     from ffrd import solver
@@ -297,33 +432,55 @@ def budgets() -> list:
     from workloads import _sweep_curves
 
     curves = {c.key: c for c in _sweep_curves(tiny=False)}
-    step, default = solver._step_stack, solver._STACK_CELLS
-    widths: list = []
-
-    def counting(q, *args, **kwargs):
-        widths.append(q.shape[0])
-        return step(q, *args, **kwargs)
-
+    default = solver._STACK_CELLS
     rows = []
     try:
-        solver._step_stack = counting
-        for key, base, n, delay, default_grid in BUDGET_CURVES:
+        for key, base, n in OVERHEAD_CURVES:
             c = curves[base]
-            config = c.config if delay is None else replace(c.config, delay=delay)
-            grid = ffrd.default_lambda_grid() if default_grid else c.grid
-            cells = ffrd.distortion_tensor(c.dist, n, c.initial_context).values.size
-            for members in BUDGET_MEMBERS:
-                solver._STACK_CELLS = default if members is None else members * cells
-                widths.clear()
-                t0 = time.perf_counter()
-                curve = ffrd.sweep(c.source, c.dist, n, grid, config, c.initial_context)
-                rows.append({"key": key, "members": members or max(1, default // cells),
-                             "lockstep_steps": len(widths), "member_steps": sum(widths),
-                             "iterations": sum(pt.iterations for pt in curve.points),
-                             "seconds": time.perf_counter() - t0})
-                print(rows[-1], file=sys.stderr)
+            n = c.n if n is None else n
+            source = ffrd.block_pmf(c.source, n)
+            dist = ffrd.distortion_tensor(c.dist, n, c.initial_context)
+            cells = dist.values.size
+            # the grid's weights below its largest, largest first, cycled: at
+            # the largest, 32, the ternary parity kernel reaches F = 0 after
+            # 151 steps, and three stock weights F < 1e-300 after 2,230 or more
+            lams = sorted(c.grid, reverse=True)[1:]
+
+            def run(width, steps):
+                solver._STACK_CELLS = width * cells
+                configs = [replace(c.config, lam=lams[j % len(lams)], epsilon=1e-300,
+                                   max_iters=steps) for j in range(width)]
+                points = solver._solve_lockstep(source, dist, configs, [None] * width)
+                if any(pt.iterations != steps for pt in points):
+                    raise RuntimeError(f"{key}: a member stopped before {steps} steps")
+
+            row = {"key": key, "n": n, "cells_per_member": cells, "widths": []}
+            for width in OVERHEAD_WIDTHS:
+                steps = int(min(OVERHEAD_MAX_STEPS, max(20, TARGET_CELL_STEPS // (width * cells))))
+                run(width, 2)  # warm
+                times = []
+                for _ in range(OVERHEAD_REPEATS):
+                    t0 = time.perf_counter()
+                    run(width, steps)
+                    times.append((time.perf_counter() - t0) / steps * 1e6)
+                calls = []
+                for k in (CALL_STEPS, 2 * CALL_STEPS):
+                    with counted_numpy_calls() as count:
+                        run(width, k)
+                    calls.append(count[0])
+                row["widths"].append({"width": width, "steps": steps,
+                                      "us_per_step": min(times), "us_per_step_runs": times,
+                                      "numpy_calls": (calls[1] - calls[0]) / CALL_STEPS})
+            widths = [w["width"] for w in row["widths"]]
+            per_member, fixed = np.polyfit(widths, [w["us_per_step"] for w in row["widths"]], 1)
+            row["fixed_us"], row["per_member_us"] = float(fixed), float(per_member)
+            rows.append(row)
+            print(f"{key}: {fixed:7.1f} us fixed + {per_member:7.1f} us per member; "
+                  + ", ".join(f"w{w['width']} {w['us_per_step']:.1f} us "
+                              f"{w['numpy_calls']:.0f} calls" for w in row["widths"]),
+                  file=sys.stderr)
     finally:
-        solver._step_stack, solver._STACK_CELLS = step, default
+        solver._STACK_CELLS = default
     return rows
 
 
@@ -362,6 +519,8 @@ def main(argv=None) -> None:
                     help="time fresh interpreters that import ffrd, and exit")
     ap.add_argument("--budgets", action="store_true",
                     help="count the steps of sweeps under several stack budgets, and exit")
+    ap.add_argument("--overhead", action="store_true",
+                    help="split a lockstep step's time into fixed and per-member parts, and exit")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="tree to import ffrd from")
     ap.add_argument("--out", type=Path, help="write the JSON here as well as to stdout")
     args = ap.parse_args(argv)
@@ -379,6 +538,8 @@ def main(argv=None) -> None:
         result["answers"] = answers()
     elif args.budgets:
         result["budgets"] = budgets()
+    elif args.overhead:
+        result["overhead"] = overhead()
     else:
         result["cases"] = step_cases()
     text = json.dumps(result, indent=1)
